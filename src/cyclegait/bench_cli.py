@@ -28,11 +28,12 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
 from . import gaitgen, gaugekit
-from .cyclic import NonFiniteLossError, TrainerConfig, run_training
+from .cyclic import MODES, NonFiniteLossError, TrainerConfig, run_training
 from .gaitgen import DatasetBundle
 from .setnet import OptimizerConfig, load_checkpoint, save_checkpoint
 
@@ -42,167 +43,103 @@ OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
 WORKERS_ENV = "CYCLEGAIT_WORKERS"
 
 
+def _section(name: str, default):
+    return dataclasses.field(default=default, metadata={"section": name})
+
+
 @dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a full run needs; defaults give the desk-scale benchmark."""
+class ExperimentConfig(TrainerConfig):
+    """Everything a full run needs; defaults give the desk-scale benchmark.
 
-    format_version: int = CONFIG_FORMAT_VERSION
-    # dataset
-    data_dir: str = ""
-    n_ids: int = 60
-    n_train_ids: int = 40
-    n_views: int = 4
-    nm_groups: int = 4
-    bg_groups: int = 3
-    cl_groups: int = 3
-    frames_per_seq: int = 30
-    d_in: int = 16
-    data_seed: int = 1
-    # corruption of the train split
-    corruption: str = "none"  # none | label | augmentation | split
-    corruption_rate: float = 0.2
-    corruption_fraction: float = 0.6
-    corruption_seed: int = 7
-    # trainer
-    mode: str = "cyclic"
-    iterations: int = 2000
-    p_ids: int = 8
-    k_seqs: int = 4
-    momentum: float = 0.99
-    ema_enabled: bool = True
-    and_enabled: bool = False
-    detach_teacher: bool = False
-    augmentation: str = "default"
-    seed: int = 1
-    schedule_profile: str = "noisy"
-    triplet_margin: float = 0.2
-    mil_temperature: float = 0.2
-    d_hidden: int = 64
-    d_emb: int = 32
-    record_trace: bool = False
-    snapshot_every: int = 0
-    coteach_noise_rate: float = 0.2
-    sieve_beta: float = 0.9
-    sieve_warmup: int = 200
-    sieve_scale: float = 1.5
-    sieve_entropy_scale: float = 1.0
-    sieve_keep_floor: float = 0.5
-    schedule_ramp_fraction: float = 0.5
-    sigma0_const: float | None = None
-    sigma1_const: float | None = None
-    sigma2_const: float | None = None
-    sigma3_const: float | None = None
-    # optimizer
-    opt_kind: str = "sgd"
-    lr: float = 0.05
-    opt_momentum: float = 0.9
-    milestones: tuple = (1000,)
-    gamma: float = 0.1
-    # evaluation
-    exclude_same_view: bool = True
-    # output
-    out_dir: str = "runs/exp"
+    The trainer and optimizer settings are the inherited TrainerConfig
+    fields; this class adds the dataset, corruption, eval, output and meta
+    settings, each tagged with the config-file section it is written to.
+    """
 
-    def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            mode=self.mode,
-            iterations=self.iterations,
-            p_ids=self.p_ids,
-            k_seqs=self.k_seqs,
-            momentum=self.momentum,
-            ema_enabled=self.ema_enabled,
-            and_enabled=self.and_enabled,
-            detach_teacher=self.detach_teacher,
-            augmentation=self.augmentation,
-            seed=self.seed,
-            schedule_profile=self.schedule_profile,
-            triplet_margin=self.triplet_margin,
-            mil_temperature=self.mil_temperature,
-            d_hidden=self.d_hidden,
-            d_emb=self.d_emb,
-            record_trace=self.record_trace,
-            snapshot_every=self.snapshot_every,
-            coteach_noise_rate=self.coteach_noise_rate,
-            sieve_beta=self.sieve_beta,
-            sieve_warmup=self.sieve_warmup,
-            sieve_scale=self.sieve_scale,
-            sieve_entropy_scale=self.sieve_entropy_scale,
-            sieve_keep_floor=self.sieve_keep_floor,
-            schedule_ramp_fraction=self.schedule_ramp_fraction,
-            sigma0_const=self.sigma0_const,
-            sigma1_const=self.sigma1_const,
-            sigma2_const=self.sigma2_const,
-            sigma3_const=self.sigma3_const,
-            optimizer=OptimizerConfig(
-                kind=self.opt_kind,
-                lr=self.lr,
-                momentum=self.opt_momentum,
-                milestones=tuple(self.milestones),
-                gamma=self.gamma,
-            ),
-        )
+    format_version: int = _section("meta", CONFIG_FORMAT_VERSION)
+    data_dir: str = _section("dataset", "")
+    n_ids: int = _section("dataset", 60)
+    n_train_ids: int = _section("dataset", 40)
+    n_views: int = _section("dataset", 4)
+    nm_groups: int = _section("dataset", 4)
+    bg_groups: int = _section("dataset", 3)
+    cl_groups: int = _section("dataset", 3)
+    frames_per_seq: int = _section("dataset", 30)
+    d_in: int = _section("dataset", 16)
+    data_seed: int = _section("dataset", 1)
+    # corruption of the train split: none | label | augmentation | split
+    corruption: str = _section("corruption", "none")
+    corruption_rate: float = _section("corruption", 0.2)
+    corruption_fraction: float = _section("corruption", 0.6)
+    corruption_seed: int = _section("corruption", 7)
+    exclude_same_view: bool = _section("eval", True)
+    out_dir: str = _section("output", "runs/exp")
 
 
-# section -> ordered field names; parsing and serialization are schema-driven
-_SECTIONS = {
-    "meta": ("format_version",),
-    "dataset": (
-        "data_dir", "n_ids", "n_train_ids", "n_views", "nm_groups", "bg_groups",
-        "cl_groups", "frames_per_seq", "d_in", "data_seed",
-    ),
-    "corruption": ("corruption", "corruption_rate", "corruption_fraction", "corruption_seed"),
-    "trainer": (
-        "mode", "iterations", "p_ids", "k_seqs", "momentum", "ema_enabled",
-        "and_enabled", "detach_teacher", "augmentation", "seed", "schedule_profile",
-        "triplet_margin", "mil_temperature", "d_hidden", "d_emb", "record_trace",
-        "snapshot_every", "coteach_noise_rate", "sieve_beta", "sieve_warmup",
-        "sieve_scale", "sieve_entropy_scale", "sieve_keep_floor", "schedule_ramp_fraction",
-        "sigma0_const", "sigma1_const", "sigma2_const", "sigma3_const",
-    ),
-    "optimizer": ("opt_kind", "lr", "opt_momentum", "milestones", "gamma"),
-    "eval": ("exclude_same_view",),
-    "output": ("out_dir",),
-}
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# Config files group keys into these sections, in this order. Untagged
+# fields belong to [trainer]; the nested optimizer config fills [optimizer].
+# The optimizer's kind and momentum get an opt_ prefix, which keeps momentum
+# apart from the EMA ratio of the same name in [trainer].
+_SECTION_ORDER = ("meta", "dataset", "corruption", "trainer", "optimizer", "eval", "output")
+_OPTIMIZER_KEYS = {"kind": "opt_kind", "momentum": "opt_momentum"}
 
 
-def _format_value(name: str, value) -> str:
-    if name == "milestones":
-        return ",".join(str(int(v)) for v in value)
+def _schema() -> dict:
+    """Config-file key -> (section, nested config field or None, field name, type)."""
+    keys = {}
+    hints = typing.get_type_hints(ExperimentConfig)
+    opt_hints = typing.get_type_hints(OptimizerConfig)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name == "optimizer":
+            for g in dataclasses.fields(OptimizerConfig):
+                key = _OPTIMIZER_KEYS.get(g.name, g.name)
+                keys[key] = ("optimizer", f.name, g.name, opt_hints[g.name])
+        else:
+            keys[f.name] = (f.metadata.get("section", "trainer"), None, f.name, hints[f.name])
+    return dict(sorted(keys.items(), key=lambda kv: _SECTION_ORDER.index(kv[1][0])))
+
+
+_SCHEMA = _schema()
+
+
+def _format_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(str(int(v)) for v in value)
     return str(value)
 
 
-def _parse_value(name: str, text: str):
+def _parse_value(key: str, ftype, text: str):
     text = text.strip()
-    if name == "milestones":
-        return tuple(int(t) for t in text.split(",") if t.strip()) if text else ()
-    ftype = _FIELD_TYPES[name]
-    if ftype in ("float | None",):
-        return None if text == "none" else float(text)
-    if ftype == "bool":
+    if typing.get_origin(ftype) is tuple:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    args = typing.get_args(ftype)
+    if type(None) in args:
+        if text == "none":
+            return None
+        (ftype,) = (a for a in args if a is not type(None))
+    if ftype is bool:
         if text not in ("true", "false"):
-            raise ValueError(f"{name} must be true or false, got {text!r}")
+            raise ValueError(f"{key} must be true or false, got {text!r}")
         return text == "true"
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
+    if ftype in (int, float):
+        return ftype(text)
     return text
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
-    for section, names in _SECTIONS.items():
+    for section in _SECTION_ORDER:
         out.write(f"[{section}]\n")
-        for name in names:
-            out.write(f"{name} = {_format_value(name, getattr(cfg, name))}\n")
+        for key, (sec, nested, name, _) in _SCHEMA.items():
+            if sec == section:
+                owner = getattr(cfg, nested) if nested else cfg
+                out.write(f"{key} = {_format_value(getattr(owner, name))}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -210,16 +147,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    values = {}
-    known = {name: section for section, names in _SECTIONS.items() for name in names}
+    values, optimizer = {}, {}
     for section in parser.sections():
-        for name, raw in parser.items(section):
-            if name not in known:
-                raise ValueError(f"unknown config key {name!r} in [{section}]")
-            if known[name] != section:
-                raise ValueError(f"key {name!r} belongs in [{known[name]}]")
-            values[name] = _parse_value(name, raw)
-    cfg = ExperimentConfig(**values)
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA:
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
+            sec, nested, name, ftype = _SCHEMA[key]
+            if sec != section:
+                raise ValueError(f"key {key!r} belongs in [{sec}]")
+            (optimizer if nested else values)[name] = _parse_value(key, ftype, raw)
+    cfg = ExperimentConfig(**values, optimizer=OptimizerConfig(**optimizer))
     if cfg.format_version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported config format_version {cfg.format_version}")
     return cfg
@@ -327,11 +264,10 @@ def run_experiment(cfg: ExperimentConfig, bundle: DatasetBundle | None = None):
 
     if bundle is None:
         bundle = obtain_bundle(cfg)
-    trainer_cfg = cfg.trainer_config()
     trace_path = os.path.join(outdir, "trace.bin") if cfg.record_trace else None
 
     try:
-        result = run_training(bundle, trainer_cfg, trace_path=trace_path)
+        result = run_training(bundle, cfg, trace_path=trace_path)
     except NonFiniteLossError as err:
         diag_path = os.path.join(outdir, "diagnostics.json")
         with open(diag_path, "w", encoding="utf-8") as fh:
@@ -408,10 +344,10 @@ ABLATION_CELLS = (
 
 
 def _ablation_cell_job(args):
-    cfg_dict, bundle_manifest, cell_name, overrides, seed = args
+    base, bundle_manifest, cell_name, overrides, seed = args
     bundle = gaitgen.regenerate_from_manifest(bundle_manifest)
-    cfg = ExperimentConfig(**{**cfg_dict, **overrides, "seed": seed})
-    result = run_training(bundle, cfg.trainer_config())
+    cfg = dataclasses.replace(base, **overrides, seed=seed)
+    result = run_training(bundle, cfg)
     report = gaugekit.evaluate_checkpoint(
         result.params_f, bundle.test, cfg.exclude_same_view
     )
@@ -422,11 +358,11 @@ def _ablation_cell_job(args):
 def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds) -> dict:
     """Train and evaluate every grid cell for every seed; returns
     {cell: {condition: (mean, std)}} plus raw per-seed values under "raw"."""
-    jobs = []
-    cfg_dict = dataclasses.asdict(cfg)
-    for cell_name, overrides in ABLATION_CELLS:
-        for seed in seeds:
-            jobs.append((cfg_dict, bundle.manifest, cell_name, overrides, seed))
+    jobs = [
+        (cfg, bundle.manifest, cell_name, overrides, seed)
+        for cell_name, overrides in ABLATION_CELLS
+        for seed in seeds
+    ]
 
     workers = _workers()
     if workers > 1:
@@ -476,22 +412,14 @@ def _refuse_existing(path: str, force: bool, what: str):
         raise SystemExit(f"{what} {path} already exists; pass --force to overwrite")
 
 
+def _config_fields(args) -> dict:
+    """The parsed flags whose dest is an ExperimentConfig field and that were set."""
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
 def cmd_gen_data(args) -> int:
-    cfg = ExperimentConfig(
-        n_ids=args.ids,
-        n_train_ids=args.train_ids,
-        n_views=args.views,
-        nm_groups=args.nm,
-        bg_groups=args.bg,
-        cl_groups=args.cl,
-        frames_per_seq=args.frames,
-        d_in=args.d_in,
-        data_seed=args.seed,
-        corruption=args.corrupt,
-        corruption_rate=args.rate,
-        corruption_fraction=args.fraction,
-        corruption_seed=args.corrupt_seed,
-    )
+    cfg = ExperimentConfig(**_config_fields(args))
     outdir = _resolve_out(args.out)
     _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
     bundle = build_bundle(cfg)
@@ -515,35 +443,9 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-_TRAIN_OVERRIDES = (
-    ("data", "data_dir"),
-    ("out", "out_dir"),
-    ("mode", "mode"),
-    ("iterations", "iterations"),
-    ("seed", "seed"),
-    ("schedule", "schedule_profile"),
-    ("snapshot_every", "snapshot_every"),
-)
-
-
-def _config_from_args(args) -> ExperimentConfig:
-    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-    updates = {}
-    for arg_name, field_name in _TRAIN_OVERRIDES:
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            updates[field_name] = val
-    if getattr(args, "trace", False):
-        updates["record_trace"] = True
-    if getattr(args, "and_module", None) is not None:
-        updates["and_enabled"] = args.and_module
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
-
-
 def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+    cfg = dataclasses.replace(cfg, **_config_fields(args))
     outdir = _resolve_out(cfg.out_dir)
     _refuse_existing(os.path.join(outdir, "model_f.ckpt"), args.force, "run")
     try:
@@ -649,22 +551,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # gen-data and train flags are stored under their ExperimentConfig field
+    # names, and flag defaults that are config settings read the config's
+    d = ExperimentConfig
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--ids", type=int, default=60)
-    p.add_argument("--train-ids", dest="train_ids", type=int, default=40)
-    p.add_argument("--views", type=int, default=4)
-    p.add_argument("--nm", type=int, default=4)
-    p.add_argument("--bg", type=int, default=3)
-    p.add_argument("--cl", type=int, default=3)
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--d-in", dest="d_in", type=int, default=16)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--corrupt", choices=("none", "label", "augmentation", "split"),
-                   default="none")
-    p.add_argument("--rate", type=float, default=0.2)
-    p.add_argument("--fraction", type=float, default=0.6)
-    p.add_argument("--corrupt-seed", dest="corrupt_seed", type=int, default=7)
+    p.add_argument("--ids", dest="n_ids", type=int, default=d.n_ids)
+    p.add_argument("--train-ids", dest="n_train_ids", type=int, default=d.n_train_ids)
+    p.add_argument("--views", dest="n_views", type=int, default=d.n_views)
+    p.add_argument("--nm", dest="nm_groups", type=int, default=d.nm_groups)
+    p.add_argument("--bg", dest="bg_groups", type=int, default=d.bg_groups)
+    p.add_argument("--cl", dest="cl_groups", type=int, default=d.cl_groups)
+    p.add_argument("--frames", dest="frames_per_seq", type=int, default=d.frames_per_seq)
+    p.add_argument("--d-in", dest="d_in", type=int, default=d.d_in)
+    p.add_argument("--seed", dest="data_seed", type=int, default=d.data_seed)
+    p.add_argument("--corrupt", dest="corruption", default=d.corruption,
+                   choices=("none", "label", "augmentation", "split"))
+    p.add_argument("--rate", dest="corruption_rate", type=float, default=d.corruption_rate)
+    p.add_argument("--fraction", dest="corruption_fraction", type=float,
+                   default=d.corruption_fraction)
+    p.add_argument("--corrupt-seed", dest="corruption_seed", type=int,
+                   default=d.corruption_seed)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -672,25 +579,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("label", "augmentation", "split"), required=True)
-    p.add_argument("--rate", type=float, default=0.2)
-    p.add_argument("--fraction", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--rate", type=float, default=d.corruption_rate)
+    p.add_argument("--fraction", type=float, default=d.corruption_fraction)
+    p.add_argument("--seed", type=int, default=d.corruption_seed)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_corrupt)
 
+    # unset train flags (None) leave the --config value in place
     p = sub.add_parser("train", help="run a training experiment")
     p.add_argument("--config", default=None, help="experiment config file")
-    p.add_argument("--data", default=None, help="dataset directory")
-    p.add_argument("--out", default=None)
-    p.add_argument("--mode", choices=("cyclic", "supervised", "selfsup", "coteach-baseline"),
-                   default=None)
+    p.add_argument("--data", dest="data_dir", default=None, help="dataset directory")
+    p.add_argument("--out", dest="out_dir", default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--schedule", choices=("noisy", "clean"), default=None)
+    p.add_argument("--schedule", dest="schedule_profile", choices=("noisy", "clean"),
+                   default=None)
     p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--and", dest="and_module", action="store_true", default=None)
-    p.add_argument("--no-and", dest="and_module", action="store_false")
+    p.add_argument("--trace", dest="record_trace", action="store_true", default=None)
+    p.add_argument("--and", dest="and_enabled", action="store_true", default=None)
+    p.add_argument("--no-and", dest="and_enabled", action="store_false")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -699,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--exclude-same-view", dest="exclude_same_view",
-                   action="store_true", default=True)
+                   action="store_true", default=d.exclude_same_view)
     p.add_argument("--include-same-view", dest="exclude_same_view", action="store_false")
     p.set_defaults(func=cmd_eval)
 
@@ -707,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1, help="first seed of the range")
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=d.seed, help="first seed of the range")
+    p.add_argument("--iterations", type=int, default=d.iterations)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify-closed-form",

@@ -39,6 +39,7 @@ from .lossbank import (
     batch_mil_loss,
     crc_combine,
     has_valid_triplet,
+    log_softmax_rows,
     triplet_loss,
 )
 from .numkit import RngStream
@@ -86,21 +87,21 @@ class TrainerConfig:
     mil_temperature: float = 0.2
     d_hidden: int = 64
     d_emb: int = 32
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    record_trace: bool = False
+    snapshot_every: int = 0
+    coteach_noise_rate: float = 0.2  # prior required by the baseline only
     sieve_beta: float = 0.9
     sieve_warmup: int = 200
     sieve_scale: float = 1.5
     sieve_entropy_scale: float = 1.0
     sieve_keep_floor: float = 0.5
-    record_trace: bool = False
-    snapshot_every: int = 0
-    coteach_noise_rate: float = 0.2  # prior required by the baseline only
-    # pin a coefficient to a constant, overriding profile and mode (None = off)
     schedule_ramp_fraction: float = 0.5
+    # pin a coefficient to a constant, overriding profile and mode (None = off)
     sigma0_const: float | None = None
     sigma1_const: float | None = None
     sigma2_const: float | None = None
     sigma3_const: float | None = None
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -243,7 +244,7 @@ def train_iteration(batch, state: TrainState, config: TrainerConfig,
     if config.mode == "supervised":
         return _supervised_iteration(batch, state, config, schedule, k)
     if config.mode == "coteach-baseline":
-        return _coteach_baseline_iteration(batch, state, config, schedule, k)
+        return coteach_baseline_iteration(batch, state, config, schedule, k)
     return _two_net_iteration(batch, state, config, schedule, k)
 
 
@@ -339,26 +340,17 @@ def _supervised_iteration(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
-    z, p, cache = forward_batch(frames, state.params_f)
+    params_f, opt_f, delta_f, l_ce, l_tri = _supervised_step_on(
+        state.params_f, state.opt_f, frames, labels, config, schedule, k
+    )
     state.forward_count += b
-
-    _, s1, s2, _ = schedule.at(k)
-    l_ce, d_p = batch_ce(p, labels)
-    d_p *= s1
-    l_tri = 0.0
-    d_z = np.zeros_like(z)
-    if s2 != 0.0 and has_valid_triplet(labels):
-        l_tri, g = triplet_loss(z, labels, config.triplet_margin)
-        d_z += s2 * g
 
     breakdown = crc_combine(0.0, l_ce, l_tri, 0.0, schedule, k)
     if not breakdown.is_finite():
         raise NonFiniteLossError(
             f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
         )
-
-    grad = backward_batch(cache, state.params_f, d_z, d_p)
-    state.params_f, state.opt_f, delta_f = optimizer_step(state.params_f, grad, state.opt_f, k)
+    state.params_f, state.opt_f = params_f, opt_f
 
     record = TraceRecord(k, delta_f, None, None, breakdown, 1.0)
     metrics = {
@@ -372,10 +364,13 @@ def _supervised_iteration(batch, state, config, schedule, k):
     return breakdown, record, metrics
 
 
-def _supervised_step_on(params, opt, frame_sets, labels, config, schedule, k, state):
-    """One CE + triplet update on a selected sub-batch (baseline helper)."""
+def _supervised_step_on(params, opt, frame_sets, labels, config, schedule, k):
+    """One CE + triplet update of one network on the given frame sets.
+
+    Returns (new params, new optimizer state, applied delta, l_ce, l_tri);
+    the caller commits the new params and state once the losses are finite.
+    """
     z, p, cache = forward_batch(frame_sets, params)
-    state.forward_count += len(frame_sets)
     _, s1, s2, _ = schedule.at(k)
     l_ce, d_p = batch_ce(p, labels)
     d_p = s1 * d_p
@@ -385,19 +380,19 @@ def _supervised_step_on(params, opt, frame_sets, labels, config, schedule, k, st
         l_tri, g = triplet_loss(z, labels, config.triplet_margin)
         d_z += s2 * g
     grad = backward_batch(cache, params, d_z, d_p)
-    new_params, new_opt, _ = optimizer_step(params, grad, opt, k)
-    return new_params, new_opt, l_ce, l_tri
+    new_params, new_opt, delta = optimizer_step(params, grad, opt, k)
+    return new_params, new_opt, delta, l_ce, l_tri
 
 
 def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
-                               schedule: CoeffSchedule, k: int, noise_rate: float | None = None):
+                               schedule: CoeffSchedule, k: int):
     """Classic small-loss co-teaching step: each network selects its smallest-CE
-    fraction (1 - noise_rate) of the batch and the peer trains on it.
+    fraction (1 - coteach_noise_rate) of the batch and the peer trains on it.
 
     Requires the noise rate as prior knowledge, unlike the cyclic scheme.
     Selection forwards plus training forwards cost 2N + 2*ceil((1-rate)*N).
     """
-    sigma_r = config.coteach_noise_rate if noise_rate is None else noise_rate
+    sigma_r = config.coteach_noise_rate
     if not 0.0 <= sigma_r < 1.0:
         raise ValueError("noise rate must lie in [0, 1)")
     labels = np.array([s.identity for s in batch], dtype=int)
@@ -406,10 +401,6 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
 
     _, p_a, _ = forward_batch(frame_sets, state.params_f)
     _, p_b, _ = forward_batch(frame_sets, state.params_m)
-    state.forward_count += 2 * b
-
-    from .lossbank import log_softmax_rows
-
     ce_a = -log_softmax_rows(p_a)[np.arange(b), labels]
     ce_b = -log_softmax_rows(p_b)[np.arange(b), labels]
     n_keep = math.ceil((1.0 - sigma_r) * b)
@@ -417,14 +408,15 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
     sel_b = np.argsort(ce_b, kind="stable")[:n_keep]
 
     # peer exchange: A trains on B's selection and vice versa
-    state.params_f, state.opt_f, ce_f, tri_f = _supervised_step_on(
+    params_f, opt_f, _, ce_f, tri_f = _supervised_step_on(
         state.params_f, state.opt_f, [frame_sets[i] for i in sel_b], labels[sel_b],
-        config, schedule, k, state,
+        config, schedule, k,
     )
-    state.params_m, state.opt_m, ce_m, tri_m = _supervised_step_on(
+    params_m, opt_m, _, ce_m, tri_m = _supervised_step_on(
         state.params_m, state.opt_m, [frame_sets[i] for i in sel_a], labels[sel_a],
-        config, schedule, k, state,
+        config, schedule, k,
     )
+    state.forward_count += 2 * b + 2 * n_keep
 
     l_ce = (ce_f + ce_m) / 2.0
     l_tri = (tri_f + tri_m) / 2.0
@@ -433,6 +425,8 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
         raise NonFiniteLossError(
             f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
         )
+    state.params_f, state.opt_f = params_f, opt_f
+    state.params_m, state.opt_m = params_m, opt_m
     metrics = {
         "iter": k,
         **breakdown.as_dict(),
@@ -443,10 +437,6 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
     state.iteration = k
     record = TraceRecord(k, np.zeros(0), None, None, breakdown, n_keep / b)
     return breakdown, record, metrics
-
-
-def _coteach_baseline_iteration(batch, state, config, schedule, k):
-    return coteach_baseline_iteration(batch, state, config, schedule, k)
 
 
 # ---------------------------------------------------------------------------

@@ -303,15 +303,18 @@ def ema_transfer(theta_m: ModelParams, theta_f: ModelParams, m: float) -> ModelP
     return ModelParams(theta_m.shape, m * theta_m.flat + (1.0 - m) * theta_f.flat)
 
 
+# Adam moment decay rates and denominator guard; no run sets other values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "sgd"  # "sgd" (momentum) or "adam"
     lr: float = 0.05
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    milestones: tuple = (1000,)
+    milestones: tuple[int, ...] = (1000,)
     gamma: float = 0.1
 
     def __post_init__(self):
@@ -361,11 +364,11 @@ def optimizer_step(params: ModelParams, grad: GradVector, state: OptimizerState,
         new_state = OptimizerState(cfg, velocity=velocity, steps=state.steps + 1)
     else:
         t = state.steps + 1
-        m1 = cfg.beta1 * state.moment1 + (1.0 - cfg.beta1) * grad.flat
-        m2 = cfg.beta2 * state.moment2 + (1.0 - cfg.beta2) * grad.flat**2
-        m1_hat = m1 / (1.0 - cfg.beta1**t)
-        m2_hat = m2 / (1.0 - cfg.beta2**t)
-        delta = -lr * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+        m1 = ADAM_BETA1 * state.moment1 + (1.0 - ADAM_BETA1) * grad.flat
+        m2 = ADAM_BETA2 * state.moment2 + (1.0 - ADAM_BETA2) * grad.flat**2
+        m1_hat = m1 / (1.0 - ADAM_BETA1**t)
+        m2_hat = m2 / (1.0 - ADAM_BETA2**t)
+        delta = -lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
         new_state = OptimizerState(cfg, moment1=m1, moment2=m2, steps=t)
     new_params = ModelParams(params.shape, params.flat + delta)
     return new_params, new_state, delta

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .numkit import entropy, softmax
-from .lossbank import ce_loss
+from .lossbank import ce_loss, log_softmax_rows, softmax_rows
 
 # Running ruled-out fraction that opens the evidence gate in training: one
 # contradicted label per 32 samples. Checked at P x K = 8x4, 4x2 and 16x4
@@ -110,8 +110,6 @@ def score_batch(outputs_f, outputs_m, labels) -> list:
 
 def score_arrays(logits_f: np.ndarray, logits_m: np.ndarray, labels) -> list:
     """Row-vectorized score_batch over (B, C) logit arrays."""
-    from .lossbank import log_softmax_rows, softmax_rows
-
     if logits_f.shape != logits_m.shape or logits_f.shape[0] != len(labels):
         raise ValueError("logit arrays and labels must align")
     labels = np.asarray(labels, dtype=int)

@@ -368,7 +368,8 @@ def test_c10_pipeline_determinism(tmp_path, monkeypatch):
                   "--corrupt", "split", "--fraction", "0.6"])
         cfg = ExperimentConfig(data_dir="data", out_dir="run", mode="cyclic",
                                iterations=30, p_ids=4, k_seqs=2, d_hidden=16,
-                               d_emb=8, record_trace=True, milestones=(15,),
+                               d_emb=8, record_trace=True,
+                               optimizer=OptimizerConfig(milestones=(15,)),
                                and_enabled=True, sieve_warmup=5, seed=3)
         run_experiment(cfg)
         cli_main(["eval", "--checkpoint", "run/model_f.ckpt", "--data", "data",

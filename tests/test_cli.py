@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from cyclegait.bench_cli import (
+    ABLATION_CELLS,
     ExperimentConfig,
     config_hash,
     main,
@@ -12,7 +14,8 @@ from cyclegait.bench_cli import (
     run_experiment,
     serialize_config,
 )
-from cyclegait.setnet import load_checkpoint
+from cyclegait.cyclic import TrainerConfig
+from cyclegait.setnet import OptimizerConfig, load_checkpoint
 
 
 def run_cli(*argv):
@@ -35,19 +38,43 @@ def tiny_train_config(data_dir, out_dir, **kwargs):
         k_seqs=2,
         d_hidden=8,
         d_emb=4,
-        lr=0.05,
-        milestones=(),
+        optimizer=OptimizerConfig(lr=0.05, milestones=()),
         seed=5,
     )
     base.update(kwargs)
     return ExperimentConfig(**base)
 
 
+# serialize_config(ExperimentConfig()), pinned: config_hash and every
+# config.snapshot depend on the key names, sections and order staying the same
+DEFAULT_CONFIG_TEXT = "\n".join([
+    "[meta]", "format_version = 1", "",
+    "[dataset]", "data_dir = ", "n_ids = 60", "n_train_ids = 40", "n_views = 4",
+    "nm_groups = 4", "bg_groups = 3", "cl_groups = 3", "frames_per_seq = 30",
+    "d_in = 16", "data_seed = 1", "",
+    "[corruption]", "corruption = none", "corruption_rate = 0.2",
+    "corruption_fraction = 0.6", "corruption_seed = 7", "",
+    "[trainer]", "mode = cyclic", "iterations = 2000", "p_ids = 8", "k_seqs = 4",
+    "momentum = 0.99", "ema_enabled = true", "and_enabled = false",
+    "detach_teacher = false", "augmentation = default", "seed = 1",
+    "schedule_profile = noisy", "triplet_margin = 0.2", "mil_temperature = 0.2",
+    "d_hidden = 64", "d_emb = 32", "record_trace = false", "snapshot_every = 0",
+    "coteach_noise_rate = 0.2", "sieve_beta = 0.9", "sieve_warmup = 200",
+    "sieve_scale = 1.5", "sieve_entropy_scale = 1.0", "sieve_keep_floor = 0.5",
+    "schedule_ramp_fraction = 0.5", "sigma0_const = none", "sigma1_const = none",
+    "sigma2_const = none", "sigma3_const = none", "",
+    "[optimizer]", "opt_kind = sgd", "lr = 0.05", "opt_momentum = 0.9",
+    "milestones = 1000", "gamma = 0.1", "",
+    "[eval]", "exclude_same_view = true", "",
+    "[output]", "out_dir = runs/exp", "", "",
+])
+
+
 class TestConfigRoundtrip:
     def test_serialize_parse_identity(self):
-        cfg = ExperimentConfig(mode="selfsup", iterations=123, lr=0.007,
-                               milestones=(10, 20), sigma2_const=0.05,
-                               and_enabled=False, out_dir="runs/x")
+        cfg = ExperimentConfig(mode="selfsup", iterations=123,
+                               optimizer=OptimizerConfig(lr=0.007, milestones=(10, 20)),
+                               sigma2_const=0.05, and_enabled=False, out_dir="runs/x")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_defaults_fill_missing_sections(self):
@@ -83,18 +110,28 @@ class TestConfigRoundtrip:
         assert f"{name} = {value!r}" in text
         assert parse_config(text) == cfg
         assert config_hash(cfg) != config_hash(ExperimentConfig())
-        assert getattr(cfg.trainer_config(), name) == value
+        # the experiment config is itself the trainer config run_training reads
+        assert isinstance(cfg, TrainerConfig)
+        assert getattr(cfg, name) == value
 
     def test_every_field_is_serialized(self):
+        import configparser
         import dataclasses
 
-        from cyclegait.bench_cli import _SECTIONS
+        parser = configparser.ConfigParser()
+        parser.read_string(serialize_config(ExperimentConfig()))
+        keys = [key for section in parser.sections() for key in parser[section]]
+        aliases = {"kind": "opt_kind", "momentum": "opt_momentum"}
+        expected = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.name != "optimizer"]
+        expected += [aliases.get(f.name, f.name) for f in dataclasses.fields(OptimizerConfig)]
+        assert sorted(keys) == sorted(expected)
 
-        listed = [name for names in _SECTIONS.values() for name in names]
-        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+    def test_default_text_is_pinned(self):
+        assert serialize_config(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
 
     def test_float_roundtrip_exact(self):
-        cfg = ExperimentConfig(lr=0.1 + 2e-17, momentum=1 / 3)
+        cfg = ExperimentConfig(optimizer=OptimizerConfig(lr=0.1 + 2e-17), momentum=1 / 3)
         assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -107,7 +144,7 @@ class TestGenDataCommand:
         from cyclegait.bench_cli import build_parser
 
         args = build_parser().parse_args(["gen-data", "--out", "x"])
-        assert (args.ids, args.train_ids, args.views, args.seed) == (60, 40, 4, 1)
+        assert (args.n_ids, args.n_train_ids, args.n_views, args.data_seed) == (60, 40, 4, 1)
 
     def test_generates_and_refuses_overwrite(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -193,8 +230,6 @@ class TestTrainEvalPipeline:
         blob = bytearray(trace.read_bytes())
         header_end = blob.index(b"\n") + 1
         # corrupt the iteration index of the third record
-        n_params = cfg.trainer_config().d_hidden  # placeholder, recompute below
-        _, deltas_header = None, None
         header = json.loads(bytes(blob[: header_end - 1]))
         rec_bytes = 8 + 16 * header["n_params"]
         off = header_end + 2 * rec_bytes
@@ -240,12 +275,28 @@ class TestTrainEvalPipeline:
 
     def test_nonfinite_abort_writes_diagnostics(self, data_dir, tmp_path):
         # a huge learning rate reliably overflows the logits
-        cfg = tiny_train_config(data_dir, tmp_path / "run", lr=1e6, iterations=60)
+        cfg = tiny_train_config(data_dir, tmp_path / "run",
+                                optimizer=OptimizerConfig(lr=1e6, milestones=()),
+                                iterations=60)
         from cyclegait.cyclic import NonFiniteLossError
 
         with pytest.raises(NonFiniteLossError):
             run_experiment(cfg)
         assert (tmp_path / "run" / "diagnostics.json").exists()
+
+
+class TestAblateCommand:
+    def test_grid_writes_one_finite_row_per_cell(self, tmp_path):
+        # the grid's default batch takes 8 identities, so widen the train split
+        data, out = tmp_path / "data", tmp_path / "ablation"
+        run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        assert run_cli("ablate", "--data", str(data), "--out", str(out),
+                       "--seeds", "1", "--iterations", "2") == 0
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0].startswith("# config_hash=")
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[0] for row in rows] == [name for name, _ in ABLATION_CELLS]
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 class TestCostCommand:
