@@ -30,7 +30,7 @@ from .lossbank import (
     mil_loss,
     triplet_loss,
 )
-from .sieve import NoiseScore, SieveState, adapt_mask, apply_mask, score_batch
+from .sieve import NoiseScores, SieveState, adapt_mask, score_arrays
 from .gaitgen import (
     AugmentationSpec,
     DatasetBundle,

@@ -443,9 +443,17 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
+def _usage_error(err: Exception) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 2
+
+
 def cmd_train(args) -> int:
-    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-    cfg = dataclasses.replace(cfg, **_config_fields(args))
+    try:
+        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+        cfg = dataclasses.replace(cfg, **_config_fields(args))
+    except ValueError as err:
+        return _usage_error(err)
     outdir = _resolve_out(cfg.out_dir)
     _refuse_existing(os.path.join(outdir, "model_f.ckpt"), args.force, "run")
     try:
@@ -486,7 +494,10 @@ def cmd_ablate(args) -> int:
         iterations=args.iterations,
     )
     seeds = [args.seed + i for i in range(args.seeds)]
-    outcome = run_ablation(base, bundle, seeds)
+    try:
+        outcome = run_ablation(base, bundle, seeds)
+    except ValueError as err:  # the dataset cannot fill the grid's batch shape
+        return _usage_error(err)
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
     digest = config_hash(base)

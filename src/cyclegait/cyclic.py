@@ -55,7 +55,7 @@ from .setnet import (
     init_params,
     optimizer_step,
 )
-from .sieve import EVIDENCE_FLOOR, SieveState, adapt_mask, detection_stats, score_arrays
+from .sieve import SieveState, adapt_mask, detection_stats, score_arrays
 
 TRACE_FORMAT_VERSION = 1
 
@@ -122,6 +122,12 @@ class TrainerConfig:
             raise ValueError("update traces require a two-network EMA-capable mode")
         if self.mode == "coteach-baseline" and not 0.0 <= self.coteach_noise_rate < 1.0:
             raise ValueError("coteach baseline noise rate must lie in [0, 1)")
+        if not 0.0 < self.sieve_beta < 1.0:
+            raise ValueError("sieve_beta (smoothing factor) must lie in (0, 1)")
+        if self.sieve_warmup < 0:
+            raise ValueError("sieve_warmup must be >= 0")
+        if not 0.0 < self.sieve_keep_floor <= 1.0:
+            raise ValueError("sieve_keep_floor must lie in (0, 1]")
 
     @property
     def batch_size(self) -> int:
@@ -159,8 +165,6 @@ class TraceRecord:
     delta_f: np.ndarray
     delta_m: np.ndarray | None
     pre_ema_m_hash: str | None
-    breakdown: LossBreakdown
-    kept_fraction: float
 
 
 @dataclass
@@ -271,10 +275,10 @@ def _two_net_iteration(batch, state, config, schedule, k):
     mask_stats = {}
     if config.and_enabled:
         scores = score_arrays(p_f, p_m, labels)
-        mask, state.sieve = adapt_mask(scores, state.sieve)
+        mask, state.sieve = adapt_mask(scores, state.sieve, config)
         mask_stats = {
-            "mask_mean_entropy": float(np.mean([s.entropy for s in scores])),
-            "mask_mean_ce": float(np.mean([s.ce for s in scores])),
+            "mask_mean_entropy": float(scores.entropy.mean()),
+            "mask_mean_ce": float(scores.ce.mean()),
         }
         mask_stats.update(
             {
@@ -323,7 +327,7 @@ def _two_net_iteration(batch, state, config, schedule, k):
     state.params_m, state.opt_m, delta_m = optimizer_step(state.params_m, grad_m, state.opt_m, k)
 
     kept_fraction = kept.size / b
-    record = TraceRecord(k, delta_f, delta_m, pre_hash, breakdown, kept_fraction)
+    record = TraceRecord(k, delta_f, delta_m, pre_hash)
     metrics = {
         "iter": k,
         **breakdown.as_dict(),
@@ -352,7 +356,7 @@ def _supervised_iteration(batch, state, config, schedule, k):
         )
     state.params_f, state.opt_f = params_f, opt_f
 
-    record = TraceRecord(k, delta_f, None, None, breakdown, 1.0)
+    record = TraceRecord(k, delta_f, None, None)
     metrics = {
         "iter": k,
         **breakdown.as_dict(),
@@ -435,7 +439,7 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
         "forwards": 2 * b + 2 * n_keep,
     }
     state.iteration = k
-    record = TraceRecord(k, np.zeros(0), None, None, breakdown, n_keep / b)
+    record = TraceRecord(k, np.zeros(0), None, None)
     return breakdown, record, metrics
 
 
@@ -523,7 +527,6 @@ class TrainingResult:
     init_m: ModelParams | None
     metrics: list
     snapshots: list  # (iteration, ModelParams) copies of F
-    trace: list | None  # TraceRecords when recorded in memory
     forward_count: int
     config: TrainerConfig
 
@@ -543,14 +546,7 @@ def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
         params_m=params_m,
         opt_f=OptimizerState.fresh(config.optimizer, shape),
         opt_m=opt_m,
-        sieve=SieveState(
-            beta=config.sieve_beta,
-            warmup=config.sieve_warmup,
-            threshold_scale=config.sieve_scale,
-            entropy_scale=config.sieve_entropy_scale,
-            keep_floor=config.sieve_keep_floor,
-            evidence_floor=EVIDENCE_FLOOR,
-        ),
+        sieve=SieveState(),
         rng_sampler=root.child(3),
         rng_aug_f=root.child(4),
         rng_aug_m=root.child(5),
@@ -561,9 +557,11 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
     """Train per config on the dataset's train split; deterministic in seed.
 
     The forgetting network F is the inference model. Metrics are logged every
-    iteration; trace recording stores (or streams, when trace_path is given)
-    the applied update of both networks for closed-form verification.
+    iteration; trace recording streams the applied update of both networks to
+    trace_path for closed-form verification.
     """
+    if config.record_trace and trace_path is None:
+        raise ValueError("record_trace needs a trace_path to stream the trace to")
     samples = dataset.train if isinstance(dataset, DatasetBundle) else list(dataset)
     if not samples:
         raise ValueError("empty dataset")
@@ -586,8 +584,7 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
     init_m = state.params_m.copy() if state.params_m is not None else None
 
     writer = None
-    records = [] if (config.record_trace and trace_path is None) else None
-    if config.record_trace and trace_path is not None:
+    if config.record_trace:
         # a disabled EMA step is the m = 1 recurrence
         momentum = config.momentum if config.ema_enabled else 1.0
         writer = TraceWriter(
@@ -607,8 +604,6 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
             )
             breakdown, record, metrics = train_iteration(batch, state, config, schedule, k)
             metrics_log.append(metrics)
-            if records is not None:
-                records.append(record)
             if writer is not None and record.delta_m is not None:
                 writer.write(k, record.delta_f, record.delta_m)
             if config.snapshot_every > 0 and (
@@ -626,7 +621,6 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
         init_m=init_m,
         metrics=metrics_log,
         snapshots=snapshots,
-        trace=records,
         forward_count=state.forward_count,
         config=config,
     )

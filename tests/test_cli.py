@@ -196,7 +196,8 @@ class TestTrainEvalPipeline:
                      "model_f.ckpt", "model_m.ckpt", "trace.bin", "metrics.jsonl",
                      "memorization.csv"):
             assert os.path.exists(os.path.join(outdir, name)), name
-        snap = open(os.path.join(outdir, "config.snapshot")).read()
+        with open(os.path.join(outdir, "config.snapshot")) as fh:
+            snap = fh.read()
         assert config_hash(cfg) in snap
         _, header = load_checkpoint(os.path.join(outdir, "model_f.ckpt"))
         assert header["config_hash"] == config_hash(cfg)
@@ -206,6 +207,18 @@ class TestTrainEvalPipeline:
             row = json.loads(fh.readline())
         assert {"iter", "l_c", "l_ce", "l_tri", "l_mil", "l_crc", "sigma0",
                 "sigma1", "sigma2", "sigma3", "kept_fraction", "lr"} <= set(row)
+
+    def test_invalid_config_value_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        run, config = tmp_path / "run", tmp_path / "exp.cfg"
+        # a run the tiny dataset can train, apart from the smoothing factor
+        config.write_text("[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
+                          "sieve_beta = 1.5\n")
+        code = run_cli("train", "--config", str(config), "--data", str(data_dir),
+                       "--out", str(run))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "sieve_beta" in err[0]
+        assert not (run / "config.snapshot").exists()
 
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")
@@ -297,6 +310,18 @@ class TestAblateCommand:
         rows = [line.split(",") for line in lines[2:]]
         assert [row[0] for row in rows] == [name for name, _ in ABLATION_CELLS]
         assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+    def test_too_few_train_identities_is_a_usage_error(self, tmp_path, capsys):
+        # TINY_GEN has 6 train identities; the grid's default batch takes 8
+        data, out = tmp_path / "data", tmp_path / "ablation"
+        run_cli("gen-data", "--out", str(data), *TINY_GEN)
+        capsys.readouterr()
+        code = run_cli("ablate", "--data", str(data), "--out", str(out),
+                       "--seeds", "1", "--iterations", "2")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (out / "ablation.csv").exists()
 
 
 class TestCostCommand:

@@ -193,17 +193,19 @@ class TestRunTraining:
         assert last["l_ce"] == 0.0 and last["l_tri"] == 0.0 and last["l_mil"] == 0.0
         assert last["l_c"] > 0.0
 
-    def test_trace_recurrence_reproduces_parameters(self):
+    def test_trace_recurrence_reproduces_parameters(self, tmp_path):
         bundle = tiny_bundle()
         config = tiny_config(iterations=6, record_trace=True)
-        result = run_training(bundle, config)
-        shape = result.params_f.shape
+        path = tmp_path / "trace.bin"
+        result = run_training(bundle, config, trace_path=str(path))
+        _, deltas_f, deltas_m = read_trace(path)
+        # replaying the streamed recurrence reproduces both endpoints exactly
         tf = result.init_f.flat.copy()
         tm = result.init_m.flat.copy()
         m = config.momentum
-        for rec in result.trace:
-            tm = m * tm + (1.0 - m) * tf + rec.delta_m
-            tf = tf + rec.delta_f
+        for delta_f, delta_m in zip(deltas_f, deltas_m):
+            tm = m * tm + (1.0 - m) * tf + delta_m
+            tf = tf + delta_f
         assert np.array_equal(tf, result.params_f.flat)
         assert np.array_equal(tm, result.params_m.flat)
 
@@ -216,6 +218,11 @@ class TestRunTraining:
         assert header["iterations"] == 4
         assert header["momentum"] == config.momentum
         assert deltas_f.shape == (4, result.params_f.shape.n_params)
+        assert deltas_m.shape == deltas_f.shape
+
+    def test_trace_needs_a_path(self):
+        with pytest.raises(ValueError, match="trace_path"):
+            run_training(tiny_bundle(), tiny_config(record_trace=True))
 
     def test_dataset_too_small_rejected(self):
         bundle = tiny_bundle()
