@@ -2,7 +2,7 @@
 sequence-set benchmarks, with corruption generators, a retrieval evaluation
 kit and a closed-form check of the EMA parameter recurrence."""
 
-from .numkit import RngStream, entropy, lincomb, softmax
+from .numkit import RngStream, entropy, softmax
 from .setnet import (
     EncoderShape,
     GradVector,
@@ -44,14 +44,12 @@ from .gaitgen import (
     make_benchmark,
     make_clean_dataset,
     regenerate_from_manifest,
-    sample_augmentation,
     save_bundle,
 )
 from .cyclic import (
     NonFiniteLossError,
     TrainerConfig,
     TrainingResult,
-    coteach_baseline_iteration,
     pxk_sampler,
     run_training,
     train_iteration,

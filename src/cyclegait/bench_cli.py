@@ -33,7 +33,7 @@ import typing
 import numpy as np
 
 from . import gaitgen, gaugekit
-from .cyclic import MODES, NonFiniteLossError, TrainerConfig, run_training
+from .cyclic import MODES, NonFiniteLossError, TrainerConfig, run_training, train_groups
 from .gaitgen import DatasetBundle
 from .setnet import OptimizerConfig, load_checkpoint, save_checkpoint
 
@@ -146,7 +146,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as err:  # its message runs over several lines
+        raise ValueError(f"config syntax: {err.message.splitlines()[0]}") from err
     values, optimizer = {}, {}
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -254,16 +257,20 @@ def _write_csv(path: str, text: str, digest: str):
 
 
 def run_experiment(cfg: ExperimentConfig, bundle: DatasetBundle | None = None):
-    """Train per config, persist the run directory, return (result, outdir)."""
+    """Train per config, persist the run directory, return (result, outdir).
+
+    A dataset that cannot fill the batch shape raises ValueError before
+    anything is written.
+    """
+    if bundle is None:
+        bundle = obtain_bundle(cfg)
+    train_groups(bundle, cfg)
     outdir = _resolve_out(cfg.out_dir)
     os.makedirs(outdir, exist_ok=True)
     digest = config_hash(cfg)
     with open(os.path.join(outdir, "config.snapshot"), "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={digest}\n")
         fh.write(serialize_config(cfg))
-
-    if bundle is None:
-        bundle = obtain_bundle(cfg)
     trace_path = os.path.join(outdir, "trace.bin") if cfg.record_trace else None
 
     try:
@@ -296,12 +303,12 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str,
                     exclude_same_view: bool = True):
     """Write rank1.csv / rank1.json / variance.csv for a checkpoint."""
     os.makedirs(outdir, exist_ok=True)
-    report = gaugekit.evaluate_checkpoint(params, test_samples, exclude_same_view)
+    z, _ = gaugekit.embed_samples(params, test_samples)
+    report = gaugekit.evaluate_embeddings(z, test_samples, exclude_same_view)
     _write_csv(os.path.join(outdir, "rank1.csv"), report.to_csv_text(), digest)
     with open(os.path.join(outdir, "rank1.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": digest, **report.to_json_dict()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    z, _ = gaugekit.embed_samples(params, test_samples)
     stats = gaugekit.variance_stats(
         z, [s.identity for s in test_samples], [s.condition for s in test_samples]
     )
@@ -443,17 +450,9 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
-def _usage_error(err: Exception) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return 2
-
-
 def cmd_train(args) -> int:
-    try:
-        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-        cfg = dataclasses.replace(cfg, **_config_fields(args))
-    except ValueError as err:
-        return _usage_error(err)
+    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
+    cfg = dataclasses.replace(cfg, **_config_fields(args))
     outdir = _resolve_out(cfg.out_dir)
     _refuse_existing(os.path.join(outdir, "model_f.ckpt"), args.force, "run")
     try:
@@ -494,10 +493,7 @@ def cmd_ablate(args) -> int:
         iterations=args.iterations,
     )
     seeds = [args.seed + i for i in range(args.seeds)]
-    try:
-        outcome = run_ablation(base, bundle, seeds)
-    except ValueError as err:  # the dataset cannot fill the grid's batch shape
-        return _usage_error(err)
+    outcome = run_ablation(base, bundle, seeds)
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
     digest = config_hash(base)
@@ -654,7 +650,11 @@ def main(argv=None) -> int:
     ):
         print("need --run or all of --trace/--init-f/--init-m", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as err:  # a bad input path, config value or dataset
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

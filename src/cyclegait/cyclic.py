@@ -26,6 +26,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +162,6 @@ def build_schedule(config: TrainerConfig) -> CoeffSchedule:
 class TraceRecord:
     """Applied updates for one iteration, enough to replay the run."""
 
-    k: int
     delta_f: np.ndarray
     delta_m: np.ndarray | None
     pre_ema_m_hash: str | None
@@ -179,7 +179,6 @@ class TrainState:
     rng_sampler: RngStream
     rng_aug_f: RngStream
     rng_aug_m: RngStream
-    iteration: int = 0
     forward_count: int = 0
 
 
@@ -242,29 +241,56 @@ def _loss_diagnostics(batch, breakdown: LossBreakdown, iteration: int) -> dict:
     }
 
 
+class StepProposal(NamedTuple):
+    """One mode's step: its losses and the networks it proposes to commit."""
+
+    losses: tuple  # (l_c, l_ce, l_tri, l_mil)
+    nets: tuple  # (params_f, opt_f, params_m, opt_m)
+    record: TraceRecord
+    kept_fraction: float
+    forwards: int
+    extra: dict  # mode-specific metrics
+
+
 def train_iteration(batch, state: TrainState, config: TrainerConfig,
                     schedule: CoeffSchedule, k: int):
-    """Run iteration k (1-based) in place; returns (breakdown, TraceRecord, metrics)."""
-    if config.mode == "supervised":
-        return _supervised_iteration(batch, state, config, schedule, k)
-    if config.mode == "coteach-baseline":
-        return coteach_baseline_iteration(batch, state, config, schedule, k)
-    return _two_net_iteration(batch, state, config, schedule, k)
+    """Run iteration k (1-based) in place; returns (breakdown, TraceRecord, metrics).
+
+    The mode's step proposes new networks; they replace the ones in state
+    only once the combined loss is finite.
+    """
+    step = _STEPS[config.mode](batch, state, config, schedule, k)
+    breakdown = crc_combine(*step.losses, schedule, k)
+    if not breakdown.is_finite():
+        raise NonFiniteLossError(
+            f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
+        )
+    state.params_f, state.opt_f, state.params_m, state.opt_m = step.nets
+    state.forward_count += step.forwards
+    metrics = {
+        "iter": k,
+        **breakdown.as_dict(),
+        "kept_fraction": step.kept_fraction,
+        "lr": state.opt_f.lr_at(k),
+        "forwards": step.forwards,
+        **step.extra,
+    }
+    return breakdown, step.record, metrics
 
 
-def _two_net_iteration(batch, state, config, schedule, k):
+def _two_net_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     pre_hash = state.params_m.sha256()
 
+    params_m = state.params_m
     if config.ema_enabled:
-        state.params_m = ema_transfer(state.params_m, state.params_f, config.momentum)
+        params_m = ema_transfer(params_m, state.params_f, config.momentum)
 
     frames_f, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
     frames_m, state.rng_aug_m = _augment_batch(batch, config.augmentation, state.rng_aug_m)
     z_f, p_f, cache_f = forward_batch(frames_f, state.params_f)
-    z_m, p_m, cache_m = forward_batch(frames_m, state.params_m)
-    state.forward_count += 2 * b
+    z_m, p_m, cache_m = forward_batch(frames_m, params_m)
 
     s0, s1, s2, s3 = schedule.at(k)
 
@@ -311,68 +337,37 @@ def _two_net_iteration(batch, state, config, schedule, k):
         if n_queries:
             d_zf[kept] += s3 * chain(g_norm)
 
-    breakdown = crc_combine(l_c, l_ce, l_tri, l_mil, schedule, k)
-    if not breakdown.is_finite():
-        raise NonFiniteLossError(
-            f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
-        )
-
     grad_f = backward_batch(cache_f, state.params_f, d_zf, d_pf)
-    state.params_f, state.opt_f, delta_f = optimizer_step(state.params_f, grad_f, state.opt_f, k)
+    params_f, opt_f, delta_f = optimizer_step(state.params_f, grad_f, state.opt_f, k)
 
     if s0 != 0.0 and not config.detach_teacher:
-        grad_m = backward_batch(cache_m, state.params_m, np.zeros_like(z_m), s0 * d_pm_c)
+        grad_m = backward_batch(cache_m, params_m, np.zeros_like(z_m), s0 * d_pm_c)
     else:
-        grad_m = GradVector.zeros(state.params_m.shape)
-    state.params_m, state.opt_m, delta_m = optimizer_step(state.params_m, grad_m, state.opt_m, k)
+        grad_m = GradVector.zeros(params_m.shape)
+    params_m, opt_m, delta_m = optimizer_step(params_m, grad_m, state.opt_m, k)
 
-    kept_fraction = kept.size / b
-    record = TraceRecord(k, delta_f, delta_m, pre_hash)
-    metrics = {
-        "iter": k,
-        **breakdown.as_dict(),
-        "kept_fraction": kept_fraction,
-        "lr": state.opt_f.lr_at(k),
-        "forwards": 2 * b,
-        **mask_stats,
-    }
-    state.iteration = k
-    return breakdown, record, metrics
+    return StepProposal(
+        (l_c, l_ce, l_tri, l_mil), (params_f, opt_f, params_m, opt_m),
+        TraceRecord(delta_f, delta_m, pre_hash), kept.size / b, 2 * b, mask_stats,
+    )
 
 
-def _supervised_iteration(batch, state, config, schedule, k):
+def _supervised_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
-    b = len(batch)
     frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
-    params_f, opt_f, delta_f, l_ce, l_tri = _supervised_step_on(
+    params_f, opt_f, delta_f, l_ce, l_tri = _ce_triplet_update(
         state.params_f, state.opt_f, frames, labels, config, schedule, k
     )
-    state.forward_count += b
-
-    breakdown = crc_combine(0.0, l_ce, l_tri, 0.0, schedule, k)
-    if not breakdown.is_finite():
-        raise NonFiniteLossError(
-            f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
-        )
-    state.params_f, state.opt_f = params_f, opt_f
-
-    record = TraceRecord(k, delta_f, None, None)
-    metrics = {
-        "iter": k,
-        **breakdown.as_dict(),
-        "kept_fraction": 1.0,
-        "lr": state.opt_f.lr_at(k),
-        "forwards": b,
-    }
-    state.iteration = k
-    return breakdown, record, metrics
+    return StepProposal(
+        (0.0, l_ce, l_tri, 0.0), (params_f, opt_f, None, None),
+        TraceRecord(delta_f, None, None), 1.0, len(batch), {},
+    )
 
 
-def _supervised_step_on(params, opt, frame_sets, labels, config, schedule, k):
+def _ce_triplet_update(params, opt, frame_sets, labels, config, schedule, k):
     """One CE + triplet update of one network on the given frame sets.
 
-    Returns (new params, new optimizer state, applied delta, l_ce, l_tri);
-    the caller commits the new params and state once the losses are finite.
+    Returns (new params, new optimizer state, applied delta, l_ce, l_tri).
     """
     z, p, cache = forward_batch(frame_sets, params)
     _, s1, s2, _ = schedule.at(k)
@@ -388,17 +383,13 @@ def _supervised_step_on(params, opt, frame_sets, labels, config, schedule, k):
     return new_params, new_opt, delta, l_ce, l_tri
 
 
-def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
-                               schedule: CoeffSchedule, k: int):
+def _coteach_step(batch, state, config, schedule, k):
     """Classic small-loss co-teaching step: each network selects its smallest-CE
     fraction (1 - coteach_noise_rate) of the batch and the peer trains on it.
 
     Requires the noise rate as prior knowledge, unlike the cyclic scheme.
     Selection forwards plus training forwards cost 2N + 2*ceil((1-rate)*N).
     """
-    sigma_r = config.coteach_noise_rate
-    if not 0.0 <= sigma_r < 1.0:
-        raise ValueError("noise rate must lie in [0, 1)")
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     frame_sets = [s.frames for s in batch]
@@ -407,40 +398,32 @@ def coteach_baseline_iteration(batch, state: TrainState, config: TrainerConfig,
     _, p_b, _ = forward_batch(frame_sets, state.params_m)
     ce_a = -log_softmax_rows(p_a)[np.arange(b), labels]
     ce_b = -log_softmax_rows(p_b)[np.arange(b), labels]
-    n_keep = math.ceil((1.0 - sigma_r) * b)
+    n_keep = math.ceil((1.0 - config.coteach_noise_rate) * b)
     sel_a = np.argsort(ce_a, kind="stable")[:n_keep]  # ties break by sample index
     sel_b = np.argsort(ce_b, kind="stable")[:n_keep]
 
     # peer exchange: A trains on B's selection and vice versa
-    params_f, opt_f, _, ce_f, tri_f = _supervised_step_on(
+    params_f, opt_f, delta_f, ce_f, tri_f = _ce_triplet_update(
         state.params_f, state.opt_f, [frame_sets[i] for i in sel_b], labels[sel_b],
         config, schedule, k,
     )
-    params_m, opt_m, _, ce_m, tri_m = _supervised_step_on(
+    params_m, opt_m, _, ce_m, tri_m = _ce_triplet_update(
         state.params_m, state.opt_m, [frame_sets[i] for i in sel_a], labels[sel_a],
         config, schedule, k,
     )
-    state.forward_count += 2 * b + 2 * n_keep
+    return StepProposal(
+        (0.0, (ce_f + ce_m) / 2.0, (tri_f + tri_m) / 2.0, 0.0),
+        (params_f, opt_f, params_m, opt_m),
+        TraceRecord(delta_f, None, None), n_keep / b, 2 * b + 2 * n_keep, {},
+    )
 
-    l_ce = (ce_f + ce_m) / 2.0
-    l_tri = (tri_f + tri_m) / 2.0
-    breakdown = crc_combine(0.0, l_ce, l_tri, 0.0, schedule, k)
-    if not breakdown.is_finite():
-        raise NonFiniteLossError(
-            f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
-        )
-    state.params_f, state.opt_f = params_f, opt_f
-    state.params_m, state.opt_m = params_m, opt_m
-    metrics = {
-        "iter": k,
-        **breakdown.as_dict(),
-        "kept_fraction": n_keep / b,
-        "lr": state.opt_f.lr_at(k),
-        "forwards": 2 * b + 2 * n_keep,
-    }
-    state.iteration = k
-    record = TraceRecord(k, np.zeros(0), None, None)
-    return breakdown, record, metrics
+
+_STEPS = {
+    "cyclic": _two_net_step,
+    "selfsup": _two_net_step,
+    "supervised": _supervised_step,
+    "coteach-baseline": _coteach_step,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +536,20 @@ def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
     )
 
 
+def train_groups(dataset, config: TrainerConfig) -> dict:
+    """The train split grouped by identity; raises ValueError when it cannot
+    fill the batch shape of config."""
+    samples = dataset.train if isinstance(dataset, DatasetBundle) else list(dataset)
+    if not samples:
+        raise ValueError("empty dataset")
+    groups = group_by_identity(samples)
+    if len(groups) < config.p_ids:
+        raise ValueError(
+            f"dataset has {len(groups)} identities; batch shape needs {config.p_ids}"
+        )
+    return groups
+
+
 def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingResult:
     """Train per config on the dataset's train split; deterministic in seed.
 
@@ -562,20 +559,12 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
     """
     if config.record_trace and trace_path is None:
         raise ValueError("record_trace needs a trace_path to stream the trace to")
-    samples = dataset.train if isinstance(dataset, DatasetBundle) else list(dataset)
-    if not samples:
-        raise ValueError("empty dataset")
-    groups = group_by_identity(samples)
-    if len(groups) < config.p_ids:
-        raise ValueError(
-            f"dataset has {len(groups)} identities; batch shape needs {config.p_ids}"
-        )
-    n_classes = max(groups) + 1
+    groups = train_groups(dataset, config)
     shape = EncoderShape(
-        d_in=samples[0].frames.shape[1],
+        d_in=next(iter(groups.values()))[0].frames.shape[1],
         d_hidden=config.d_hidden,
         d_emb=config.d_emb,
-        n_classes=n_classes,
+        n_classes=max(groups) + 1,
     )
     state = init_state(config, shape)
     schedule = build_schedule(config)

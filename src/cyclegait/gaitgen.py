@@ -20,7 +20,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,17 +69,7 @@ class GeometryParams:
     cl_attenuation: float = 0.0  # fraction of the identity signal hidden by clothing
 
     def to_dict(self) -> dict:
-        return {
-            "rotated_planes": self.rotated_planes,
-            "view_angle": self.view_angle,
-            "frame_jitter": self.frame_jitter,
-            "seq_jitter": self.seq_jitter,
-            "bg_scale": self.bg_scale,
-            "cl_common_scale": self.cl_common_scale,
-            "cl_id_scale": self.cl_id_scale,
-            "cl_matrix_scale": self.cl_matrix_scale,
-            "cl_attenuation": self.cl_attenuation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeometryParams":
@@ -434,57 +424,14 @@ AUGMENTATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class FrameTransform:
-    """A concrete draw from the augmentation family; apply() is deterministic."""
-
-    spec: AugmentationSpec
-    key: tuple
-
-    def apply(self, frames: np.ndarray) -> np.ndarray:
-        if self.spec.is_identity:
-            return frames
-        rng = RngStream(self.key[0], self.key[1])
-        t = frames.shape[0]
-
-        keep = np.ones(t, dtype=bool)
-        if self.spec.drop_prob > 0.0 and t > self.spec.min_frames:
-            u, rng = rng.uniform(t)
-            keep = u >= self.spec.drop_prob
-            if keep.sum() < self.spec.min_frames:
-                # keep the frames with the largest survival draws
-                order = np.argsort(-u, kind="stable")
-                keep = np.zeros(t, dtype=bool)
-                keep[order[: self.spec.min_frames]] = True
-        out = frames[keep]
-
-        if self.spec.duplicate_prob > 0.0:
-            u, rng = rng.uniform(1)
-            if u[0] < self.spec.duplicate_prob:
-                idx, rng = rng.integers(1, 0, out.shape[0])
-                out = np.concatenate([out, out[int(idx[0]) : int(idx[0]) + 1]], axis=0)
-
-        if self.spec.jitter_sigma > 0.0:
-            noise, rng = rng.normal(out.size, self.spec.jitter_sigma)
-            out = out + noise.reshape(out.shape)
-        return out
-
-
-def sample_augmentation(spec: AugmentationSpec, rng: RngStream):
-    """Draw one transformation from the family; returns (transform, rng')."""
-    if spec.is_identity:
-        return FrameTransform(spec, (0, 0)), rng
-    key, rng = rng.key_pair()
-    return FrameTransform(spec, key), rng
-
-
 def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
     """Independent augmentation per sample, drawn in one batch for speed.
 
-    Semantics per sample match FrameTransform (dropout with a minimum-frame
-    rescue, optional duplication, additive jitter); the jitter block is drawn
-    for every slot regardless of the keep pattern, so draws stay addressable.
-    Returns (list of augmented frame arrays, advanced rng).
+    Per sample: frame dropout, where a draw that keeps fewer than min_frames
+    frames keeps the min_frames with the largest survival draws instead;
+    optional duplication of one kept frame; additive jitter. The jitter block
+    is drawn for every slot regardless of the keep pattern, so draws stay
+    addressable. Returns (list of augmented frame arrays, advanced rng).
     """
     if spec.is_identity:
         return [np.asarray(f, dtype=np.float64) for f in frame_sets], rng

@@ -6,7 +6,7 @@ and the forward-pass cost model.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -126,12 +126,7 @@ class VarianceStats:
     total: float
 
     def as_dict(self) -> dict:
-        return {
-            "intra_class": self.intra_class,
-            "intra_class_nm_bg": self.intra_class_nm_bg,
-            "intra_class_cl": self.intra_class_cl,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def _mean_class_variance(features, ids, keep) -> float:
@@ -340,8 +335,13 @@ def split_gallery_probe(test_samples):
 def evaluate_checkpoint(params: ModelParams, test_samples,
                         exclude_same_view: bool = True) -> EvalReport:
     """Full retrieval evaluation of a model on a test split."""
-    g_idx, p_idx = split_gallery_probe(test_samples)
     z, _ = embed_samples(params, test_samples)
+    return evaluate_embeddings(z, test_samples, exclude_same_view)
+
+
+def evaluate_embeddings(z, test_samples, exclude_same_view: bool = True) -> EvalReport:
+    """Retrieval evaluation from the embeddings z of a test split."""
+    g_idx, p_idx = split_gallery_probe(test_samples)
     return rank1(
         z[g_idx],
         [test_samples[i].identity for i in g_idx],

@@ -7,7 +7,7 @@ and every gradient here is exact (finite-difference checked in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,17 +33,7 @@ class LossBreakdown:
     sigma3: float
 
     def as_dict(self) -> dict:
-        return {
-            "l_c": self.l_c,
-            "l_ce": self.l_ce,
-            "l_tri": self.l_tri,
-            "l_mil": self.l_mil,
-            "l_crc": self.l_crc,
-            "sigma0": self.sigma0,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "sigma3": self.sigma3,
-        }
+        return asdict(self)
 
     def is_finite(self) -> bool:
         return all(np.isfinite(v) for v in self.as_dict().values())
@@ -56,14 +46,6 @@ class Ramp:
     start: float
     end: float
     ramp_iters: int = 0
-
-    @property
-    def direction(self) -> str:
-        if self.end > self.start:
-            return "up"
-        if self.end < self.start:
-            return "down"
-        return "flat"
 
     def value(self, iteration: int) -> float:
         if iteration < 0:

@@ -123,18 +123,3 @@ def entropy(p) -> float:
     nz = v[v > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
-
-def lincomb(a, b, wa: float, wb: float) -> np.ndarray:
-    """Elementwise wa*a + wb*b for equal-length vectors."""
-    va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"length mismatch: {va.shape} vs {vb.shape}")
-    return wa * va + wb * vb
-
-
-def l2_normalize(v: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Unit-normalize; vectors with norm below floor are returned as zeros."""
-    norm = float(np.linalg.norm(v))
-    if norm < floor:
-        return np.zeros_like(v)
-    return v / norm

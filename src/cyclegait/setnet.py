@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,12 +59,7 @@ class EncoderShape:
         return sum(int(np.prod(s)) for _, s in self.segments())
 
     def to_dict(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "d_hidden": self.d_hidden,
-            "d_emb": self.d_emb,
-            "n_classes": self.n_classes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderShape":

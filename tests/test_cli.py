@@ -220,6 +220,30 @@ class TestTrainEvalPipeline:
         assert len(err) == 1 and err[0].startswith("error:") and "sieve_beta" in err[0]
         assert not (run / "config.snapshot").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "--data", "{missing}", "--out", "{out}"),
+        # TINY_GEN has 6 train identities; the default batch takes 8
+        ("train", "--data", "{data}", "--out", "{out}"),
+        ("train", "--config", "{unsectioned}", "--data", "{data}", "--out", "{out}"),
+        ("eval", "--checkpoint", "{missing}/model_f.ckpt", "--data", "{data}", "--out", "{out}"),
+        ("corrupt", "--data", "{missing}", "--out", "{out}", "--mode", "label"),
+        ("ablate", "--data", "{missing}", "--out", "{out}"),
+        ("verify-closed-form", "--run", "{missing}"),
+    ], ids=["train-missing-data", "train-too-few-ids", "train-unsectioned-config", "eval",
+            "corrupt", "ablate", "verify"])
+    def test_bad_input_is_a_usage_error(self, data_dir, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        unsectioned = tmp_path / "exp.cfg"
+        unsectioned.write_text("p_ids = 3\n")
+        paths = {"data": data_dir, "missing": tmp_path / "missing", "out": out,
+                 "unsectioned": unsectioned}
+        capsys.readouterr()
+        code = run_cli(*(arg.format(**paths) for arg in argv))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()  # nothing is written, config.snapshot included
+
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")
         _, outdir = run_experiment(cfg)
@@ -286,8 +310,9 @@ class TestTrainEvalPipeline:
             b = (outputs[1] / rel).read_bytes()
             assert a == b, f"{rel} differs between identical pipelines"
 
+    # a huge learning rate reliably overflows the logits, warnings included
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_abort_writes_diagnostics(self, data_dir, tmp_path):
-        # a huge learning rate reliably overflows the logits
         cfg = tiny_train_config(data_dir, tmp_path / "run",
                                 optimizer=OptimizerConfig(lr=1e6, milestones=()),
                                 iterations=60)

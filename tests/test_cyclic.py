@@ -7,7 +7,6 @@ from cyclegait.cyclic import (
     TrainerConfig,
     TrainState,
     build_schedule,
-    coteach_baseline_iteration,
     group_by_identity,
     init_state,
     pxk_sampler,
@@ -273,26 +272,31 @@ class TestCoteachBaseline:
         assert result.forward_count == 4 * config.batch_size
 
     def test_selection_tie_break_by_index(self):
-        config = tiny_config(mode="coteach-baseline", coteach_noise_rate=0.5)
-        schedule = build_schedule(config)
         bundle = tiny_bundle()
-        shape = EncoderShape(d_in=bundle.d_in, d_hidden=config.d_hidden,
-                             d_emb=config.d_emb, n_classes=bundle.n_train_classes)
-        state = init_state(config, shape)
-        # all-equal losses happen with all-zero parameters: selection must be 0..R-1
-        state.params_f.flat[:] = 0.0
-        state.params_m.flat[:] = 0.0
-        batch, _ = pxk_sampler(bundle.train, config.p_ids, config.k_seqs, RngStream(5))
+        batch, _ = pxk_sampler(bundle.train, 3, 2, RngStream(5))
         same = [type(s)(batch[0].frames, s.identity, s.condition, s.view,
                         s.clean_identity, s.noise_flag) for s in batch]
-        before_f = state.params_f.flat.copy()
-        coteach_baseline_iteration(same, state, config, schedule, 1)
-        # determinism of the tie-break is observable through reproducibility
-        state2 = init_state(config, shape)
-        state2.params_f.flat[:] = 0.0
-        state2.params_m.flat[:] = 0.0
-        coteach_baseline_iteration(same, state2, config, schedule, 1)
-        assert np.array_equal(state.params_f.flat, state2.params_f.flat)
+
+        def zeroed_state(config):
+            shape = EncoderShape(d_in=bundle.d_in, d_hidden=config.d_hidden,
+                                 d_emb=config.d_emb, n_classes=bundle.n_train_classes)
+            state = init_state(config, shape)
+            state.params_f.flat[:] = 0.0
+            if state.params_m is not None:
+                state.params_m.flat[:] = 0.0
+            return state
+
+        # all-zero parameters give every sample the same loss, so each network
+        # selects samples 0..R-1 and F takes a plain supervised step on them
+        config = tiny_config(mode="coteach-baseline", coteach_noise_rate=0.5)
+        state = zeroed_state(config)
+        _, _, metrics = train_iteration(same, state, config, build_schedule(config), 1)
+        assert metrics["kept_fraction"] == 0.5
+        sup = tiny_config(mode="supervised", augmentation="none")
+        for subset, equal in ((same[:3], True), (same[3:], False)):
+            expected = zeroed_state(sup)
+            train_iteration(subset, expected, sup, build_schedule(sup), 1)
+            assert np.array_equal(state.params_f.flat, expected.params_f.flat) == equal
 
     def test_invalid_noise_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cyclegait.gaitgen import (
     FLAG_LABEL,
     FLAG_SPLIT,
     GeometryParams,
+    augment_frame_sets,
     corrupt_bundle,
     geometry_of,
     inject_augmentation_noise,
@@ -20,7 +22,6 @@ from cyclegait.gaitgen import (
     make_clean_dataset,
     nearest_prototype_ids,
     regenerate_from_manifest,
-    sample_augmentation,
     save_bundle,
 )
 from cyclegait.numkit import RngStream
@@ -264,25 +265,52 @@ class TestBundleAndManifest:
 
 class TestTrainingAugmentation:
     def test_null_spec_is_identity(self, rng):
-        frames = rng.normal(size=(9, 4))
-        t, _ = sample_augmentation(AUGMENTATIONS["none"], RngStream(1))
-        assert np.array_equal(t.apply(frames), frames)
+        frame_sets = [rng.normal(size=(t, 4)) for t in (9, 3, 12)]
+        out, after = augment_frame_sets(frame_sets, AUGMENTATIONS["none"], RngStream(1))
+        assert all(np.array_equal(a, f) for a, f in zip(out, frame_sets))
+        assert after == RngStream(1)  # no draw is spent
 
     def test_min_frames_clamp(self, rng):
-        frames = rng.normal(size=(10, 4))
-        stream = RngStream(2)
-        spec = AUGMENTATIONS["default"]
-        for _ in range(2000):
-            t, stream = sample_augmentation(spec, stream)
-            assert t.apply(frames).shape[0] >= 4
+        frame_sets = [rng.normal(size=(t, 4)) for t in (10, 6, 5, 4, 3)]
+        for spec in (AUGMENTATIONS["default"],
+                     replace(AUGMENTATIONS["default"], drop_prob=0.9, jitter_sigma=0.0)):
+            stream = RngStream(2)
+            rescued = 0
+            for _ in range(200):
+                out, stream = augment_frame_sets(frame_sets, spec, stream)
+                for aug, frames in zip(out, frame_sets):
+                    t = frames.shape[0]
+                    assert aug.shape[0] >= min(t, spec.min_frames)
+                    if t <= spec.min_frames:
+                        assert aug.shape[0] == t  # too short to drop from
+                    rescued += aug.shape[0] == spec.min_frames < t
+                    if spec.jitter_sigma == 0.0:
+                        # kept frames are original rows, in their original order
+                        rows = [np.flatnonzero((frames == f).all(axis=1))[0] for f in aug]
+                        assert rows == sorted(set(rows))
+            assert rescued > 0
 
     def test_same_state_same_transform(self, rng):
-        frames = rng.normal(size=(12, 4))
-        t1, _ = sample_augmentation(AUGMENTATIONS["default"], RngStream(5, 7))
-        t2, _ = sample_augmentation(AUGMENTATIONS["default"], RngStream(5, 7))
-        assert np.array_equal(t1.apply(frames), t2.apply(frames))
+        frame_sets = [rng.normal(size=(t, 4)) for t in (12, 7, 5)]
+        for name in ("default", "strong"):
+            out1, after1 = augment_frame_sets(frame_sets, AUGMENTATIONS[name], RngStream(5, 7))
+            out2, after2 = augment_frame_sets(frame_sets, AUGMENTATIONS[name], RngStream(5, 7))
+            assert after1 == after2
+            assert all(np.array_equal(a, b) for a, b in zip(out1, out2))
 
-    def test_transform_application_is_repeatable(self, rng):
-        frames = rng.normal(size=(12, 4))
-        t, _ = sample_augmentation(AUGMENTATIONS["default"], RngStream(6))
-        assert np.array_equal(t.apply(frames), t.apply(frames))
+    def test_strong_lengths_reach_duplicate(self, rng):
+        spec = AUGMENTATIONS["strong"]
+        t = 6
+        frame_sets = [rng.normal(size=(t, 4)) for _ in range(64)]
+        lengths = []
+        stream = RngStream(3)
+        for _ in range(10):
+            out, stream = augment_frame_sets(frame_sets, spec, stream)
+            lengths += [aug.shape[0] for aug in out]
+        assert spec.min_frames <= min(lengths) and max(lengths) == t + 1
+        # without jitter a duplicated frame repeats a kept frame exactly
+        out, _ = augment_frame_sets(frame_sets, replace(spec, jitter_sigma=0.0), RngStream(3))
+        duplicated = [aug for aug in out if aug.shape[0] == t + 1]
+        assert duplicated
+        for aug in duplicated:
+            assert (aug[:-1] == aug[-1]).all(axis=1).any()

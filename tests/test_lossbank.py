@@ -277,7 +277,6 @@ class TestSchedulesAndCombine:
         assert abs(r.value(50) - 0.055) < 1e-12
         assert r.value(100) == 0.1
         assert r.value(10_000) == 0.1
-        assert r.direction == "up"
 
     def test_noisy_profile_endpoints(self):
         sched = CoeffSchedule.noisy_default(1000)

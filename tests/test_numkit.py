@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait.numkit import RngStream, entropy, l2_normalize, lincomb, softmax
+from cyclegait.numkit import RngStream, entropy, softmax
 
 
 class TestSoftmax:
@@ -75,23 +75,6 @@ class TestEntropy:
         assert entropy(softmax(logits)) <= math.log(len(logits)) + 1e-12
 
 
-class TestLincomb:
-    def test_identity(self):
-        x = np.array([1.5, -2.0, 3.0])
-        assert np.array_equal(lincomb(x, np.zeros(3), 1.0, 0.0), x)
-
-    def test_arithmetic(self):
-        assert np.allclose(lincomb([1.0], [0.0], 0.99, 0.01), [0.99], atol=1e-15)
-
-    def test_idempotent_on_equal_inputs(self):
-        x = np.array([0.3, -7.0])
-        assert np.allclose(lincomb(x, x, 0.5, 0.5), x, atol=1e-16)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            lincomb([1.0, 2.0], [1.0], 1.0, 1.0)
-
-
 class TestRngStream:
     def test_replay_first_10000(self):
         a, _ = RngStream(99, 5).uniform(10_000)
@@ -135,8 +118,3 @@ class TestRngStream:
         # the follow-up draw must not replay any tail of the big draw
         assert not np.array_equal(big[-100:], nxt)
 
-
-def test_l2_normalize_unit_and_zero():
-    v = np.array([3.0, 4.0])
-    assert np.allclose(l2_normalize(v), [0.6, 0.8])
-    assert np.array_equal(l2_normalize(np.zeros(2)), np.zeros(2))
