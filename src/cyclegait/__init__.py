@@ -2,7 +2,7 @@
 sequence-set benchmarks, with corruption generators, a retrieval evaluation
 kit and a closed-form check of the EMA parameter recurrence."""
 
-from .numkit import RngStream, entropy, softmax
+from .numkit import RngStream, softmax
 from .setnet import (
     EncoderShape,
     GradVector,
@@ -24,7 +24,6 @@ from .lossbank import (
     CoeffSchedule,
     LossBreakdown,
     Ramp,
-    ce_loss,
     coteach_loss,
     crc_combine,
     mil_loss,

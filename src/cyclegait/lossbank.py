@@ -127,20 +127,6 @@ def coteach_loss(p_m, p_f, detach_teacher: bool = False):
     return loss, grad_f, grad_m
 
 
-def ce_loss(p, y: int):
-    """Cross-entropy of logits against a class index; grad = softmax - onehot."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= y < p.size:
-        raise ValueError(f"label {y} out of range for {p.size} classes")
-    probs = softmax(p)
-    log_p = p - p.max()
-    log_p = log_p - np.log(np.exp(log_p).sum())
-    loss = float(-log_p[y])
-    grad = probs.copy()
-    grad[y] -= 1.0
-    return loss, grad
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -174,7 +160,8 @@ def batch_coteach(p_m: np.ndarray, p_f: np.ndarray, detach_teacher: bool = False
 
 
 def batch_ce(p: np.ndarray, labels) -> tuple:
-    """Row-vectorized ce_loss averaged over the batch; grads include the 1/B."""
+    """Cross-entropy of each logit row against its label, averaged over the
+    batch; grads include the 1/B."""
     labels = np.asarray(labels, dtype=int)
     b = p.shape[0]
     log_p = log_softmax_rows(p)

@@ -108,18 +108,3 @@ def softmax(logits) -> np.ndarray:
     shifted = v - v.max()
     e = np.exp(shifted)
     return e / e.sum()
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats of a probability vector, with 0*ln(0) = 0."""
-    v = as_vec(p)
-    if v.size == 0:
-        raise ValueError("entropy of an empty vector")
-    if np.any(v < 0.0):
-        raise ValueError("entropy input has a negative entry")
-    total = v.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-9:
-        raise ValueError(f"entropy input sums to {total!r}, not 1")
-    nz = v[v > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-

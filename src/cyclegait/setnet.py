@@ -7,7 +7,10 @@ The network maps a set of frame vectors to an embedding z and class logits p:
     -> affine projection (2*d_hidden -> d_emb) = z
     -> affine classifier (d_emb -> n_classes) = p
 
-Pooling makes the output independent of frame order. Parameters live in one
+Pooling makes the output independent of frame order. A batch of sets of
+different lengths runs as one stack of all their frames, each set owning a
+row range, so no work or memory goes to padding; forward_batch says in
+which order its pooling sums add. Parameters live in one
 flat float64 vector so that EMA transfer, optimizer steps and update traces
 are plain vector arithmetic; named segment views expose the layer tensors.
 
@@ -54,7 +57,7 @@ class EncoderShape:
             ("b3", (self.n_classes,)),
         )
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return sum(int(np.prod(s)) for _, s in self.segments())
 
@@ -175,33 +178,36 @@ class NetOutputs:
 
 @dataclass
 class ForwardCache:
-    """Activations kept from forward_batch for the matching backward pass."""
+    """Activations kept from forward_batch for the matching backward pass.
 
-    frames: np.ndarray  # (B, T, d_in), zero-padded
-    mask: np.ndarray  # (B, T) bool, True where a real frame sits
-    relu_on: np.ndarray  # (B, T, d_hidden) bool
-    max_idx: np.ndarray  # (B, d_hidden) frame index feeding the max pool
-    counts: np.ndarray  # (B,) real frame counts
+    Row-indexed arrays stack the batch's frames in sample order, with no
+    padding rows: sample i owns the lengths[i] rows that follow those of
+    samples 0 .. i-1.
+    """
+
+    frames: np.ndarray  # (sum T_i, d_in)
+    lengths: np.ndarray  # (B,) frame count per sample
+    relu_on: np.ndarray  # (sum T_i, d_hidden) bool
+    max_row: np.ndarray  # (B, d_hidden) row whose activation is each sample's max
     pooled: np.ndarray  # (B, 2*d_hidden)
     z: np.ndarray  # (B, d_emb)
     n_params: int
-
-
-def _pad_frame_sets(frame_sets, d_in: int):
-    lengths = [fs.shape[0] for fs in frame_sets]
-    t_max = max(lengths)
-    batch = np.zeros((len(frame_sets), t_max, d_in))
-    mask = np.zeros((len(frame_sets), t_max), dtype=bool)
-    for i, fs in enumerate(frame_sets):
-        batch[i, : fs.shape[0]] = fs
-        mask[i, : fs.shape[0]] = True
-    return batch, mask
 
 
 def forward_batch(frame_sets, params: ModelParams):
     """Run the encoder on a list of (T_i, d_in) frame arrays.
 
     Returns (Z, P, cache) with Z of shape (B, d_emb) and P of (B, n_classes).
+
+    The frames are stacked into one (sum T_i, d_in) array, so the per-frame
+    layer is a single matrix product over real frames only. Each sample's
+    pooling reads its own row range:
+    - the mean is that range's column sum divided by T_i. The sum runs per
+      sample and adds the rows one after another in frame order;
+      np.add.reduceat adds them in another order, which rounds differently
+      and would move every training trajectory;
+    - the max feeds from the first frame of the sample that reaches it, so a
+      tie (say, a duplicated frame) routes the whole max gradient to one frame.
     """
     shape = params.shape
     if not frame_sets:
@@ -213,25 +219,31 @@ def forward_batch(frame_sets, params: ModelParams):
             )
         if fs.shape[0] < 1:
             raise ValueError("a sample must contain at least one frame")
-    frames, mask = _pad_frame_sets(frame_sets, shape.d_in)
+    lengths = np.array([fs.shape[0] for fs in frame_sets])
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    frames = np.concatenate(frame_sets)
 
-    pre = frames @ params.w1.T + params.b1  # (B, T, H)
-    hidden = np.maximum(pre, 0.0)
+    # in place: a second (sum T_i, H) temporary costs more than the add
+    pre = frames @ params.w1.T
+    pre += params.b1
     relu_on = pre > 0.0
+    hidden = np.maximum(pre, 0.0, out=pre)
 
-    neg_inf = np.full_like(hidden, -np.inf)
-    hidden_for_max = np.where(mask[:, :, None], hidden, neg_inf)
-    mx = hidden_for_max.max(axis=1)
-    max_idx = hidden_for_max.argmax(axis=1)
-
-    counts = mask.sum(axis=1).astype(np.float64)
-    mn = (hidden * mask[:, :, None]).sum(axis=1) / counts[:, None]
+    sums = np.empty((len(frame_sets), shape.d_hidden))
+    max_row = np.empty(sums.shape, dtype=np.intp)
+    for i, (lo, t) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        rows = hidden[lo : lo + t]
+        np.sum(rows, axis=0, out=sums[i])
+        np.argmax(rows, axis=0, out=max_row[i])
+    max_row += starts[:, None]
+    mx = hidden[max_row, np.arange(shape.d_hidden)]
+    mn = sums / lengths[:, None]
 
     pooled = np.concatenate([mx, mn], axis=1)
     z = pooled @ params.w2.T + params.b2
     p = z @ params.w3.T + params.b3
 
-    cache = ForwardCache(frames, mask, relu_on, max_idx, counts, pooled, z, shape.n_params)
+    cache = ForwardCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
     return z, p, cache
 
 
@@ -272,20 +284,17 @@ def backward_batch(cache: ForwardCache, params: ModelParams, d_z, d_p) -> GradVe
     d_max = d_pooled[:, :h]
     d_mean = d_pooled[:, h:]
 
-    d_hidden = np.zeros_like(cache.relu_on, dtype=np.float64)
-    # mean path: spread evenly over real frames
-    d_hidden += (d_mean / cache.counts[:, None])[:, None, :] * cache.mask[:, :, None]
+    # mean path: spread evenly over the sample's frames
+    d_hidden = np.repeat(d_mean / cache.lengths[:, None], cache.lengths, axis=0)
     # max path: route to the frame that produced each max
-    np.put_along_axis(
-        d_hidden,
-        cache.max_idx[:, None, :],
-        np.take_along_axis(d_hidden, cache.max_idx[:, None, :], axis=1) + d_max[:, None, :],
-        axis=1,
-    )
-    d_pre = d_hidden * cache.relu_on
+    d_hidden[cache.max_row, np.arange(h)] += d_max
+    d_pre = np.multiply(d_hidden, cache.relu_on, out=d_hidden)
 
-    grad.w1[:] = np.einsum("bth,btd->hd", d_pre, cache.frames)
-    grad.b1[:] = d_pre.sum(axis=(0, 1))
+    # Both sums add frames in order, one row after another. The einsum is
+    # spelled with d_hidden's axis innermost, which is faster than "th,td->hd"
+    # and adds in the same order; a BLAS d_pre.T @ frames would not.
+    grad.w1[:] = np.einsum("td,th->dh", cache.frames, d_pre).T
+    grad.b1[:] = d_pre.sum(axis=0)
     return grad
 
 

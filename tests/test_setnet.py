@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_difference
 from cyclegait.lossbank import batch_ce
@@ -19,6 +21,7 @@ from cyclegait.setnet import (
     optimizer_step,
     save_checkpoint,
 )
+from reference import padded_backward_batch, padded_forward_batch
 
 SMALL = EncoderShape(d_in=6, d_hidden=10, d_emb=5, n_classes=4)
 
@@ -111,6 +114,83 @@ class TestBackward:
         other = ModelParams.zeros(EncoderShape(d_in=6, d_hidden=3, d_emb=2, n_classes=4))
         with pytest.raises(ValueError):
             backward_batch(cache, other, np.zeros_like(z), np.zeros_like(p))
+
+
+def assert_matches_padded_oracle(frame_sets, params, d_z, d_p, tol=0.0):
+    """The ragged encoder reproduces the zero-padded one: bit for bit, or
+    within relative and absolute error tol."""
+    def same(a, b):
+        return np.array_equal(a, b) if tol == 0.0 else np.allclose(a, b, rtol=tol, atol=tol)
+
+    z, p, cache = forward_batch(frame_sets, params)
+    z_ref, p_ref, cache_ref = padded_forward_batch(frame_sets, params)
+    assert same(z, z_ref)
+    assert same(p, p_ref)
+    assert same(cache.pooled, cache_ref.pooled)
+    grad = backward_batch(cache, params, d_z, d_p)
+    grad_ref = padded_backward_batch(cache_ref, params, d_z, d_p)
+    for name, _ in params.shape.segments():
+        assert same(getattr(grad, name), getattr(grad_ref, name)), name
+
+
+def ragged_batch(rng, lengths, d_in, duplicate=False):
+    """Random frame sets; with duplicate, every set of two or more frames
+    repeats one of its frames, so a max can be reached twice."""
+    sets = []
+    for t in lengths:
+        fs = rng.normal(size=(t, d_in))
+        if duplicate and t > 1:
+            src, dst = rng.choice(t, size=2, replace=False)
+            fs[dst] = fs[src]
+        sets.append(fs)
+    return sets
+
+
+class TestRaggedMatchesPaddedOracle:
+    def test_singletons_ties_and_dead_columns(self, rng):
+        params = small_params(seed=4)
+        params.b1[:3] = -1e3  # ReLU-dead for every frame: all-zero ties
+        frames = ragged_batch(rng, [1, 5, 1, 3, 7], SMALL.d_in, duplicate=True)
+        frames[1][2] = frames[1][0]
+        d_z, d_p = rng.normal(size=(5, SMALL.d_emb)), rng.normal(size=(5, SMALL.n_classes))
+        assert_matches_padded_oracle(frames, params, d_z, d_p)
+        _, _, cache = forward_batch(frames, params)
+        assert not cache.relu_on[:, :3].any()
+
+    # Two layouts round differently in the padded oracle, so they are held to
+    # rounding error in the next test instead: a batch of two or more
+    # one-frame sets, whose (B, 1, d_in) stack numpy multiplies as B
+    # vector-matrix products, and a single hidden unit, whose frame sums run
+    # over a contiguous column that numpy adds pairwise, padding rows included.
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7).filter(
+            lambda ls: len(ls) == 1 or max(ls) > 1
+        ),
+        d_in=st.integers(1, 7),
+        d_hidden=st.integers(2, 12),
+        n_dead=st.integers(0, 3),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_ragged_batches(self, lengths, d_in, d_hidden, n_dead, duplicate, seed):
+        rng = np.random.default_rng(seed)
+        shape = EncoderShape(d_in=d_in, d_hidden=d_hidden, d_emb=3, n_classes=4)
+        params, _ = init_params(shape, RngStream(seed).child(1))
+        params.b1[: min(n_dead, d_hidden)] = -1e3
+        frames = ragged_batch(rng, lengths, d_in, duplicate)
+        b = len(lengths)
+        d_z, d_p = rng.normal(size=(b, shape.d_emb)), rng.normal(size=(b, shape.n_classes))
+        assert_matches_padded_oracle(frames, params, d_z, d_p)
+
+    @pytest.mark.parametrize("d_hidden,max_len", [(1, 19), (10, 1)])
+    def test_padding_dependent_rounding_stays_small(self, rng, d_hidden, max_len):
+        shape = EncoderShape(d_in=7, d_hidden=d_hidden, d_emb=3, n_classes=4)
+        params, _ = init_params(shape, RngStream(0).child(1))
+        for _ in range(20):
+            frames = ragged_batch(rng, rng.integers(1, max_len + 1, size=5), shape.d_in)
+            d_z, d_p = rng.normal(size=(5, shape.d_emb)), rng.normal(size=(5, shape.n_classes))
+            assert_matches_padded_oracle(frames, params, d_z, d_p, tol=1e-12)
 
 
 class TestEmaTransfer:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cyclegait.cyclic import TrainerConfig
-from cyclegait.lossbank import ce_loss
-from cyclegait.numkit import entropy, softmax
+from cyclegait.numkit import softmax
+from reference import ce_loss, entropy
 from cyclegait.sieve import (
     EVIDENCE_FLOOR,
     NoiseScores,
