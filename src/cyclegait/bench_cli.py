@@ -15,6 +15,11 @@ directory holds one reproducible experiment:
     metrics.jsonl       per-iteration loss/mask/lr log
     memorization.csv    train-accuracy curves (when snapshots are on)
     eval/               rank-1 CSV/JSON and variance statistics
+
+A dataset directory (gen-data, corrupt) holds:
+
+    manifest.json       every generator and corruption value; regenerates the data
+    train.bin test.bin  one split each: JSON header line, then float64 frames
 """
 
 from __future__ import annotations

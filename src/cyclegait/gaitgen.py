@@ -26,7 +26,7 @@ import numpy as np
 
 from .numkit import RngStream
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 1  # of manifest.json; split files carry SPLIT_FORMAT_VERSION
 
 CONDITIONS = ("NM", "BG", "CL")
 
@@ -468,61 +468,64 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: manifest.json plus train.bin and test.bin. A split file is one
+# sorted-key JSON header line (format_version, n_sequences, d_in, then "lengths"
+# and the columns below with one entry per sequence, and extras like config_hash),
+# then every sequence's frames as little-endian float64, in sample order.
+
+SPLIT_FORMAT_VERSION = 2
+_SPLIT_COLUMNS = {"id": "identity", "clean_id": "clean_identity", "condition": "condition",
+                  "view": "view", "noise_flag": "noise_flag"}  # header column -> field
 
 
-def _sample_to_json(s: SequenceSample) -> dict:
-    return {
-        "id": s.identity,
-        "clean_id": s.clean_identity,
-        "condition": s.condition,
-        "view": s.view,
-        "noise_flag": s.noise_flag,
-        "frames": s.frames.tolist(),
-    }
-
-
-def _sample_from_json(d: dict) -> SequenceSample:
-    return SequenceSample(
-        frames=np.asarray(d["frames"], dtype=np.float64),
-        identity=int(d["id"]),
-        condition=d["condition"],
-        view=int(d["view"]),
-        clean_identity=int(d["clean_id"]),
-        noise_flag=d["noise_flag"],
-    )
-
-
-def write_samples_jsonl(path, samples, extra_header: dict | None = None):
-    header = {"format_version": DATASET_FORMAT_VERSION, "n_sequences": len(samples)}
-    if extra_header:
-        header.update(extra_header)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
+def _write_split(path, samples, extra_header: dict | None = None):
+    columns = {col: [getattr(s, field) for s in samples] for col, field in _SPLIT_COLUMNS.items()}
+    header = {"format_version": SPLIT_FORMAT_VERSION, "n_sequences": len(samples),
+              "d_in": samples[0].frames.shape[1] if samples else 0,
+              "lengths": [s.frames.shape[0] for s in samples], **columns, **(extra_header or {})}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for s in samples:
-            fh.write(json.dumps(_sample_to_json(s), sort_keys=True) + "\n")
+            fh.write(np.asarray(s.frames, dtype="<f8").tobytes())
 
 
-def read_samples_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format_version") != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format in {path}")
-        return [_sample_from_json(json.loads(line)) for line in fh if line.strip()]
+def _read_split(path):
+    """Samples of one split file; their frames are views of one payload array."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        if header.get("format_version") != SPLIT_FORMAT_VERSION:
+            raise ValueError(f"unsupported dataset split format in {path}")
+        n, d_in, lengths = header["n_sequences"], header["d_in"], header["lengths"]
+        for col in ("lengths", *_SPLIT_COLUMNS):
+            if len(header.get(col, ())) != n:
+                raise ValueError(f"{path}: header column {col!r} needs {n} entries")
+        n_rows = sum(lengths)
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_bytes != 8 * n_rows * d_in:
+            raise ValueError(f"{path}: payload holds {payload_bytes} bytes, header says "
+                             f"{n_rows * d_in} float64")
+        rows = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False).reshape(n_rows, d_in)
+    starts = np.cumsum([0, *lengths])
+    return [SequenceSample(rows[starts[k]:starts[k + 1]],
+                           **{field: header[col][k] for col, field in _SPLIT_COLUMNS.items()})
+            for k in range(n)]
 
 
 def save_bundle(bundle: DatasetBundle, outdir, extra_header: dict | None = None):
     os.makedirs(outdir, exist_ok=True)
-    write_samples_jsonl(os.path.join(outdir, "train.jsonl"), bundle.train, extra_header)
-    write_samples_jsonl(os.path.join(outdir, "test.jsonl"), bundle.test, extra_header)
+    _write_split(os.path.join(outdir, "train.bin"), bundle.train, extra_header)
+    _write_split(os.path.join(outdir, "test.bin"), bundle.test, extra_header)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(bundle.manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_bundle(datadir) -> DatasetBundle:
+    train_bin = os.path.join(datadir, "train.bin")
+    if os.path.exists(os.path.join(datadir, "train.jsonl")) and not os.path.exists(train_bin):
+        raise ValueError(f"{datadir} holds a dataset in JSONL format 1, which is no longer "
+                         "read; rebuild it with gen-data, as its manifest.json records every value")
     with open(os.path.join(datadir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    train = read_samples_jsonl(os.path.join(datadir, "train.jsonl"))
-    test = read_samples_jsonl(os.path.join(datadir, "test.jsonl"))
-    return DatasetBundle(train, test, manifest)
+    return DatasetBundle(_read_split(train_bin),
+                         _read_split(os.path.join(datadir, "test.bin")), manifest)

@@ -376,7 +376,7 @@ def test_c10_pipeline_determinism(tmp_path, monkeypatch):
                   "--out", "eval"])
         digests.append({
             rel: (base / rel).read_bytes()
-            for rel in ("data/train.jsonl", "run/model_f.ckpt", "run/model_m.ckpt",
+            for rel in ("data/train.bin", "data/test.bin", "run/model_f.ckpt", "run/model_m.ckpt",
                         "run/trace.bin", "run/metrics.jsonl", "eval/rank1.csv")
         })
     mismatches = [rel for rel in digests[0] if digests[0][rel] != digests[1][rel]]

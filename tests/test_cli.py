@@ -149,8 +149,8 @@ class TestGenDataCommand:
     def test_generates_and_refuses_overwrite(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert run_cli("gen-data", "--out", str(out), *TINY_GEN) == 0
-        assert (out / "train.jsonl").exists()
-        assert (out / "test.jsonl").exists()
+        assert (out / "train.bin").exists()
+        assert (out / "test.bin").exists()
         assert (out / "manifest.json").exists()
         with pytest.raises(SystemExit):
             run_cli("gen-data", "--out", str(out), *TINY_GEN)
@@ -160,7 +160,7 @@ class TestGenDataCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_cli("gen-data", "--out", str(out1), *TINY_GEN)
         run_cli("gen-data", "--out", str(out2), *TINY_GEN)
-        for name in ("train.jsonl", "test.jsonl", "manifest.json"):
+        for name in ("train.bin", "test.bin", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_corruption_recorded_in_manifest(self, tmp_path):
@@ -243,6 +243,42 @@ class TestTrainEvalPipeline:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()  # nothing is written, config.snapshot included
+
+    @pytest.mark.parametrize("command", ["train", "corrupt"])
+    def test_jsonl_dataset_is_a_usage_error(self, data_dir, tmp_path, capsys, command):
+        # a dataset directory as format 1 wrote it: the manifest plus JSONL splits
+        old, out = tmp_path / "old", tmp_path / "out"
+        old.mkdir()
+        (old / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+        for split in ("train", "test"):
+            (old / f"{split}.jsonl").write_text(
+                '{"format_version": 1, "n_sequences": 1}\n'
+                '{"clean_id": 0, "condition": "NM", "frames": [[0.5, 1.5]], "id": 0, '
+                '"noise_flag": "clean", "view": 0}\n')
+        argv = {"train": ("train", "--data", str(old), "--out", str(out)),
+                "corrupt": ("corrupt", "--data", str(old), "--out", str(out),
+                            "--mode", "label")}[command]
+        capsys.readouterr()
+        code = run_cli(*argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(old) in err[0] and "JSONL format 1" in err[0] and "gen-data" in err[0]
+        assert not out.exists()
+
+    def test_truncated_split_fails_train_and_eval(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_experiment(tiny_train_config(data_dir, run))
+        train_bin = data_dir / "train.bin"
+        train_bin.write_bytes(train_bin.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(data_dir), "--out", str(tmp_path / "run2"),
+                       "--iterations", "2") == 2
+        assert run_cli("eval", "--checkpoint", str(run / "model_f.ckpt"),
+                       "--data", str(data_dir), "--out", str(tmp_path / "eval")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error:") and "train.bin" in e for e in err)
+        assert not (tmp_path / "run2").exists() and not (tmp_path / "eval").exists()
 
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")

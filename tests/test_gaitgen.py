@@ -6,11 +6,13 @@ import pytest
 
 from cyclegait.gaitgen import (
     AUGMENTATIONS,
+    DatasetBundle,
     FLAG_AUG,
     FLAG_CLEAN,
     FLAG_LABEL,
     FLAG_SPLIT,
     GeometryParams,
+    SequenceSample,
     augment_frame_sets,
     corrupt_bundle,
     geometry_of,
@@ -242,16 +244,63 @@ class TestBundleAndManifest:
         assert frames_equal(bundle.test, loaded.test)
         assert loaded.manifest == bundle.manifest
 
-    def test_jsonl_keys(self, tmp_path):
+    def test_split_file_layout(self, tmp_path):
+        bundle = make_benchmark(n_ids=5, n_train_ids=3, n_views=1,
+                                condition_groups={"NM": 1, "CL": 1},
+                                frames_per_seq=4, seed=1)
+        save_bundle(bundle, tmp_path, extra_header={"config_hash": "abc"})
+        blob = (tmp_path / "train.bin").read_bytes()
+        header_end = blob.index(b"\n") + 1
+        header = json.loads(blob[:header_end])
+        assert blob[:header_end] == json.dumps(header, sort_keys=True).encode() + b"\n"
+        assert set(header) == {"format_version", "n_sequences", "d_in", "lengths", "id",
+                               "clean_id", "condition", "view", "noise_flag", "config_hash"}
+        assert header["format_version"] == 2
+        assert header["n_sequences"] == len(bundle.train)
+        assert header["lengths"] == [s.frames.shape[0] for s in bundle.train]
+        assert len(blob) - header_end == 8 * sum(header["lengths"]) * header["d_in"]
+        frames = np.concatenate([s.frames for s in bundle.train])
+        assert blob[header_end:] == frames.astype("<f8").tobytes()
+
+    def test_ragged_roundtrip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        flags = (FLAG_CLEAN, FLAG_LABEL, FLAG_AUG, FLAG_SPLIT)
+        samples = [
+            SequenceSample(rng.normal(size=(t, 3)) * 10.0 ** rng.integers(-300, 300, size=(t, 3)),
+                           identity=k + 1, condition=cond, view=k, clean_identity=k,
+                           noise_flag=flag)
+            for k, (t, cond, flag) in enumerate(zip((1, 5, 30, 2), ("NM", "BG", "CL", "NM"), flags))
+        ]
+        samples[1].frames[0, :] = (-0.0, 5e-324, np.nextafter(1.0, 2.0))
+        bundle = DatasetBundle(samples, samples[::-1], {"format_version": 1})
+        save_bundle(bundle, tmp_path)
+        loaded = load_bundle(tmp_path)
+        for split, back in ((bundle.train, loaded.train), (bundle.test, loaded.test)):
+            assert frames_equal(split, back)
+            for s, b in zip(split, back):
+                assert b.frames.tobytes() == s.frames.tobytes()
+                assert b.frames.dtype == np.float64 and b.frames.flags.writeable
+
+    def test_bad_split_files_are_rejected(self, tmp_path):
         bundle = make_benchmark(n_ids=5, n_train_ids=3, n_views=1,
                                 condition_groups={"NM": 1, "CL": 1},
                                 frames_per_seq=4, seed=1)
         save_bundle(bundle, tmp_path)
-        with open(tmp_path / "train.jsonl") as fh:
-            header = json.loads(fh.readline())
-            assert header["format_version"] == 1
-            row = json.loads(fh.readline())
-        assert set(row) == {"id", "clean_id", "condition", "view", "noise_flag", "frames"}
+        path = tmp_path / "train.bin"
+        good = path.read_bytes()
+        header_end = good.index(b"\n") + 1
+        header = json.loads(good[:header_end])
+
+        def with_header(**changes):
+            return json.dumps({**header, **changes}, sort_keys=True).encode() + b"\n"
+
+        for blob in (good[:-8], good + b"\0" * 4,
+                     with_header(format_version=1) + good[header_end:],
+                     with_header(view=header["view"][:-1]) + good[header_end:],
+                     with_header(lengths=header["lengths"] + [4]) + good[header_end:]):
+            path.write_bytes(blob)
+            with pytest.raises(ValueError, match="train.bin"):
+                load_bundle(tmp_path)
 
     def test_counts_preserved_by_corruptions(self):
         bundle = make_benchmark(n_ids=6, n_train_ids=4, n_views=2,
