@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -465,8 +466,14 @@ class TraceWriter:
 def read_trace(path):
     """Load a trace file; returns (header, deltas_f (N, P), deltas_m (N, P)).
 
-    Validates the format version, the strictly sequential iteration indices
-    and record finiteness; a violated record is named by its iteration.
+    The records are read into one buffer, and both delta arrays are strided
+    views into it, so the caller holds one trace payload and no copy.
+
+    Validates the format version first, then the records: the earliest
+    faulty record is named by its iteration. Within one record, truncation
+    comes before a wrong iteration index, and a wrong index before a
+    non-finite delta. Trailing bytes are reported only once all declared
+    records pass.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -474,28 +481,39 @@ def read_trace(path):
             raise ValueError(f"unsupported trace format in {path}")
         n_params = int(header["n_params"])
         n_iters = int(header["iterations"])
-        record_bytes = 8 + 16 * n_params
-        deltas_f = np.zeros((n_iters, n_params))
-        deltas_m = np.zeros((n_iters, n_params))
-        for row in range(n_iters):
-            blob = fh.read(record_bytes)
-            if len(blob) != record_bytes:
-                raise ValueError(
-                    f"trace truncated at iteration {row + 1} of {n_iters}"
-                )
-            (k,) = struct.unpack("<Q", blob[:8])
-            if k != row + 1:
-                raise ValueError(
-                    f"trace record {row + 1} carries iteration index {k}"
-                )
-            rec = np.frombuffer(blob[8:], dtype="<f8")
-            if not np.all(np.isfinite(rec)):
-                raise ValueError(f"non-finite delta in trace at iteration {k}")
-            deltas_f[row] = rec[:n_params]
-            deltas_m[row] = rec[n_params:]
-        if fh.read(1):
-            raise ValueError("trailing bytes after the declared trace records")
-    return header, deltas_f, deltas_m
+        if n_params < 0 or n_iters < 0:
+            raise ValueError(f"negative trace dimensions in {path}")
+        record = np.dtype([("k", "<u8"), ("d", "<f8", (2 * n_params,))])
+        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        records = np.fromfile(fh, dtype=record,
+                              count=min(n_iters, body_bytes // record.itemsize))
+    n_read = len(records)
+    wrong = np.flatnonzero(records["k"] != np.arange(1, n_read + 1, dtype=np.uint64))
+    first_wrong = int(wrong[0]) if wrong.size else n_read
+    first_nonfinite = _first_nonfinite_row(records["d"][:first_wrong])
+    if first_nonfinite < first_wrong:
+        raise ValueError(f"non-finite delta in trace at iteration {first_nonfinite + 1}")
+    if first_wrong < n_read:
+        k = int(records["k"][first_wrong])
+        raise ValueError(f"trace record {first_wrong + 1} carries iteration index {k}")
+    if n_read < n_iters:
+        raise ValueError(f"trace truncated at iteration {n_read + 1} of {n_iters}")
+    if body_bytes > n_iters * record.itemsize:
+        raise ValueError("trailing bytes after the declared trace records")
+    deltas = records["d"]
+    return header, deltas[:, :n_params], deltas[:, n_params:]
+
+
+def _first_nonfinite_row(values, block_bytes: int = 1 << 20) -> int:
+    """Index of the first row holding a non-finite value, else len(values).
+
+    Scans in row blocks so the boolean temporary stays near block_bytes."""
+    rows = max(1, block_bytes // max(1, values.shape[1]))
+    for lo in range(0, len(values), rows):
+        finite = np.isfinite(values[lo : lo + rows]).all(axis=1)
+        if not finite.all():
+            return lo + int(np.argmin(finite))
+    return len(values)
 
 
 # ---------------------------------------------------------------------------

@@ -447,23 +447,31 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
     jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
     jitter = jitter.reshape(b, t_max + 1, d)
 
-    out = []
-    for i, frames in enumerate(frame_sets):
-        t = frames.shape[0]
-        keep = np.ones(t, dtype=bool)
-        if spec.drop_prob > 0.0 and t > spec.min_frames:
-            ui = u[i, :t]
-            keep = ui >= spec.drop_prob
-            if keep.sum() < spec.min_frames:
-                order = np.argsort(-ui, kind="stable")
-                keep = np.zeros(t, dtype=bool)
-                keep[order[: spec.min_frames]] = True
-        aug = frames[keep] + jitter[i, :t][keep] if spec.jitter_sigma > 0.0 else frames[keep]
-        if dup_u is not None and dup_u[i] < spec.duplicate_prob:
+    lengths = np.array([f.shape[0] for f in frame_sets])
+    keep = np.arange(t_max) < lengths[:, None]
+    if spec.drop_prob > 0.0:
+        droppable = lengths > spec.min_frames
+        keep &= (u >= spec.drop_prob) | ~droppable[:, None]
+        for i in np.flatnonzero(droppable & (keep.sum(axis=1) < spec.min_frames)):
+            # the min_frames largest draws include every frame kept so far
+            order = np.argsort(-u[i, : lengths[i]], kind="stable")
+            keep[i, order[: spec.min_frames]] = True
+    rows, cols = np.nonzero(keep)
+    starts = np.cumsum(lengths) - lengths
+    kept = np.take(np.concatenate(frame_sets), starts[rows] + cols, axis=0)
+    if spec.jitter_sigma > 0.0:
+        kept += np.take(jitter.reshape(-1, d), rows * (t_max + 1) + cols, axis=0)
+    bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
+    out = [kept[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if dup_u is not None:
+        for i in np.flatnonzero(dup_u < spec.duplicate_prob):
+            aug = out[i]
             j = min(int(dup_pos[i] * aug.shape[0]), aug.shape[0] - 1)
-            dup_frame = frames[keep][j] + jitter[i, t_max] if spec.jitter_sigma > 0.0 else aug[j]
-            aug = np.concatenate([aug, dup_frame[None, :]], axis=0)
-        out.append(aug)
+            if spec.jitter_sigma > 0.0:
+                dup_frame = frame_sets[i][np.flatnonzero(keep[i])[j]] + jitter[i, t_max]
+            else:
+                dup_frame = aug[j]
+            out[i] = np.concatenate([aug, dup_frame[None, :]], axis=0)
     return out, rng
 
 

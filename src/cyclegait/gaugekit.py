@@ -230,12 +230,16 @@ def first_reach_iteration(iterations, values, target: float):
 
 def replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
     """Step-by-step replay: theta_m <- m*theta_m + (1-m)*theta_f + delta_m,
-    theta_f <- theta_f + delta_f. Returns (final theta_f, final theta_m)."""
+    theta_f <- theta_f + delta_f. Returns (final theta_f, final theta_m).
+
+    Both vectors are updated in place, left to right in the order written."""
     tf = np.array(theta0_f, dtype=np.float64, copy=True)
     tm = np.array(theta0_m, dtype=np.float64, copy=True)
     for df, dm in zip(deltas_f, deltas_m):
-        tm = m * tm + (1.0 - m) * tf + dm
-        tf = tf + df
+        tm *= m
+        tm += (1.0 - m) * tf
+        tm += dm
+        tf += df
     return tf, tm
 
 
@@ -244,6 +248,10 @@ def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
 
     theta_N^m = theta_0^f + m^N (theta_0^m - theta_0^f)
                 + sum_k [ m^(N-k) delta_k^m + (1 - m^(N-k)) delta_k^f ]
+
+    The sum is a running total: it starts from the k = 1 term and adds the
+    terms in order k = 2..N, so only one parameter vector of terms is held
+    at a time.
     """
     deltas_f = np.asarray(deltas_f, dtype=np.float64)
     deltas_m = np.asarray(deltas_m, dtype=np.float64)
@@ -253,8 +261,10 @@ def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
     if n == 0:
         return theta0_m.copy()
     powers = np.array([m ** (n - k) for k in range(1, n + 1)])
-    weighted = powers[:, None] * deltas_m + (1.0 - powers)[:, None] * deltas_f
-    return theta0_f + (m**n) * (theta0_m - theta0_f) + weighted.sum(axis=0)
+    total = powers[0] * deltas_m[0] + (1.0 - powers[0]) * deltas_f[0]
+    for k in range(1, n):
+        total += powers[k] * deltas_m[k] + (1.0 - powers[k]) * deltas_f[k]
+    return theta0_f + (m**n) * (theta0_m - theta0_f) + total
 
 
 def verify_ema_closed_form(theta0_f, theta0_m, deltas_f, deltas_m, m: float,

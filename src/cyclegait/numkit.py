@@ -50,9 +50,11 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        bg.advance(self.block * _DRAW_BLOCK)
-        return np.random.Generator(bg)
+        start = self.block * _DRAW_BLOCK
+        if start > _MASK64:
+            raise ValueError(f"draw block {self.block} is past the end of the stream")
+        # a fresh Philox whose counter starts at `start` is one advanced by start
+        return np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
 
     def _advanced(self, n_values: int) -> "RngStream":
         blocks = 1 + n_values // _VALUES_PER_BLOCK

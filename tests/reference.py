@@ -118,3 +118,111 @@ def padded_backward_batch(cache: PaddedCache, params: ModelParams, d_z, d_p) -> 
     grad.w1[:] = np.einsum("bth,btd->hd", d_pre, cache.frames)
     grad.b1[:] = d_pre.sum(axis=(0, 1))
     return grad
+
+
+def augment_frame_sets(frame_sets, spec, rng):
+    """gaitgen.augment_frame_sets as one loop over the samples, on the same
+    draws: each sample's keep mask, min_frames fallback, jitter and
+    duplication are built on its own."""
+    if spec.is_identity:
+        return [np.asarray(f, dtype=np.float64) for f in frame_sets], rng
+    b = len(frame_sets)
+    t_max = max(f.shape[0] for f in frame_sets)
+    d = frame_sets[0].shape[1]
+    u, rng = rng.uniform(b * t_max)
+    u = u.reshape(b, t_max)
+    dup_u = dup_pos = None
+    if spec.duplicate_prob > 0.0:
+        dup_flat, rng = rng.uniform(2 * b)
+        dup_u, dup_pos = dup_flat[:b], dup_flat[b:]
+    jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
+    jitter = jitter.reshape(b, t_max + 1, d)
+
+    out = []
+    for i, frames in enumerate(frame_sets):
+        t = frames.shape[0]
+        keep = np.ones(t, dtype=bool)
+        if spec.drop_prob > 0.0 and t > spec.min_frames:
+            ui = u[i, :t]
+            keep = ui >= spec.drop_prob
+            if keep.sum() < spec.min_frames:
+                order = np.argsort(-ui, kind="stable")
+                keep = np.zeros(t, dtype=bool)
+                keep[order[: spec.min_frames]] = True
+        aug = frames[keep] + jitter[i, :t][keep] if spec.jitter_sigma > 0.0 else frames[keep]
+        if dup_u is not None and dup_u[i] < spec.duplicate_prob:
+            j = min(int(dup_pos[i] * aug.shape[0]), aug.shape[0] - 1)
+            dup_frame = frames[keep][j] + jitter[i, t_max] if spec.jitter_sigma > 0.0 else aug[j]
+            aug = np.concatenate([aug, dup_frame[None, :]], axis=0)
+        out.append(aug)
+    return out, rng
+
+
+def philox_generator(stream, draw_block: int):
+    """The generator of an RngStream built by advancing a fresh Philox by
+    block * draw_block draws."""
+    key = np.array([stream.seed & (2**64 - 1), stream.stream & (2**64 - 1)], dtype=np.uint64)
+    bg = np.random.Philox(key=key)
+    bg.advance(stream.block * draw_block)
+    return np.random.Generator(bg)
+
+
+def read_trace(path):
+    """cyclic.read_trace as a per-record reader into two zeroed (N, P) arrays;
+    the first fault met while reading raises."""
+    import json
+    import struct
+
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        if header.get("format_version") != 1:
+            raise ValueError(f"unsupported trace format in {path}")
+        n_params = int(header["n_params"])
+        n_iters = int(header["iterations"])
+        record_bytes = 8 + 16 * n_params
+        deltas_f = np.zeros((n_iters, n_params))
+        deltas_m = np.zeros((n_iters, n_params))
+        for row in range(n_iters):
+            blob = fh.read(record_bytes)
+            if len(blob) != record_bytes:
+                raise ValueError(
+                    f"trace truncated at iteration {row + 1} of {n_iters}"
+                )
+            (k,) = struct.unpack("<Q", blob[:8])
+            if k != row + 1:
+                raise ValueError(
+                    f"trace record {row + 1} carries iteration index {k}"
+                )
+            rec = np.frombuffer(blob[8:], dtype="<f8")
+            if not np.all(np.isfinite(rec)):
+                raise ValueError(f"non-finite delta in trace at iteration {k}")
+            deltas_f[row] = rec[:n_params]
+            deltas_m[row] = rec[n_params:]
+        if fh.read(1):
+            raise ValueError("trailing bytes after the declared trace records")
+    return header, deltas_f, deltas_m
+
+
+def replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
+    """gaugekit.replay_recurrence with a fresh vector per step."""
+    tf = np.array(theta0_f, dtype=np.float64, copy=True)
+    tm = np.array(theta0_m, dtype=np.float64, copy=True)
+    for df, dm in zip(deltas_f, deltas_m):
+        tm = m * tm + (1.0 - m) * tf + dm
+        tf = tf + df
+    return tf, tm
+
+
+def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
+    """gaugekit.closed_form_theta_m from the full (N, P) array of weighted
+    terms, summed over its rows."""
+    deltas_f = np.asarray(deltas_f, dtype=np.float64)
+    deltas_m = np.asarray(deltas_m, dtype=np.float64)
+    n = deltas_f.shape[0]
+    theta0_f = np.asarray(theta0_f, dtype=np.float64)
+    theta0_m = np.asarray(theta0_m, dtype=np.float64)
+    if n == 0:
+        return theta0_m.copy()
+    powers = np.array([m ** (n - k) for k in range(1, n + 1)])
+    weighted = powers[:, None] * deltas_m + (1.0 - powers)[:, None] * deltas_f
+    return theta0_f + (m**n) * (theta0_m - theta0_f) + weighted.sum(axis=0)

@@ -5,6 +5,7 @@ import pytest
 
 from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
+    TraceWriter,
     TrainerConfig,
     TrainState,
     build_schedule,
@@ -18,6 +19,7 @@ from cyclegait.cyclic import (
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, OptimizerConfig, ema_transfer
+import reference
 from reference import padded_backward_batch, padded_forward_batch
 
 TINY_OPT = OptimizerConfig(lr=0.05, milestones=())
@@ -355,3 +357,144 @@ class TestScheduleByMode:
         sched = build_schedule(tiny_config(schedule_profile="clean"))
         assert sched.at(0) == (0.1, 1.0, 0.1, 0.1)
         assert sched.at(99_999) == (0.1, 1.0, 0.1, 0.1)
+
+
+N_RECORDS, N_PARAMS = 8, 5
+RECORD = 8 + 16 * N_PARAMS
+
+
+def trace_blob(tmp_path, rng, n=N_RECORDS):
+    """(header line, record bytes) of a valid trace with n random records."""
+    path = tmp_path / "valid.bin"
+    with TraceWriter(path, N_PARAMS, 0.9, n) as writer:
+        for k in range(1, n + 1):
+            writer.write(k, rng.normal(size=N_PARAMS), rng.normal(size=N_PARAMS))
+    blob = path.read_bytes()
+    end = blob.index(b"\n") + 1
+    return blob[:end], bytearray(blob[end:])
+
+
+def put_index(body, row, k):
+    body[row * RECORD : row * RECORD + 8] = int(k).to_bytes(8, "little")
+
+
+def put_value(body, row, col, value):
+    at = row * RECORD + 8 + 8 * col
+    body[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+
+
+def read_both(path):
+    """The message each reader raises, or None and the arrays when both pass."""
+    outcomes = []
+    for reader in (read_trace, reference.read_trace):
+        try:
+            outcomes.append(reader(path))
+        except ValueError as err:
+            outcomes.append(str(err))
+    return outcomes
+
+
+class TestReadTrace:
+    def test_deltas_are_views_of_one_buffer(self, tmp_path, rng):
+        header, body = trace_blob(tmp_path, rng)
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header + body)
+        got, want = read_both(path)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert got[1].base is got[2].base and got[1].base is not None
+        assert not got[1].flags.owndata and not got[2].flags.owndata
+
+    def test_empty_run(self, tmp_path, rng):
+        header, body = trace_blob(tmp_path, rng, n=0)
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header + body)
+        _, deltas_f, deltas_m = read_trace(path)
+        assert deltas_f.shape == deltas_m.shape == (0, N_PARAMS)
+
+    def test_first_nonfinite_row_across_blocks(self):
+        values = np.zeros((50, 7))
+        assert cyclic._first_nonfinite_row(values, block_bytes=14) == 50
+        for row in (0, 1, 2, 31, 49):  # two rows per block
+            bad = values.copy()
+            bad[row, 3] = np.nan
+            bad[row + 1 :, 0] = np.inf
+            assert cyclic._first_nonfinite_row(bad, block_bytes=14) == row
+
+    @pytest.mark.parametrize("fault, message", [
+        ("record 6 cut in half", "trace truncated at iteration 6 of 8"),
+        ("run cut after record 5", "trace truncated at iteration 6 of 8"),
+        ("record 3 claims iteration 7", "trace record 3 carries iteration index 7"),
+        ("NaN in record 5", "non-finite delta in trace at iteration 5"),
+        ("inf in record 4", "non-finite delta in trace at iteration 4"),
+        ("trailing bytes", "trailing bytes after the declared trace records"),
+        ("format version 2", "unsupported trace format in {path}"),
+        ("NaN in record 2, index of record 4", "non-finite delta in trace at iteration 2"),
+        ("index of record 3, inf in record 3", "trace record 3 carries iteration index 9"),
+        ("NaN in record 4, record 6 cut in half", "non-finite delta in trace at iteration 4"),
+    ])
+    def test_fault_message(self, tmp_path, rng, fault, message):
+        header, body = trace_blob(tmp_path, rng)
+        if fault == "record 6 cut in half":
+            body = body[: 5 * RECORD + RECORD // 2]
+        elif fault == "run cut after record 5":
+            body = body[: 5 * RECORD]
+        elif fault == "record 3 claims iteration 7":
+            put_index(body, 2, 7)
+        elif fault == "NaN in record 5":
+            put_value(body, 4, 0, np.nan)
+        elif fault == "inf in record 4":
+            put_value(body, 3, 2 * N_PARAMS - 1, -np.inf)
+        elif fault == "trailing bytes":
+            body += b"\x00"
+        elif fault == "format version 2":
+            header = header.replace(b'"format_version": 1', b'"format_version": 2')
+        elif fault == "NaN in record 2, index of record 4":
+            put_value(body, 1, 3, np.nan)
+            put_index(body, 3, 1)
+        elif fault == "index of record 3, inf in record 3":
+            put_index(body, 2, 9)
+            put_value(body, 2, 1, np.inf)
+        elif fault == "NaN in record 4, record 6 cut in half":
+            put_value(body, 3, 0, np.nan)
+            body = body[: 5 * RECORD + RECORD // 2]
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header + body)
+        expected = message.format(path=path)
+        assert read_both(path) == [expected, expected]
+
+    def test_random_faults_match_the_per_record_reader(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        header, valid = trace_blob(tmp_path, rng)
+        path = tmp_path / "trace.bin"
+        messages = set()
+        for _ in range(300):
+            head, body = header, bytearray(valid)
+            for _ in range(rng.integers(1, 4)):
+                fault = rng.integers(6)
+                row = int(rng.integers(N_RECORDS))
+                if fault == 0:
+                    put_index(body, row, [0, row, row + 2, 2**64 - 1][rng.integers(4)])
+                elif fault == 1:
+                    put_value(body, row, int(rng.integers(2 * N_PARAMS)),
+                              rng.choice([np.nan, np.inf, -np.inf]))
+                elif fault == 2:
+                    body = body[: int(rng.integers(len(body) + 1))]
+                elif fault == 3:
+                    body += bytes(int(rng.integers(1, 2 * RECORD)))
+                elif fault == 4:
+                    n = int(rng.integers(N_RECORDS + 3))
+                    head = header.replace(b'"iterations": 8', f'"iterations": {n}'.encode())
+                elif len(body) >= RECORD * (row + 1):
+                    put_value(body, row, int(rng.integers(2 * N_PARAMS)), 1.0)
+            path.write_bytes(head + body)
+            got, want = read_both(path)
+            if isinstance(want, str):
+                assert got == want
+                messages.add(" ".join(want.split(" ")[:2]))
+            else:
+                assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+                assert got[0] == want[0]
+        assert messages == {"trace truncated", "trace record", "non-finite delta",
+                            "trailing bytes"}

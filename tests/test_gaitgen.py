@@ -27,6 +27,7 @@ from cyclegait.gaitgen import (
     save_bundle,
 )
 from cyclegait.numkit import RngStream
+import reference
 
 
 def small_dataset(n_ids=6, seed=3, **kwargs):
@@ -338,6 +339,33 @@ class TestTrainingAugmentation:
                         rows = [np.flatnonzero((frames == f).all(axis=1))[0] for f in aug]
                         assert rows == sorted(set(rows))
             assert rescued > 0
+
+    @pytest.mark.parametrize("name", ["none", "default", "strong"])
+    def test_matches_per_sample_loop(self, rng, name):
+        # oracle: the per-sample loop on the same draws. Lengths 3 and 4 are
+        # too short to drop from; 5 and 6 often need the min_frames fallback.
+        spec = AUGMENTATIONS[name]
+        frame_sets = [rng.normal(size=(t, 16)) for t in (3, 4, 5, 6, 30, 17, 5, 30)]
+        t_max = max(f.shape[0] for f in frame_sets)
+        stream = ref_stream = RngStream(11, 4)
+        rescued = duplicated = 0
+        for _ in range(300):
+            u, _ = stream.uniform(len(frame_sets) * t_max)
+            u = u.reshape(len(frame_sets), t_max)
+            out, stream = augment_frame_sets(frame_sets, spec, stream)
+            expected, ref_stream = reference.augment_frame_sets(frame_sets, spec, ref_stream)
+            assert stream == ref_stream
+            assert len(out) == len(expected)
+            for got, want in zip(out, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for i, frames in enumerate(frame_sets):
+                t = frames.shape[0]
+                if spec.drop_prob > 0.0 and t > spec.min_frames:
+                    rescued += (u[i, :t] >= spec.drop_prob).sum() < spec.min_frames
+                duplicated += out[i].shape[0] == t + 1
+        if name != "none":
+            assert rescued > 0
+        assert (duplicated > 0) == (spec.duplicate_prob > 0.0)
 
     def test_same_state_same_transform(self, rng):
         frame_sets = [rng.normal(size=(t, 4)) for t in (12, 7, 5)]

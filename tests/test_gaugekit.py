@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,12 @@ from cyclegait.gaugekit import (
     split_gallery_probe,
     variance_stats,
     verify_ema_closed_form,
+    verify_trace_file,
 )
+from cyclegait.cyclic import TraceWriter
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, init_params
+import reference
 
 
 class TestRank1:
@@ -192,6 +196,50 @@ class TestClosedForm:
         dm = rng.normal(size=(3, 10))
         tf, tm = replay_recurrence(t0f, t0m, df, dm, 0.5)
         assert np.allclose(tf, t0f + df.sum(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 37])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("layout", ["contiguous", "record views", "strided"])
+    def test_bit_equal_to_full_array_forms(self, rng, n, m, layout):
+        # oracles: the replay with a fresh vector per step, and the closed form
+        # summing its (N, P) array of weighted terms
+        p = 50
+        t0f, t0m = rng.normal(size=p), rng.normal(size=p)
+        records = rng.normal(scale=0.01, size=(n, 2 * p))
+        if layout == "contiguous":
+            df, dm = records[:, :p].copy(), records[:, p:].copy()
+        elif layout == "record views":  # as read_trace returns them
+            df, dm = records[:, :p], records[:, p:]
+        else:
+            df, dm = records[:, ::2], records[:, 1::2]
+        got = closed_form_theta_m(t0f, t0m, df, dm, m)
+        assert np.array_equal(got, reference.closed_form_theta_m(t0f, t0m, df, dm, m))
+        got_f, got_m = replay_recurrence(t0f, t0m, df, dm, m)
+        want_f, want_m = reference.replay_recurrence(t0f, t0m, df, dm, m)
+        assert np.array_equal(got_f, want_f) and np.array_equal(got_m, want_m)
+
+    def test_trace_verification_holds_one_payload(self, tmp_path):
+        # about 200 records at the default encoder shape; verification may
+        # peak at 1.25 trace payloads of traced allocations
+        shape = EncoderShape()
+        init_f, _ = init_params(shape, RngStream(1).child(1))
+        init_m, _ = init_params(shape, RngStream(1).child(2))
+        n, p = 200, shape.n_params
+        deltas = np.random.default_rng(3)
+        path = tmp_path / "trace.bin"
+        with TraceWriter(path, p, 0.99, n) as writer:
+            for k in range(1, n + 1):
+                writer.write(k, deltas.normal(scale=1e-3, size=p),
+                             deltas.normal(scale=1e-3, size=p))
+        payload = n * (8 + 16 * p)
+        tracemalloc.start()
+        try:
+            report = verify_trace_file(path, init_f, init_m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report["max_relative_deviation"] < 1e-9
+        assert peak < 1.25 * payload, f"peak {peak} bytes for a {payload}-byte payload"
 
 
 class TestCostModel:

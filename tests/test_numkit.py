@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait.numkit import RngStream, softmax
-from reference import entropy
+from cyclegait.numkit import _DRAW_BLOCK, RngStream, softmax
+from reference import entropy, philox_generator
 
 
 class TestSoftmax:
@@ -119,3 +119,25 @@ class TestRngStream:
         # the follow-up draw must not replay any tail of the big draw
         assert not np.array_equal(big[-100:], nxt)
 
+    @pytest.mark.parametrize("block", [0, 1, 37, 2**64 // _DRAW_BLOCK - 1])
+    def test_counter_start_matches_advanced_generator(self, block):
+        # each draw method reads a generator whose Philox counter starts at
+        # block * _DRAW_BLOCK; the oracle advances a fresh Philox that far
+        s = RngStream(7, 2**63 + 5, block)
+        draws = {
+            "uniform": (lambda g: g.uniform(-1.0, 2.0, size=50), s.uniform(50, -1.0, 2.0)),
+            "normal": (lambda g: g.normal(0.0, 0.3, size=50), s.normal(50, 0.3)),
+            "integers": (lambda g: g.integers(3, 90, size=50), s.integers(50, 3, 90)),
+            "permutation": (lambda g: g.permutation(40), s.permutation(40)),
+            "choice": (lambda g: g.choice(40, size=9, replace=False), s.choice(40, 9)),
+            "key_pair": (lambda g: tuple(int(v) for v in g.integers(0, 1 << 63, size=2)),
+                         s.key_pair()),
+        }
+        for name, (oracle, (values, after)) in draws.items():
+            expected = oracle(philox_generator(s, _DRAW_BLOCK))
+            assert np.array_equal(values, expected), name
+            assert after.block > s.block, name
+
+    def test_block_past_the_counter_range_rejected(self):
+        with pytest.raises(ValueError, match="past the end"):
+            RngStream(1, 0, 2**64 // _DRAW_BLOCK).uniform(1)
