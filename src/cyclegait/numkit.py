@@ -4,11 +4,14 @@ Everything here is 64-bit float and pure: functions return new values and
 never mutate their inputs. RngStream is the single source of randomness for
 the whole package; any draw is addressable by (seed, stream id, block), which
 makes every experiment bit-reproducible regardless of call-site ordering.
+Draws come from one Philox per thread, reset to (key, counter) before each
+draw, so no state carries from one draw to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +32,35 @@ def _mix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+_THREAD = threading.local()
+
+
+def _thread_philox():
+    """This thread's Philox, its Generator and the state dict that resets it.
+
+    Built once per thread. The state dict's counter words 1-3 stay 0 and its
+    buffer fields stay empty (buffer_pos 4, no buffered 32-bit half); draws
+    write only the counter's first word and the key.
+    """
+    try:
+        return _THREAD.philox
+    except AttributeError:
+        bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        _THREAD.philox = (bit_gen, np.random.Generator(bit_gen), bit_gen.state)
+        return _THREAD.philox
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream keyed by (seed, stream id).
 
     Draw methods return (values, advanced_stream); the stream object itself is
-    immutable, so sharing one across workers can never race. Identical
-    (seed, stream) always replays identical values; distinct stream ids are
-    statistically independent (they select distinct Philox keys).
+    immutable, so sharing one across workers can never race. Each draw resets
+    its thread's one Philox to key (seed, stream) and counter
+    block * _DRAW_BLOCK, so no state carries from one draw to the next and
+    threads never share a generator. Identical (seed, stream) always replays
+    identical values; distinct stream ids are statistically independent (they
+    select distinct Philox keys).
     """
 
     seed: int
@@ -49,16 +73,20 @@ class RngStream:
         return RngStream(self.seed, mixed, 0)
 
     def _generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         start = self.block * _DRAW_BLOCK
         if start > _MASK64:
             raise ValueError(f"draw block {self.block} is past the end of the stream")
-        # a fresh Philox whose counter starts at `start` is one advanced by start
-        return np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
+        bit_gen, gen, state = _thread_philox()
+        state["state"]["counter"][0] = start
+        key = state["state"]["key"]
+        key[0] = self.seed & _MASK64
+        key[1] = self.stream & _MASK64
+        bit_gen.state = state
+        return gen
 
     def _advanced(self, n_values: int) -> "RngStream":
         blocks = 1 + n_values // _VALUES_PER_BLOCK
-        return replace(self, block=self.block + blocks)
+        return RngStream(self.seed, self.stream, self.block + blocks)
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0):
         vals = self._generator().uniform(low, high, size=n)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyclegait.numkit import as_vec, softmax
+from cyclegait.numkit import _DRAW_BLOCK, as_vec, softmax
 from cyclegait.setnet import GradVector, ModelParams
 
 
@@ -165,6 +165,17 @@ def philox_generator(stream, draw_block: int):
     bg = np.random.Philox(key=key)
     bg.advance(stream.block * draw_block)
     return np.random.Generator(bg)
+
+
+def fresh_generator(stream):
+    """RngStream._generator as a freshly constructed Philox per draw, keyed
+    (seed, stream) with its counter at block * _DRAW_BLOCK; it has the
+    signature of the method, so a test can patch it in."""
+    key = np.array([stream.seed & (2**64 - 1), stream.stream & (2**64 - 1)], dtype=np.uint64)
+    start = stream.block * _DRAW_BLOCK
+    if start > 2**64 - 1:
+        raise ValueError(f"draw block {stream.block} is past the end of the stream")
+    return np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
 
 
 def read_trace(path):

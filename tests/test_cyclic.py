@@ -183,6 +183,18 @@ class TestRunTraining:
         assert np.array_equal(a.params_m.flat, b.params_m.flat)
         assert a.metrics == b.metrics
 
+    @pytest.mark.parametrize("mode, augmentation",
+                             [("cyclic", "strong"), ("coteach-baseline", "default")])
+    def test_matches_fresh_generator(self, mode, augmentation, monkeypatch):
+        bundle = tiny_bundle()
+        config = tiny_config(mode=mode, augmentation=augmentation, iterations=20)
+        fast = run_training(bundle, config)
+        monkeypatch.setattr(RngStream, "_generator", reference.fresh_generator)
+        oracle = run_training(bundle, config)
+        assert np.array_equal(fast.params_f.flat, oracle.params_f.flat)
+        assert np.array_equal(fast.params_m.flat, oracle.params_m.flat)
+        assert fast.metrics == oracle.metrics
+
     def test_supervised_has_no_teacher(self):
         bundle = tiny_bundle()
         result = run_training(bundle, tiny_config(mode="supervised", iterations=3))

@@ -312,6 +312,18 @@ class TestBundleAndManifest:
             out = corrupt_bundle(bundle, mode, amount, seed=1)
             assert len(out.train) == n
 
+    @pytest.mark.parametrize("mode, amount", [("label", 0.2), ("augmentation", 0.2), ("split", 0.6)])
+    def test_benchmark_matches_fresh_generator(self, mode, amount, monkeypatch):
+        def build():
+            return corrupt_bundle(make_benchmark(seed=1), mode, amount, seed=7)
+
+        fast = build()
+        monkeypatch.setattr(RngStream, "_generator", reference.fresh_generator)
+        oracle = build()
+        assert frames_equal(fast.train, oracle.train)
+        assert frames_equal(fast.test, oracle.test)
+        assert fast.manifest == oracle.manifest
+
 
 class TestTrainingAugmentation:
     def test_null_spec_is_identity(self, rng):

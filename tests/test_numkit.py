@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclegait.numkit import _DRAW_BLOCK, RngStream, softmax
-from reference import entropy, philox_generator
+from reference import entropy, fresh_generator, philox_generator
 
 
 class TestSoftmax:
@@ -139,5 +141,108 @@ class TestRngStream:
             assert after.block > s.block, name
 
     def test_block_past_the_counter_range_rejected(self):
+        RngStream(1, 3).normal(5)
         with pytest.raises(ValueError, match="past the end"):
             RngStream(1, 0, 2**64 // _DRAW_BLOCK).uniform(1)
+        # the error is raised before the thread's generator is touched
+        s = RngStream(1, 3, 2**64 // _DRAW_BLOCK - 1)
+        assert np.array_equal(s.permutation(30)[0], fresh_generator(s).permutation(30))
+
+
+# Every draw method as (stream, size) -> result, with sizes that leave the
+# generator mid-buffer: odd counts of 32-bit integers keep a buffered half.
+DRAWS = {
+    "uniform": lambda s, n: s.uniform(n, -1.0, 2.0),
+    "normal": lambda s, n: s.normal(n, 0.3),
+    "integers": lambda s, n: s.integers(n, 0, 3),
+    "permutation": lambda s, n: s.permutation(n),
+    "choice": lambda s, n: s.choice(n + 5, 5),
+    "key_pair": lambda s, n: s.key_pair(),
+}
+
+
+def _run_draws(plan):
+    return [DRAWS[name](stream, n) for stream, name, n in plan]
+
+
+def _draw_in_threads(plans):
+    """Run each plan in its own thread; the results in plan order."""
+    results = [None] * len(plans)
+
+    def work(i):
+        results[i] = _run_draws(plans[i])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    return results
+
+
+def _assert_same_draws(plan, got, expected):
+    for (stream, name, n), (values, after), (want, want_after) in zip(plan, got, expected):
+        assert np.array_equal(values, want), (stream, name, n)
+        assert after == want_after, (stream, name, n)
+
+
+class TestThreadPhilox:
+    """One Philox per thread serves every draw; each draw must read exactly
+    what a freshly constructed generator gives (reference.fresh_generator)."""
+
+    @pytest.mark.parametrize("block", [0, 1, 37, 2**64 // _DRAW_BLOCK - 1])
+    def test_interleaved_draws_match_fresh_generator(self, block, monkeypatch):
+        streams = [RngStream(7, sid, block) for sid in (0, 5, 2**63 + 5, 2**64 - 1)]
+        streams.append(RngStream(-3, 11, block))
+        names = sorted(DRAWS)
+        pick = np.random.default_rng(block % 1009)
+        plan = [
+            (streams[int(pick.integers(len(streams)))], names[int(pick.integers(len(names)))],
+             int(pick.integers(1, 40)))
+            for _ in range(300)
+        ]
+        got = _run_draws(plan)
+        monkeypatch.setattr(RngStream, "_generator", fresh_generator)
+        _assert_same_draws(plan, got, _run_draws(plan))
+
+    def test_buffered_half_does_not_leak_into_the_next_draw(self, monkeypatch):
+        a, b = RngStream(9, 1), RngStream(9, 2)
+        plan = [(a, "integers", 5), (b, "permutation", 9), (a, "integers", 3),
+                (b, "choice", 12), (a, "normal", 3), (b, "uniform", 2)]
+        got = _run_draws(plan)
+        monkeypatch.setattr(RngStream, "_generator", fresh_generator)
+        _assert_same_draws(plan, got, _run_draws(plan))
+
+    def test_two_threads_draw_as_if_alone(self, monkeypatch):
+        # each draw resets its generator and then waits until the other
+        # thread has reset too, so a generator shared across threads would
+        # hand one of them the other's key
+        streams = [RngStream(11, 1), RngStream(11, 2)]
+        plans = [[(s, name, 7) for name in sorted(DRAWS) for _ in range(4)] for s in streams]
+        serial = [_run_draws(plan) for plan in plans]
+        barrier = threading.Barrier(2, timeout=10)
+        reset = RngStream._generator
+
+        def reset_then_wait(stream):
+            gen = reset(stream)
+            barrier.wait()
+            return gen
+
+        monkeypatch.setattr(RngStream, "_generator", reset_then_wait)
+        for plan, got, expected in zip(plans, _draw_in_threads(plans), serial):
+            _assert_same_draws(plan, got, expected)
+
+    def test_many_threads_under_fast_switching(self):
+        plans = [[(RngStream(13, i), name, 9) for _ in range(30) for name in sorted(DRAWS)]
+                 for i in range(4)]
+        serial = [_run_draws(plan) for plan in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _draw_in_threads(plans)
+        finally:
+            sys.setswitchinterval(interval)
+        for plan, got, expected in zip(plans, results, serial):
+            _assert_same_draws(plan, got, expected)
