@@ -2,17 +2,15 @@
 sequence-set benchmarks, with corruption generators, a retrieval evaluation
 kit and a closed-form check of the EMA parameter recurrence."""
 
-from .numkit import RngStream, softmax
+from .numkit import RngStream
 from .setnet import (
     EncoderShape,
     GradVector,
     ModelParams,
-    NetOutputs,
     OptimizerConfig,
     OptimizerState,
     backward_batch,
     ema_transfer,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -24,9 +22,7 @@ from .lossbank import (
     CoeffSchedule,
     LossBreakdown,
     Ramp,
-    coteach_loss,
     crc_combine,
-    mil_loss,
     triplet_loss,
 )
 from .sieve import NoiseScores, SieveState, adapt_mask, score_arrays

@@ -39,13 +39,12 @@ import numpy as np
 
 from . import gaitgen, gaugekit
 from .cyclic import MODES, NonFiniteLossError, TrainerConfig, run_training, train_groups
-from .gaitgen import DatasetBundle
+from .gaitgen import FLAG_CLEAN, DatasetBundle
 from .setnet import OptimizerConfig, load_checkpoint, save_checkpoint
 
 CONFIG_FORMAT_VERSION = 1
 
 OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
-WORKERS_ENV = "CYCLEGAIT_WORKERS"
 
 
 def _section(name: str, default):
@@ -184,13 +183,6 @@ def _resolve_out(path: str) -> str:
     if root and not os.path.isabs(path):
         return os.path.join(root, path)
     return path
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -355,50 +347,36 @@ ABLATION_CELLS = (
 )
 
 
-def _ablation_cell_job(args):
-    base, bundle_manifest, cell_name, overrides, seed = args
+def _ablation_cell_job(base, bundle_manifest, overrides, seed) -> dict:
+    """Train one grid cell at one seed; returns its rank-1 means by condition
+    and overall."""
+    # regenerated, not reused: perfbench expects gaitgen.regenerate on ablation-grid
     bundle = gaitgen.regenerate_from_manifest(bundle_manifest)
     cfg = dataclasses.replace(base, **overrides, seed=seed)
     result = run_training(bundle, cfg)
     report = gaugekit.evaluate_checkpoint(
         result.params_f, bundle.test, cfg.exclude_same_view
     )
-    means = {c: report.condition_means.get(c, float("nan")) for c in ("NM", "BG", "CL")}
-    return cell_name, seed, means, report.overall_mean
+    scores = {c: report.condition_means.get(c, float("nan")) for c in ("NM", "BG", "CL")}
+    scores["overall"] = report.overall_mean
+    return scores
 
 
 def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds) -> dict:
-    """Train and evaluate every grid cell for every seed; returns
-    {cell: {condition: (mean, std)}} plus raw per-seed values under "raw"."""
-    jobs = [
-        (cfg, bundle.manifest, cell_name, overrides, seed)
-        for cell_name, overrides in ABLATION_CELLS
-        for seed in seeds
-    ]
-
-    workers = _workers()
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_ablation_cell_job, jobs))
-    else:
-        outcomes = [_ablation_cell_job(j) for j in jobs]
-
-    raw: dict = {}
-    for cell_name, seed, means, overall in outcomes:
-        raw.setdefault(cell_name, []).append((seed, means, overall))
-
+    """Train and evaluate every grid cell for every seed, one after another;
+    returns {cell: {condition: (mean, std) over the seeds}}, with "overall"
+    among the conditions."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("the ablation grid needs at least one seed")
     table = {}
-    for cell_name, rows in raw.items():
-        entry = {}
-        for cond in ("NM", "BG", "CL"):
-            vals = np.array([r[1][cond] for r in rows])
-            entry[cond] = (float(vals.mean()), float(vals.std()))
-        overall = np.array([r[2] for r in rows])
-        entry["overall"] = (float(overall.mean()), float(overall.std()))
-        table[cell_name] = entry
-    return {"table": table, "raw": raw}
+    for cell_name, overrides in ABLATION_CELLS:
+        scores = [_ablation_cell_job(cfg, bundle.manifest, overrides, seed) for seed in seeds]
+        table[cell_name] = {}
+        for key in ("NM", "BG", "CL", "overall"):
+            vals = np.array([s[key] for s in scores])
+            table[cell_name][key] = (float(vals.mean()), float(vals.std()))
+    return table
 
 
 def ablation_csv(table: dict) -> str:
@@ -436,7 +414,7 @@ def cmd_gen_data(args) -> int:
     _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
     bundle = build_bundle(cfg)
     write_dataset(bundle, outdir)
-    n_flagged = sum(1 for s in bundle.train if s.noise_flag != "clean")
+    n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {len(bundle.train)} train / {len(bundle.test)} test sequences")
     print(f"train identities: {len(set(s.identity for s in bundle.train))}, "
           f"flagged noisy: {n_flagged}")
@@ -450,7 +428,7 @@ def cmd_corrupt(args) -> int:
     amount = args.fraction if args.mode == "split" else args.rate
     bundle = gaitgen.corrupt_bundle(bundle, args.mode, amount, args.seed)
     write_dataset(bundle, outdir)
-    n_flagged = sum(1 for s in bundle.train if s.noise_flag != "clean")
+    n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {n_flagged} train sequences flagged {args.mode}")
     return 0
 
@@ -498,14 +476,14 @@ def cmd_ablate(args) -> int:
         iterations=args.iterations,
     )
     seeds = [args.seed + i for i in range(args.seeds)]
-    outcome = run_ablation(base, bundle, seeds)
+    table = run_ablation(base, bundle, seeds)
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
     digest = config_hash(base)
-    _write_csv(os.path.join(outdir, "ablation.csv"), ablation_csv(outcome["table"]), digest)
+    _write_csv(os.path.join(outdir, "ablation.csv"), ablation_csv(table), digest)
     print(f"{'cell':<24}{'NM':>16}{'BG':>16}{'CL':>16}")
     for cell_name, _ in ABLATION_CELLS:
-        e = outcome["table"][cell_name]
+        e = table[cell_name]
         print(f"{cell_name:<24}" + "".join(
             f"{e[c][0]:>9.2f}±{e[c][1]:<6.2f}" for c in ("NM", "BG", "CL")
         ))
@@ -653,7 +631,7 @@ def main(argv=None) -> int:
     if args.command == "verify-closed-form" and not args.run and not (
         args.trace and args.init_f and args.init_m
     ):
-        print("need --run or all of --trace/--init-f/--init-m", file=sys.stderr)
+        print("error: need --run or all of --trace/--init-f/--init-m", file=sys.stderr)
         return 2
     try:
         return args.func(args)

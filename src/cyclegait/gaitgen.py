@@ -319,14 +319,6 @@ class DatasetBundle:
     test: list
     manifest: dict
 
-    @property
-    def n_train_classes(self) -> int:
-        return max(s.identity for s in self.train) + 1
-
-    @property
-    def d_in(self) -> int:
-        return self.train[0].frames.shape[1]
-
 
 def make_benchmark(
     n_ids: int = 60,
@@ -378,26 +370,6 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
         amount = desc["fraction"] if desc["mode"] == "split" else desc["rate"]
         bundle = corrupt_bundle(bundle, desc["mode"], amount, desc["seed"])
     return bundle
-
-
-def geometry_of(manifest: dict) -> Geometry:
-    """Latent geometry for audits; regenerated, never stored with the data."""
-    gen = manifest["generator"]
-    return build_geometry(
-        gen["n_ids"], gen["n_views"], gen["d_in"], gen["seed"],
-        GeometryParams.from_dict(gen["geometry"]),
-    )
-
-
-def nearest_prototype_ids(samples, geom: Geometry) -> np.ndarray:
-    """Oracle classifier: unrotate the mean frame, pick the nearest prototype."""
-    preds = np.zeros(len(samples), dtype=int)
-    for k, s in enumerate(samples):
-        mean_frame = s.frames.mean(axis=0)
-        unrotated = geom.rotations[s.view].T @ mean_frame
-        dists = np.linalg.norm(geom.prototypes - unrotated, axis=1)
-        preds[k] = int(np.argmin(dists))
-    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -216,14 +216,6 @@ def memorization_curve(snapshots, samples) -> MemCurve:
     )
 
 
-def first_reach_iteration(iterations, values, target: float):
-    """First iteration at which the curve reaches the target value."""
-    for it, v in zip(iterations, values):
-        if v >= target:
-            return it
-    return None
-
-
 # ---------------------------------------------------------------------------
 # closed-form verification of the EMA parameter recurrence
 

@@ -11,8 +11,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkit import softmax
-
 
 class BatchStructureError(ValueError):
     """A batch violates the structural contract of a loss (sampler bug)."""
@@ -102,31 +100,6 @@ class CoeffSchedule:
         return cls.constants(0.1, 1.0, 0.1, 0.1)
 
 
-def coteach_loss(p_m, p_f, detach_teacher: bool = False):
-    """Soft cross-entropy of the F-network prediction against the M-network.
-
-    Returns (loss, grad wrt p_f, grad wrt p_m). With detach_teacher the
-    teacher logits are treated as constants and their gradient is zero.
-    """
-    p_m = np.asarray(p_m, dtype=np.float64)
-    p_f = np.asarray(p_f, dtype=np.float64)
-    if p_m.shape != p_f.shape or p_m.ndim != 1:
-        raise ValueError("logit vectors must be 1-D and equally sized")
-    if p_m.size < 2:
-        raise ValueError("need at least two classes")
-    a = softmax(p_m)  # teacher distribution
-    b = softmax(p_f)
-    log_b = p_f - p_f.max()
-    log_b = log_b - np.log(np.exp(log_b).sum())
-    loss = float(-np.sum(a * log_b))
-    grad_f = b - a
-    if detach_teacher:
-        grad_m = np.zeros_like(a)
-    else:
-        grad_m = a * (-log_b - loss)
-    return loss, grad_f, grad_m
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -139,10 +112,12 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def batch_coteach(p_m: np.ndarray, p_f: np.ndarray, detach_teacher: bool = False):
-    """Row-vectorized coteach_loss averaged over the batch.
+    """Soft cross-entropy of each F-network logit row against the M-network
+    row's distribution, averaged over the batch.
 
     Returns (mean loss, grad wrt p_f rows, grad wrt p_m rows); gradients are
-    already divided by the batch size so they differentiate the mean.
+    already divided by the batch size so they differentiate the mean. With
+    detach_teacher the teacher logits are constants and their gradient is zero.
     """
     if p_m.shape != p_f.shape:
         raise ValueError("logit batches must have equal shapes")
@@ -225,44 +200,6 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     diff = e[:, None, :] - e[None, :, :]  # e_i - e_j
     grad = (w[:, :, None] * diff).sum(axis=1) - (w[:, :, None] * diff).sum(axis=0)
     return loss, grad
-
-
-def mil_loss(q, positives, negatives, temperature: float = 1.0):
-    """Multi-sample contrastive loss for one query.
-
-    loss = -log( sum_pos exp(q.k/t) / (sum_pos exp(q.k/t) + sum_neg exp(q.k/t)) )
-
-    Returns (loss, grad_q, grad_positives, grad_negatives). An empty negative
-    set gives exactly zero loss; an empty positive set is a caller bug.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    pos = np.asarray(positives, dtype=np.float64).reshape(-1, q.size)
-    neg = (
-        np.asarray(negatives, dtype=np.float64).reshape(-1, q.size)
-        if len(negatives)
-        else np.zeros((0, q.size))
-    )
-    if pos.shape[0] == 0:
-        raise BatchStructureError("contrastive query needs at least one positive")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-
-    s_pos = pos @ q / temperature
-    s_neg = neg @ q / temperature
-    shift = max(s_pos.max(), s_neg.max() if s_neg.size else -np.inf)
-    w_pos = np.exp(s_pos - shift)
-    w_neg = np.exp(s_neg - shift) if s_neg.size else np.zeros(0)
-    s_sum = w_pos.sum() + w_neg.sum()
-    loss = float(-np.log(w_pos.sum() / s_sum))
-
-    # d loss / d score
-    d_pos = (-w_pos / w_pos.sum() + w_pos / s_sum) / temperature
-    d_neg = (w_neg / s_sum) / temperature if w_neg.size else np.zeros(0)
-
-    grad_q = d_pos @ pos + (d_neg @ neg if d_neg.size else 0.0)
-    grad_pos = d_pos[:, None] * q[None, :]
-    grad_neg = d_neg[:, None] * q[None, :] if d_neg.size else np.zeros_like(neg)
-    return loss, grad_q, grad_pos, grad_neg
 
 
 def batch_mil_loss(embeddings, labels, temperature: float = 1.0):

@@ -1,9 +1,8 @@
-"""Deterministic dense numeric primitives and seeded, splittable randomness.
+"""Seeded, splittable randomness: RngStream.
 
-Everything here is 64-bit float and pure: functions return new values and
-never mutate their inputs. RngStream is the single source of randomness for
-the whole package; any draw is addressable by (seed, stream id, block), which
-makes every experiment bit-reproducible regardless of call-site ordering.
+RngStream is the single source of randomness for the whole package; any draw
+is addressable by (seed, stream id, block), which makes every experiment
+bit-reproducible regardless of call-site ordering.
 Draws come from one Philox per thread, reset to (key, counter) before each
 draw, so no state carries from one draw to the next.
 """
@@ -115,26 +114,3 @@ class RngStream:
         vals = self._generator().integers(0, 1 << 63, size=2)
         return (int(vals[0]), int(vals[1])), self._advanced(2)
 
-
-def as_vec(values) -> np.ndarray:
-    """Coerce to a 1-D float64 vector without copying when already one."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-def softmax(logits) -> np.ndarray:
-    """Max-shifted softmax over a logit vector.
-
-    Output entries are nonnegative and sum to 1 within 1e-12 for any finite
-    input; adding a constant to all logits does not change the result.
-    """
-    v = as_vec(logits)
-    if v.size == 0:
-        raise ValueError("softmax of an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()

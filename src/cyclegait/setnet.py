@@ -168,14 +168,6 @@ def init_params(shape: EncoderShape, rng: RngStream):
     return ModelParams(shape, np.concatenate(chunks)), rng
 
 
-@dataclass(frozen=True)
-class NetOutputs:
-    """Per-sample embedding and class logits."""
-
-    z: np.ndarray
-    p: np.ndarray
-
-
 @dataclass
 class ForwardCache:
     """Activations kept from forward_batch for the matching backward pass.
@@ -245,15 +237,6 @@ def forward_batch(frame_sets, params: ModelParams):
 
     cache = ForwardCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
     return z, p, cache
-
-
-def forward(frames, params: ModelParams) -> NetOutputs:
-    """Single-sample forward; frames is a (T, d_in) array or list of vectors."""
-    fs = np.asarray(frames, dtype=np.float64)
-    if fs.ndim != 2:
-        raise ValueError("frames must be a (T, d_in) array")
-    z, p, _ = forward_batch([fs], params)
-    return NetOutputs(z[0], p[0])
 
 
 def backward_batch(cache: ForwardCache, params: ModelParams, d_z, d_p) -> GradVector:

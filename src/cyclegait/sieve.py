@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .gaitgen import FLAG_CLEAN
 from .lossbank import log_softmax_rows, softmax_rows
 
 if TYPE_CHECKING:
@@ -150,7 +151,7 @@ def adapt_mask(scores: NoiseScores, state: SieveState, config: TrainerConfig):
 def detection_stats(mask, noise_flags) -> dict:
     """Precision/recall of the masked-out set against ground-truth noise flags."""
     mask = np.asarray(mask, dtype=bool)
-    noisy = np.array([f != "clean" for f in noise_flags], dtype=bool)
+    noisy = np.array([f != FLAG_CLEAN for f in noise_flags], dtype=bool)
     masked_out = ~mask
     n_masked = int(masked_out.sum())
     n_noisy = int(noisy.sum())

@@ -1,16 +1,47 @@
-"""Reference implementations the tests compare the package against.
+"""Reference implementations the tests compare the package against, and
+the audit helpers only tests use.
 
-These are the plain, slower forms of computations that `src/` carries in a
-faster shape: per-sample losses and scores next to their row-vectorized
-versions, and the zero-padded set encoder next to the ragged one.
+The references are the plain, slower forms of computations that `src/`
+carries in a faster shape: per-sample losses, softmax and the single-set
+forward pass next to their row-vectorized or batched versions, and the
+zero-padded set encoder next to the ragged one. The audit helpers are
+readers that only tests need: the generator's latent geometry and its
+nearest-prototype oracle, a bundle's class count and frame width, and the
+first iteration a curve reaches a target.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from cyclegait.numkit import _DRAW_BLOCK, as_vec, softmax
-from cyclegait.setnet import GradVector, ModelParams
+from cyclegait.gaitgen import GeometryParams, build_geometry
+from cyclegait.lossbank import BatchStructureError
+from cyclegait.numkit import _DRAW_BLOCK
+from cyclegait.setnet import GradVector, ModelParams, forward_batch
+
+
+def as_vec(values) -> np.ndarray:
+    """Coerce to a 1-D float64 vector without copying when already one."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+    return arr
+
+
+def softmax(logits) -> np.ndarray:
+    """lossbank.softmax_rows for one logit vector.
+
+    Output entries are nonnegative and sum to 1 within 1e-12 for any finite
+    input; adding a constant to all logits does not change the result.
+    """
+    v = as_vec(logits)
+    if v.size == 0:
+        raise ValueError("softmax of an empty vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("softmax input must be finite")
+    shifted = v - v.max()
+    e = np.exp(shifted)
+    return e / e.sum()
 
 
 def entropy(p) -> float:
@@ -39,6 +70,88 @@ def ce_loss(p, y: int):
     grad = probs.copy()
     grad[y] -= 1.0
     return loss, grad
+
+
+def coteach_loss(p_m, p_f, detach_teacher: bool = False):
+    """lossbank.batch_coteach for one sample: soft cross-entropy of the
+    F-network prediction against the M-network.
+
+    Returns (loss, grad wrt p_f, grad wrt p_m). With detach_teacher the
+    teacher logits are treated as constants and their gradient is zero.
+    """
+    p_m = np.asarray(p_m, dtype=np.float64)
+    p_f = np.asarray(p_f, dtype=np.float64)
+    if p_m.shape != p_f.shape or p_m.ndim != 1:
+        raise ValueError("logit vectors must be 1-D and equally sized")
+    if p_m.size < 2:
+        raise ValueError("need at least two classes")
+    a = softmax(p_m)  # teacher distribution
+    b = softmax(p_f)
+    log_b = p_f - p_f.max()
+    log_b = log_b - np.log(np.exp(log_b).sum())
+    loss = float(-np.sum(a * log_b))
+    grad_f = b - a
+    if detach_teacher:
+        grad_m = np.zeros_like(a)
+    else:
+        grad_m = a * (-log_b - loss)
+    return loss, grad_f, grad_m
+
+
+def mil_loss(q, positives, negatives, temperature: float = 1.0):
+    """lossbank.batch_mil_loss for one query with explicit key sets.
+
+    loss = -log( sum_pos exp(q.k/t) / (sum_pos exp(q.k/t) + sum_neg exp(q.k/t)) )
+
+    Returns (loss, grad_q, grad_positives, grad_negatives). An empty negative
+    set gives exactly zero loss; an empty positive set is a caller bug.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    pos = np.asarray(positives, dtype=np.float64).reshape(-1, q.size)
+    neg = (
+        np.asarray(negatives, dtype=np.float64).reshape(-1, q.size)
+        if len(negatives)
+        else np.zeros((0, q.size))
+    )
+    if pos.shape[0] == 0:
+        raise BatchStructureError("contrastive query needs at least one positive")
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+
+    s_pos = pos @ q / temperature
+    s_neg = neg @ q / temperature
+    shift = max(s_pos.max(), s_neg.max() if s_neg.size else -np.inf)
+    w_pos = np.exp(s_pos - shift)
+    w_neg = np.exp(s_neg - shift) if s_neg.size else np.zeros(0)
+    s_sum = w_pos.sum() + w_neg.sum()
+    loss = float(-np.log(w_pos.sum() / s_sum))
+
+    # d loss / d score
+    d_pos = (-w_pos / w_pos.sum() + w_pos / s_sum) / temperature
+    d_neg = (w_neg / s_sum) / temperature if w_neg.size else np.zeros(0)
+
+    grad_q = d_pos @ pos + (d_neg @ neg if d_neg.size else 0.0)
+    grad_pos = d_pos[:, None] * q[None, :]
+    grad_neg = d_neg[:, None] * q[None, :] if d_neg.size else np.zeros_like(neg)
+    return loss, grad_q, grad_pos, grad_neg
+
+
+@dataclass(frozen=True)
+class NetOutputs:
+    """Per-sample embedding and class logits."""
+
+    z: np.ndarray
+    p: np.ndarray
+
+
+def forward(frames, params: ModelParams) -> NetOutputs:
+    """setnet.forward_batch for one sample; frames is a (T, d_in) array or
+    list of vectors."""
+    fs = np.asarray(frames, dtype=np.float64)
+    if fs.ndim != 2:
+        raise ValueError("frames must be a (T, d_in) array")
+    z, p, _ = forward_batch([fs], params)
+    return NetOutputs(z[0], p[0])
 
 
 @dataclass
@@ -237,3 +350,41 @@ def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
     powers = np.array([m ** (n - k) for k in range(1, n + 1)])
     weighted = powers[:, None] * deltas_m + (1.0 - powers)[:, None] * deltas_f
     return theta0_f + (m**n) * (theta0_m - theta0_f) + weighted.sum(axis=0)
+
+
+def first_reach_iteration(iterations, values, target: float):
+    """First iteration at which the curve reaches the target value."""
+    for it, v in zip(iterations, values):
+        if v >= target:
+            return it
+    return None
+
+
+def geometry_of(manifest: dict):
+    """Latent geometry of a dataset, regenerated from its manifest."""
+    gen = manifest["generator"]
+    return build_geometry(
+        gen["n_ids"], gen["n_views"], gen["d_in"], gen["seed"],
+        GeometryParams.from_dict(gen["geometry"]),
+    )
+
+
+def nearest_prototype_ids(samples, geom) -> np.ndarray:
+    """Oracle classifier: unrotate the mean frame, pick the nearest prototype."""
+    preds = np.zeros(len(samples), dtype=int)
+    for k, s in enumerate(samples):
+        mean_frame = s.frames.mean(axis=0)
+        unrotated = geom.rotations[s.view].T @ mean_frame
+        dists = np.linalg.norm(geom.prototypes - unrotated, axis=1)
+        preds[k] = int(np.argmin(dists))
+    return preds
+
+
+def n_train_classes(bundle) -> int:
+    """Class count of a bundle's train split: its largest identity plus one."""
+    return max(s.identity for s in bundle.train) + 1
+
+
+def d_in(bundle) -> int:
+    """Frame width of a bundle."""
+    return bundle.train[0].frames.shape[1]

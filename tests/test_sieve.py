@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cyclegait.cyclic import TrainerConfig
-from cyclegait.numkit import softmax
-from reference import ce_loss, entropy
+from reference import ce_loss, entropy, softmax
 from cyclegait.sieve import (
     EVIDENCE_FLOOR,
     NoiseScores,
