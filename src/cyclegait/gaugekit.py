@@ -55,6 +55,34 @@ class EvalReport:
         return out.getvalue()
 
 
+# probes per distance block in rank1: the (chunk, gallery, d) difference
+# array holds 64 x 80 x 32 floats (1.3 MB) at eval size, not all probes'
+PROBE_CHUNK = 64
+
+
+def nearest_gallery_entry(gallery_features, probe_features, admissible) -> np.ndarray:
+    """Index of each probe's nearest admissible gallery entry.
+
+    admissible is a (probes, gallery) bool array with at least one True per
+    row. Distances are Euclidean, taken for PROBE_CHUNK probes at a time;
+    each is the same norm of the same differences that one probe on its own
+    would take, so the choice matches a per-probe search bit for bit: the
+    first minimum among the admissible entries, the first NaN if one is
+    there, and the first admissible entry when all of them are at +inf.
+    """
+    nearest = np.empty(len(probe_features), dtype=np.intp)
+    for lo in range(0, len(probe_features), PROBE_CHUNK):
+        chunk = probe_features[lo : lo + PROBE_CHUNK]
+        adm = admissible[lo : lo + PROBE_CHUNK]
+        d = np.linalg.norm(gallery_features[None] - chunk[:, None], axis=2)
+        d[~adm] = np.inf
+        best = d.argmin(axis=1)
+        all_inf = np.isposinf(d[np.arange(len(d)), best])
+        best[all_inf] = adm[all_inf].argmax(axis=1)
+        nearest[lo : lo + PROBE_CHUNK] = best
+    return nearest
+
+
 def rank1(gallery_features, gallery_ids, gallery_views,
           probe_features, probe_ids, probe_views, probe_conditions,
           exclude_same_view: bool = True) -> EvalReport:
@@ -76,20 +104,25 @@ def rank1(gallery_features, gallery_ids, gallery_views,
     p_views = np.asarray(probe_views)
     p_conds = list(probe_conditions)
 
+    if exclude_same_view:
+        admissible = g_views[None, :] != p_views[:, None]
+    else:
+        admissible = np.ones((len(p_ids), len(g_ids)), bool)
+    no_entry = np.flatnonzero(~admissible.any(axis=1))
+    if no_entry.size:
+        i = int(no_entry[0])
+        raise EvalStructureError(
+            f"probe {i} (id {p_ids[i]}, view {p_views[i]}, {p_conds[i]}) "
+            "has no admissible gallery entry"
+        )
+    hit = g_ids[nearest_gallery_entry(g_feat, p_feat, admissible)] == p_ids
+
     hits: dict = {}
     totals: dict = {}
-    for i in range(p_feat.shape[0]):
-        admissible = g_views != p_views[i] if exclude_same_view else np.ones(len(g_ids), bool)
-        if not admissible.any():
-            raise EvalStructureError(
-                f"probe {i} (id {p_ids[i]}, view {p_views[i]}, {p_conds[i]}) "
-                "has no admissible gallery entry"
-            )
-        d = np.linalg.norm(g_feat[admissible] - p_feat[i], axis=1)
-        nearest = np.flatnonzero(admissible)[int(np.argmin(d))]
-        key = (p_conds[i], int(p_views[i]))
+    for c, v, h in zip(p_conds, p_views.tolist(), hit.tolist()):
+        key = (c, int(v))
         totals[key] = totals.get(key, 0) + 1
-        hits[key] = hits.get(key, 0) + int(g_ids[nearest] == p_ids[i])
+        hits[key] = hits.get(key, 0) + int(h)
 
     conditions = tuple(c for c in CONDITIONS if any(k[0] == c for k in totals))
     views = tuple(sorted({k[1] for k in totals}))

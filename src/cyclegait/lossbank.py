@@ -198,7 +198,8 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
         inv = np.where(dist > 0.0, 1.0 / np.where(dist > 0.0, dist, 1.0), 0.0)
     w = coeff * inv
     diff = e[:, None, :] - e[None, :, :]  # e_i - e_j
-    grad = (w[:, :, None] * diff).sum(axis=1) - (w[:, :, None] * diff).sum(axis=0)
+    w_diff = w[:, :, None] * diff
+    grad = w_diff.sum(axis=1) - w_diff.sum(axis=0)
     return loss, grad
 
 

@@ -8,11 +8,14 @@ The network maps a set of frame vectors to an embedding z and class logits p:
     -> affine classifier (d_emb -> n_classes) = p
 
 Pooling makes the output independent of frame order. A batch of sets of
-different lengths runs as one stack of all their frames, each set owning a
-row range, so no work or memory goes to padding; forward_batch says in
-which order its pooling sums add. Parameters live in one
-flat float64 vector so that EMA transfer, optimizer steps and update traces
-are plain vector arithmetic; named segment views expose the layer tensors.
+different lengths runs the per-frame layer as one stack of all their frames,
+each set owning a row range, so no product is spent on padding. The pooling
+is one reduction over a zero-padded (B, T_max, d_hidden) array, which is a
+free view of the stack when all sets have the same length; forward_batch
+says in which order its sums add and where that differs from summing each
+set on its own (d_hidden = 1). Parameters live in one flat float64 vector so
+that EMA transfer, optimizer steps and update traces are plain vector
+arithmetic; named segment views expose the layer tensors.
 
 Any encoder exposing the same forward/backward surface plugs into the
 trainer unchanged; this one is the smallest stack that exercises set pooling,
@@ -192,14 +195,22 @@ def forward_batch(frame_sets, params: ModelParams):
     Returns (Z, P, cache) with Z of shape (B, d_emb) and P of (B, n_classes).
 
     The frames are stacked into one (sum T_i, d_in) array, so the per-frame
-    layer is a single matrix product over real frames only. Each sample's
-    pooling reads its own row range:
-    - the mean is that range's column sum divided by T_i. The sum runs per
-      sample and adds the rows one after another in frame order;
-      np.add.reduceat adds them in another order, which rounds differently
-      and would move every training trajectory;
+    layer is a single matrix product over real frames only. Pooling then
+    reduces a (B, T_max, d_hidden) array of the hidden activations, zero
+    after each sample's last frame. When all samples have T_max frames it is
+    a view of the stack; otherwise the stack is copied into it once.
+    - the mean is the column sum over frames divided by T_i. Reducing the
+      middle axis adds the rows one after another in frame order, as
+      summing each sample's own rows does, and the trailing zero rows change
+      no sum, so the result is that of a per-sample sum bit for bit. The
+      exception is d_hidden = 1: the frame axis is then contiguous, numpy
+      sums it pairwise, and a ragged batch rounds differently (within 1e-12);
     - the max feeds from the first frame of the sample that reaches it, so a
-      tie (say, a duplicated frame) routes the whole max gradient to one frame.
+      tie (say, a duplicated frame) routes the whole max gradient to one
+      frame. That frame is found as the highest descending rank among the
+      frames equal to the peak, which is cheaper than an argmax along the
+      strided frame axis. ReLU output is never below the zero padding, so
+      padding cannot come first. A NaN peak takes argmax's first NaN frame.
     """
     shape = params.shape
     if not frame_sets:
@@ -221,13 +232,22 @@ def forward_batch(frame_sets, params: ModelParams):
     relu_on = pre > 0.0
     hidden = np.maximum(pre, 0.0, out=pre)
 
-    sums = np.empty((len(frame_sets), shape.d_hidden))
-    max_row = np.empty(sums.shape, dtype=np.intp)
-    for i, (lo, t) in enumerate(zip(starts.tolist(), lengths.tolist())):
-        rows = hidden[lo : lo + t]
-        np.sum(rows, axis=0, out=sums[i])
-        np.argmax(rows, axis=0, out=max_row[i])
-    max_row += starts[:, None]
+    b, t_max = len(frame_sets), int(lengths.max())
+    if b * t_max == hidden.shape[0]:
+        padded = hidden.reshape(b, t_max, shape.d_hidden)
+    else:
+        padded = np.zeros((b, t_max, shape.d_hidden))
+        padded[np.arange(t_max) < lengths[:, None]] = hidden
+    sums = padded.sum(axis=1)
+    peak = padded.max(axis=1)
+    # the rank fits the smallest type that holds T_max; the row index is
+    # widened to intp before the row offsets, which pass int16 in big batches
+    rank = np.arange(t_max, 0, -1, dtype=np.min_scalar_type(t_max))
+    first = t_max - ((padded == peak[:, None, :]) * rank[:, None]).max(axis=1).astype(np.intp)
+    nan_peak = np.isnan(peak)
+    if nan_peak.any():
+        first[nan_peak] = padded.argmax(axis=1)[nan_peak]
+    max_row = first + starts[:, None]
     mx = hidden[max_row, np.arange(shape.d_hidden)]
     mn = sums / lengths[:, None]
 

@@ -3,11 +3,13 @@ the audit helpers only tests use.
 
 The references are the plain, slower forms of computations that `src/`
 carries in a faster shape: per-sample losses, softmax and the single-set
-forward pass next to their row-vectorized or batched versions, and the
-zero-padded set encoder next to the ragged one. The audit helpers are
-readers that only tests need: the generator's latent geometry and its
-nearest-prototype oracle, a bundle's class count and frame width, and the
-first iteration a curve reaches a target.
+forward pass next to their row-vectorized or batched versions, the
+per-sample pooling loop and the zero-padded set encoder next to the
+batch-pooled ragged one, and the per-probe rank-1 search next to the
+chunked one. The audit helpers are readers that only tests need: the
+generator's latent geometry and its nearest-prototype oracle, a bundle's
+class count and frame width, and the first iteration a curve reaches a
+target.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import numpy as np
 from cyclegait.gaitgen import GeometryParams, build_geometry
 from cyclegait.lossbank import BatchStructureError
 from cyclegait.numkit import _DRAW_BLOCK
-from cyclegait.setnet import GradVector, ModelParams, forward_batch
+from cyclegait.setnet import ForwardCache, GradVector, ModelParams, forward_batch
 
 
 def as_vec(values) -> np.ndarray:
@@ -154,6 +156,43 @@ def forward(frames, params: ModelParams) -> NetOutputs:
     return NetOutputs(z[0], p[0])
 
 
+def looped_forward_batch(frame_sets, params: ModelParams):
+    """setnet.forward_batch with each sample pooled on its own, one loop
+    pass per sample over its row range of the stacked frames.
+
+    The mean's sum adds the sample's rows one after another in frame order;
+    the max row is the first of the sample's frames to reach the max (an
+    argmax, so a NaN column routes to its first NaN). The cache is a
+    setnet.ForwardCache, so setnet.backward_batch runs on it unchanged.
+    """
+    shape = params.shape
+    lengths = np.array([fs.shape[0] for fs in frame_sets])
+    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    frames = np.concatenate(frame_sets)
+
+    pre = frames @ params.w1.T
+    pre += params.b1
+    relu_on = pre > 0.0
+    hidden = np.maximum(pre, 0.0, out=pre)
+
+    sums = np.empty((len(frame_sets), shape.d_hidden))
+    max_row = np.empty(sums.shape, dtype=np.intp)
+    for i, (lo, t) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        rows = hidden[lo : lo + t]
+        np.sum(rows, axis=0, out=sums[i])
+        np.argmax(rows, axis=0, out=max_row[i])
+    max_row += starts[:, None]
+    mx = hidden[max_row, np.arange(shape.d_hidden)]
+    mn = sums / lengths[:, None]
+
+    pooled = np.concatenate([mx, mn], axis=1)
+    z = pooled @ params.w2.T + params.b2
+    p = z @ params.w3.T + params.b3
+
+    cache = ForwardCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
+    return z, p, cache
+
+
 @dataclass
 class PaddedCache:
     """Activations of padded_forward_batch, laid out as (B, T_max, ...)."""
@@ -231,6 +270,17 @@ def padded_backward_batch(cache: PaddedCache, params: ModelParams, d_z, d_p) -> 
     grad.w1[:] = np.einsum("bth,btd->hd", d_pre, cache.frames)
     grad.b1[:] = d_pre.sum(axis=(0, 1))
     return grad
+
+
+def nearest_gallery_entry(gallery_features, probe_features, admissible):
+    """gaugekit.nearest_gallery_entry one probe at a time: the norms of the
+    probe's differences to its admissible gallery entries, and their first
+    argmin."""
+    nearest = np.empty(len(probe_features), dtype=np.intp)
+    for i, adm in enumerate(admissible):
+        d = np.linalg.norm(gallery_features[adm] - probe_features[i], axis=1)
+        nearest[i] = np.flatnonzero(adm)[int(np.argmin(d))]
+    return nearest
 
 
 def augment_frame_sets(frame_sets, spec, rng):

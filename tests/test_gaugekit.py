@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.gaugekit import (
@@ -11,6 +13,7 @@ from cyclegait.gaugekit import (
     closed_form_theta_m,
     evaluate_checkpoint,
     memorization_curve,
+    nearest_gallery_entry,
     rank1,
     replay_recurrence,
     split_gallery_probe,
@@ -84,6 +87,58 @@ class TestRank1:
             cells = [report.cells[(c, v)] for v in report.views if (c, v) in report.cells]
             assert abs(report.condition_means[c] - np.mean(cells)) < 1e-12
         assert abs(report.overall_mean - np.mean(list(report.cells.values()))) < 1e-12
+
+
+class TestNearestGalleryEntryMatchesPerProbeSearch:
+    # Probe counts cross the 64-probe chunk edge; non-finite features give
+    # NaN and +inf distances, and copied gallery rows give ties.
+    @given(
+        n_gallery=st.integers(1, 40),
+        n_probes=st.integers(1, 150),
+        d=st.integers(1, 40),
+        n_views=st.integers(1, 4),
+        exclude=st.booleans(),
+        n_copies=st.integers(0, 3),
+        n_nonfinite=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_shapes(self, n_gallery, n_probes, d, n_views, exclude, n_copies,
+                           n_nonfinite, seed):
+        rng = np.random.default_rng(seed)
+        gallery = rng.normal(size=(n_gallery, d))
+        probes = rng.normal(size=(n_probes, d))
+        for _ in range(n_copies):
+            gallery[rng.integers(n_gallery)] = gallery[rng.integers(n_gallery)]
+        for _ in range(n_nonfinite):
+            feats = gallery if rng.random() < 0.5 else probes
+            value = rng.choice([np.nan, np.inf, -np.inf, 1e200])
+            feats[rng.integers(len(feats)), rng.integers(d)] = value
+        g_views = rng.integers(0, n_views, n_gallery)
+        p_views = rng.integers(0, n_views, n_probes)
+        if exclude:
+            admissible = g_views[None, :] != p_views[:, None]
+            admissible[~admissible.any(axis=1), 0] = True
+        else:
+            admissible = np.ones((n_probes, n_gallery), bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nearest = nearest_gallery_entry(gallery, probes, admissible)
+            expected = reference.nearest_gallery_entry(gallery, probes, admissible)
+        assert np.array_equal(nearest, expected)
+
+    def test_infinite_and_nan_distances(self):
+        gallery = np.array([[0.0], [np.inf], [0.0], [0.0]])
+        probes = np.array([[-np.inf], [np.inf], [np.nan]])
+        admissible = np.array([
+            [False, True, True, True],  # every distance +inf: first admissible
+            [False, False, True, True],  # NaN and +inf only where inadmissible
+            [False, True, True, True],  # every distance NaN: first admissible NaN
+        ])
+        with np.errstate(invalid="ignore"):
+            nearest = nearest_gallery_entry(gallery, probes, admissible)
+            expected = reference.nearest_gallery_entry(gallery, probes, admissible)
+        assert np.array_equal(nearest, [1, 2, 1])
+        assert np.array_equal(nearest, expected)
 
 
 class TestVarianceStats:

@@ -20,7 +20,12 @@ from cyclegait.setnet import (
     optimizer_step,
     save_checkpoint,
 )
-from reference import forward, padded_backward_batch, padded_forward_batch
+from reference import (
+    forward,
+    looped_forward_batch,
+    padded_backward_batch,
+    padded_forward_batch,
+)
 
 SMALL = EncoderShape(d_in=6, d_hidden=10, d_emb=5, n_classes=4)
 
@@ -190,6 +195,94 @@ class TestRaggedMatchesPaddedOracle:
             frames = ragged_batch(rng, rng.integers(1, max_len + 1, size=5), shape.d_in)
             d_z, d_p = rng.normal(size=(5, shape.d_emb)), rng.normal(size=(5, shape.n_classes))
             assert_matches_padded_oracle(frames, params, d_z, d_p, tol=1e-12)
+
+
+def assert_matches_loop_oracle(frame_sets, params, d_z, d_p, tol=0.0):
+    """The batch-pooled encoder reproduces the per-sample pooling loop: the
+    max rows exactly, everything else bit for bit or within relative and
+    absolute error tol. NaNs must sit in the same places."""
+    def same(a, b):
+        if tol == 0.0:
+            return np.array_equal(a, b, equal_nan=True)
+        return np.allclose(a, b, rtol=tol, atol=tol, equal_nan=True)
+
+    z, p, cache = forward_batch(frame_sets, params)
+    z_ref, p_ref, cache_ref = looped_forward_batch(frame_sets, params)
+    assert cache.max_row.dtype == np.intp
+    assert np.array_equal(cache.max_row, cache_ref.max_row)
+    assert same(z, z_ref)
+    assert same(p, p_ref)
+    assert same(cache.pooled, cache_ref.pooled)
+    grad = backward_batch(cache, params, d_z, d_p)
+    grad_ref = backward_batch(cache_ref, params, d_z, d_p)
+    assert same(grad.flat, grad_ref.flat)
+
+
+class TestBatchPoolingMatchesLoopOracle:
+    # With d_hidden >= 2 the pooled sums add each sample's frames in frame
+    # order, as the loop does, so every output is bit-identical.
+    @given(
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+        equal_lengths=st.booleans(),
+        d_in=st.integers(1, 7),
+        d_hidden=st.integers(2, 12),
+        n_dead=st.integers(0, 3),
+        duplicate=st.booleans(),
+        nan_frame=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_batches(self, lengths, equal_lengths, d_in, d_hidden, n_dead,
+                            duplicate, nan_frame, seed):
+        rng = np.random.default_rng(seed)
+        if equal_lengths:
+            lengths = [lengths[0]] * len(lengths)
+        shape = EncoderShape(d_in=d_in, d_hidden=d_hidden, d_emb=3, n_classes=4)
+        params, _ = init_params(shape, RngStream(seed).child(1))
+        params.b1[: min(n_dead, d_hidden)] = -1e3
+        frames = ragged_batch(rng, lengths, d_in, duplicate)
+        if nan_frame:
+            fs = frames[rng.integers(len(frames))]
+            fs[rng.integers(fs.shape[0]), rng.integers(d_in)] = np.nan
+        b = len(lengths)
+        d_z, d_p = rng.normal(size=(b, shape.d_emb)), rng.normal(size=(b, shape.n_classes))
+        assert_matches_loop_oracle(frames, params, d_z, d_p)
+
+    def test_nan_peak_routes_to_first_nan_frame(self, rng):
+        params = small_params(seed=5)
+        frames = ragged_batch(rng, [4, 6, 2], SMALL.d_in)
+        frames[1][3, 0] = np.nan
+        frames[1][5, 2] = np.nan
+        _, _, cache = forward_batch(frames, params)
+        assert np.array_equal(cache.max_row[1], np.full(SMALL.d_hidden, 4 + 3))
+        d_z, d_p = rng.normal(size=(3, SMALL.d_emb)), rng.normal(size=(3, SMALL.n_classes))
+        assert_matches_loop_oracle(frames, params, d_z, d_p)
+
+    # One hidden unit makes the frame axis contiguous: numpy sums it
+    # pairwise over T_max rows, padding included, and a ragged batch rounds
+    # differently from per-sample sums.
+    def test_single_hidden_unit_stays_within_rounding(self, rng):
+        shape = EncoderShape(d_in=7, d_hidden=1, d_emb=3, n_classes=4)
+        params, _ = init_params(shape, RngStream(2).child(1))
+        params.b1[:] = 1.0  # keep the one unit alive
+        for _ in range(30):
+            frames = ragged_batch(rng, rng.integers(1, 30, size=6), shape.d_in)
+            d_z, d_p = rng.normal(size=(6, shape.d_emb)), rng.normal(size=(6, shape.n_classes))
+            assert_matches_loop_oracle(frames, params, d_z, d_p, tol=1e-12)
+
+    # 40 sets of about 1000 frames stack more rows than an int16 holds, so
+    # the max rows past 32 767 must still come out exact.
+    @pytest.mark.parametrize("last_len", [1000, 999])
+    def test_max_rows_beyond_int16(self, rng, last_len):
+        shape = EncoderShape(d_in=2, d_hidden=3, d_emb=2, n_classes=2)
+        params, _ = init_params(shape, RngStream(3).child(1))
+        frames = ragged_batch(rng, [1000] * 39 + [last_len], shape.d_in)
+        z, _, cache = forward_batch(frames, params)
+        z_ref, _, cache_ref = looped_forward_batch(frames, params)
+        assert cache.max_row.dtype == np.intp
+        assert cache.max_row.max() > 2**15
+        assert np.array_equal(cache.max_row, cache_ref.max_row)
+        assert np.array_equal(z, z_ref)
 
 
 class TestEmaTransfer:
