@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -431,8 +430,14 @@ _STEPS = {
 # trace persistence
 
 
+def trace_record_dtype(n_params: int) -> np.dtype:
+    """One trace record: the iteration k (uint64 LE), then delta_f and
+    delta_m side by side (2 * n_params float64 LE)."""
+    return np.dtype([("k", "<u8"), ("d", "<f8", (2 * n_params,))])
+
+
 class TraceWriter:
-    """Streams per-iteration records: k (uint64 LE) then both deltas (f64 LE)."""
+    """Streams per-iteration records of trace_record_dtype after a JSON header line."""
 
     def __init__(self, path, n_params: int, momentum: float, iterations: int,
                  extra: dict | None = None):
@@ -445,13 +450,16 @@ class TraceWriter:
         if extra:
             header.update(extra)
         self.n_params = n_params
+        self._record = np.zeros((), dtype=trace_record_dtype(n_params))
         self._fh = open(path, "wb")
         self._fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
 
     def write(self, k: int, delta_f: np.ndarray, delta_m: np.ndarray):
-        self._fh.write(struct.pack("<Q", k))
-        self._fh.write(np.asarray(delta_f, dtype="<f8").tobytes())
-        self._fh.write(np.asarray(delta_m, dtype="<f8").tobytes())
+        record = self._record
+        record["k"] = k
+        record["d"][: self.n_params] = delta_f
+        record["d"][self.n_params :] = delta_m
+        self._fh.write(record)
 
     def close(self):
         self._fh.close()
@@ -463,17 +471,17 @@ class TraceWriter:
         self.close()
 
 
+# bytes of records one pass over a trace reads at a time; a pass holds one
+# such chunk, not the whole trace
+_CHUNK_BYTES = 1 << 20
+
+
 def read_trace(path):
-    """Load a trace file; returns (header, deltas_f (N, P), deltas_m (N, P)).
+    """Open a trace file; returns (header, records).
 
-    The records are read into one buffer, and both delta arrays are strided
-    views into it, so the caller holds one trace payload and no copy.
-
-    Validates the format version first, then the records: the earliest
-    faulty record is named by its iteration. Within one record, truncation
-    comes before a wrong iteration index, and a wrong index before a
-    non-finite delta. Trailing bytes are reported only once all declared
-    records pass.
+    The header's format version and dimensions are checked now. records is a
+    TraceRecords: its len() is the declared iteration count, and every pass
+    over it reads the file again, chunk by chunk, checking each record.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -483,37 +491,73 @@ def read_trace(path):
         n_iters = int(header["iterations"])
         if n_params < 0 or n_iters < 0:
             raise ValueError(f"negative trace dimensions in {path}")
-        record = np.dtype([("k", "<u8"), ("d", "<f8", (2 * n_params,))])
-        body_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        records = np.fromfile(fh, dtype=record,
-                              count=min(n_iters, body_bytes // record.itemsize))
-    n_read = len(records)
-    wrong = np.flatnonzero(records["k"] != np.arange(1, n_read + 1, dtype=np.uint64))
-    first_wrong = int(wrong[0]) if wrong.size else n_read
-    first_nonfinite = _first_nonfinite_row(records["d"][:first_wrong])
-    if first_nonfinite < first_wrong:
-        raise ValueError(f"non-finite delta in trace at iteration {first_nonfinite + 1}")
-    if first_wrong < n_read:
-        k = int(records["k"][first_wrong])
-        raise ValueError(f"trace record {first_wrong + 1} carries iteration index {k}")
-    if n_read < n_iters:
-        raise ValueError(f"trace truncated at iteration {n_read + 1} of {n_iters}")
-    if body_bytes > n_iters * record.itemsize:
-        raise ValueError("trailing bytes after the declared trace records")
-    deltas = records["d"]
-    return header, deltas[:, :n_params], deltas[:, n_params:]
+        offset = fh.tell()
+    return header, TraceRecords(path, offset, n_params, n_iters)
 
 
-def _first_nonfinite_row(values, block_bytes: int = 1 << 20) -> int:
-    """Index of the first row holding a non-finite value, else len(values).
+class TraceRecords:
+    """The records of a trace file as (delta_f, delta_m) pairs, one per
+    iteration, re-iterable.
 
-    Scans in row blocks so the boolean temporary stays near block_bytes."""
-    rows = max(1, block_bytes // max(1, values.shape[1]))
-    for lo in range(0, len(values), rows):
-        finite = np.isfinite(values[lo : lo + rows]).all(axis=1)
-        if not finite.all():
-            return lo + int(np.argmin(finite))
-    return len(values)
+    A pass reads about _CHUNK_BYTES of records at a time into one buffer it
+    reuses, never larger than the complete records the file holds, so a
+    yielded pair is two views into that buffer that stay valid only until
+    the next pair is drawn. A pass closes its file when it ends, fails or is
+    dropped.
+
+    Faults raise as the pass reaches them, so the earliest faulty record is
+    named by its iteration. Within one record, a wrong iteration index comes
+    before a non-finite delta. Truncation, then trailing bytes, are reported
+    once every complete declared record has passed.
+    """
+
+    def __init__(self, path, offset: int, n_params: int, n_iters: int):
+        self.path = path
+        self.offset = offset
+        self.n_params = n_params
+        self.n_iters = n_iters
+        self.record = trace_record_dtype(n_params)
+
+    def __len__(self) -> int:
+        return self.n_iters
+
+    def __iter__(self):
+        p, n, size = self.n_params, self.n_iters, self.record.itemsize
+        with open(self.path, "rb") as fh:
+            complete = min(n, (os.fstat(fh.fileno()).st_size - self.offset) // size)
+            chunk = np.empty(min(max(1, _CHUNK_BYTES // size), complete), dtype=self.record)
+            raw = chunk.view(np.uint8)
+            deltas_f, deltas_m = chunk["d"][:, :p], chunk["d"][:, p:]
+            fh.seek(self.offset)
+            done = 0
+            while done < complete:
+                want = min(len(chunk), complete - done)
+                got = fh.readinto(raw[: want * size]) // size
+                _check_records(chunk[:got], done)
+                for i in range(got):
+                    yield deltas_f[i], deltas_m[i]
+                done += got
+                if got < want:
+                    break
+            if done < n:
+                raise ValueError(f"trace truncated at iteration {done + 1} of {n}")
+            if fh.read(1):
+                raise ValueError("trailing bytes after the declared trace records")
+
+
+def _check_records(chunk, done: int):
+    """Raise for the earliest faulty record of a chunk that follows `done`
+    records: a non-finite delta before the first wrong index, else that index."""
+    expected = np.arange(done + 1, done + len(chunk) + 1, dtype=np.uint64)
+    wrong = np.flatnonzero(chunk["k"] != expected)
+    n_ok = int(wrong[0]) if wrong.size else len(chunk)
+    deltas = chunk["d"][:n_ok]
+    if not np.isfinite(deltas).all():
+        row = int(np.argmin(np.isfinite(deltas).all(axis=1)))
+        raise ValueError(f"non-finite delta in trace at iteration {done + row + 1}")
+    if n_ok < len(chunk):
+        k = int(chunk["k"][n_ok])
+        raise ValueError(f"trace record {done + n_ok + 1} carries iteration index {k}")
 
 
 # ---------------------------------------------------------------------------

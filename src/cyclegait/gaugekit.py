@@ -1,6 +1,12 @@
 """Evaluation and analysis: rank-1 retrieval, feature variance statistics,
 memorization curves, the closed-form check of the EMA parameter recurrence,
 and the forward-pass cost model.
+
+The recurrence check takes a trace's records as a re-iterable of
+(delta_f, delta_m) pairs with a len(), such as the TraceRecords that
+cyclic.read_trace returns. Each replay and the closed form make one pass
+and read each pair once, so they hold a few parameter vectors however long
+the trace is.
 """
 
 from __future__ import annotations
@@ -253,54 +259,60 @@ def memorization_curve(snapshots, samples) -> MemCurve:
 # closed-form verification of the EMA parameter recurrence
 
 
-def replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
+def replay_recurrence(theta0_f, theta0_m, records, m: float):
     """Step-by-step replay: theta_m <- m*theta_m + (1-m)*theta_f + delta_m,
-    theta_f <- theta_f + delta_f. Returns (final theta_f, final theta_m).
+    theta_f <- theta_f + delta_f, for each (delta_f, delta_m) pair of records
+    in order. Returns (final theta_f, final theta_m).
 
-    Both vectors are updated in place, left to right in the order written."""
+    Both vectors are updated in place, left to right in the order written,
+    with one reused vector for the (1-m)*theta_f term, so each pair is read
+    once and may be a view that the next draw overwrites."""
     tf = np.array(theta0_f, dtype=np.float64, copy=True)
     tm = np.array(theta0_m, dtype=np.float64, copy=True)
-    for df, dm in zip(deltas_f, deltas_m):
+    term = np.empty_like(tf)
+    for df, dm in records:
         tm *= m
-        tm += (1.0 - m) * tf
+        tm += np.multiply(1.0 - m, tf, out=term)
         tm += dm
         tf += df
     return tf, tm
 
 
-def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
-    """Direct evaluation of the geometric-weight closed form:
+def closed_form_theta_m(theta0_f, theta0_m, records, m: float):
+    """Direct evaluation of the geometric-weight closed form over the N =
+    len(records) (delta_f, delta_m) pairs of records:
 
     theta_N^m = theta_0^f + m^N (theta_0^m - theta_0^f)
                 + sum_k [ m^(N-k) delta_k^m + (1 - m^(N-k)) delta_k^f ]
 
     The sum is a running total: it starts from the k = 1 term and adds the
-    terms in order k = 2..N, so only one parameter vector of terms is held
-    at a time.
+    terms in order k = 2..N through two reused term vectors, so each pair is
+    read once and no per-record vector is allocated.
     """
-    deltas_f = np.asarray(deltas_f, dtype=np.float64)
-    deltas_m = np.asarray(deltas_m, dtype=np.float64)
-    n = deltas_f.shape[0]
+    n = len(records)
     theta0_f = np.asarray(theta0_f, dtype=np.float64)
     theta0_m = np.asarray(theta0_m, dtype=np.float64)
-    if n == 0:
-        return theta0_m.copy()
     powers = np.array([m ** (n - k) for k in range(1, n + 1)])
-    total = powers[0] * deltas_m[0] + (1.0 - powers[0]) * deltas_f[0]
-    for k in range(1, n):
-        total += powers[k] * deltas_m[k] + (1.0 - powers[k]) * deltas_f[k]
+    pairs = iter(records)
+    first = next(pairs, None)
+    if first is None:
+        return theta0_m.copy()
+    df, dm = first
+    total = powers[0] * dm + (1.0 - powers[0]) * df
+    term_m, term_f = np.empty_like(total), np.empty_like(total)
+    for k, (df, dm) in enumerate(pairs, start=1):
+        np.multiply(powers[k], dm, out=term_m)
+        np.multiply(1.0 - powers[k], df, out=term_f)
+        total += np.add(term_m, term_f, out=term_m)
     return theta0_f + (m**n) * (theta0_m - theta0_f) + total
 
 
-def verify_ema_closed_form(theta0_f, theta0_m, deltas_f, deltas_m, m: float,
+def verify_ema_closed_form(theta0_f, theta0_m, records, m: float,
                            floor: float = 1e-12) -> float:
-    """Max elementwise relative deviation between replay and closed form."""
-    deltas_f = np.asarray(deltas_f, dtype=np.float64)
-    deltas_m = np.asarray(deltas_m, dtype=np.float64)
-    if deltas_f.shape != deltas_m.shape:
-        raise ValueError("delta arrays must have matching shapes")
-    _, replayed = replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m)
-    direct = closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m)
+    """Max elementwise relative deviation between replay and closed form,
+    each one pass over the (delta_f, delta_m) pairs of records."""
+    _, replayed = replay_recurrence(theta0_f, theta0_m, records, m)
+    direct = closed_form_theta_m(theta0_f, theta0_m, records, m)
     denom = np.maximum(np.abs(replayed), floor)
     return float(np.max(np.abs(replayed - direct) / denom))
 
@@ -312,19 +324,28 @@ def verify_trace_file(trace_path, theta0_f: ModelParams, theta0_m: ModelParams,
 
     Returns a report with the max relative deviation and, when final
     checkpoints are supplied, whether the replayed endpoints match them
-    bit for bit.
+    bit for bit. Every checkpoint must hold the trace's parameter count.
+    The records stream from the file on each of three passes (two replays
+    and the closed form), so memory stays at about one read chunk plus a
+    few parameter vectors, whatever the trace's length.
     """
     from .cyclic import read_trace
 
-    header, deltas_f, deltas_m = read_trace(trace_path)
+    header, records = read_trace(trace_path)
     m = float(header["momentum"])
-    if deltas_f.shape[1] != theta0_f.flat.size:
-        raise ValueError("trace layout does not match the initial checkpoint")
-    deviation = verify_ema_closed_form(theta0_f.flat, theta0_m.flat, deltas_f, deltas_m, m)
-    rep_f, rep_m = replay_recurrence(theta0_f.flat, theta0_m.flat, deltas_f, deltas_m, m)
+    n_params = int(header["n_params"])
+    for name, params in (("initial F", theta0_f), ("initial M", theta0_m),
+                         ("final F", final_f), ("final M", final_m)):
+        if params is not None and params.flat.size != n_params:
+            raise ValueError(
+                f"trace layout ({n_params} parameters) does not match the {name} "
+                f"checkpoint ({params.flat.size} parameters)"
+            )
+    deviation = verify_ema_closed_form(theta0_f.flat, theta0_m.flat, records, m)
+    rep_f, rep_m = replay_recurrence(theta0_f.flat, theta0_m.flat, records, m)
     report = {
         "iterations": int(header["iterations"]),
-        "n_params": int(header["n_params"]),
+        "n_params": n_params,
         "momentum": m,
         "max_relative_deviation": deviation,
     }

@@ -5,8 +5,9 @@ The references are the plain, slower forms of computations that `src/`
 carries in a faster shape: per-sample losses, softmax and the single-set
 forward pass next to their row-vectorized or batched versions, the
 per-sample pooling loop and the zero-padded set encoder next to the
-batch-pooled ragged one, and the per-probe rank-1 search next to the
-chunked one. The audit helpers are readers that only tests need: the
+batch-pooled ragged one, the per-probe rank-1 search next to the
+chunked one, and the three-write trace record, the whole-trace reader and
+the (N, P)-array replay and closed form next to the streamed ones. The audit helpers are readers that only tests need: the
 generator's latent geometry and its nearest-prototype oracle, a bundle's
 class count and frame width, and the first iteration a curve reaches a
 target.
@@ -341,9 +342,20 @@ def fresh_generator(stream):
     return np.random.Generator(np.random.Philox(key=key, counter=[start, 0, 0, 0]))
 
 
+def trace_write(writer, k, delta_f, delta_m):
+    """TraceWriter.write as three writes: the struct-packed index, then the
+    float64 bytes of each delta; it has the signature of the method, so a
+    test can patch it in."""
+    import struct
+
+    writer._fh.write(struct.pack("<Q", k))
+    writer._fh.write(np.asarray(delta_f, dtype="<f8").tobytes())
+    writer._fh.write(np.asarray(delta_m, dtype="<f8").tobytes())
+
+
 def read_trace(path):
-    """cyclic.read_trace as a per-record reader into two zeroed (N, P) arrays;
-    the first fault met while reading raises."""
+    """cyclic.read_trace drawn to the end, as a per-record reader into two
+    zeroed (N, P) arrays; the first fault met while reading raises."""
     import json
     import struct
 
@@ -378,7 +390,8 @@ def read_trace(path):
 
 
 def replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
-    """gaugekit.replay_recurrence with a fresh vector per step."""
+    """gaugekit.replay_recurrence over two (N, P) arrays, with a fresh vector
+    per step."""
     tf = np.array(theta0_f, dtype=np.float64, copy=True)
     tm = np.array(theta0_m, dtype=np.float64, copy=True)
     for df, dm in zip(deltas_f, deltas_m):
@@ -388,8 +401,8 @@ def replay_recurrence(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
 
 
 def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
-    """gaugekit.closed_form_theta_m from the full (N, P) array of weighted
-    terms, summed over its rows."""
+    """gaugekit.closed_form_theta_m over two (N, P) arrays, from the full
+    (N, P) array of weighted terms, summed over its rows."""
     deltas_f = np.asarray(deltas_f, dtype=np.float64)
     deltas_m = np.asarray(deltas_m, dtype=np.float64)
     n = deltas_f.shape[0]

@@ -320,6 +320,29 @@ class TestTrainEvalPipeline:
         assert code == 2
         assert "3" in err  # failure names the offending record index
 
+    @pytest.mark.parametrize("checkpoint, name", [
+        ("model_f_init", "initial F"), ("model_m_init", "initial M"),
+        ("model_f", "final F"), ("model_m", "final M"), ("--init-m", "initial M"),
+    ])
+    def test_verify_names_a_checkpoint_of_another_shape(self, data_dir, tmp_path, capsys,
+                                                        checkpoint, name):
+        run, other = tmp_path / "run", tmp_path / "other"
+        run_experiment(tiny_train_config(data_dir, run, record_trace=True, iterations=3))
+        run_experiment(tiny_train_config(data_dir, other, record_trace=True, iterations=1,
+                                         d_hidden=6))
+        if checkpoint == "--init-m":
+            argv = ("--trace", str(run / "trace.bin"), "--init-f", str(run / "model_f_init.ckpt"),
+                    "--init-m", str(other / "model_m_init.ckpt"))
+        else:
+            (run / f"{checkpoint}.ckpt").write_bytes((other / f"{checkpoint}.ckpt").read_bytes())
+            argv = ("--run", str(run))
+        capsys.readouterr()
+        code = run_cli("verify-closed-form", *argv)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("FAIL:") and f"the {name} checkpoint" in err[0]
+
     def test_eval_writes_tab_layout_csv(self, data_dir, tmp_path, capsys):
         run = tmp_path / "run"
         cfg = tiny_train_config(data_dir, run)

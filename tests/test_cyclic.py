@@ -1,7 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
@@ -214,12 +218,12 @@ class TestRunTraining:
         config = tiny_config(iterations=6, record_trace=True)
         path = tmp_path / "trace.bin"
         result = run_training(bundle, config, trace_path=str(path))
-        _, deltas_f, deltas_m = read_trace(path)
+        _, records = read_trace(path)
         # replaying the streamed recurrence reproduces both endpoints exactly
         tf = result.init_f.flat.copy()
         tm = result.init_m.flat.copy()
         m = config.momentum
-        for delta_f, delta_m in zip(deltas_f, deltas_m):
+        for delta_f, delta_m in records:
             tm = m * tm + (1.0 - m) * tf + delta_m
             tf = tf + delta_f
         assert np.array_equal(tf, result.params_f.flat)
@@ -230,11 +234,36 @@ class TestRunTraining:
         config = tiny_config(iterations=4, record_trace=True)
         path = tmp_path / "trace.bin"
         result = run_training(bundle, config, trace_path=str(path))
-        header, deltas_f, deltas_m = read_trace(path)
+        header, records = read_trace(path)
         assert header["iterations"] == 4
         assert header["momentum"] == config.momentum
-        assert deltas_f.shape == (4, result.params_f.shape.n_params)
-        assert deltas_m.shape == deltas_f.shape
+        p = result.params_f.shape.n_params
+        assert len(records) == 4
+        assert [(f.shape, m.shape) for f, m in records] == [((p,), (p,))] * 4
+
+    def test_record_bytes_match_the_three_write_form(self, tmp_path, monkeypatch):
+        nan_payload = np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f", dtype="<f8")[0]
+        records = [
+            (1, np.array([0.5, -0.0, np.inf]), [1, 2, 3]),
+            (2**64 - 1, np.array([1e-300, 2.5, -7.0], dtype=np.float32),
+             np.array([nan_payload, -np.inf, 5e-324])),
+            (3, np.arange(3), np.array([[1.0, 2.0, 3.0]])[0, ::-1]),
+        ]
+        for name in ("one.bin", "three.bin"):
+            with TraceWriter(tmp_path / name, 3, 0.5, len(records), extra={"mode": "x"}) as w:
+                for record in records:
+                    w.write(*record)
+            monkeypatch.setattr(TraceWriter, "write", reference.trace_write)
+        assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "three.bin").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["cyclic", "selfsup"])
+    def test_trace_bytes_match_the_three_write_form(self, tmp_path, monkeypatch, mode):
+        bundle = tiny_bundle()
+        config = tiny_config(mode=mode, iterations=5, record_trace=True)
+        run_training(bundle, config, trace_path=str(tmp_path / "one.bin"))
+        monkeypatch.setattr(TraceWriter, "write", reference.trace_write)
+        run_training(bundle, config, trace_path=str(tmp_path / "three.bin"))
+        assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "three.bin").read_bytes()
 
     def test_trace_needs_a_path(self):
         with pytest.raises(ValueError, match="trace_path"):
@@ -397,10 +426,19 @@ def put_value(body, row, col, value):
     body[at : at + 8] = np.array([value], dtype="<f8").tobytes()
 
 
+def drawn(path):
+    """cyclic.read_trace drawn to the end: the header and both deltas as
+    (N, P) arrays, each record copied out of the stream as it is drawn."""
+    header, records = read_trace(path)
+    rows = [np.concatenate(pair) for pair in records]
+    deltas = np.array(rows).reshape(len(rows), 2 * records.n_params)
+    return header, deltas[:, : records.n_params], deltas[:, records.n_params :]
+
+
 def read_both(path):
-    """The message each reader raises, or None and the arrays when both pass."""
+    """The message each reader raises, or the header and arrays when both pass."""
     outcomes = []
-    for reader in (read_trace, reference.read_trace):
+    for reader in (drawn, reference.read_trace):
         try:
             outcomes.append(reader(path))
         except ValueError as err:
@@ -409,32 +447,74 @@ def read_both(path):
 
 
 class TestReadTrace:
-    def test_deltas_are_views_of_one_buffer(self, tmp_path, rng):
+    def test_records_are_views_of_one_reused_chunk(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(cyclic, "_CHUNK_BYTES", 3 * RECORD)
         header, body = trace_blob(tmp_path, rng)
         path = tmp_path / "trace.bin"
         path.write_bytes(header + body)
-        got, want = read_both(path)
-        assert got[0] == want[0]
-        for g, w in zip(got[1:], want[1:]):
-            assert g.shape == w.shape and np.array_equal(g, w)
-        assert got[1].base is got[2].base and got[1].base is not None
-        assert not got[1].flags.owndata and not got[2].flags.owndata
+        _, records = read_trace(path)
+        _, want_f, want_m = reference.read_trace(path)
+        assert len(records) == N_RECORDS
+        chunks = set()
+        for k, (delta_f, delta_m) in enumerate(records):
+            assert np.array_equal(delta_f, want_f[k]) and np.array_equal(delta_m, want_m[k])
+            assert delta_f.base is delta_m.base and not delta_f.flags.owndata
+            assert delta_f.base.nbytes == 3 * RECORD
+            chunks.add(id(delta_f.base))
+        assert len(chunks) == 1
+        # every pass reads the file again
+        _, again_f, again_m = drawn(path)
+        assert np.array_equal(again_f, want_f) and np.array_equal(again_m, want_m)
 
     def test_empty_run(self, tmp_path, rng):
         header, body = trace_blob(tmp_path, rng, n=0)
         path = tmp_path / "trace.bin"
         path.write_bytes(header + body)
-        _, deltas_f, deltas_m = read_trace(path)
-        assert deltas_f.shape == deltas_m.shape == (0, N_PARAMS)
+        _, records = read_trace(path)
+        assert len(records) == 0 and list(records) == []
+        assert records.n_params == N_PARAMS
 
-    def test_first_nonfinite_row_across_blocks(self):
-        values = np.zeros((50, 7))
-        assert cyclic._first_nonfinite_row(values, block_bytes=14) == 50
-        for row in (0, 1, 2, 31, 49):  # two rows per block
-            bad = values.copy()
-            bad[row, 3] = np.nan
-            bad[row + 1 :, 0] = np.inf
-            assert cyclic._first_nonfinite_row(bad, block_bytes=14) == row
+    def test_a_short_body_bounds_the_chunk(self, tmp_path):
+        # a header declaring 2**26 parameters over a 100-byte body: no
+        # 1 GiB record is allocated for a read that cannot fill it
+        path = tmp_path / "trace.bin"
+        header = {"format_version": 1, "iterations": 8, "momentum": 0.9, "n_params": 2**26}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(100))
+        _, records = read_trace(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^trace truncated at iteration 1 of 8$"):
+                list(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("chunk_records", [1, 3])
+    @pytest.mark.parametrize("fault", ["truncated", "cut after", "out-of-sequence",
+                                       "non-finite", "trailing bytes"])
+    def test_fault_at_each_record_of_each_chunk(self, tmp_path, rng, monkeypatch,
+                                                chunk_records, fault):
+        # 7 records in chunks of 3 put a fault at a chunk's first and last
+        # record and in the final partial chunk
+        monkeypatch.setattr(cyclic, "_CHUNK_BYTES", chunk_records * RECORD)
+        header, valid = trace_blob(tmp_path, rng, n=7)
+        path = tmp_path / "trace.bin"
+        for row in range(7):
+            body = bytearray(valid)
+            if fault == "truncated":
+                body = body[: row * RECORD + RECORD // 2]
+            elif fault == "cut after":
+                body = body[: row * RECORD]
+            elif fault == "out-of-sequence":
+                put_index(body, row, row + 2)
+            elif fault == "non-finite":
+                put_value(body, row, row % (2 * N_PARAMS), np.nan)
+            else:
+                body += bytes(row + 1)
+            path.write_bytes(header + body)
+            got, want = read_both(path)
+            assert isinstance(want, str) and got == want
 
     @pytest.mark.parametrize("fault, message", [
         ("record 6 cut in half", "trace truncated at iteration 6 of 8"),
@@ -512,3 +592,78 @@ class TestReadTrace:
                 assert got[0] == want[0]
         assert messages == {"trace truncated", "trace record", "non-finite delta",
                             "trailing bytes"}
+
+    @given(n=st.integers(0, 10), chunk_records=st.sampled_from([1, 3, None]),
+           faults=st.lists(st.tuples(
+               st.sampled_from(["truncated", "out-of-sequence", "non-finite",
+                                "trailing bytes"]),
+               st.integers(0, 9), st.integers(0, 2 * RECORD)), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_chunk_boundaries_match_the_per_record_reader(self, tmp_path_factory, n,
+                                                          chunk_records, faults):
+        rng = np.random.default_rng(n)
+        work = tmp_path_factory.mktemp("chunks")
+        header, body = trace_blob(work, rng, n=n)
+        for kind, row, extra in faults:
+            row = min(row, max(n - 1, 0))
+            if kind == "truncated":
+                body = body[: min(len(body), row * RECORD + extra % RECORD)]
+            elif kind == "trailing bytes":
+                body += bytes(1 + extra)
+            elif len(body) >= (row + 1) * RECORD:
+                if kind == "out-of-sequence":
+                    put_index(body, row, [0, row, row + 2, 2**64 - 1][extra % 4])
+                else:
+                    put_value(body, row, extra % (2 * N_PARAMS),
+                              [np.nan, np.inf, -np.inf][extra % 3])
+        path = work / "trace.bin"
+        path.write_bytes(header + body)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_records is not None:
+                patch.setattr(cyclic, "_CHUNK_BYTES", chunk_records * RECORD)
+            got, want = read_both(path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0]
+            assert all(np.array_equal(g, w) for g, w in zip(got[1:], want[1:]))
+
+    def test_every_pass_checks_the_file_again(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(cyclic, "_CHUNK_BYTES", 3 * RECORD)
+        header, body = trace_blob(tmp_path, rng)
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header + body)
+        _, records = read_trace(path)
+        assert len(list(records)) == N_RECORDS
+        put_value(body, 6, 1, np.inf)
+        path.write_bytes(header + body)
+        with pytest.raises(ValueError, match="^non-finite delta in trace at iteration 7$"):
+            list(records)
+        path.write_bytes(header + body[: 4 * RECORD])
+        with pytest.raises(ValueError, match="^trace truncated at iteration 5 of 8$"):
+            list(records)
+
+    def test_a_pass_left_early_or_failed_closes_its_file(self, tmp_path, rng, monkeypatch):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        header, body = trace_blob(tmp_path, rng)
+        put_value(body, 4, 0, np.nan)  # in the second chunk
+        path = tmp_path / "trace.bin"
+        path.write_bytes(header + body)
+        monkeypatch.setattr(cyclic, "open", tracking_open, raising=False)
+        monkeypatch.setattr(cyclic, "_CHUNK_BYTES", 3 * RECORD)
+        _, records = read_trace(path)
+        assert len(opened) == 1 and opened[0].closed
+        one_pass = iter(records)
+        next(one_pass)
+        assert not opened[1].closed
+        del one_pass  # stops after one record
+        assert opened[1].closed
+        with pytest.raises(ValueError, match="iteration 5$"):
+            for _ in records:
+                pass
+        assert len(opened) == 3 and opened[2].closed

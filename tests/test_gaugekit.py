@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclegait import cyclic
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.gaugekit import (
     EvalStructureError,
@@ -25,6 +26,19 @@ from cyclegait.cyclic import TraceWriter
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, init_params
 import reference
+
+
+def pairs(deltas_f, deltas_m):
+    """Two (N, P) arrays as the N (delta_f, delta_m) record pairs gaugekit reads."""
+    return list(zip(deltas_f, deltas_m))
+
+
+def write_trace(path, rng, n, p, m, scale=0.01):
+    """A trace of n random records of p parameters at momentum m; returns path."""
+    with TraceWriter(path, p, m, n) as writer:
+        for k in range(1, n + 1):
+            writer.write(k, rng.normal(scale=scale, size=p), rng.normal(scale=scale, size=p))
+    return path
 
 
 class TestRank1:
@@ -206,17 +220,17 @@ class TestMemorizationCurve:
 class TestClosedForm:
     def test_zero_iterations_is_initial_teacher(self, rng):
         t0f, t0m = rng.normal(size=50), rng.normal(size=50)
-        out = closed_form_theta_m(t0f, t0m, np.zeros((0, 50)), np.zeros((0, 50)), 0.99)
+        out = closed_form_theta_m(t0f, t0m, [], 0.99)
         assert np.array_equal(out, t0m)
 
     def test_momentum_zero_degenerate_case(self, rng):
         n, p = 7, 20
         t0f, t0m = rng.normal(size=p), rng.normal(size=p)
         df, dm = rng.normal(size=(n, p)), rng.normal(size=(n, p))
-        deviation = verify_ema_closed_form(t0f, t0m, df, dm, 0.0)
+        deviation = verify_ema_closed_form(t0f, t0m, pairs(df, dm), 0.0)
         assert deviation < 1e-12
         # closed form collapses to theta_f^{N-1} + delta_m^N
-        direct = closed_form_theta_m(t0f, t0m, df, dm, 0.0)
+        direct = closed_form_theta_m(t0f, t0m, pairs(df, dm), 0.0)
         expected = t0f + df[:-1].sum(axis=0) + dm[-1]
         assert np.allclose(direct, expected, atol=1e-12)
 
@@ -231,10 +245,10 @@ class TestClosedForm:
         for k in range(n):
             tm = m * tm + (1 - m) * tf + dm[k]
             tf = tf + df[k]
-        direct = closed_form_theta_m(t0f, t0m, df, dm, m)
+        direct = closed_form_theta_m(t0f, t0m, pairs(df, dm), m)
         denom = np.maximum(np.abs(tm), 1e-12)
         assert np.max(np.abs(direct - tm) / denom) < 1e-9
-        assert verify_ema_closed_form(t0f, t0m, df, dm, m) < 1e-9
+        assert verify_ema_closed_form(t0f, t0m, pairs(df, dm), m) < 1e-9
 
     def test_long_trace_error_stays_small(self, rng):
         # accumulated floating error only: 1000 iterations at 10^4 parameters
@@ -242,13 +256,13 @@ class TestClosedForm:
         df = rng.normal(scale=0.01, size=(n, p))
         dm = rng.normal(scale=0.01, size=(n, p))
         t0f, t0m = rng.normal(size=p), rng.normal(size=p)
-        assert verify_ema_closed_form(t0f, t0m, df, dm, 0.99) < 1e-8
+        assert verify_ema_closed_form(t0f, t0m, pairs(df, dm), 0.99) < 1e-8
 
     def test_replay_endpoints(self, rng):
         t0f, t0m = rng.normal(size=10), rng.normal(size=10)
         df = rng.normal(size=(3, 10))
         dm = rng.normal(size=(3, 10))
-        tf, tm = replay_recurrence(t0f, t0m, df, dm, 0.5)
+        tf, tm = replay_recurrence(t0f, t0m, pairs(df, dm), 0.5)
         assert np.allclose(tf, t0f + df.sum(axis=0), atol=1e-12)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 37])
@@ -262,38 +276,64 @@ class TestClosedForm:
         records = rng.normal(scale=0.01, size=(n, 2 * p))
         if layout == "contiguous":
             df, dm = records[:, :p].copy(), records[:, p:].copy()
-        elif layout == "record views":  # as read_trace returns them
+        elif layout == "record views":  # as a read_trace pass yields them
             df, dm = records[:, :p], records[:, p:]
         else:
             df, dm = records[:, ::2], records[:, 1::2]
-        got = closed_form_theta_m(t0f, t0m, df, dm, m)
+        got = closed_form_theta_m(t0f, t0m, pairs(df, dm), m)
         assert np.array_equal(got, reference.closed_form_theta_m(t0f, t0m, df, dm, m))
-        got_f, got_m = replay_recurrence(t0f, t0m, df, dm, m)
+        got_f, got_m = replay_recurrence(t0f, t0m, pairs(df, dm), m)
         want_f, want_m = reference.replay_recurrence(t0f, t0m, df, dm, m)
         assert np.array_equal(got_f, want_f) and np.array_equal(got_m, want_m)
 
+    @pytest.mark.parametrize("chunk_records", [1, 3, None])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 37])
+    @pytest.mark.parametrize("m", [0.0, 0.99, 1.0])
+    def test_streamed_records_bit_equal_to_the_oracles(self, tmp_path, monkeypatch,
+                                                       chunk_records, n, m):
+        # oracles: the whole-trace reader feeding the (N, P)-array replay and
+        # closed form
+        p = 50
+        rng = np.random.default_rng(n)
+        t0f, t0m = rng.normal(size=p), rng.normal(size=p)
+        path = write_trace(tmp_path / "trace.bin", rng, n, p, m)
+        if chunk_records is not None:
+            monkeypatch.setattr(cyclic, "_CHUNK_BYTES", chunk_records * (8 + 16 * p))
+        _, records = cyclic.read_trace(path)
+        _, df, dm = reference.read_trace(path)
+        got_f, got_m = replay_recurrence(t0f, t0m, records, m)
+        want_f, want_m = reference.replay_recurrence(t0f, t0m, df, dm, m)
+        assert np.array_equal(got_f, want_f) and np.array_equal(got_m, want_m)
+        got = closed_form_theta_m(t0f, t0m, records, m)
+        want = reference.closed_form_theta_m(t0f, t0m, df, dm, m)
+        assert np.array_equal(got, want)
+        deviation = float(np.max(np.abs(want_m - want) / np.maximum(np.abs(want_m), 1e-12)))
+        assert verify_ema_closed_form(t0f, t0m, records, m) == deviation
+
     def test_trace_verification_holds_one_payload(self, tmp_path):
-        # about 200 records at the default encoder shape; verification may
-        # peak at 1.25 trace payloads of traced allocations
+        # at the default encoder shape, the traced peak of a verification
+        # with both endpoints is the same at 100 and at 400 records, and
+        # stays within one read chunk plus a few parameter vectors
         shape = EncoderShape()
+        p = shape.n_params
         init_f, _ = init_params(shape, RngStream(1).child(1))
         init_m, _ = init_params(shape, RngStream(1).child(2))
-        n, p = 200, shape.n_params
-        deltas = np.random.default_rng(3)
-        path = tmp_path / "trace.bin"
-        with TraceWriter(path, p, 0.99, n) as writer:
-            for k in range(1, n + 1):
-                writer.write(k, deltas.normal(scale=1e-3, size=p),
-                             deltas.normal(scale=1e-3, size=p))
-        payload = n * (8 + 16 * p)
-        tracemalloc.start()
-        try:
-            report = verify_trace_file(path, init_f, init_m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report["max_relative_deviation"] < 1e-9
-        assert peak < 1.25 * payload, f"peak {peak} bytes for a {payload}-byte payload"
+        peaks = {}
+        for n in (100, 400):
+            path = write_trace(tmp_path / f"trace-{n}.bin", np.random.default_rng(3), n, p,
+                               0.99, scale=1e-3)
+            tracemalloc.start()
+            try:
+                report = verify_trace_file(path, init_f, init_m, init_f, init_m)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report["max_relative_deviation"] < 1e-9
+            path.unlink()
+        bound = cyclic._CHUNK_BYTES + 12 * 8 * p
+        assert peaks[100] < bound and peaks[400] < bound, (peaks, bound)
+        # the closed form's weights are the only per-record storage
+        assert peaks[400] - peaks[100] <= 8 * 300 + 4096, peaks
 
 
 class TestCostModel:
