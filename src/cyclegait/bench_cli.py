@@ -399,7 +399,7 @@ def ablation_csv(table: dict) -> str:
 
 def _refuse_existing(path: str, force: bool, what: str):
     if os.path.exists(path) and not force:
-        raise SystemExit(f"{what} {path} already exists; pass --force to overwrite")
+        raise ValueError(f"{what} {path} already exists; pass --force to overwrite")
 
 
 def _config_fields(args) -> dict:
@@ -492,6 +492,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify_closed_form(args) -> int:
+    if not args.run and not (args.trace and args.init_f and args.init_m):
+        raise ValueError("need --run or all of --trace/--init-f/--init-m")
     if args.run:
         run_dir = args.run
         trace = os.path.join(run_dir, "trace.bin")
@@ -628,14 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify-closed-form" and not args.run and not (
-        args.trace and args.init_f and args.init_m
-    ):
-        print("error: need --run or all of --trace/--init-f/--init-m", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except (OSError, ValueError) as err:  # a bad input path, config value or dataset
+    except (OSError, ValueError) as err:  # bad input, or an output that exists
         print(f"error: {err}", file=sys.stderr)
         return 2
 

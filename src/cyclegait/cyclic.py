@@ -14,7 +14,10 @@ One cyclic iteration, in order:
 Comparison modes: "supervised" (single network, CE + triplet),
 "selfsup" (consistency only, labels unused) and "coteach-baseline"
 (classic small-loss sample exchange, which unlike the cyclic scheme needs
-the noise rate as prior knowledge).
+the noise rate as prior knowledge). A mode zeroes the schedule weights it
+does not keep (MODE_SIGMAS), a sigma*_const pin then sets a weight in any
+mode (sigma0 only where a consistency term exists), and _label_terms, the
+one CE / triplet / contrastive routine of every mode, runs each non-zero term.
 
 Every run is a pure function of (dataset, config): sampling, initialization
 and augmentation draws all come from substreams of config.seed.
@@ -25,12 +28,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaitgen import AUGMENTATIONS, DatasetBundle, augment_frame_sets
+from .gaitgen import AUGMENTATIONS, augment_frame_sets
 from .lossbank import (
     CoeffSchedule,
     LossBreakdown,
@@ -40,7 +43,7 @@ from .lossbank import (
     batch_mil_loss,
     crc_combine,
     has_valid_triplet,
-    log_softmax_rows,
+    per_sample_ce,
     triplet_loss,
 )
 from .numkit import RngStream
@@ -60,7 +63,10 @@ from .sieve import SieveState, adapt_mask, detection_stats, score_arrays
 
 TRACE_FORMAT_VERSION = 1
 
-MODES = ("cyclic", "supervised", "selfsup", "coteach-baseline")
+# profile weights each mode keeps, by sigma index; the others read 0
+MODE_SIGMAS = {"cyclic": (0, 1, 2, 3), "supervised": (1, 2), "selfsup": (0,),
+               "coteach-baseline": (1, 2)}
+MODES = tuple(MODE_SIGMAS)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -97,7 +103,8 @@ class TrainerConfig:
     sieve_entropy_scale: float = 1.0
     sieve_keep_floor: float = 0.5
     schedule_ramp_fraction: float = 0.5
-    # pin a coefficient to a constant, overriding profile and mode (None = off)
+    # pin a coefficient to a constant after the mode's zeroing (None = off);
+    # supervised and coteach-baseline have no consistency term to pin sigma0 on
     sigma0_const: float | None = None
     sigma1_const: float | None = None
     sigma2_const: float | None = None
@@ -107,6 +114,9 @@ class TrainerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.sigma0_const is not None and 0 not in MODE_SIGMAS[self.mode]:
+            raise ValueError(f"mode {self.mode} has no consistency term; sigma0_const "
+                             "must be none")
         if self.p_ids < 2 or self.k_seqs < 2:
             raise ValueError("batch shape needs P >= 2 and K >= 2")
         if not 0.0 <= self.momentum <= 1.0:
@@ -134,28 +144,26 @@ class TrainerConfig:
     def batch_size(self) -> int:
         return self.p_ids * self.k_seqs
 
+    @property
+    def ema_ratio(self) -> float:
+        """The EMA ratio each iteration applies; a disabled EMA step is m = 1."""
+        return self.momentum if self.ema_enabled else 1.0
+
 
 def build_schedule(config: TrainerConfig) -> CoeffSchedule:
-    """Coefficient schedule for a mode; inactive losses get weight zero."""
+    """The profile's weights that the mode keeps, zero for the others, then
+    the sigma*_const pins."""
     if config.schedule_profile == "clean":
         base = CoeffSchedule.clean_default()
     else:
         base = CoeffSchedule.noisy_default(config.iterations, config.schedule_ramp_fraction)
-    zero = Ramp.constant(0.0)
-    if config.mode == "supervised":
-        base = replace(base, sigma0=zero, sigma3=zero)
-    elif config.mode == "selfsup":
-        base = replace(base, sigma1=zero, sigma2=zero, sigma3=zero)
-    elif config.mode == "coteach-baseline":
-        base = replace(base, sigma0=zero, sigma3=zero)
-    overrides = {
-        f"sigma{i}": Ramp.constant(v)
-        for i, v in enumerate(
-            (config.sigma0_const, config.sigma1_const, config.sigma2_const, config.sigma3_const)
-        )
-        if v is not None
-    }
-    return replace(base, **overrides) if overrides else base
+    kept = MODE_SIGMAS[config.mode]
+    ramps = (base.sigma0, base.sigma1, base.sigma2, base.sigma3)
+    pins = (config.sigma0_const, config.sigma1_const, config.sigma2_const, config.sigma3_const)
+    return CoeffSchedule(*(
+        Ramp.constant(pin) if pin is not None else ramp if i in kept else Ramp.constant(0.0)
+        for i, (ramp, pin) in enumerate(zip(ramps, pins))
+    ))
 
 
 @dataclass
@@ -282,10 +290,7 @@ def _two_net_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     pre_hash = state.params_m.sha256()
-
-    params_m = state.params_m
-    if config.ema_enabled:
-        params_m = ema_transfer(params_m, state.params_f, config.momentum)
+    params_m = ema_transfer(state.params_m, state.params_f, config.ema_ratio)
 
     frames_f, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
     frames_m, state.rng_aug_m = _augment_batch(batch, config.augmentation, state.rng_aug_m)
@@ -302,40 +307,24 @@ def _two_net_step(batch, state, config, schedule, k):
     if config.and_enabled:
         scores = score_arrays(p_f, p_m, labels)
         mask, state.sieve = adapt_mask(scores, state.sieve, config)
+        detected = detection_stats(mask, [s.noise_flag for s in batch])
         mask_stats = {
             "mask_mean_entropy": float(scores.entropy.mean()),
             "mask_mean_ce": float(scores.ce.mean()),
+            "noise_precision": detected["precision"],
+            "noise_recall": detected["recall"],
         }
-        mask_stats.update(
-            {
-                f"noise_{key}": val
-                for key, val in detection_stats(mask, [s.noise_flag for s in batch]).items()
-                if key in ("precision", "recall")
-            }
-        )
     else:
         mask = np.ones(b, dtype=bool)
     kept = np.flatnonzero(mask)
 
-    d_pf = s0 * d_pf_c
+    # label terms on the kept rows, scattered into F's gradients
+    l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z_f[kept], p_f[kept], labels[kept],
+                                                (s1, s2, s3), config)
     d_zf = np.zeros_like(z_f)
-
-    l_ce = 0.0
-    if s1 != 0.0 and kept.size:
-        l_ce, g = batch_ce(p_f[kept], labels[kept])
-        d_pf[kept] += s1 * g
-
-    l_tri = 0.0
-    if s2 != 0.0 and kept.size and has_valid_triplet(labels[kept]):
-        l_tri, g = triplet_loss(z_f[kept], labels[kept], config.triplet_margin)
-        d_zf[kept] += s2 * g
-
-    l_mil = 0.0
-    if s3 != 0.0 and kept.size >= 2:
-        z_norm, chain = _normalize_rows_with_grad_chain(z_f[kept])
-        l_mil, g_norm, n_queries = batch_mil_loss(z_norm, labels[kept], config.mil_temperature)
-        if n_queries:
-            d_zf[kept] += s3 * chain(g_norm)
+    d_zf[kept] = d_z
+    d_pf = s0 * d_pf_c
+    d_pf[kept] += d_p
 
     grad_f = backward_batch(cache_f, state.params_f, d_zf, d_pf)
     params_f, opt_f, delta_f = optimizer_step(state.params_f, grad_f, state.opt_f, k)
@@ -352,35 +341,49 @@ def _two_net_step(batch, state, config, schedule, k):
     )
 
 
-def _supervised_step(batch, state, config, schedule, k):
-    labels = np.array([s.identity for s in batch], dtype=int)
-    frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
-    params_f, opt_f, delta_f, l_ce, l_tri = _ce_triplet_update(
-        state.params_f, state.opt_f, frames, labels, config, schedule, k
-    )
-    return StepProposal(
-        (0.0, l_ce, l_tri, 0.0), (params_f, opt_f, None, None),
-        TraceRecord(delta_f, None, None), 1.0, len(batch), {},
-    )
-
-
-def _ce_triplet_update(params, opt, frame_sets, labels, config, schedule, k):
-    """One CE + triplet update of one network on the given frame sets.
-
-    Returns (new params, new optimizer state, applied delta, l_ce, l_tri).
-    """
-    z, p, cache = forward_batch(frame_sets, params)
-    _, s1, s2, _ = schedule.at(k)
-    l_ce, d_p = batch_ce(p, labels)
-    d_p = s1 * d_p
+def _label_terms(z, p, labels, sigmas, config):
+    """CE, triplet and contrastive losses of embeddings z and logits p against
+    labels, weighted by sigmas = (s1, s2, s3); returns (l_ce, l_tri, l_mil,
+    d_z, d_p). A term runs when its weight is non-zero and the rows can form
+    it; otherwise it reads 0.0 and adds no gradient."""
+    s1, s2, s3 = sigmas
+    l_ce = l_tri = l_mil = 0.0
     d_z = np.zeros_like(z)
-    l_tri = 0.0
+    d_p = np.zeros_like(p)
+    if s1 != 0.0 and len(labels):
+        l_ce, g = batch_ce(p, labels)
+        d_p = s1 * g
     if s2 != 0.0 and has_valid_triplet(labels):
         l_tri, g = triplet_loss(z, labels, config.triplet_margin)
         d_z += s2 * g
+    if s3 != 0.0 and len(labels) >= 2:
+        z_norm, chain = _normalize_rows_with_grad_chain(z)
+        l_mil, g_norm, n_queries = batch_mil_loss(z_norm, labels, config.mil_temperature)
+        if n_queries:
+            d_z += s3 * chain(g_norm)
+    return l_ce, l_tri, l_mil, d_z, d_p
+
+
+def _label_update(params, opt, frame_sets, labels, sigmas, config, k):
+    """Forward, label terms, backward and step of one network; returns
+    (new params, new optimizer state, applied delta, (l_ce, l_tri, l_mil))."""
+    z, p, cache = forward_batch(frame_sets, params)
+    l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z, p, labels, sigmas, config)
     grad = backward_batch(cache, params, d_z, d_p)
     new_params, new_opt, delta = optimizer_step(params, grad, opt, k)
-    return new_params, new_opt, delta, l_ce, l_tri
+    return new_params, new_opt, delta, (l_ce, l_tri, l_mil)
+
+
+def _supervised_step(batch, state, config, schedule, k):
+    labels = np.array([s.identity for s in batch], dtype=int)
+    frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
+    params_f, opt_f, delta_f, losses = _label_update(
+        state.params_f, state.opt_f, frames, labels, schedule.at(k)[1:], config, k
+    )
+    return StepProposal(
+        (0.0, *losses), (params_f, opt_f, None, None),
+        TraceRecord(delta_f, None, None), 1.0, len(batch), {},
+    )
 
 
 def _coteach_step(batch, state, config, schedule, k):
@@ -396,23 +399,22 @@ def _coteach_step(batch, state, config, schedule, k):
 
     _, p_a, _ = forward_batch(frame_sets, state.params_f)
     _, p_b, _ = forward_batch(frame_sets, state.params_m)
-    ce_a = -log_softmax_rows(p_a)[np.arange(b), labels]
-    ce_b = -log_softmax_rows(p_b)[np.arange(b), labels]
     n_keep = math.ceil((1.0 - config.coteach_noise_rate) * b)
-    sel_a = np.argsort(ce_a, kind="stable")[:n_keep]  # ties break by sample index
-    sel_b = np.argsort(ce_b, kind="stable")[:n_keep]
+    sel_a = np.argsort(per_sample_ce(p_a, labels), kind="stable")[:n_keep]  # ties by index
+    sel_b = np.argsort(per_sample_ce(p_b, labels), kind="stable")[:n_keep]
 
-    # peer exchange: A trains on B's selection and vice versa
-    params_f, opt_f, delta_f, ce_f, tri_f = _ce_triplet_update(
+    # peer exchange: A trains on B's selection and vice versa; losses log the peers' mean
+    sigmas = schedule.at(k)[1:]
+    params_f, opt_f, delta_f, losses_f = _label_update(
         state.params_f, state.opt_f, [frame_sets[i] for i in sel_b], labels[sel_b],
-        config, schedule, k,
+        sigmas, config, k,
     )
-    params_m, opt_m, _, ce_m, tri_m = _ce_triplet_update(
+    params_m, opt_m, _, losses_m = _label_update(
         state.params_m, state.opt_m, [frame_sets[i] for i in sel_a], labels[sel_a],
-        config, schedule, k,
+        sigmas, config, k,
     )
     return StepProposal(
-        (0.0, (ce_f + ce_m) / 2.0, (tri_f + tri_m) / 2.0, 0.0),
+        (0.0, *((f + m) / 2.0 for f, m in zip(losses_f, losses_m))),
         (params_f, opt_f, params_m, opt_m),
         TraceRecord(delta_f, None, None), n_keep / b, 2 * b + 2 * n_keep, {},
     )
@@ -601,10 +603,9 @@ def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
 def train_groups(dataset, config: TrainerConfig) -> dict:
     """The train split grouped by identity; raises ValueError when it cannot
     fill the batch shape of config."""
-    samples = dataset.train if isinstance(dataset, DatasetBundle) else list(dataset)
-    if not samples:
+    groups = group_by_identity(dataset.train)
+    if not groups:
         raise ValueError("empty dataset")
-    groups = group_by_identity(samples)
     if len(groups) < config.p_ids:
         raise ValueError(
             f"dataset has {len(groups)} identities; batch shape needs {config.p_ids}"
@@ -636,10 +637,8 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
 
     writer = None
     if config.record_trace:
-        # a disabled EMA step is the m = 1 recurrence
-        momentum = config.momentum if config.ema_enabled else 1.0
         writer = TraceWriter(
-            trace_path, shape.n_params, momentum, config.iterations,
+            trace_path, shape.n_params, config.ema_ratio, config.iterations,
             extra={"mode": config.mode},
         )
 

@@ -134,13 +134,17 @@ def batch_coteach(p_m: np.ndarray, p_f: np.ndarray, detach_teacher: bool = False
     return float(per_sample.mean()), grad_f, grad_m
 
 
+def per_sample_ce(p: np.ndarray, labels) -> np.ndarray:
+    """(B,) cross-entropy of each logit row against its label."""
+    return -log_softmax_rows(p)[np.arange(p.shape[0]), np.asarray(labels, dtype=int)]
+
+
 def batch_ce(p: np.ndarray, labels) -> tuple:
     """Cross-entropy of each logit row against its label, averaged over the
     batch; grads include the 1/B."""
     labels = np.asarray(labels, dtype=int)
     b = p.shape[0]
-    log_p = log_softmax_rows(p)
-    loss = float(-log_p[np.arange(b), labels].mean())
+    loss = float(per_sample_ce(p, labels).mean())
     grad = softmax_rows(p)
     grad[np.arange(b), labels] -= 1.0
     return loss, grad / b

@@ -141,9 +141,6 @@ class ParamVector:
     def b3(self):
         return self._segment("b3")
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.flat)))
-
     def sha256(self) -> str:
         return hashlib.sha256(self.flat.astype("<f8").tobytes()).hexdigest()
 

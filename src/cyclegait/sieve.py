@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .gaitgen import FLAG_CLEAN
-from .lossbank import log_softmax_rows, softmax_rows
+from .lossbank import per_sample_ce, softmax_rows
 
 if TYPE_CHECKING:
     from .cyclic import TrainerConfig
@@ -83,16 +83,12 @@ def score_arrays(logits_f: np.ndarray, logits_m: np.ndarray, labels) -> NoiseSco
     """Noise scores of a batch from the two networks' (B, C) logit arrays."""
     if logits_f.shape != logits_m.shape or logits_f.shape[0] != len(labels):
         raise ValueError("logit arrays and labels must align")
-    labels = np.asarray(labels, dtype=int)
-    b, n_classes = logits_f.shape
-    rows = np.arange(b)
     probs_m = softmax_rows(logits_m)
     ent = -np.sum(probs_m * np.log(np.maximum(probs_m, 1e-300)), axis=1)
-    ce = -log_softmax_rows(logits_f)[rows, labels]
-    ce_m = -np.log(np.maximum(probs_m[rows, labels], 1e-300))
+    ce = per_sample_ce(logits_f, labels)
     agree = logits_f.argmax(axis=1) == logits_m.argmax(axis=1)
-    chance = np.log(n_classes)
-    ruled_out = agree & (ce > chance) & (ce_m > chance)
+    chance = np.log(logits_f.shape[1])
+    ruled_out = agree & (ce > chance) & (per_sample_ce(logits_m, labels) > chance)
     return NoiseScores(ent, ce, agree, ruled_out)
 
 
@@ -127,13 +123,10 @@ def adapt_mask(scores: NoiseScores, state: SieveState, config: TrainerConfig):
         mask = ~(confident_wrong | uninformative)
         # never starve the supervised loss: mask at most (1 - keep_floor) of
         # the batch, and spend the masking budget on the largest-CE samples
-        floor_n = max(1, int(np.ceil(config.sieve_keep_floor * b)))
-        if int(mask.sum()) < floor_n:
-            order = np.lexsort((np.arange(b), ce))  # CE asc, index asc
-            for idx in order:
-                if mask.sum() >= floor_n:
-                    break
-                mask[idx] = True
+        shortfall = max(1, int(np.ceil(config.sieve_keep_floor * b))) - int(mask.sum())
+        if shortfall > 0:
+            order = np.argsort(ce, kind="stable")  # CE asc, ties by index
+            mask[order[~mask[order]][:shortfall]] = True
 
     def smooth(old, now):
         return now if old is None else config.sieve_beta * old + (1.0 - config.sieve_beta) * now

@@ -7,7 +7,9 @@ forward pass next to their row-vectorized or batched versions, the
 per-sample pooling loop and the zero-padded set encoder next to the
 batch-pooled ragged one, the per-probe rank-1 search next to the
 chunked one, and the three-write trace record, the whole-trace reader and
-the (N, P)-array replay and closed form next to the streamed ones. The audit helpers are readers that only tests need: the
+the (N, P)-array replay and closed form next to the streamed ones, and
+the sieve's sample-by-sample keep floor next to its one indexed
+assignment. The audit helpers are readers that only tests need: the
 generator's latent geometry and its nearest-prototype oracle, a bundle's
 class count and frame width, and the first iteration a curve reaches a
 target.
@@ -271,6 +273,17 @@ def padded_backward_batch(cache: PaddedCache, params: ModelParams, d_z, d_p) -> 
     grad.w1[:] = np.einsum("bth,btd->hd", d_pre, cache.frames)
     grad.b1[:] = d_pre.sum(axis=(0, 1))
     return grad
+
+
+def keep_floor(mask, ce, floor_n: int) -> np.ndarray:
+    """sieve.adapt_mask's keep floor one sample at a time: unmask samples in
+    CE order, ties by index, until floor_n are kept."""
+    mask = np.array(mask, dtype=bool)
+    for idx in np.lexsort((np.arange(len(ce)), ce)):  # CE asc, index asc
+        if mask.sum() >= floor_n:
+            break
+        mask[idx] = True
+    return mask
 
 
 def nearest_gallery_entry(gallery_features, probe_features, admissible):

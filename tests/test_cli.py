@@ -155,8 +155,12 @@ class TestGenDataCommand:
         assert (out / "train.bin").exists()
         assert (out / "test.bin").exists()
         assert (out / "manifest.json").exists()
-        with pytest.raises(SystemExit):
-            run_cli("gen-data", "--out", str(out), *TINY_GEN)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli("gen-data", "--out", str(out), *TINY_GEN, "--seed", "4") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--force" in err[0]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert run_cli("gen-data", "--out", str(out), *TINY_GEN, "--force") == 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -222,6 +226,20 @@ class TestTrainEvalPipeline:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and "sieve_beta" in err[0]
         assert not (run / "config.snapshot").exists()
+
+    @pytest.mark.parametrize("mode", ["supervised", "coteach-baseline"])
+    def test_consistency_pin_without_consistency_term_is_a_usage_error(
+            self, data_dir, tmp_path, capsys, mode):
+        run, config = tmp_path / "run", tmp_path / "exp.cfg"
+        config.write_text("[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
+                          "sigma0_const = 0.1\n")
+        capsys.readouterr()
+        code = run_cli("train", "--config", str(config), "--data", str(data_dir),
+                       "--out", str(run), "--mode", mode)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "sigma0_const" in err[0]
+        assert not run.exists()
 
     @pytest.mark.parametrize("argv", [
         ("train", "--data", "{missing}", "--out", "{out}"),

@@ -287,6 +287,9 @@ class TestRunTraining:
             tiny_config(mode="nonsense")
         with pytest.raises(ValueError):
             tiny_config(momentum=1.2)
+        for mode in ("supervised", "coteach-baseline"):  # no consistency term to weight
+            with pytest.raises(ValueError, match="sigma0_const"):
+                tiny_config(mode=mode, sigma0_const=0.0)
 
     def test_supervised_equals_cyclic_with_zeroed_consistency(self):
         # with sigma0 = sigma3 = 0 the teacher cannot influence F, so the
@@ -297,6 +300,56 @@ class TestRunTraining:
             bundle, tiny_config(iterations=5, sigma0_const=0.0, sigma3_const=0.0)
         )
         assert np.array_equal(sup.params_f.flat, cyc.params_f.flat)
+
+    def test_detached_teacher_trace_has_zero_m_updates_and_verifies(self, tmp_path):
+        bundle = tiny_bundle()
+        config = tiny_config(iterations=6, record_trace=True, detach_teacher=True)
+        path = tmp_path / "trace.bin"
+        result = run_training(bundle, config, trace_path=str(path))
+        _, records = read_trace(path)
+        deltas_m = [delta_m.copy() for _, delta_m in records]
+        assert len(deltas_m) == 6 and not any(d.any() for d in deltas_m)
+        report = gaugekit.verify_trace_file(str(path), result.init_f, result.init_m,
+                                            result.params_f, result.params_m)
+        assert report["max_relative_deviation"] <= 1e-8
+        assert report["endpoint_f_matches"] and report["endpoint_m_matches"]
+
+
+class TestLabelTermsInEveryMode:
+    """One routine forms CE, triplet and contrastive for every mode, so a
+    weight the schedule gives is a weight the step applies."""
+
+    @pytest.mark.parametrize("pins", [{"sigma3_const": 0.5},
+                                      {"sigma1_const": 0.0, "sigma3_const": 0.0},
+                                      {"sigma1_const": 0.0, "sigma2_const": 0.0,
+                                       "sigma3_const": 0.3}])
+    def test_supervised_equals_cyclic_without_consistency(self, pins):
+        # sigma0 = 0 keeps the teacher out of F's gradient, so F trains on the
+        # label terms alone in both modes
+        bundle = tiny_bundle()
+        sup = run_training(bundle, tiny_config(mode="supervised", iterations=5, **pins))
+        cyc = run_training(bundle, tiny_config(iterations=5, sigma0_const=0.0, **pins))
+        assert np.array_equal(sup.params_f.flat, cyc.params_f.flat)
+
+        def label_logs(result):
+            return [(r["l_ce"], r["l_tri"], r["l_mil"]) for r in result.metrics]
+
+        assert label_logs(sup) == label_logs(cyc)
+
+    @pytest.mark.parametrize("mode", ["supervised", "coteach-baseline"])
+    def test_pinned_contrastive_weight_trains_and_logs(self, mode):
+        bundle = tiny_bundle()
+        plain = run_training(bundle, tiny_config(mode=mode, iterations=3))
+        pinned = run_training(bundle, tiny_config(mode=mode, iterations=3, sigma3_const=0.5))
+        assert all(r["sigma3"] == 0.0 and r["l_mil"] == 0.0 for r in plain.metrics)
+        assert all(r["sigma3"] == 0.5 and r["l_mil"] > 0.0 for r in pinned.metrics)
+        assert not np.array_equal(plain.params_f.flat, pinned.params_f.flat)
+
+    @pytest.mark.parametrize("mode", ["cyclic", "supervised", "selfsup", "coteach-baseline"])
+    def test_zero_ce_weight_logs_zero_ce(self, mode):
+        result = run_training(tiny_bundle(), tiny_config(mode=mode, iterations=3,
+                                                         sigma1_const=0.0))
+        assert all(r["sigma1"] == 0.0 and r["l_ce"] == 0.0 for r in result.metrics)
 
 
 class TestCoteachBaseline:
@@ -395,6 +448,10 @@ class TestScheduleByMode:
         assert sched.at(0)[0] == 0.0
         assert sched.at(10_000)[0] == 0.0
         assert sched.at(10_000)[2] == 0.05
+        # a pin also sets a weight the mode zeroes
+        for mode in ("supervised", "selfsup", "coteach-baseline"):
+            sched = build_schedule(tiny_config(mode=mode, sigma3_const=0.25))
+            assert sched.at(0)[3] == sched.at(10_000)[3] == 0.25
 
     def test_clean_profile_constants(self):
         sched = build_schedule(tiny_config(schedule_profile="clean"))

@@ -12,6 +12,7 @@ from cyclegait.lossbank import (
     batch_coteach,
     batch_mil_loss,
     crc_combine,
+    per_sample_ce,
     triplet_loss,
 )
 from reference import ce_loss, coteach_loss, entropy, mil_loss, softmax
@@ -288,11 +289,12 @@ class TestBatchHelpersAgreeWithScalarOps:
     def test_batch_coteach_matches_scalar(self, rng):
         p_m = rng.normal(size=(5, 4))
         p_f = rng.normal(size=(5, 4))
-        loss, gf, gm = batch_coteach(p_m, p_f)
-        per = [coteach_loss(p_m[i], p_f[i]) for i in range(5)]
-        assert abs(loss - np.mean([x[0] for x in per])) < 1e-12
-        assert np.allclose(gf, np.stack([x[1] for x in per]) / 5.0, atol=1e-12)
-        assert np.allclose(gm, np.stack([x[2] for x in per]) / 5.0, atol=1e-12)
+        for detach_teacher in (False, True):
+            loss, gf, gm = batch_coteach(p_m, p_f, detach_teacher=detach_teacher)
+            per = [coteach_loss(p_m[i], p_f[i], detach_teacher) for i in range(5)]
+            assert abs(loss - np.mean([x[0] for x in per])) < 1e-12
+            assert np.allclose(gf, np.stack([x[1] for x in per]) / 5.0, atol=1e-12)
+            assert np.allclose(gm, np.stack([x[2] for x in per]) / 5.0, atol=1e-12)
 
     def test_batch_ce_matches_scalar(self, rng):
         p = rng.normal(size=(6, 5))
@@ -301,3 +303,6 @@ class TestBatchHelpersAgreeWithScalarOps:
         per = [ce_loss(p[i], int(labels[i])) for i in range(6)]
         assert abs(loss - np.mean([x[0] for x in per])) < 1e-12
         assert np.allclose(grad, np.stack([x[1] for x in per]) / 6.0, atol=1e-12)
+        per_sample = per_sample_ce(p, labels)
+        assert np.allclose(per_sample, [x[0] for x in per], atol=1e-12)
+        assert loss == float(per_sample.mean())

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from cyclegait.cyclic import TrainerConfig
 from reference import ce_loss, entropy, softmax
 from cyclegait.sieve import (
@@ -207,6 +210,35 @@ class TestAdaptMask:
     def test_out_of_range_knobs_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainerConfig(**{name: value})
+
+
+class TestKeepFloor:
+    """The keep floor, one indexed assignment in adapt_mask, against the
+    sample-by-sample loop of reference.keep_floor."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 2.0]),  # entropy around its running mean 1
+                st.sampled_from([0.0, 0.5, 2.0, 3.0, 3.0 + 1e-12]),  # CE, with ties
+                st.booleans(),  # agreement
+            ),
+            min_size=1, max_size=12,
+        ),
+        keep_floor=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_sample_loop(self, rows, keep_floor):
+        ent, ce, agree = (np.array(col) for col in zip(*rows))
+        config = TrainerConfig(sieve_keep_floor=keep_floor)
+        state = SieveState(mean_entropy=1.0, mean_ce=1.0, mean_ruled_out=1.0,
+                           iteration=config.sieve_warmup, active=True)
+        mask, _ = adapt_mask(make_scores(ent, ce, agree), state, config)
+        high_ce = ce > config.sieve_scale * state.mean_ce
+        sharp = ent <= config.sieve_entropy_scale * state.mean_entropy
+        unfloored = ~((agree & sharp & high_ce) | (~agree & ~sharp & high_ce))
+        floor_n = max(1, math.ceil(keep_floor * len(ce)))
+        assert mask.tolist() == reference.keep_floor(unfloored, ce, floor_n).tolist()
 
 
 class TestEvidenceGate:
