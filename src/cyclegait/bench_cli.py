@@ -347,11 +347,10 @@ ABLATION_CELLS = (
 )
 
 
-def _ablation_cell_job(base, bundle_manifest, overrides, seed) -> dict:
-    """Train one grid cell at one seed; returns its rank-1 means by condition
-    and overall."""
-    # regenerated, not reused: perfbench expects gaitgen.regenerate on ablation-grid
-    bundle = gaitgen.regenerate_from_manifest(bundle_manifest)
+def _ablation_cell_job(base, bundle, overrides, seed) -> dict:
+    """Train one grid cell at one seed on bundle and evaluate it on the test
+    split; returns its rank-1 means by condition and overall. Training and
+    evaluation only read the samples, so every cell can share one bundle."""
     cfg = dataclasses.replace(base, **overrides, seed=seed)
     result = run_training(bundle, cfg)
     report = gaugekit.evaluate_checkpoint(
@@ -362,16 +361,28 @@ def _ablation_cell_job(base, bundle_manifest, overrides, seed) -> dict:
     return scores
 
 
+def _check_grid(cfg: ExperimentConfig, bundle: DatasetBundle, seeds: list):
+    """Raise ValueError when the grid cannot run: no seed, or a train split
+    that cannot fill the batch shape."""
+    if not seeds:
+        raise ValueError("the ablation grid needs at least one seed")
+    train_groups(bundle, cfg)
+
+
 def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds) -> dict:
     """Train and evaluate every grid cell for every seed, one after another;
     returns {cell: {condition: (mean, std) over the seeds}}, with "overall"
-    among the conditions."""
+    among the conditions.
+
+    The grid regenerates the dataset from bundle's manifest once, and every
+    cell and seed trains on that copy, so a dataset whose files were edited
+    after gen-data scores as its manifest describes it."""
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("the ablation grid needs at least one seed")
+    _check_grid(cfg, bundle, seeds)
+    data = gaitgen.regenerate_from_manifest(bundle.manifest)
     table = {}
     for cell_name, overrides in ABLATION_CELLS:
-        scores = [_ablation_cell_job(cfg, bundle.manifest, overrides, seed) for seed in seeds]
+        scores = [_ablation_cell_job(cfg, data, overrides, seed) for seed in seeds]
         table[cell_name] = {}
         for key in ("NM", "BG", "CL", "overall"):
             vals = np.array([s[key] for s in scores])
@@ -476,18 +487,22 @@ def cmd_ablate(args) -> int:
         iterations=args.iterations,
     )
     seeds = [args.seed + i for i in range(args.seeds)]
-    table = run_ablation(base, bundle, seeds)
     outdir = _resolve_out(args.out)
+    csv_path = os.path.join(outdir, "ablation.csv")
+    # every check that can fail runs before the grid trains its first cell
+    _refuse_existing(csv_path, args.force, "ablation")
+    _check_grid(base, bundle, seeds)
     os.makedirs(outdir, exist_ok=True)
+    table = run_ablation(base, bundle, seeds)
     digest = config_hash(base)
-    _write_csv(os.path.join(outdir, "ablation.csv"), ablation_csv(table), digest)
+    _write_csv(csv_path, ablation_csv(table), digest)
     print(f"{'cell':<24}{'NM':>16}{'BG':>16}{'CL':>16}")
     for cell_name, _ in ABLATION_CELLS:
         e = table[cell_name]
         print(f"{cell_name:<24}" + "".join(
             f"{e[c][0]:>9.2f}±{e[c][1]:<6.2f}" for c in ("NM", "BG", "CL")
         ))
-    print(f"wrote {os.path.join(outdir, 'ablation.csv')}")
+    print(f"wrote {csv_path}")
     return 0
 
 
@@ -609,6 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int, default=d.seed, help="first seed of the range")
     p.add_argument("--iterations", type=int, default=d.iterations)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("verify-closed-form",

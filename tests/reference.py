@@ -9,17 +9,22 @@ batch-pooled ragged one, the per-probe rank-1 search next to the
 chunked one, and the three-write trace record, the whole-trace reader and
 the (N, P)-array replay and closed form next to the streamed ones, and
 the sieve's sample-by-sample keep floor next to its one indexed
-assignment. The audit helpers are readers that only tests need: the
+assignment, and the ablation grid that regenerated the dataset for every
+cell next to the one that regenerates it once. The audit helpers are readers that only tests need: the
 generator's latent geometry and its nearest-prototype oracle, a bundle's
 class count and frame width, and the first iteration a curve reaches a
 target.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from cyclegait.gaitgen import GeometryParams, build_geometry
+from cyclegait.bench_cli import ABLATION_CELLS
+from cyclegait.cyclic import run_training
+from cyclegait.gaitgen import GeometryParams, build_geometry, regenerate_from_manifest
+from cyclegait.gaugekit import evaluate_checkpoint
 from cyclegait.lossbank import BatchStructureError
 from cyclegait.numkit import _DRAW_BLOCK
 from cyclegait.setnet import ForwardCache, GradVector, ModelParams, forward_batch
@@ -426,6 +431,25 @@ def closed_form_theta_m(theta0_f, theta0_m, deltas_f, deltas_m, m: float):
     powers = np.array([m ** (n - k) for k in range(1, n + 1)])
     weighted = powers[:, None] * deltas_m + (1.0 - powers)[:, None] * deltas_f
     return theta0_f + (m**n) * (theta0_m - theta0_f) + weighted.sum(axis=0)
+
+
+def per_cell_ablation(cfg, bundle, seeds) -> dict:
+    """bench_cli.run_ablation with a fresh regeneration of the dataset from
+    bundle's manifest for every cell and seed: {cell: {condition: (mean, std)}}."""
+    table = {}
+    for cell_name, overrides in ABLATION_CELLS:
+        scores = {key: [] for key in ("NM", "BG", "CL", "overall")}
+        for seed in seeds:
+            data = regenerate_from_manifest(bundle.manifest)
+            cell_cfg = dataclasses.replace(cfg, **overrides, seed=seed)
+            result = run_training(data, cell_cfg)
+            report = evaluate_checkpoint(result.params_f, data.test, cell_cfg.exclude_same_view)
+            for c in ("NM", "BG", "CL"):
+                scores[c].append(report.condition_means.get(c, float("nan")))
+            scores["overall"].append(report.overall_mean)
+        table[cell_name] = {key: (float(np.mean(vals)), float(np.std(vals)))
+                            for key, vals in scores.items()}
+    return table
 
 
 def first_reach_iteration(iterations, values, target: float):

@@ -57,8 +57,8 @@ def test_every_pinned_layer_is_reached(perfbench, tmp_path, monkeypatch):
         run(tracer, "eval", "--checkpoint", str(runs / "cyclic" / "model_f.ckpt"),
             "--data", data)
         verify = run(tracer, "verify-closed-form", "--run", str(runs / "cyclic"))
-        run(tracer, "ablate", "--data", data, "--out", str(runs / "grid"), "--seeds", "1",
-            "--iterations", "2")
+        grids = {n: run(tracer, "ablate", "--data", data, "--out", str(runs / f"grid{n}"),
+                        "--seeds", str(n), "--iterations", "2") for n in (1, 2)}
         called = tracer.calls.copy()
         coteach = run(tracer, *train, "--out", str(runs / "coteach"),
                       "--mode", "coteach-baseline")
@@ -66,6 +66,11 @@ def test_every_pinned_layer_is_reached(perfbench, tmp_path, monkeypatch):
     for workload in (workloads.CyclicSplit, workloads.TraceVerify, workloads.AblationGrid):
         missing = [key for key in workload.expect_active if not called[key]]
         assert not missing, f"{workload.name}: never called {missing}"
+
+    # one regeneration per grid, however many cells and seeds train on it
+    for n_seeds, calls in grids.items():
+        assert calls["gaitgen.regenerate"] == 1
+        assert calls["bench_cli.cell"] == len(bench_cli.ABLATION_CELLS) * n_seeds
 
     tv = workloads.TraceVerify
     assert verify["gaugekit.replay"] == tv.replays_per_session / tv.verify_repeats

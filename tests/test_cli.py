@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import reference
+from cyclegait import bench_cli, gaitgen
 from cyclegait.bench_cli import (
     ABLATION_CELLS,
     ExperimentConfig,
@@ -17,7 +19,7 @@ from cyclegait.bench_cli import (
     serialize_config,
 )
 from cyclegait.cyclic import TrainerConfig
-from cyclegait.gaitgen import load_bundle
+from cyclegait.gaitgen import load_bundle, regenerate_from_manifest
 from cyclegait.setnet import OptimizerConfig, load_checkpoint
 
 
@@ -430,7 +432,7 @@ class TestAblateCommand:
         assert list(table) == [name for name, _ in ABLATION_CELLS]
         stds = []
         for cell_name, overrides in ABLATION_CELLS:
-            scores = [_ablation_cell_job(base, bundle.manifest, overrides, s) for s in seeds]
+            scores = [_ablation_cell_job(base, bundle, overrides, s) for s in seeds]
             assert list(table[cell_name]) == ["NM", "BG", "CL", "overall"]
             for key, (mean, std) in table[cell_name].items():
                 vals = [score[key] for score in scores]
@@ -448,7 +450,125 @@ class TestAblateCommand:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
-        assert not (out / "ablation.csv").exists()
+        assert not out.exists()  # checked before the output directory is made
+
+
+class TestSharedGridBundle:
+    """The grid regenerates its dataset once and every cell and seed shares it."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        # split noise, so the regeneration replays a corruption as well
+        out = tmp_path / "data"
+        run_cli("gen-data", "--out", str(out), *TINY_GEN, "--ids", "10", "--train-ids", "8",
+                "--corrupt", "split", "--fraction", "0.5")
+        return out
+
+    @pytest.fixture()
+    def regenerations(self, monkeypatch):
+        """Every bundle gaitgen.regenerate_from_manifest returns, in call order."""
+        made, regenerate = [], gaitgen.regenerate_from_manifest
+
+        def counted(manifest):
+            made.append(regenerate(manifest))
+            return made[-1]
+
+        monkeypatch.setattr(gaitgen, "regenerate_from_manifest", counted)
+        return made
+
+    def test_table_equals_the_per_cell_regeneration_oracle(self, data):
+        bundle = load_bundle(str(data))
+        base = ExperimentConfig(data_dir=str(data), iterations=2)
+        seeds = (1, 2)
+        table = run_ablation(base, bundle, seeds)
+        assert table == reference.per_cell_ablation(base, bundle, seeds)
+
+    @pytest.mark.parametrize("n_seeds", [1, 2])
+    def test_one_regeneration_per_grid(self, data, regenerations, n_seeds):
+        base = ExperimentConfig(data_dir=str(data), iterations=2)
+        run_ablation(base, load_bundle(str(data)), range(1, 1 + n_seeds))
+        assert len(regenerations) == 1
+
+    def test_training_leaves_the_shared_bundle_as_regenerated(self, data, regenerations):
+        bundle = load_bundle(str(data))
+        run_ablation(ExperimentConfig(data_dir=str(data), iterations=2), bundle, (1, 2))
+        (shared,) = regenerations
+        fresh = regenerate_from_manifest(bundle.manifest)
+        for split in ("train", "test"):
+            used, new = getattr(shared, split), getattr(fresh, split)
+            assert len(used) == len(new)
+            for a, b in zip(used, new):
+                assert a.frames.dtype == b.frames.dtype and a.frames.shape == b.frames.shape
+                assert a.frames.tobytes() == b.frames.tobytes()
+                assert ((a.identity, a.condition, a.view, a.noise_flag)
+                        == (b.identity, b.condition, b.view, b.noise_flag))
+
+    def test_edited_train_frames_do_not_change_the_table(self, data, tmp_path):
+        before, after = tmp_path / "before", tmp_path / "after"
+        grid = ("--seeds", "1", "--iterations", "2")
+        assert run_cli("ablate", "--data", str(data), "--out", str(before), *grid) == 0
+        train_bin = data / "train.bin"
+        blob = train_bin.read_bytes()
+        header_end = blob.index(b"\n") + 1
+        n_values = (len(blob) - header_end) // 8
+        other = np.random.default_rng(0).normal(size=n_values).astype("<f8").tobytes()
+        train_bin.write_bytes(blob[:header_end] + other)
+        edited = load_bundle(str(data))
+        assert edited.train[0].frames.tobytes() != regenerate_from_manifest(
+            edited.manifest).train[0].frames.tobytes()
+        assert run_cli("ablate", "--data", str(data), "--out", str(after), *grid) == 0
+        assert (after / "ablation.csv").read_bytes() == (before / "ablation.csv").read_bytes()
+
+
+class TestAblateOutput:
+    """ablate checks its output before the grid trains a cell."""
+
+    @pytest.fixture()
+    def data(self, tmp_path):
+        out = tmp_path / "data"
+        run_cli("gen-data", "--out", str(out), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        return out
+
+    @pytest.fixture()
+    def no_grid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(bench_cli, "run_ablation", refuse)
+
+    @pytest.mark.usefixtures("no_grid")
+    def test_existing_table_is_refused_without_force(self, data, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        out.mkdir()
+        (out / "ablation.csv").write_text("kept\n")
+        capsys.readouterr()
+        code = run_cli("ablate", "--data", str(data), "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "--force" in err[0]
+        assert os.listdir(out) == ["ablation.csv"]
+        assert (out / "ablation.csv").read_text() == "kept\n"
+
+    @pytest.mark.usefixtures("no_grid")
+    def test_out_that_is_a_file_fails_before_the_grid(self, data, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        out.write_text("kept\n")
+        capsys.readouterr()
+        code = run_cli("ablate", "--data", str(data), "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert out.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["ablation", "data"]
+
+    def test_force_overwrites_the_table(self, data, tmp_path):
+        out = tmp_path / "ablation"
+        out.mkdir()
+        (out / "ablation.csv").write_text("old\n")
+        assert run_cli("ablate", "--data", str(data), "--out", str(out), "--force",
+                       "--seeds", "1", "--iterations", "2") == 0
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[0].startswith("# config_hash=") and len(lines) == 2 + len(ABLATION_CELLS)
 
 
 class TestCostCommand:
