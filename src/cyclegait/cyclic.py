@@ -397,8 +397,8 @@ def _coteach_step(batch, state, config, schedule, k):
     b = len(batch)
     frame_sets = [s.frames for s in batch]
 
-    _, p_a, _ = forward_batch(frame_sets, state.params_f)
-    _, p_b, _ = forward_batch(frame_sets, state.params_m)
+    p_a = forward_batch(frame_sets, state.params_f)[1]  # selection only: no cache kept
+    p_b = forward_batch(frame_sets, state.params_m)[1]
     n_keep = math.ceil((1.0 - config.coteach_noise_rate) * b)
     sel_a = np.argsort(per_sample_ce(p_a, labels), kind="stable")[:n_keep]  # ties by index
     sel_b = np.argsort(per_sample_ce(p_b, labels), kind="stable")[:n_keep]

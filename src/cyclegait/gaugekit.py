@@ -226,7 +226,7 @@ def embed_samples(params: ModelParams, samples, batch: int = 256):
     zs, ps = [], []
     for lo in range(0, len(samples), batch):
         chunk = samples[lo : lo + batch]
-        z, p, _ = forward_batch([s.frames for s in chunk], params)
+        z, p = forward_batch([s.frames for s in chunk], params)[:2]  # no backward: drop the cache
         zs.append(z)
         ps.append(p)
     return np.concatenate(zs), np.concatenate(ps)

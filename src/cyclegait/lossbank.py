@@ -7,7 +7,8 @@ and every gradient here is exact (finite-difference checked in the tests).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +32,10 @@ class LossBreakdown:
     sigma3: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)  # in field order; every field is a float
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.as_dict().values())
+        return all(math.isfinite(v) for v in self.__dict__.values())
 
 
 @dataclass(frozen=True)
@@ -150,17 +151,24 @@ def batch_ce(p: np.ndarray, labels) -> tuple:
     return loss, grad / b
 
 
-def _pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
+def _pairwise_distances(embeddings: np.ndarray):
+    """Euclidean distances from the Gram expansion, and where they are
+    resolved. A squared distance of at most (d + 2) eps (|e_i|^2 + |e_j|^2)
+    is within the expansion's rounding error, where two equal rows land, so
+    it tells nothing about the pair's direction."""
     sq = np.sum(embeddings**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * embeddings @ embeddings.T
+    scale = sq[:, None] + sq[None, :]
+    d2 = scale - 2.0 * embeddings @ embeddings.T
+    resolved = d2 > (embeddings.shape[1] + 2) * np.finfo(np.float64).eps * scale
     np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    return np.sqrt(d2), resolved
 
 
 def has_valid_triplet(labels) -> bool:
-    labels = np.asarray(labels)
-    _, counts = np.unique(labels, return_counts=True)
-    return len(counts) >= 2 and counts.max() >= 2
+    """Whether the labels hold two classes and a class with two members. A
+    sort rather than a bincount, so any integer ids work, large or negative."""
+    s = np.sort(np.asarray(labels))
+    return s.size > 0 and bool(s[0] != s[-1]) and bool((s[1:] == s[:-1]).any())
 
 
 def triplet_loss(embeddings, labels, margin: float = 0.2):
@@ -169,6 +177,16 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     Mean of hinge(d(a,p) - d(a,n) + margin) over triplets whose hinge is
     strictly positive; zero when every valid triplet already satisfies the
     margin. Returns (loss, per-embedding gradients).
+
+    Hinges are formed only for anchor-positive pairs, a row of B candidate
+    negatives each, in the (a, p, n) order of the full cube, so the mean
+    adds the same terms in the same order. With c[a, j] the active triplets
+    that take (a, j) as positive pair minus those that take it as negative
+    pair, over the active count, and w = c / d (0 where d is not resolved),
+    row i's gradient is sum_j (w[i, j] + w[j, i]) (e_i - e_j). It is formed
+    as e * (w.sum(1) + w.sum(0))[:, None] - (w + w.T) @ e, without the
+    (B, B, d) difference cube; that rounds differently, within 1e-12
+    relative to max|e| / d_min, the largest term it adds.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -179,32 +197,25 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
             "no valid (anchor, positive, negative) triplet in batch"
         )
     b = e.shape[0]
-    dist = _pairwise_distances(e)
+    dist, resolved = _pairwise_distances(e)
     same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(b, dtype=bool)
-    neg_mask = ~same
+    anchor, positive = np.nonzero(same & ~np.eye(b, dtype=bool))  # row-major (a, p)
 
-    hinge = dist[:, :, None] - dist[:, None, :] + margin  # (a, p, n)
-    valid = pos_mask[:, :, None] & neg_mask[:, None, :]
-    active = valid & (hinge > 0.0)
-    n_active = int(active.sum())
+    hinge = dist[anchor, positive][:, None] - dist[anchor] + margin  # (pair, n)
+    active = ~same[anchor] & (hinge > 0.0)
+    n_active = np.count_nonzero(active)
     if n_active == 0:
         return 0.0, np.zeros_like(e)
     loss = float(hinge[active].sum() / n_active)
 
     # coefficient on each pair distance: +count over n for (a,p), -count over p for (a,n)
     coeff = np.zeros((b, b))
-    coeff += active.sum(axis=2)  # anchor-positive pairs
-    coeff -= active.sum(axis=1)  # anchor-negative pairs
+    coeff[anchor, positive] = np.count_nonzero(active, axis=1)
+    coeff -= (np.arange(b)[:, None] == anchor).astype(np.float64) @ active  # pairs -> anchors
     coeff /= n_active
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(dist > 0.0, 1.0 / np.where(dist > 0.0, dist, 1.0), 0.0)
-    w = coeff * inv
-    diff = e[:, None, :] - e[None, :, :]  # e_i - e_j
-    w_diff = w[:, :, None] * diff
-    grad = w_diff.sum(axis=1) - w_diff.sum(axis=0)
-    return loss, grad
+    w = coeff * np.divide(1.0, dist, out=np.zeros_like(dist), where=resolved)
+    return loss, e * (w.sum(axis=1) + w.sum(axis=0))[:, None] - (w + w.T) @ e
 
 
 def batch_mil_loss(embeddings, labels, temperature: float = 1.0):

@@ -13,9 +13,11 @@ each set owning a row range, so no product is spent on padding. The pooling
 is one reduction over a zero-padded (B, T_max, d_hidden) array, which is a
 free view of the stack when all sets have the same length; forward_batch
 says in which order its sums add and where that differs from summing each
-set on its own (d_hidden = 1). Parameters live in one flat float64 vector so
-that EMA transfer, optimizer steps and update traces are plain vector
-arithmetic; named segment views expose the layer tensors.
+set on its own (d_hidden = 1). The max-pool routing is built only for a
+backward pass (ForwardCache), which forms w1's gradient as one BLAS product.
+Parameters live in one flat float64 vector so that EMA transfer, optimizer
+steps and update traces are plain vector arithmetic; named segment views
+expose the layer tensors.
 
 Any encoder exposing the same forward/backward surface plugs into the
 trainer unchanged; this one is the smallest stack that exercises set pooling,
@@ -64,23 +66,23 @@ class EncoderShape:
     def n_params(self) -> int:
         return sum(int(np.prod(s)) for _, s in self.segments())
 
+    @functools.cached_property
+    def segment_table(self) -> dict:
+        """name -> (offset, size, shape) of each segment in the flat layout."""
+        table = {}
+        offset = 0
+        for name, seg_shape in self.segments():
+            size = int(np.prod(seg_shape))
+            table[name] = (offset, size, seg_shape)
+            offset += size
+        return table
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderShape":
         return cls(int(d["d_in"]), int(d["d_hidden"]), int(d["d_emb"]), int(d["n_classes"]))
-
-
-@functools.lru_cache(maxsize=None)
-def _segment_table(shape: EncoderShape) -> dict:
-    table = {}
-    offset = 0
-    for name, seg_shape in shape.segments():
-        size = int(np.prod(seg_shape))
-        table[name] = (offset, size, seg_shape)
-        offset += size
-    return table
 
 
 class ParamVector:
@@ -114,7 +116,7 @@ class ParamVector:
         return ParamVector(self.shape, self.flat.copy())
 
     def _segment(self, name: str) -> np.ndarray:
-        offset, size, seg_shape = _segment_table(self.shape)[name]
+        offset, size, seg_shape = self.shape.segment_table[name]
         return self.flat[offset : offset + size].reshape(seg_shape)
 
     @property
@@ -173,17 +175,49 @@ class ForwardCache:
     """Activations kept from forward_batch for the matching backward pass.
 
     Row-indexed arrays stack the batch's frames in sample order, with no
-    padding rows: sample i owns the lengths[i] rows that follow those of
-    samples 0 .. i-1.
+    padding rows: sample i owns the lengths[i] rows from starts[i] on. The
+    routing of the max pool (max_row) and the ReLU mask (relu_on) are built
+    from the kept activations the first time backward_batch reads them, so a
+    forward that is never differentiated does not pay for them.
     """
 
     frames: np.ndarray  # (sum T_i, d_in)
     lengths: np.ndarray  # (B,) frame count per sample
-    relu_on: np.ndarray  # (sum T_i, d_hidden) bool
-    max_row: np.ndarray  # (B, d_hidden) row whose activation is each sample's max
+    starts: np.ndarray  # (B,) first row of each sample
+    hidden: np.ndarray  # (sum T_i, d_hidden) ReLU output
+    padded: np.ndarray  # (B, T_max, d_hidden) hidden, zero after each sample's last frame
+    peak: np.ndarray  # (B, d_hidden) each sample's max activation
     pooled: np.ndarray  # (B, 2*d_hidden)
     z: np.ndarray  # (B, d_emb)
     n_params: int
+
+    @functools.cached_property
+    def relu_on(self) -> np.ndarray:
+        """(sum T_i, d_hidden) bool: where the ReLU passed its input. The
+        output is positive exactly where the input was."""
+        return self.hidden > 0.0
+
+    @functools.cached_property
+    def max_row(self) -> np.ndarray:
+        """(B, d_hidden) row whose activation is each sample's max.
+
+        The max feeds from the first frame of the sample that reaches it, so
+        a tie (say, a duplicated frame) routes the whole max gradient to one
+        frame. That frame is found as the highest descending rank among the
+        frames equal to the peak, which is cheaper than an argmax along the
+        strided frame axis. ReLU output is never below the zero padding, so
+        padding cannot come first. A NaN peak takes argmax's first NaN frame.
+        """
+        padded, peak = self.padded, self.peak
+        t_max = padded.shape[1]
+        # the rank fits the smallest type that holds T_max; the row index is
+        # widened to intp before the row offsets, which pass int16 in big batches
+        rank = np.arange(t_max, 0, -1, dtype=np.min_scalar_type(t_max))
+        first = t_max - ((padded == peak[:, None, :]) * rank[:, None]).max(axis=1).astype(np.intp)
+        nan_peak = np.isnan(peak)
+        if nan_peak.any():
+            first[nan_peak] = padded.argmax(axis=1)[nan_peak]
+        return first + self.starts[:, None]
 
 
 def forward_batch(frame_sets, params: ModelParams):
@@ -202,12 +236,11 @@ def forward_batch(frame_sets, params: ModelParams):
       no sum, so the result is that of a per-sample sum bit for bit. The
       exception is d_hidden = 1: the frame axis is then contiguous, numpy
       sums it pairwise, and a ragged batch rounds differently (within 1e-12);
-    - the max feeds from the first frame of the sample that reaches it, so a
-      tie (say, a duplicated frame) routes the whole max gradient to one
-      frame. That frame is found as the highest descending rank among the
-      frames equal to the peak, which is cheaper than an argmax along the
-      strided frame axis. ReLU output is never below the zero padding, so
-      padding cannot come first. A NaN peak takes argmax's first NaN frame.
+    - the max is the column peak itself; ReLU output is never below the zero
+      padding, so padding cannot raise it. Which frame reached it is left to
+      ForwardCache.max_row.
+    A caller that only needs Z and P should drop the cache at once
+    (forward_batch(...)[:2]): it holds the hidden activations.
     """
     shape = params.shape
     if not frame_sets:
@@ -226,7 +259,6 @@ def forward_batch(frame_sets, params: ModelParams):
     # in place: a second (sum T_i, H) temporary costs more than the add
     pre = frames @ params.w1.T
     pre += params.b1
-    relu_on = pre > 0.0
     hidden = np.maximum(pre, 0.0, out=pre)
 
     b, t_max = len(frame_sets), int(lengths.max())
@@ -235,24 +267,15 @@ def forward_batch(frame_sets, params: ModelParams):
     else:
         padded = np.zeros((b, t_max, shape.d_hidden))
         padded[np.arange(t_max) < lengths[:, None]] = hidden
-    sums = padded.sum(axis=1)
+    mn = padded.sum(axis=1) / lengths[:, None]
     peak = padded.max(axis=1)
-    # the rank fits the smallest type that holds T_max; the row index is
-    # widened to intp before the row offsets, which pass int16 in big batches
-    rank = np.arange(t_max, 0, -1, dtype=np.min_scalar_type(t_max))
-    first = t_max - ((padded == peak[:, None, :]) * rank[:, None]).max(axis=1).astype(np.intp)
-    nan_peak = np.isnan(peak)
-    if nan_peak.any():
-        first[nan_peak] = padded.argmax(axis=1)[nan_peak]
-    max_row = first + starts[:, None]
-    mx = hidden[max_row, np.arange(shape.d_hidden)]
-    mn = sums / lengths[:, None]
 
-    pooled = np.concatenate([mx, mn], axis=1)
+    pooled = np.concatenate([peak, mn], axis=1)
     z = pooled @ params.w2.T + params.b2
     p = z @ params.w3.T + params.b3
 
-    cache = ForwardCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
+    cache = ForwardCache(frames, lengths, starts, hidden, padded, peak, pooled, z,
+                         shape.n_params)
     return z, p, cache
 
 
@@ -290,10 +313,10 @@ def backward_batch(cache: ForwardCache, params: ModelParams, d_z, d_p) -> GradVe
     d_hidden[cache.max_row, np.arange(h)] += d_max
     d_pre = np.multiply(d_hidden, cache.relu_on, out=d_hidden)
 
-    # Both sums add frames in order, one row after another. The einsum is
-    # spelled with d_hidden's axis innermost, which is faster than "th,td->hd"
-    # and adds in the same order; a BLAS d_pre.T @ frames would not.
-    grad.w1[:] = np.einsum("td,th->dh", cache.frames, d_pre).T
+    # One BLAS product over the stacked frames. It adds them in blocked
+    # order, not one after another, so it rounds unlike a per-frame sum
+    # (within 1e-12 relative); b1's column sum still adds in frame order.
+    grad.w1[:] = d_pre.T @ cache.frames
     grad.b1[:] = d_pre.sum(axis=0)
     return grad
 

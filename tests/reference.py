@@ -2,18 +2,24 @@
 the audit helpers only tests use.
 
 The references are the plain, slower forms of computations that `src/`
-carries in a faster shape: per-sample losses, softmax and the single-set
-forward pass next to their row-vectorized or batched versions, the
-per-sample pooling loop and the zero-padded set encoder next to the
-batch-pooled ragged one, the per-probe rank-1 search next to the
-chunked one, and the three-write trace record, the whole-trace reader and
-the (N, P)-array replay and closed form next to the streamed ones, and
-the sieve's sample-by-sample keep floor next to its one indexed
-assignment, and the ablation grid that regenerated the dataset for every
-cell next to the one that regenerates it once. The audit helpers are readers that only tests need: the
-generator's latent geometry and its nearest-prototype oracle, a bundle's
-class count and frame width, and the first iteration a curve reaches a
-target.
+carries in a faster shape, each next to the fast one:
+- per-sample losses, softmax and the single-set forward pass, next to
+  their row-vectorized or batched versions;
+- the per-sample pooling loop and the zero-padded set encoder, next to the
+  batch-pooled ragged one;
+- the frame-by-frame einsum for w1's gradient, next to the BLAS product,
+  and the (B, B, d) difference cube of the triplet gradient, next to its
+  two matrix products;
+- the per-probe rank-1 search, next to the chunked one;
+- the three-write trace record, the whole-trace reader and the
+  (N, P)-array replay and closed form, next to the streamed ones;
+- the sieve's sample-by-sample keep floor, next to its one indexed
+  assignment;
+- the ablation grid that regenerated the dataset for every cell, next to
+  the one that regenerates it once.
+The audit helpers are readers that only tests need: the generator's latent
+geometry and its nearest-prototype oracle, a bundle's class count and frame
+width, and the first iteration a curve reaches a target.
 """
 
 import dataclasses
@@ -25,9 +31,9 @@ from cyclegait.bench_cli import ABLATION_CELLS
 from cyclegait.cyclic import run_training
 from cyclegait.gaitgen import GeometryParams, build_geometry, regenerate_from_manifest
 from cyclegait.gaugekit import evaluate_checkpoint
-from cyclegait.lossbank import BatchStructureError
+from cyclegait.lossbank import BatchStructureError, _pairwise_distances, has_valid_triplet
 from cyclegait.numkit import _DRAW_BLOCK
-from cyclegait.setnet import ForwardCache, GradVector, ModelParams, forward_batch
+from cyclegait.setnet import GradVector, ModelParams, forward_batch
 
 
 def as_vec(values) -> np.ndarray:
@@ -164,14 +170,29 @@ def forward(frames, params: ModelParams) -> NetOutputs:
     return NetOutputs(z[0], p[0])
 
 
+@dataclass
+class LoopedCache:
+    """The activations setnet.backward_batch reads, with the max-pool
+    routing and the ReLU mask built at once by looped_forward_batch."""
+
+    frames: np.ndarray  # (sum T_i, d_in)
+    lengths: np.ndarray  # (B,)
+    relu_on: np.ndarray  # (sum T_i, d_hidden) bool
+    max_row: np.ndarray  # (B, d_hidden)
+    pooled: np.ndarray  # (B, 2*d_hidden)
+    z: np.ndarray  # (B, d_emb)
+    n_params: int
+
+
 def looped_forward_batch(frame_sets, params: ModelParams):
     """setnet.forward_batch with each sample pooled on its own, one loop
     pass per sample over its row range of the stacked frames.
 
     The mean's sum adds the sample's rows one after another in frame order;
     the max row is the first of the sample's frames to reach the max (an
-    argmax, so a NaN column routes to its first NaN). The cache is a
-    setnet.ForwardCache, so setnet.backward_batch runs on it unchanged.
+    argmax, so a NaN column routes to its first NaN), and the max is read
+    from that row. The cache is a LoopedCache, on which
+    setnet.backward_batch runs unchanged.
     """
     shape = params.shape
     lengths = np.array([fs.shape[0] for fs in frame_sets])
@@ -197,8 +218,62 @@ def looped_forward_batch(frame_sets, params: ModelParams):
     z = pooled @ params.w2.T + params.b2
     p = z @ params.w3.T + params.b3
 
-    cache = ForwardCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
+    cache = LoopedCache(frames, lengths, relu_on, max_row, pooled, z, shape.n_params)
     return z, p, cache
+
+
+def einsum_backward_batch(cache, params: ModelParams, d_z, d_p) -> GradVector:
+    """setnet.backward_batch with w1's gradient as an einsum that adds the
+    frames one after another, in frame order, instead of a BLAS product."""
+    grad = GradVector.zeros(params.shape)
+    d_z = np.asarray(d_z, dtype=np.float64)
+    d_p = np.asarray(d_p, dtype=np.float64)
+    grad.w3[:] = d_p.T @ cache.z
+    grad.b3[:] = d_p.sum(axis=0)
+    d_z_total = d_z + d_p @ params.w3
+    grad.w2[:] = d_z_total.T @ cache.pooled
+    grad.b2[:] = d_z_total.sum(axis=0)
+    d_pooled = d_z_total @ params.w2
+
+    h = params.shape.d_hidden
+    d_hidden = np.repeat(d_pooled[:, h:] / cache.lengths[:, None], cache.lengths, axis=0)
+    d_hidden[cache.max_row, np.arange(h)] += d_pooled[:, :h]
+    d_pre = d_hidden * cache.relu_on
+    grad.w1[:] = np.einsum("td,th->dh", cache.frames, d_pre).T
+    grad.b1[:] = d_pre.sum(axis=0)
+    return grad
+
+
+def cube_triplet_loss(embeddings, labels, margin: float = 0.2):
+    """lossbank.triplet_loss with the gradient summed over the (B, B, d)
+    cube of weighted row differences w[i, j] (e_i - e_j); a weight takes
+    1/d wherever the Gram-form distance is positive."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    if not has_valid_triplet(labels):
+        raise BatchStructureError("no valid (anchor, positive, negative) triplet in batch")
+    b = e.shape[0]
+    dist, _ = _pairwise_distances(e)
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same & ~np.eye(b, dtype=bool)
+    neg_mask = ~same
+
+    hinge = dist[:, :, None] - dist[:, None, :] + margin  # (a, p, n)
+    active = pos_mask[:, :, None] & neg_mask[:, None, :] & (hinge > 0.0)
+    n_active = int(active.sum())
+    if n_active == 0:
+        return 0.0, np.zeros_like(e)
+    loss = float(hinge[active].sum() / n_active)
+
+    coeff = np.zeros((b, b))
+    coeff += active.sum(axis=2)
+    coeff -= active.sum(axis=1)
+    coeff /= n_active
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(dist > 0.0, 1.0 / np.where(dist > 0.0, dist, 1.0), 0.0)
+    w = coeff * inv
+    w_diff = w[:, :, None] * (e[:, None, :] - e[None, :, :])
+    return loss, w_diff.sum(axis=1) - w_diff.sum(axis=0)
 
 
 @dataclass
@@ -247,7 +322,8 @@ def padded_forward_batch(frame_sets, params: ModelParams):
 
 def padded_backward_batch(cache: PaddedCache, params: ModelParams, d_z, d_p) -> GradVector:
     """setnet.backward_batch for a PaddedCache; scatters the max path with
-    put_along_axis and contracts w1's gradient over (B, T)."""
+    put_along_axis. w1's gradient is the same BLAS product over the real
+    frames' rows, gathered from the padded layout in frame order."""
     shape = params.shape
     d_z = np.asarray(d_z, dtype=np.float64)
     d_p = np.asarray(d_p, dtype=np.float64)
@@ -275,7 +351,7 @@ def padded_backward_batch(cache: PaddedCache, params: ModelParams, d_z, d_p) -> 
     )
     d_pre = d_hidden * cache.relu_on
 
-    grad.w1[:] = np.einsum("bth,btd->hd", d_pre, cache.frames)
+    grad.w1[:] = d_pre[cache.mask].T @ cache.frames[cache.mask]
     grad.b1[:] = d_pre.sum(axis=(0, 1))
     return grad
 

@@ -24,6 +24,7 @@ from cyclegait.gaitgen import make_benchmark
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, OptimizerConfig, ema_transfer
 import reference
+from conftest import record_dropped_caches
 from reference import padded_backward_batch, padded_forward_batch
 
 TINY_OPT = OptimizerConfig(lr=0.05, milestones=())
@@ -401,6 +402,15 @@ class TestCoteachBaseline:
     def test_invalid_noise_rate_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(mode="coteach-baseline", coteach_noise_rate=1.0)
+
+
+def test_coteach_step_drops_every_cache_before_the_next_forward(monkeypatch):
+    """The two selection forwards keep no cache, and each training forward's
+    cache is gone once its update is made."""
+    refs = record_dropped_caches(monkeypatch, cyclic)
+    run_training(tiny_bundle(), tiny_config(mode="coteach-baseline", iterations=3,
+                                            coteach_noise_rate=0.25))
+    assert len(refs) == 3 * 4
 
 
 class TestRaggedEncoderTrajectory:

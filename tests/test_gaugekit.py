@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait import cyclic
+from cyclegait import cyclic, gaugekit
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.gaugekit import (
     EvalStructureError,
     cost_model,
     closed_form_theta_m,
+    embed_samples,
     evaluate_checkpoint,
     memorization_curve,
     nearest_gallery_entry,
@@ -26,6 +27,7 @@ from cyclegait.cyclic import TraceWriter
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, init_params
 import reference
+from conftest import record_dropped_caches
 
 
 def pairs(deltas_f, deltas_m):
@@ -182,6 +184,19 @@ class TestVarianceStats:
         conds = ["NM"] * 10 + ["CL"] * 10
         stats = variance_stats(f, ids, conds)
         assert stats.intra_class_nm_bg < stats.intra_class  # mixing conditions spreads
+
+
+def test_embed_samples_keeps_no_cache_across_chunks(monkeypatch):
+    bundle = make_benchmark(n_ids=6, n_train_ids=4, n_views=2,
+                            condition_groups={"NM": 2, "CL": 1}, frames_per_seq=5, seed=3)
+    shape = EncoderShape(d_in=16, d_hidden=8, d_emb=4, n_classes=4)
+    params, _ = init_params(shape, RngStream(1).child(1))
+    z_ref, p_ref = embed_samples(params, bundle.test, batch=5)
+    refs = record_dropped_caches(monkeypatch, gaugekit)
+    z, p = embed_samples(params, bundle.test, batch=5)
+    assert len(refs) == math.ceil(len(bundle.test) / 5) >= 3
+    assert all(ref() is None for ref in refs)
+    assert np.array_equal(z, z_ref) and np.array_equal(p, p_ref)
 
 
 class TestMemorizationCurve:

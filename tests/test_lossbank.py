@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_grad_close
 from cyclegait.lossbank import (
@@ -12,10 +15,11 @@ from cyclegait.lossbank import (
     batch_coteach,
     batch_mil_loss,
     crc_combine,
+    has_valid_triplet,
     per_sample_ce,
     triplet_loss,
 )
-from reference import ce_loss, coteach_loss, entropy, mil_loss, softmax
+from reference import ce_loss, coteach_loss, cube_triplet_loss, entropy, mil_loss, softmax
 
 # oracle-confirmed constants, frozen from direct high-precision evaluation
 COTEACH_OPPOSED = 1.0443203  # softmax([1,0]) cross-entropy against softmax([0,1])
@@ -168,6 +172,95 @@ class TestTripletLoss:
         with pytest.raises(BatchStructureError):
             triplet_loss(np.zeros((3, 2)), [1, 1, 1])
 
+    @pytest.mark.parametrize("labels", [[], [4], [7, 7, 7, 7], [0, 1, 2, 3],
+                                        [2**40, 5, -3], [-1, -1]])
+    def test_invalid_batches(self, labels):
+        """Empty, one sample, a single class, all singletons (also with large
+        and negative ids), and a lone pair: no triplet can form."""
+        assert not has_valid_triplet(labels)
+        assert not has_valid_triplet(np.array(labels, dtype=np.int64))
+        with pytest.raises(BatchStructureError):
+            triplet_loss(np.zeros((len(labels), 2)), labels)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 1], [9, 3, 9], [2**40, 2**40, 1],
+                                        [-7, 2**62, -7, 5]])
+    def test_valid_batches_with_sparse_ids(self, labels):
+        """Only equality of ids counts: large and negative ids give the loss
+        of the same batch relabelled 0, 1, 2, ... bit for bit."""
+        assert has_valid_triplet(labels)
+        e = np.random.default_rng(3).normal(size=(len(labels), 3))
+        dense = np.unique(labels, return_inverse=True)[1]
+        loss, grad = triplet_loss(e, labels, margin=5.0)
+        loss_dense, grad_dense = triplet_loss(e, dense, margin=5.0)
+        assert loss > 0.0
+        assert loss == loss_dense and np.array_equal(grad, grad_dense)
+
+
+def exact_min_distance(e) -> float:
+    """Smallest distance between two rows that differ, from the differences."""
+    d = np.linalg.norm(e[:, None, :] - e[None, :, :], axis=2)
+    return float(d[d > 0.0].min()) if (d > 0.0).any() else 1.0
+
+
+class TestTripletMatchesCubeOracle:
+    """triplet_loss against the (B, B, d) cube form it replaced: the loss
+    bit for bit, the gradient within 1e-12 relative to max|e| / d_min. The
+    matrix form adds terms w[i, j] e_j whose weights reach 1/d_min, so that
+    is the size its rounding scales with."""
+
+    @staticmethod
+    def assert_matches(e, labels, margin):
+        loss, grad = triplet_loss(e, labels, margin)
+        loss_ref, grad_ref = cube_triplet_loss(e, labels, margin)
+        assert loss == loss_ref
+        atol = 1e-12 * max(np.abs(e).max(), 1e-300) / exact_min_distance(e)
+        assert np.allclose(grad, grad_ref, rtol=1e-12, atol=atol)
+
+    @given(
+        n_classes=st.integers(2, 5),
+        per_class=st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        d=st.integers(1, 6),
+        scale=st.sampled_from([0.05, 0.3, 1.0, 4.0]),
+        margin=st.sampled_from([0.1, 0.5, 2.0]),
+        n_dup=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_batches(self, n_classes, per_class, d, scale, margin, n_dup, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.repeat(rng.permutation(n_classes * 3)[: len(per_class)], per_class)
+        e = rng.normal(scale=scale, size=(len(labels), d))
+        for _ in range(n_dup):  # zero-distance duplicates, in or across classes
+            src, dst = rng.integers(len(labels), size=2)
+            e[dst] = e[src]
+        if not has_valid_triplet(labels):
+            with pytest.raises(BatchStructureError):
+                triplet_loss(e, labels, margin)
+            return
+        self.assert_matches(e, labels, margin)
+
+    def test_all_rows_equal(self):
+        e = np.tile(np.random.default_rng(1).normal(size=(1, 5)), (6, 1))
+        loss, grad = triplet_loss(e, [0, 0, 1, 1, 2, 2], margin=0.3)
+        assert loss == 0.3 and np.array_equal(grad, np.zeros_like(e))
+        self.assert_matches(e, [0, 0, 1, 1, 2, 2], 0.3)
+
+    def test_duplicated_positive_with_active_negatives(self):
+        """Two equal rows of one class whose negatives all sit inside the
+        margin: the pair's Gram distance is rounding noise, so it must add
+        no gradient, as the cube's exact zero difference adds none."""
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 8, 32):
+            for _ in range(10):
+                e = rng.normal(scale=0.1, size=(12, d))
+                e[1] = e[0]
+                self.assert_matches(e, np.repeat(np.arange(4), 3), 0.2)
+
+    def test_default_training_shape(self, rng):
+        e = rng.normal(size=(32, 32))
+        e[9] = e[8]
+        self.assert_matches(e, np.repeat(np.arange(8), 4), 0.2)
+
 
 class TestMilLoss:
     def test_empty_negatives_give_zero(self):
@@ -235,6 +328,22 @@ class TestMilLoss:
         labels = np.array([0, 0, 1])  # the lone '1' cannot be a query
         _, _, n_q = batch_mil_loss(e, labels)
         assert n_q == 2
+
+
+class TestLossBreakdown:
+    def test_as_dict_is_a_copy_in_field_order(self):
+        bd = crc_combine(1.0, 2.0, 3.0, 4.0, CoeffSchedule.constants(), 0)
+        d = bd.as_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(bd)]
+        assert d == dataclasses.asdict(bd)
+        d["l_c"] = 99.0
+        assert bd.l_c == 1.0
+
+    def test_is_finite(self):
+        sched = CoeffSchedule.constants()
+        assert crc_combine(1.0, 2.0, 3.0, 4.0, sched, 0).is_finite()
+        assert not crc_combine(1.0, float("nan"), 3.0, 4.0, sched, 0).is_finite()
+        assert not crc_combine(1.0, 2.0, float("inf"), 4.0, sched, 0).is_finite()
 
 
 class TestSchedulesAndCombine:

@@ -21,6 +21,7 @@ from cyclegait.setnet import (
     save_checkpoint,
 )
 from reference import (
+    einsum_backward_batch,
     forward,
     looped_forward_batch,
     padded_backward_batch,
@@ -208,14 +209,21 @@ def assert_matches_loop_oracle(frame_sets, params, d_z, d_p, tol=0.0):
 
     z, p, cache = forward_batch(frame_sets, params)
     z_ref, p_ref, cache_ref = looped_forward_batch(frame_sets, params)
-    assert cache.max_row.dtype == np.intp
-    assert np.array_equal(cache.max_row, cache_ref.max_row)
     assert same(z, z_ref)
     assert same(p, p_ref)
     assert same(cache.pooled, cache_ref.pooled)
     grad = backward_batch(cache, params, d_z, d_p)
     grad_ref = backward_batch(cache_ref, params, d_z, d_p)
     assert same(grad.flat, grad_ref.flat)
+    assert_backward_routed_like(cache, cache_ref)
+
+
+def assert_backward_routed_like(cache, cache_ref):
+    """The max rows that backward_batch built on cache, and used, are the
+    loop oracle's, as intp."""
+    routed = vars(cache)["max_row"]
+    assert routed.dtype == np.intp
+    assert np.array_equal(routed, cache_ref.max_row)
 
 
 class TestBatchPoolingMatchesLoopOracle:
@@ -253,9 +261,10 @@ class TestBatchPoolingMatchesLoopOracle:
         frames = ragged_batch(rng, [4, 6, 2], SMALL.d_in)
         frames[1][3, 0] = np.nan
         frames[1][5, 2] = np.nan
-        _, _, cache = forward_batch(frames, params)
-        assert np.array_equal(cache.max_row[1], np.full(SMALL.d_hidden, 4 + 3))
         d_z, d_p = rng.normal(size=(3, SMALL.d_emb)), rng.normal(size=(3, SMALL.n_classes))
+        _, _, cache = forward_batch(frames, params)
+        backward_batch(cache, params, d_z, d_p)
+        assert np.array_equal(vars(cache)["max_row"][1], np.full(SMALL.d_hidden, 4 + 3))
         assert_matches_loop_oracle(frames, params, d_z, d_p)
 
     # One hidden unit makes the frame axis contiguous: numpy sums it
@@ -277,12 +286,73 @@ class TestBatchPoolingMatchesLoopOracle:
         shape = EncoderShape(d_in=2, d_hidden=3, d_emb=2, n_classes=2)
         params, _ = init_params(shape, RngStream(3).child(1))
         frames = ragged_batch(rng, [1000] * 39 + [last_len], shape.d_in)
-        z, _, cache = forward_batch(frames, params)
+        z, p, cache = forward_batch(frames, params)
         z_ref, _, cache_ref = looped_forward_batch(frames, params)
-        assert cache.max_row.dtype == np.intp
-        assert cache.max_row.max() > 2**15
-        assert np.array_equal(cache.max_row, cache_ref.max_row)
+        backward_batch(cache, params, np.ones_like(z), np.ones_like(p))
+        assert_backward_routed_like(cache, cache_ref)
+        assert vars(cache)["max_row"].max() > 2**15
         assert np.array_equal(z, z_ref)
+
+
+class TestLazyRouting:
+    def test_forward_alone_builds_no_routing(self, rng):
+        params = small_params()
+        frames = ragged_batch(rng, [3, 7, 1, 5], SMALL.d_in)
+        z, p, cache = forward_batch(frames, params)
+        assert "max_row" not in vars(cache) and "relu_on" not in vars(cache)
+        backward_batch(cache, params, np.ones_like(z), np.ones_like(p))
+        assert "max_row" in vars(cache) and "relu_on" in vars(cache)
+
+    # The pooled max is the column peak; the routing built later must point
+    # at a row holding that value, for ragged, tied and dead columns alike.
+    def test_pooled_max_is_the_routed_activation(self, rng):
+        params = small_params(seed=4)
+        params.b1[:3] = -1e3
+        frames = ragged_batch(rng, [1, 5, 1, 3, 7], SMALL.d_in, duplicate=True)
+        _, _, cache = forward_batch(frames, params)
+        h = SMALL.d_hidden
+        assert np.array_equal(cache.pooled[:, :h], cache.hidden[cache.max_row, np.arange(h)])
+        assert np.array_equal(cache.relu_on, cache.hidden > 0.0)
+
+
+def assert_w1_matches_einsum_oracle(frame_sets, params, d_z, d_p):
+    """backward_batch equals the frame-by-frame einsum form: every segment
+    but w1 bit for bit, w1 within 1e-12 relative to its largest entry."""
+    _, _, cache = forward_batch(frame_sets, params)
+    grad = backward_batch(cache, params, d_z, d_p)
+    grad_ref = einsum_backward_batch(cache, params, d_z, d_p)
+    for name, _ in params.shape.segments():
+        if name != "w1":
+            assert np.array_equal(getattr(grad, name), getattr(grad_ref, name)), name
+    scale = np.abs(grad_ref.w1).max()
+    assert np.allclose(grad.w1, grad_ref.w1, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestBlasW1MatchesEinsumOracle:
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=9),
+        d_in=st.integers(1, 9),
+        d_hidden=st.integers(1, 16),
+        n_dead=st.integers(0, 4),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_ragged_batches(self, lengths, d_in, d_hidden, n_dead, duplicate, seed):
+        rng = np.random.default_rng(seed)
+        shape = EncoderShape(d_in=d_in, d_hidden=d_hidden, d_emb=3, n_classes=4)
+        params, _ = init_params(shape, RngStream(seed).child(1))
+        params.b1[: min(n_dead, d_hidden)] = -1e3
+        frames = ragged_batch(rng, lengths, d_in, duplicate)
+        b = len(lengths)
+        d_z, d_p = rng.normal(size=(b, shape.d_emb)), rng.normal(size=(b, shape.n_classes))
+        assert_w1_matches_einsum_oracle(frames, params, d_z, d_p)
+
+    def test_default_shape_training_batch(self, rng):
+        params, _ = init_params(EncoderShape(), RngStream(6).child(1))
+        frames = ragged_batch(rng, rng.integers(20, 32, size=32), 16, duplicate=True)
+        d_z, d_p = rng.normal(size=(32, 32)), rng.normal(size=(32, 40))
+        assert_w1_matches_einsum_oracle(frames, params, d_z, d_p)
 
 
 class TestEmaTransfer:
