@@ -465,7 +465,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, header = load_checkpoint(args.checkpoint)
-    bundle = gaitgen.load_bundle(args.data)
+    bundle = gaitgen.load_bundle(args.data, with_train=False)
     digest = header.get("config_hash", "unknown")
     outdir = _resolve_out(args.out) if args.out else os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "eval"

@@ -162,6 +162,10 @@ def make_clean_dataset(
     condition_groups maps condition name to the number of sequence groups per
     identity; every group is recorded once per view, so each identity yields
     sum(groups) * n_views sequences. Fully determined by the arguments.
+
+    Each identity's sequences are built as one (sequences, T, d_in) block and
+    every sample's frames are a view of its identity's block, so nothing may
+    write into them in place: the corruptions' copies share them too.
     """
     if n_ids < 2:
         raise ValueError("need at least two identities")
@@ -176,24 +180,24 @@ def make_clean_dataset(
     geom = build_geometry(n_ids, n_views, d_in, seed, params)
     root = RngStream(seed)
 
+    # one (condition, view) tag per sequence of an identity, in draw order
+    tags = [(condition, view) for condition in CONDITIONS
+            for _group in range(condition_groups.get(condition, 0)) for view in range(n_views)]
+    rotations_t = geom.rotations[[view for _, view in tags]].transpose(0, 2, 1)
     samples = []
     for identity in range(n_ids):
         s = root.child(4).child(identity)
-        for condition in CONDITIONS:
-            for _group in range(condition_groups.get(condition, 0)):
-                for view in range(n_views):
-                    seq_off, s = s.normal(d_in, params.seq_jitter)
-                    noise, s = s.normal(frames_per_seq * d_in, params.frame_jitter)
-                    base = (
-                        geom.prototypes[identity]
-                        + _condition_offset(geom, params, identity, condition)
-                        + seq_off
-                    )
-                    frames = base + noise.reshape(frames_per_seq, d_in)
-                    frames = frames @ geom.rotations[view].T
-                    samples.append(
-                        SequenceSample(frames, identity, condition, view, identity)
-                    )
+        seq_offs = np.empty((len(tags), d_in))
+        block = np.empty((len(tags), frames_per_seq, d_in))
+        for k in range(len(tags)):
+            seq_offs[k], s = s.normal(d_in, params.seq_jitter)
+            noise, s = s.normal(frames_per_seq * d_in, params.frame_jitter)
+            block[k] = noise.reshape(frames_per_seq, d_in)
+        offsets = {c: _condition_offset(geom, params, identity, c) for c in condition_groups}
+        base = geom.prototypes[identity] + np.array([offsets[c] for c, _ in tags]).reshape(-1, d_in)
+        block = np.matmul((base + seq_offs)[:, None, :] + block, rotations_t)
+        samples.extend(SequenceSample(frames, identity, condition, view, identity)
+                       for frames, (condition, view) in zip(block, tags))
 
     manifest = {
         "format_version": DATASET_FORMAT_VERSION,
@@ -454,8 +458,9 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
 # then every sequence's frames as little-endian float64, in sample order.
 
 SPLIT_FORMAT_VERSION = 2
-_SPLIT_COLUMNS = {"id": "identity", "clean_id": "clean_identity", "condition": "condition",
-                  "view": "view", "noise_flag": "noise_flag"}  # header column -> field
+# header column -> field, in SequenceSample's field order after frames
+_SPLIT_COLUMNS = {"id": "identity", "condition": "condition", "view": "view",
+                  "clean_id": "clean_identity", "noise_flag": "noise_flag"}
 
 
 def _write_split(path, samples, extra_header: dict | None = None):
@@ -465,12 +470,15 @@ def _write_split(path, samples, extra_header: dict | None = None):
               "lengths": [s.frames.shape[0] for s in samples], **columns, **(extra_header or {})}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for s in samples:
-            fh.write(np.asarray(s.frames, dtype="<f8").tobytes())
+        if samples:
+            fh.write(np.concatenate([s.frames for s in samples]).astype("<f8", copy=False))
 
 
-def _read_split(path):
-    """Samples of one split file; their frames are views of one payload array."""
+def _read_split(path, with_frames: bool = True):
+    """Samples of one split file; their frames are views of one payload array.
+
+    The header and the payload size are checked either way; with_frames False
+    then returns None without reading the frames."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         if header.get("format_version") != SPLIT_FORMAT_VERSION:
@@ -479,16 +487,19 @@ def _read_split(path):
         for col in ("lengths", *_SPLIT_COLUMNS):
             if len(header.get(col, ())) != n:
                 raise ValueError(f"{path}: header column {col!r} needs {n} entries")
+        if any(length < 1 for length in lengths):
+            raise ValueError(f"{path}: every sequence needs at least one frame")
         n_rows = sum(lengths)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload_bytes != 8 * n_rows * d_in:
             raise ValueError(f"{path}: payload holds {payload_bytes} bytes, header says "
                              f"{n_rows * d_in} float64")
+        if not with_frames:
+            return None
         rows = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False).reshape(n_rows, d_in)
-    starts = np.cumsum([0, *lengths])
-    return [SequenceSample(rows[starts[k]:starts[k + 1]],
-                           **{field: header[col][k] for col, field in _SPLIT_COLUMNS.items()})
-            for k in range(n)]
+    bounds = np.cumsum([0, *lengths]).tolist()
+    return [SequenceSample(rows[lo:hi], *tags) for lo, hi, *tags in zip(
+        bounds[:-1], bounds[1:], *(header[col] for col in _SPLIT_COLUMNS))]
 
 
 def save_bundle(bundle: DatasetBundle, outdir, extra_header: dict | None = None):
@@ -500,12 +511,14 @@ def save_bundle(bundle: DatasetBundle, outdir, extra_header: dict | None = None)
         fh.write("\n")
 
 
-def load_bundle(datadir) -> DatasetBundle:
+def load_bundle(datadir, with_train: bool = True) -> DatasetBundle:
+    """The dataset saved in datadir. With with_train False, train.bin is still
+    checked (header and payload size) but not read, and bundle.train is None."""
     train_bin = os.path.join(datadir, "train.bin")
     if os.path.exists(os.path.join(datadir, "train.jsonl")) and not os.path.exists(train_bin):
         raise ValueError(f"{datadir} holds a dataset in JSONL format 1, which is no longer "
                          "read; rebuild it with gen-data, as its manifest.json records every value")
     with open(os.path.join(datadir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return DatasetBundle(_read_split(train_bin),
+    return DatasetBundle(_read_split(train_bin, with_frames=with_train),
                          _read_split(os.path.join(datadir, "test.bin")), manifest)

@@ -90,10 +90,11 @@ class ParamVector:
 
     Two vectors with equal shape descriptors are combinable with plain
     arithmetic; the segment properties return numpy views into the flat
-    buffer, so reading them never copies.
+    buffer, so reading them never copies. Each view is built on first access
+    and kept, so a write through it lands in flat.
     """
 
-    __slots__ = ("shape", "flat")
+    __slots__ = ("shape", "flat", "_views")
 
     def __init__(self, shape: EncoderShape, flat: np.ndarray):
         flat = np.asarray(flat, dtype=np.float64)
@@ -104,6 +105,7 @@ class ParamVector:
             )
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamVector fields are fixed at construction")
@@ -116,8 +118,11 @@ class ParamVector:
         return ParamVector(self.shape, self.flat.copy())
 
     def _segment(self, name: str) -> np.ndarray:
-        offset, size, seg_shape = self.shape.segment_table[name]
-        return self.flat[offset : offset + size].reshape(seg_shape)
+        view = self._views.get(name)
+        if view is None:
+            offset, size, seg_shape = self.shape.segment_table[name]
+            view = self._views[name] = self.flat[offset : offset + size].reshape(seg_shape)
+        return view
 
     @property
     def w1(self):

@@ -11,6 +11,8 @@ carries in a faster shape, each next to the fast one:
   and the (B, B, d) difference cube of the triplet gradient, next to its
   two matrix products;
 - the per-probe rank-1 search, next to the chunked one;
+- the sequence-by-sequence dataset generator, next to the one that builds
+  each identity's sequences as one block;
 - the three-write trace record, the whole-trace reader and the
   (N, P)-array replay and closed form, next to the streamed ones;
 - the sieve's sample-by-sample keep floor, next to its one indexed
@@ -29,10 +31,18 @@ import numpy as np
 
 from cyclegait.bench_cli import ABLATION_CELLS
 from cyclegait.cyclic import run_training
-from cyclegait.gaitgen import GeometryParams, build_geometry, regenerate_from_manifest
+from cyclegait.gaitgen import (
+    CONDITIONS,
+    DATASET_FORMAT_VERSION,
+    GeometryParams,
+    SequenceSample,
+    _condition_offset,
+    build_geometry,
+    regenerate_from_manifest,
+)
 from cyclegait.gaugekit import evaluate_checkpoint
 from cyclegait.lossbank import BatchStructureError, _pairwise_distances, has_valid_triplet
-from cyclegait.numkit import _DRAW_BLOCK
+from cyclegait.numkit import _DRAW_BLOCK, RngStream
 from cyclegait.setnet import GradVector, ModelParams, forward_batch
 
 
@@ -376,6 +386,49 @@ def nearest_gallery_entry(gallery_features, probe_features, admissible):
         d = np.linalg.norm(gallery_features[adm] - probe_features[i], axis=1)
         nearest[i] = np.flatnonzero(adm)[int(np.argmin(d))]
     return nearest
+
+
+def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq, d_in, seed,
+                               params=None):
+    """gaitgen.make_clean_dataset as one loop over the sequences, on the same
+    draws: each sequence's offset, jitter and view rotation are applied on
+    their own, to a frame array of its own. Same signature and result, so a
+    test can patch it in."""
+    params = params or GeometryParams()
+    geom = build_geometry(n_ids, n_views, d_in, seed, params)
+    root = RngStream(seed)
+    samples = []
+    for identity in range(n_ids):
+        s = root.child(4).child(identity)
+        for condition in CONDITIONS:
+            for _group in range(condition_groups.get(condition, 0)):
+                for view in range(n_views):
+                    seq_off, s = s.normal(d_in, params.seq_jitter)
+                    noise, s = s.normal(frames_per_seq * d_in, params.frame_jitter)
+                    base = (
+                        geom.prototypes[identity]
+                        + _condition_offset(geom, params, identity, condition)
+                        + seq_off
+                    )
+                    frames = base + noise.reshape(frames_per_seq, d_in)
+                    frames = frames @ geom.rotations[view].T
+                    samples.append(
+                        SequenceSample(frames, identity, condition, view, identity)
+                    )
+    manifest = {
+        "format_version": DATASET_FORMAT_VERSION,
+        "generator": {
+            "n_ids": n_ids,
+            "n_views": n_views,
+            "condition_groups": dict(condition_groups),
+            "frames_per_seq": frames_per_seq,
+            "d_in": d_in,
+            "seed": seed,
+            "geometry": params.to_dict(),
+        },
+        "corruptions": [],
+    }
+    return samples, manifest
 
 
 def augment_frame_sets(frame_sets, spec, rng):

@@ -307,6 +307,27 @@ class TestTrainEvalPipeline:
         assert len(err) == 2 and all(e.startswith("error:") and "train.bin" in e for e in err)
         assert not (tmp_path / "run2").exists() and not (tmp_path / "eval").exists()
 
+    def test_eval_builds_no_train_sample(self, data_dir, tmp_path, monkeypatch):
+        def frames_of(samples):
+            return [(s.identity, s.frames.tobytes()) for s in samples]
+
+        run = tmp_path / "run"
+        run_experiment(tiny_train_config(data_dir, run))
+        built = []
+        real = gaitgen.SequenceSample
+
+        def counted(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(gaitgen, "SequenceSample", counted)
+        assert run_cli("eval", "--checkpoint", str(run / "model_f.ckpt"),
+                       "--data", str(data_dir), "--out", str(tmp_path / "eval")) == 0
+        by_eval = list(built)
+        bundle = load_bundle(data_dir)
+        assert len(built) == len(by_eval) + len(bundle.train) + len(bundle.test)
+        assert frames_of(by_eval) == frames_of(bundle.test)
+
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")
         _, outdir = run_experiment(cfg)

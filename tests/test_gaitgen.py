@@ -24,6 +24,7 @@ from cyclegait.gaitgen import (
     regenerate_from_manifest,
     save_bundle,
 )
+from cyclegait import gaitgen
 from cyclegait.numkit import RngStream
 import reference
 from reference import geometry_of, nearest_prototype_ids
@@ -51,6 +52,68 @@ def frames_equal(a, b):
         and x.noise_flag == y.noise_flag
         for x, y in zip(a, b)
     )
+
+
+def frame_bytes_equal(a, b):
+    return frames_equal(a, b) and all(
+        x.frames.shape == y.frames.shape and x.frames.tobytes() == y.frames.tobytes()
+        for x, y in zip(a, b)
+    )
+
+
+class TestBlockGeneratorMatchesLoopOracle:
+    @pytest.fixture()
+    def normal_calls(self, monkeypatch):
+        """Every RngStream.normal call as (stream, arguments), in call order."""
+        calls = []
+        real = RngStream.normal
+
+        def counted(stream, *args):
+            calls.append((stream, args))
+            return real(stream, *args)
+
+        monkeypatch.setattr(RngStream, "normal", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_views", [1, 4])
+    @pytest.mark.parametrize("d_in", [5, 16])
+    @pytest.mark.parametrize("frames_per_seq", [1, 30])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_frames_tags_and_draws(self, n_views, d_in, frames_per_seq, seed, normal_calls):
+        args = (5, n_views, {"NM": 2, "BG": 0, "CL": 1}, frames_per_seq, d_in, seed)
+        samples, manifest = make_clean_dataset(*args)
+        n_block = len(normal_calls)
+        oracle, oracle_manifest = reference.per_sequence_clean_dataset(*args)
+        assert len(samples) == 5 * 3 * n_views
+        assert frame_bytes_equal(samples, oracle)
+        assert manifest == oracle_manifest
+        assert normal_calls[:n_block] == normal_calls[n_block:]
+
+    @pytest.mark.parametrize("mode, amount", [("label", 0.3), ("augmentation", 0.3),
+                                              ("split", 0.5)])
+    def test_after_corruption_and_regeneration(self, mode, amount, normal_calls, monkeypatch):
+        def build():
+            bundle = corrupt_bundle(make_benchmark(
+                n_ids=8, n_train_ids=5, n_views=2, condition_groups={"NM": 2, "BG": 1, "CL": 1},
+                frames_per_seq=6, seed=3), mode, amount, seed=7)
+            return bundle, regenerate_from_manifest(bundle.manifest)
+
+        built = build()
+        n_block = len(normal_calls)
+        monkeypatch.setattr(gaitgen, "make_clean_dataset", reference.per_sequence_clean_dataset)
+        oracle = build()
+        assert normal_calls[:n_block] == normal_calls[n_block:]
+        for fast, slow in zip((*built, built[1]), (*oracle, built[0])):
+            assert frame_bytes_equal(fast.train, slow.train)
+            assert frame_bytes_equal(fast.test, slow.test)
+            assert fast.manifest == slow.manifest
+
+    def test_frames_are_views_of_one_block_per_identity(self):
+        samples, _ = small_dataset()
+        blocks = {}
+        for s in samples:
+            assert s.frames.base is blocks.setdefault(s.identity, s.frames.base)
+        assert len({id(b) for b in blocks.values()}) == len(blocks) == 6
 
 
 class TestCleanGeneration:
@@ -297,7 +360,9 @@ class TestBundleAndManifest:
         for blob in (good[:-8], good + b"\0" * 4,
                      with_header(format_version=1) + good[header_end:],
                      with_header(view=header["view"][:-1]) + good[header_end:],
-                     with_header(lengths=header["lengths"] + [4]) + good[header_end:]):
+                     with_header(lengths=header["lengths"] + [4]) + good[header_end:],
+                     with_header(lengths=[0, 8, *header["lengths"][2:]]) + good[header_end:],
+                     with_header(lengths=[-1, 9, *header["lengths"][2:]]) + good[header_end:]):
             path.write_bytes(blob)
             with pytest.raises(ValueError, match="train.bin"):
                 load_bundle(tmp_path)

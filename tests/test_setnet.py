@@ -40,6 +40,35 @@ def random_frames(rng, t=7, d=6):
     return rng.normal(size=(t, d))
 
 
+class TestSegmentViews:
+    NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+    def test_repeated_access_returns_the_same_view(self):
+        params = small_params()
+        for name in self.NAMES:
+            assert getattr(params, name) is getattr(params, name)
+
+    def test_write_through_a_view_lands_in_flat(self):
+        params = small_params()
+        for k, name in enumerate(self.NAMES):
+            offset, size, shape = SMALL.segment_table[name]
+            getattr(params, name)[:] = k + 0.5
+            assert getattr(params, name).shape == shape
+            assert np.all(params.flat[offset : offset + size] == k + 0.5)
+
+    def test_copy_gets_its_own_views(self):
+        params = small_params()
+        before = params.flat.copy()
+        views = [getattr(params, name) for name in self.NAMES]
+        clone = params.copy()
+        for name in self.NAMES:
+            assert getattr(clone, name) is not getattr(params, name)
+            getattr(clone, name)[:] = -1.0
+        assert all(getattr(params, name) is view for name, view in zip(self.NAMES, views))
+        assert np.array_equal(params.flat, before)
+        assert np.all(clone.flat == -1.0)
+
+
 class TestForward:
     def test_permutation_invariance(self, rng):
         params = small_params()
