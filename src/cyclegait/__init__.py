@@ -7,8 +7,6 @@ from .setnet import (
     EncoderShape,
     GradVector,
     ModelParams,
-    OptimizerConfig,
-    OptimizerState,
     backward_batch,
     ema_transfer,
     forward_batch,

@@ -38,17 +38,20 @@ import typing
 import numpy as np
 
 from . import gaitgen, gaugekit
-from .cyclic import MODES, NonFiniteLossError, TrainerConfig, run_training, train_groups
+from .cyclic import (
+    MODES,
+    NonFiniteLossError,
+    TrainerConfig,
+    in_section,
+    run_training,
+    train_groups,
+)
 from .gaitgen import FLAG_CLEAN, DatasetBundle
-from .setnet import OptimizerConfig, load_checkpoint, save_checkpoint
+from .setnet import load_checkpoint, save_checkpoint
 
 CONFIG_FORMAT_VERSION = 1
 
 OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
-
-
-def _section(name: str, default):
-    return dataclasses.field(default=default, metadata={"section": name})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,49 +60,39 @@ class ExperimentConfig(TrainerConfig):
 
     The trainer and optimizer settings are the inherited TrainerConfig
     fields; this class adds the dataset, corruption, eval, output and meta
-    settings, each tagged with the config-file section it is written to.
+    settings. Each field is written to the config-file section it is tagged
+    with (in_section), or to [trainer] when untagged.
     """
 
-    format_version: int = _section("meta", CONFIG_FORMAT_VERSION)
-    data_dir: str = _section("dataset", "")
-    n_ids: int = _section("dataset", 60)
-    n_train_ids: int = _section("dataset", 40)
-    n_views: int = _section("dataset", 4)
-    nm_groups: int = _section("dataset", 4)
-    bg_groups: int = _section("dataset", 3)
-    cl_groups: int = _section("dataset", 3)
-    frames_per_seq: int = _section("dataset", 30)
-    d_in: int = _section("dataset", 16)
-    data_seed: int = _section("dataset", 1)
+    format_version: int = in_section("meta", CONFIG_FORMAT_VERSION)
+    data_dir: str = in_section("dataset", "")
+    n_ids: int = in_section("dataset", 60)
+    n_train_ids: int = in_section("dataset", 40)
+    n_views: int = in_section("dataset", 4)
+    nm_groups: int = in_section("dataset", 4)
+    bg_groups: int = in_section("dataset", 3)
+    cl_groups: int = in_section("dataset", 3)
+    frames_per_seq: int = in_section("dataset", 30)
+    d_in: int = in_section("dataset", 16)
+    data_seed: int = in_section("dataset", 1)
     # corruption of the train split: none | label | augmentation | split
-    corruption: str = _section("corruption", "none")
-    corruption_rate: float = _section("corruption", 0.2)
-    corruption_fraction: float = _section("corruption", 0.6)
-    corruption_seed: int = _section("corruption", 7)
-    exclude_same_view: bool = _section("eval", True)
-    out_dir: str = _section("output", "runs/exp")
+    corruption: str = in_section("corruption", "none")
+    corruption_rate: float = in_section("corruption", 0.2)
+    corruption_fraction: float = in_section("corruption", 0.6)
+    corruption_seed: int = in_section("corruption", 7)
+    exclude_same_view: bool = in_section("eval", True)
+    out_dir: str = in_section("output", "runs/exp")
 
 
-# Config files group keys into these sections, in this order. Untagged
-# fields belong to [trainer]; the nested optimizer config fills [optimizer].
-# The optimizer's kind and momentum get an opt_ prefix, which keeps momentum
-# apart from the EMA ratio of the same name in [trainer].
+# Config files group keys into these sections, in this order
 _SECTION_ORDER = ("meta", "dataset", "corruption", "trainer", "optimizer", "eval", "output")
-_OPTIMIZER_KEYS = {"kind": "opt_kind", "momentum": "opt_momentum"}
 
 
 def _schema() -> dict:
-    """Config-file key -> (section, nested config field or None, field name, type)."""
-    keys = {}
+    """Config-file key (the field name) -> (section, type), in file order."""
     hints = typing.get_type_hints(ExperimentConfig)
-    opt_hints = typing.get_type_hints(OptimizerConfig)
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "optimizer":
-            for g in dataclasses.fields(OptimizerConfig):
-                key = _OPTIMIZER_KEYS.get(g.name, g.name)
-                keys[key] = ("optimizer", f.name, g.name, opt_hints[g.name])
-        else:
-            keys[f.name] = (f.metadata.get("section", "trainer"), None, f.name, hints[f.name])
+    keys = {f.name: (f.metadata.get("section", "trainer"), hints[f.name])
+            for f in dataclasses.fields(ExperimentConfig)}
     return dict(sorted(keys.items(), key=lambda kv: _SECTION_ORDER.index(kv[1][0])))
 
 
@@ -140,10 +133,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out = io.StringIO()
     for section in _SECTION_ORDER:
         out.write(f"[{section}]\n")
-        for key, (sec, nested, name, _) in _SCHEMA.items():
+        for key, (sec, _) in _SCHEMA.items():
             if sec == section:
-                owner = getattr(cfg, nested) if nested else cfg
-                out.write(f"{key} = {_format_value(getattr(owner, name))}\n")
+                out.write(f"{key} = {_format_value(getattr(cfg, key))}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -154,16 +146,16 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as err:  # its message runs over several lines
         raise ValueError(f"config syntax: {err.message.splitlines()[0]}") from err
-    values, optimizer = {}, {}
+    values = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
             if key not in _SCHEMA:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
-            sec, nested, name, ftype = _SCHEMA[key]
+            sec, ftype = _SCHEMA[key]
             if sec != section:
                 raise ValueError(f"key {key!r} belongs in [{sec}]")
-            (optimizer if nested else values)[name] = _parse_value(key, ftype, raw)
-    cfg = ExperimentConfig(**values, optimizer=OptimizerConfig(**optimizer))
+            values[key] = _parse_value(key, ftype, raw)
+    cfg = ExperimentConfig(**values)
     if cfg.format_version != CONFIG_FORMAT_VERSION:
         raise ValueError(f"unsupported config format_version {cfg.format_version}")
     return cfg
@@ -325,24 +317,26 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str,
 # np.array_equal on params_f): with sigma0 = sigma3 = 0 and no sieve, M never
 # reaches F's gradient, so the EMA network only costs forwards. The ordering
 # supervised+cyclic >= supervised therefore holds with equality.
+# "selfsup" and "full-no-cyclic" run without the EMA: at momentum 1.0 M
+# takes nothing from F.
 ABLATION_CELLS = (
     ("supervised", {"mode": "supervised", "and_enabled": False,
                     "schedule_profile": "clean"}),
-    ("supervised+cyclic", {"mode": "cyclic", "ema_enabled": True, "and_enabled": False,
+    ("supervised+cyclic", {"mode": "cyclic", "and_enabled": False,
                            "sigma0_const": 0.0, "sigma3_const": 0.0,
                            "schedule_profile": "clean"}),
-    ("supervised+cyclic+and", {"mode": "cyclic", "ema_enabled": True, "and_enabled": True,
+    ("supervised+cyclic+and", {"mode": "cyclic", "and_enabled": True,
                                "sigma0_const": 0.0, "sigma3_const": 0.0,
                                "schedule_profile": "clean"}),
-    ("selfsup", {"mode": "selfsup", "ema_enabled": False, "and_enabled": False,
+    ("selfsup", {"mode": "selfsup", "momentum": 1.0, "and_enabled": False,
                  "schedule_profile": "noisy"}),
-    ("selfsup+cyclic", {"mode": "selfsup", "ema_enabled": True, "and_enabled": False,
+    ("selfsup+cyclic", {"mode": "selfsup", "and_enabled": False,
                         "schedule_profile": "noisy"}),
-    ("full-no-cyclic", {"mode": "cyclic", "ema_enabled": False, "and_enabled": False,
+    ("full-no-cyclic", {"mode": "cyclic", "momentum": 1.0, "and_enabled": False,
                         "schedule_profile": "noisy"}),
-    ("full-no-and", {"mode": "cyclic", "ema_enabled": True, "and_enabled": False,
+    ("full-no-and", {"mode": "cyclic", "and_enabled": False,
                      "schedule_profile": "noisy"}),
-    ("full", {"mode": "cyclic", "ema_enabled": True, "and_enabled": True,
+    ("full", {"mode": "cyclic", "and_enabled": True,
               "schedule_profile": "noisy"}),
 )
 
@@ -369,17 +363,19 @@ def _check_grid(cfg: ExperimentConfig, bundle: DatasetBundle, seeds: list):
     train_groups(bundle, cfg)
 
 
-def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds) -> dict:
+def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds, data=None) -> dict:
     """Train and evaluate every grid cell for every seed, one after another;
     returns {cell: {condition: (mean, std) over the seeds}}, with "overall"
     among the conditions.
 
-    The grid regenerates the dataset from bundle's manifest once, and every
-    cell and seed trains on that copy, so a dataset whose files were edited
-    after gen-data scores as its manifest describes it."""
+    Every cell and seed trains on data, the dataset regenerated from bundle's
+    manifest, so a dataset whose files were edited after gen-data scores as
+    its manifest describes it. The grid regenerates it once when the caller
+    passes no data."""
     seeds = list(seeds)
     _check_grid(cfg, bundle, seeds)
-    data = gaitgen.regenerate_from_manifest(bundle.manifest)
+    if data is None:
+        data = gaitgen.regenerate_from_manifest(bundle.manifest)
     table = {}
     for cell_name, overrides in ABLATION_CELLS:
         scores = [_ablation_cell_job(cfg, data, overrides, seed) for seed in seeds]
@@ -489,11 +485,13 @@ def cmd_ablate(args) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     outdir = _resolve_out(args.out)
     csv_path = os.path.join(outdir, "ablation.csv")
-    # every check that can fail runs before the grid trains its first cell
+    # every check that can fail runs before the grid trains its first cell, and
+    # a manifest that cannot regenerate its dataset is refused before --out is made
     _refuse_existing(csv_path, args.force, "ablation")
     _check_grid(base, bundle, seeds)
+    data = gaitgen.regenerate_from_manifest(bundle.manifest)
     os.makedirs(outdir, exist_ok=True)
-    table = run_ablation(base, bundle, seeds)
+    table = run_ablation(base, bundle, seeds, data)
     digest = config_hash(base)
     _write_csv(csv_path, ablation_csv(table), digest)
     print(f"{'cell':<24}{'NM':>16}{'BG':>16}{'CL':>16}")

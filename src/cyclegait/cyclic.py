@@ -46,13 +46,11 @@ from .lossbank import (
     per_sample_ce,
     triplet_loss,
 )
-from .numkit import RngStream
+from .numkit import RngStream, read_header
 from .setnet import (
     EncoderShape,
     GradVector,
     ModelParams,
-    OptimizerConfig,
-    OptimizerState,
     backward_batch,
     ema_transfer,
     forward_batch,
@@ -77,14 +75,19 @@ class NonFiniteLossError(RuntimeError):
         self.diagnostics = diagnostics
 
 
+def in_section(name: str, default):
+    """A config field written to the config-file section [name]; an untagged
+    field is written to [trainer]."""
+    return field(default=default, metadata={"section": name})
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     mode: str = "cyclic"
     iterations: int = 2000
     p_ids: int = 8
     k_seqs: int = 4
-    momentum: float = 0.99
-    ema_enabled: bool = True
+    momentum: float = 0.99  # EMA ratio m: M <- m*M + (1-m)*F; 1.0 turns the EMA off
     and_enabled: bool = False
     detach_teacher: bool = False
     augmentation: str = "default"
@@ -109,7 +112,11 @@ class TrainerConfig:
     sigma1_const: float | None = None
     sigma2_const: float | None = None
     sigma3_const: float | None = None
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    # momentum SGD of both networks: lr decays by gamma at each milestone
+    lr: float = in_section("optimizer", 0.05)
+    opt_momentum: float = in_section("optimizer", 0.9)
+    milestones: tuple[int, ...] = in_section("optimizer", (1000,))
+    gamma: float = in_section("optimizer", 0.1)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -139,15 +146,24 @@ class TrainerConfig:
             raise ValueError("sieve_warmup must be >= 0")
         if not 0.0 < self.sieve_keep_floor <= 1.0:
             raise ValueError("sieve_keep_floor must lie in (0, 1]")
+        if self.d_hidden < 1 or self.d_emb < 1:
+            raise ValueError("d_hidden and d_emb must be >= 1")
+        # written as not >= so that NaN fails too
+        if not self.lr >= 0.0:
+            raise ValueError("lr (learning rate) must be >= 0")
+        if not self.opt_momentum >= 0.0:
+            raise ValueError("opt_momentum must be >= 0")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("gamma (decay factor) must lie in (0, 1]")
 
     @property
     def batch_size(self) -> int:
         return self.p_ids * self.k_seqs
 
-    @property
-    def ema_ratio(self) -> float:
-        """The EMA ratio each iteration applies; a disabled EMA step is m = 1."""
-        return self.momentum if self.ema_enabled else 1.0
+    def lr_at(self, iteration: int) -> float:
+        """The learning rate of an iteration: lr, times gamma per milestone reached."""
+        decays = sum(1 for ms in self.milestones if ms <= iteration)
+        return self.lr * self.gamma**decays
 
 
 def build_schedule(config: TrainerConfig) -> CoeffSchedule:
@@ -181,8 +197,8 @@ class TrainState:
 
     params_f: ModelParams
     params_m: ModelParams | None
-    opt_f: OptimizerState
-    opt_m: OptimizerState | None
+    vel_f: np.ndarray  # momentum-SGD velocity of F, in the parameter layout
+    vel_m: np.ndarray | None
     sieve: SieveState
     rng_sampler: RngStream
     rng_aug_f: RngStream
@@ -253,7 +269,7 @@ class StepProposal(NamedTuple):
     """One mode's step: its losses and the networks it proposes to commit."""
 
     losses: tuple  # (l_c, l_ce, l_tri, l_mil)
-    nets: tuple  # (params_f, opt_f, params_m, opt_m)
+    nets: tuple  # (params_f, vel_f, params_m, vel_m)
     record: TraceRecord
     kept_fraction: float
     forwards: int
@@ -273,13 +289,13 @@ def train_iteration(batch, state: TrainState, config: TrainerConfig,
         raise NonFiniteLossError(
             f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
         )
-    state.params_f, state.opt_f, state.params_m, state.opt_m = step.nets
+    state.params_f, state.vel_f, state.params_m, state.vel_m = step.nets
     state.forward_count += step.forwards
     metrics = {
         "iter": k,
         **breakdown.as_dict(),
         "kept_fraction": step.kept_fraction,
-        "lr": state.opt_f.lr_at(k),
+        "lr": config.lr_at(k),
         "forwards": step.forwards,
         **step.extra,
     }
@@ -290,7 +306,7 @@ def _two_net_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     pre_hash = state.params_m.sha256()
-    params_m = ema_transfer(state.params_m, state.params_f, config.ema_ratio)
+    params_m = ema_transfer(state.params_m, state.params_f, config.momentum)
 
     frames_f, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
     frames_m, state.rng_aug_m = _augment_batch(batch, config.augmentation, state.rng_aug_m)
@@ -327,16 +343,19 @@ def _two_net_step(batch, state, config, schedule, k):
     d_pf[kept] += d_p
 
     grad_f = backward_batch(cache_f, state.params_f, d_zf, d_pf)
-    params_f, opt_f, delta_f = optimizer_step(state.params_f, grad_f, state.opt_f, k)
+    lr = config.lr_at(k)
+    params_f, vel_f, delta_f = optimizer_step(state.params_f, grad_f, state.vel_f, lr,
+                                              config.opt_momentum)
 
     if s0 != 0.0 and not config.detach_teacher:
         grad_m = backward_batch(cache_m, params_m, np.zeros_like(z_m), s0 * d_pm_c)
     else:
         grad_m = GradVector.zeros(params_m.shape)
-    params_m, opt_m, delta_m = optimizer_step(params_m, grad_m, state.opt_m, k)
+    params_m, vel_m, delta_m = optimizer_step(params_m, grad_m, state.vel_m, lr,
+                                              config.opt_momentum)
 
     return StepProposal(
-        (l_c, l_ce, l_tri, l_mil), (params_f, opt_f, params_m, opt_m),
+        (l_c, l_ce, l_tri, l_mil), (params_f, vel_f, params_m, vel_m),
         TraceRecord(delta_f, delta_m, pre_hash), kept.size / b, 2 * b, mask_stats,
     )
 
@@ -364,24 +383,25 @@ def _label_terms(z, p, labels, sigmas, config):
     return l_ce, l_tri, l_mil, d_z, d_p
 
 
-def _label_update(params, opt, frame_sets, labels, sigmas, config, k):
+def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     """Forward, label terms, backward and step of one network; returns
-    (new params, new optimizer state, applied delta, (l_ce, l_tri, l_mil))."""
+    (new params, new velocity, applied delta, (l_ce, l_tri, l_mil))."""
     z, p, cache = forward_batch(frame_sets, params)
     l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z, p, labels, sigmas, config)
     grad = backward_batch(cache, params, d_z, d_p)
-    new_params, new_opt, delta = optimizer_step(params, grad, opt, k)
-    return new_params, new_opt, delta, (l_ce, l_tri, l_mil)
+    new_params, new_velocity, delta = optimizer_step(params, grad, velocity, config.lr_at(k),
+                                                     config.opt_momentum)
+    return new_params, new_velocity, delta, (l_ce, l_tri, l_mil)
 
 
 def _supervised_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
     frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
-    params_f, opt_f, delta_f, losses = _label_update(
-        state.params_f, state.opt_f, frames, labels, schedule.at(k)[1:], config, k
+    params_f, vel_f, delta_f, losses = _label_update(
+        state.params_f, state.vel_f, frames, labels, schedule.at(k)[1:], config, k
     )
     return StepProposal(
-        (0.0, *losses), (params_f, opt_f, None, None),
+        (0.0, *losses), (params_f, vel_f, None, None),
         TraceRecord(delta_f, None, None), 1.0, len(batch), {},
     )
 
@@ -405,17 +425,17 @@ def _coteach_step(batch, state, config, schedule, k):
 
     # peer exchange: A trains on B's selection and vice versa; losses log the peers' mean
     sigmas = schedule.at(k)[1:]
-    params_f, opt_f, delta_f, losses_f = _label_update(
-        state.params_f, state.opt_f, [frame_sets[i] for i in sel_b], labels[sel_b],
+    params_f, vel_f, delta_f, losses_f = _label_update(
+        state.params_f, state.vel_f, [frame_sets[i] for i in sel_b], labels[sel_b],
         sigmas, config, k,
     )
-    params_m, opt_m, _, losses_m = _label_update(
-        state.params_m, state.opt_m, [frame_sets[i] for i in sel_a], labels[sel_a],
+    params_m, vel_m, _, losses_m = _label_update(
+        state.params_m, state.vel_m, [frame_sets[i] for i in sel_a], labels[sel_a],
         sigmas, config, k,
     )
     return StepProposal(
         (0.0, *((f + m) / 2.0 for f, m in zip(losses_f, losses_m))),
-        (params_f, opt_f, params_m, opt_m),
+        (params_f, vel_f, params_m, vel_m),
         TraceRecord(delta_f, None, None), n_keep / b, 2 * b + 2 * n_keep, {},
     )
 
@@ -486,9 +506,8 @@ def read_trace(path):
     over it reads the file again, chunk by chunk, checking each record.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format_version") != TRACE_FORMAT_VERSION:
-            raise ValueError(f"unsupported trace format in {path}")
+        header = read_header(fh, path, "trace", TRACE_FORMAT_VERSION,
+                             ("n_params", "iterations", "momentum"))
         n_params = int(header["n_params"])
         n_iters = int(header["iterations"])
         if n_params < 0 or n_iters < 0:
@@ -583,16 +602,15 @@ def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
     root = RngStream(config.seed)
     params_f, _ = init_params(shape, root.child(1))
     two_net = config.mode in ("cyclic", "selfsup", "coteach-baseline")
-    params_m = None
-    opt_m = None
+    params_m = vel_m = None
     if two_net:
         params_m, _ = init_params(shape, root.child(2))
-        opt_m = OptimizerState.fresh(config.optimizer, shape)
+        vel_m = np.zeros(shape.n_params)
     return TrainState(
         params_f=params_f,
         params_m=params_m,
-        opt_f=OptimizerState.fresh(config.optimizer, shape),
-        opt_m=opt_m,
+        vel_f=np.zeros(shape.n_params),
+        vel_m=vel_m,
         sieve=SieveState(),
         rng_sampler=root.child(3),
         rng_aug_f=root.child(4),
@@ -638,7 +656,7 @@ def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingRes
     writer = None
     if config.record_trace:
         writer = TraceWriter(
-            trace_path, shape.n_params, config.ema_ratio, config.iterations,
+            trace_path, shape.n_params, config.momentum, config.iterations,
             extra={"mode": config.mode},
         )
 

@@ -20,11 +20,11 @@ import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .numkit import RngStream
+from .numkit import RngStream, read_header
 
 DATASET_FORMAT_VERSION = 1  # of manifest.json; split files carry SPLIT_FORMAT_VERSION
 
@@ -73,6 +73,11 @@ class GeometryParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeometryParams":
+        """The params a manifest records; a key that is not a field is a ValueError."""
+        known = {f.name for f in fields(cls)}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown generator geometry key {key!r}")
         return cls(**{k: type(getattr(cls, k))(v) for k, v in d.items()})
 
 
@@ -358,21 +363,23 @@ def corrupt_bundle(bundle: DatasetBundle, mode: str, amount: float, seed: int) -
 
 
 def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
-    """Rebuild a dataset byte-for-byte from its manifest."""
-    gen = manifest["generator"]
-    bundle = make_benchmark(
-        n_ids=gen["n_ids"],
-        n_train_ids=gen["n_train_ids"],
-        n_views=gen["n_views"],
-        condition_groups=gen["condition_groups"],
-        frames_per_seq=gen["frames_per_seq"],
-        d_in=gen["d_in"],
-        seed=gen["seed"],
-        params=GeometryParams.from_dict(gen["geometry"]),
-    )
-    for desc in manifest.get("corruptions", []):
-        amount = desc["fraction"] if desc["mode"] == "split" else desc["rate"]
-        bundle = corrupt_bundle(bundle, desc["mode"], amount, desc["seed"])
+    """Rebuild a dataset byte-for-byte from its manifest.
+
+    A value the manifest lacks, or a geometry key the generator does not
+    take, is a ValueError that names the key.
+    """
+    try:
+        gen = manifest["generator"]
+        sizes = {key: gen[key] for key in ("n_ids", "n_train_ids", "n_views",
+                                           "condition_groups", "frames_per_seq", "d_in", "seed")}
+        geometry = gen["geometry"]
+        steps = [(d["mode"], d["fraction"] if d["mode"] == "split" else d["rate"], d["seed"])
+                 for d in manifest.get("corruptions", [])]
+    except KeyError as err:
+        raise ValueError(f"dataset manifest lacks key {err.args[0]!r}") from None
+    bundle = make_benchmark(**sizes, params=GeometryParams.from_dict(geometry))
+    for mode, amount, seed in steps:
+        bundle = corrupt_bundle(bundle, mode, amount, seed)
     return bundle
 
 
@@ -480,9 +487,8 @@ def _read_split(path, with_frames: bool = True):
     The header and the payload size are checked either way; with_frames False
     then returns None without reading the frames."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format_version") != SPLIT_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset split format in {path}")
+        header = read_header(fh, path, "dataset split", SPLIT_FORMAT_VERSION,
+                             ("n_sequences", "d_in", "lengths"))
         n, d_in, lengths = header["n_sequences"], header["d_in"], header["lengths"]
         for col in ("lengths", *_SPLIT_COLUMNS):
             if len(header.get(col, ())) != n:

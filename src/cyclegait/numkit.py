@@ -1,4 +1,5 @@
-"""Seeded, splittable randomness: RngStream.
+"""Seeded, splittable randomness (RngStream), and read_header, the reader of
+the JSON header line that starts every binary file of the package.
 
 RngStream is the single source of randomness for the whole package; any draw
 is addressable by (seed, stream id, block), which makes every experiment
@@ -9,6 +10,7 @@ draw, so no state carries from one draw to the next.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 
@@ -114,3 +116,24 @@ class RngStream:
         vals = self._generator().integers(0, 1 << 63, size=2)
         return (int(vals[0]), int(vals[1])), self._advanced(2)
 
+
+
+def read_header(fh, path, what: str, version: int, keys) -> dict:
+    """The JSON header line at fh's position, read past.
+
+    A ValueError names path when the line is not a JSON object, when its
+    format_version is not version (naming the file kind, what), or when it
+    lacks one of keys; that message names the key too.
+    """
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{path}: header line is not JSON ({err})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header line is not a JSON object")
+    if header.get("format_version") != version:
+        raise ValueError(f"unsupported {what} format in {path}")
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"{path}: header lacks key {key!r}")
+    return header

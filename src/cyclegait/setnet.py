@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkit import RngStream
+from .numkit import RngStream, read_header
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -335,75 +335,19 @@ def ema_transfer(theta_m: ModelParams, theta_f: ModelParams, m: float) -> ModelP
     return ModelParams(theta_m.shape, m * theta_m.flat + (1.0 - m) * theta_f.flat)
 
 
-# Adam moment decay rates and denominator guard; no run sets other values
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
+def optimizer_step(params: ModelParams, grad: GradVector, velocity: np.ndarray,
+                   lr: float, momentum: float):
+    """One momentum-SGD step; returns (new_params, new_velocity, applied delta).
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str = "sgd"  # "sgd" (momentum) or "adam"
-    lr: float = 0.05
-    momentum: float = 0.9
-    milestones: tuple[int, ...] = (1000,)
-    gamma: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr < 0.0:
-            raise ValueError("learning rate must be >= 0")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("decay factor must lie in (0, 1]")
-
-
-@dataclass
-class OptimizerState:
-    """Update-rule state; buffers share the parameter layout."""
-
-    config: OptimizerConfig
-    velocity: np.ndarray | None = None  # sgd
-    moment1: np.ndarray | None = None  # adam
-    moment2: np.ndarray | None = None
-    steps: int = 0
-
-    @classmethod
-    def fresh(cls, config: OptimizerConfig, shape: EncoderShape) -> "OptimizerState":
-        n = shape.n_params
-        if config.kind == "sgd":
-            return cls(config, velocity=np.zeros(n))
-        return cls(config, moment1=np.zeros(n), moment2=np.zeros(n))
-
-    def lr_at(self, iteration: int) -> float:
-        decays = sum(1 for ms in self.config.milestones if ms <= iteration)
-        return self.config.lr * self.config.gamma**decays
-
-
-def optimizer_step(params: ModelParams, grad: GradVector, state: OptimizerState, iteration: int):
-    """Apply one update; returns (new_params, new_state, applied delta).
-
-    The returned delta is exactly what was added: new = old + delta bit for
-    bit, so traces reconstruct parameters without rounding slack.
+    The velocity buffer shares the parameter layout. The returned delta is
+    exactly what was added: new = old + delta bit for bit, so traces
+    reconstruct parameters without rounding slack.
     """
     if params.shape != grad.shape:
         raise ValueError("gradient layout does not match parameters")
-    cfg = state.config
-    lr = state.lr_at(iteration)
-    if cfg.kind == "sgd":
-        velocity = cfg.momentum * state.velocity + grad.flat
-        delta = -lr * velocity
-        new_state = OptimizerState(cfg, velocity=velocity, steps=state.steps + 1)
-    else:
-        t = state.steps + 1
-        m1 = ADAM_BETA1 * state.moment1 + (1.0 - ADAM_BETA1) * grad.flat
-        m2 = ADAM_BETA2 * state.moment2 + (1.0 - ADAM_BETA2) * grad.flat**2
-        m1_hat = m1 / (1.0 - ADAM_BETA1**t)
-        m2_hat = m2 / (1.0 - ADAM_BETA2**t)
-        delta = -lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
-        new_state = OptimizerState(cfg, moment1=m1, moment2=m2, steps=t)
-    new_params = ModelParams(params.shape, params.flat + delta)
-    return new_params, new_state, delta
+    velocity = momentum * velocity + grad.flat
+    delta = -lr * velocity
+    return ModelParams(params.shape, params.flat + delta), velocity, delta
 
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None):
@@ -423,11 +367,9 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, header dict)."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header = read_header(fh, path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
+                             ("d_in", "d_hidden", "d_emb", "n_classes", "n_params"))
         blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format in {path}")
     shape = EncoderShape.from_dict(header)
     declared = int(header["n_params"])
     if declared != shape.n_params:

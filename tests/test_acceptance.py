@@ -38,7 +38,6 @@ from cyclegait.lossbank import (
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import (
     EncoderShape,
-    OptimizerConfig,
     ema_transfer,
     forward_batch,
     backward_batch,
@@ -57,7 +56,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 def default_optimizer():
-    return OptimizerConfig(lr=0.05, momentum=0.9, milestones=(1000,), gamma=0.1)
+    return dict(lr=0.05, opt_momentum=0.9, milestones=(1000,), gamma=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +80,10 @@ def split_runs(split_bundle):
     for seed in SEEDS5:
         sup = run_training(split_bundle, TrainerConfig(
             mode="supervised", iterations=2000, schedule_profile="noisy",
-            optimizer=default_optimizer(), seed=seed))
+            **default_optimizer(), seed=seed))
         full = run_training(split_bundle, TrainerConfig(
             mode="cyclic", iterations=2000, schedule_profile="noisy",
-            and_enabled=True, optimizer=default_optimizer(), seed=seed))
+            and_enabled=True, **default_optimizer(), seed=seed))
         rows[seed] = {
             "supervised": evaluate_checkpoint(sup.params_f, split_bundle.test),
             "full": evaluate_checkpoint(full.params_f, split_bundle.test),
@@ -95,7 +94,7 @@ def split_runs(split_bundle):
 
 def test_c01_closed_form_parameter_evolution(split_bundle, tmp_path):
     config = TrainerConfig(mode="cyclic", iterations=500, momentum=0.99,
-                           record_trace=True, optimizer=default_optimizer())
+                           record_trace=True, **default_optimizer())
     trace_path = tmp_path / "trace.bin"
     result = run_training(split_bundle, config, trace_path=str(trace_path))
     n_params = result.params_f.shape.n_params
@@ -228,7 +227,7 @@ def test_c04_cost_model_and_live_counters(split_bundle):
     ):
         cfg = TrainerConfig(mode=mode, iterations=iters,
                             coteach_noise_rate=rate if rate is not None else 0.2,
-                            optimizer=default_optimizer())
+                            **default_optimizer())
         result = run_training(split_bundle, cfg)
         n = cfg.batch_size
         want = expected_per_iter(n) * iters
@@ -303,13 +302,13 @@ def test_c07_ablation_ordering(split_bundle, split_runs, tmp_path):
 def test_c08_degeneration_effect_timing(label_bundle):
     # constant weights and constant lr: the diagnostic must not be masked by
     # the noise-robust schedule it is meant to motivate
-    opt = OptimizerConfig(lr=0.05, momentum=0.9, milestones=())
+    opt = dict(lr=0.05, opt_momentum=0.9, milestones=())
     wins = 0
     details = []
     for seed in SEEDS5:
         run = run_training(label_bundle, TrainerConfig(
             mode="supervised", iterations=2000, schedule_profile="clean",
-            optimizer=opt, seed=seed, snapshot_every=100))
+            **opt, seed=seed, snapshot_every=100))
         curve = memorization_curve(run.snapshots, label_bundle.train)
         clean_final = curve.clean_accuracy[-1]
         noisy_final = curve.noisy_accuracy[-1]
@@ -331,7 +330,7 @@ def test_c09_noise_detection_floor(label_bundle):
     for seed in SEEDS5:
         run = run_training(label_bundle, TrainerConfig(
             mode="cyclic", iterations=2000, schedule_profile="noisy",
-            and_enabled=True, optimizer=default_optimizer(), seed=seed))
+            and_enabled=True, **default_optimizer(), seed=seed))
         second_half = run.metrics[len(run.metrics) // 2 :]
         vals = [m["noise_precision"] for m in second_half
                 if "noise_precision" in m and not math.isnan(m["noise_precision"])]
@@ -341,7 +340,7 @@ def test_c09_noise_detection_floor(label_bundle):
     clean = make_benchmark(seed=1)
     clean_run = run_training(clean, TrainerConfig(
         mode="cyclic", iterations=2000, schedule_profile="clean",
-        and_enabled=True, optimizer=default_optimizer(), seed=1))
+        and_enabled=True, **default_optimizer(), seed=1))
     kept_end = float(np.mean([m["kept_fraction"] for m in clean_run.metrics[-50:]]))
     ok = mean_precision >= 1.5 * 0.2 and kept_end >= 0.9
     report("C9 detection sanity floor", ok,
@@ -365,7 +364,7 @@ def test_c10_pipeline_determinism(tmp_path, monkeypatch):
         cfg = ExperimentConfig(data_dir="data", out_dir="run", mode="cyclic",
                                iterations=30, p_ids=4, k_seqs=2, d_hidden=16,
                                d_emb=8, record_trace=True,
-                               optimizer=OptimizerConfig(milestones=(15,)),
+                               milestones=(15,),
                                and_enabled=True, sieve_warmup=5, seed=3)
         run_experiment(cfg)
         cli_main(["eval", "--checkpoint", "run/model_f.ckpt", "--data", "data",

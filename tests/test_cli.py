@@ -20,7 +20,7 @@ from cyclegait.bench_cli import (
 )
 from cyclegait.cyclic import TrainerConfig
 from cyclegait.gaitgen import load_bundle, regenerate_from_manifest
-from cyclegait.setnet import OptimizerConfig, load_checkpoint
+from cyclegait.setnet import load_checkpoint
 
 
 def run_cli(*argv):
@@ -43,7 +43,8 @@ def tiny_train_config(data_dir, out_dir, **kwargs):
         k_seqs=2,
         d_hidden=8,
         d_emb=4,
-        optimizer=OptimizerConfig(lr=0.05, milestones=()),
+        lr=0.05,
+        milestones=(),
         seed=5,
     )
     base.update(kwargs)
@@ -60,7 +61,7 @@ DEFAULT_CONFIG_TEXT = "\n".join([
     "[corruption]", "corruption = none", "corruption_rate = 0.2",
     "corruption_fraction = 0.6", "corruption_seed = 7", "",
     "[trainer]", "mode = cyclic", "iterations = 2000", "p_ids = 8", "k_seqs = 4",
-    "momentum = 0.99", "ema_enabled = true", "and_enabled = false",
+    "momentum = 0.99", "and_enabled = false",
     "detach_teacher = false", "augmentation = default", "seed = 1",
     "schedule_profile = noisy", "triplet_margin = 0.2", "mil_temperature = 0.2",
     "d_hidden = 64", "d_emb = 32", "record_trace = false", "snapshot_every = 0",
@@ -68,7 +69,7 @@ DEFAULT_CONFIG_TEXT = "\n".join([
     "sieve_scale = 1.5", "sieve_entropy_scale = 1.0", "sieve_keep_floor = 0.5",
     "schedule_ramp_fraction = 0.5", "sigma0_const = none", "sigma1_const = none",
     "sigma2_const = none", "sigma3_const = none", "",
-    "[optimizer]", "opt_kind = sgd", "lr = 0.05", "opt_momentum = 0.9",
+    "[optimizer]", "lr = 0.05", "opt_momentum = 0.9",
     "milestones = 1000", "gamma = 0.1", "",
     "[eval]", "exclude_same_view = true", "",
     "[output]", "out_dir = runs/exp", "", "",
@@ -78,7 +79,7 @@ DEFAULT_CONFIG_TEXT = "\n".join([
 class TestConfigRoundtrip:
     def test_serialize_parse_identity(self):
         cfg = ExperimentConfig(mode="selfsup", iterations=123,
-                               optimizer=OptimizerConfig(lr=0.007, milestones=(10, 20)),
+                               lr=0.007, milestones=(10, 20),
                                sigma2_const=0.05, and_enabled=False, out_dir="runs/x")
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -126,17 +127,14 @@ class TestConfigRoundtrip:
         parser = configparser.ConfigParser()
         parser.read_string(serialize_config(ExperimentConfig()))
         keys = [key for section in parser.sections() for key in parser[section]]
-        aliases = {"kind": "opt_kind", "momentum": "opt_momentum"}
-        expected = [f.name for f in dataclasses.fields(ExperimentConfig)
-                    if f.name != "optimizer"]
-        expected += [aliases.get(f.name, f.name) for f in dataclasses.fields(OptimizerConfig)]
+        expected = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(keys) == sorted(expected)
 
     def test_default_text_is_pinned(self):
         assert serialize_config(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
 
     def test_float_roundtrip_exact(self):
-        cfg = ExperimentConfig(optimizer=OptimizerConfig(lr=0.1 + 2e-17), momentum=1 / 3)
+        cfg = ExperimentConfig(lr=0.1 + 2e-17, momentum=1 / 3)
         assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -219,15 +217,38 @@ class TestTrainEvalPipeline:
 
     def test_invalid_config_value_is_a_usage_error(self, data_dir, tmp_path, capsys):
         run, config = tmp_path / "run", tmp_path / "exp.cfg"
-        # a run the tiny dataset can train, apart from the smoothing factor
-        config.write_text("[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
-                          "sieve_beta = 1.5\n")
-        code = run_cli("train", "--config", str(config), "--data", str(data_dir),
-                       "--out", str(run))
+        for section, key, value in [("trainer", "sieve_beta", "1.5"),
+                                    ("trainer", "d_hidden", "0"),
+                                    ("trainer", "d_emb", "0"),
+                                    ("optimizer", "lr", "nan"),
+                                    ("optimizer", "opt_momentum", "nan")]:
+            # a run the tiny dataset can train, apart from this one value
+            trainer = "[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
+            bad = f"{key} = {value}\n"
+            config.write_text(trainer + bad if section == "trainer"
+                              else f"{trainer}[{section}]\n{bad}")
+            capsys.readouterr()
+            code = run_cli("train", "--config", str(config), "--data", str(data_dir),
+                           "--out", str(run))
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2, key
+            assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+            assert not run.exists()
+
+    @pytest.mark.parametrize("section, line", [("optimizer", "opt_kind = sgd"),
+                                               ("trainer", "ema_enabled = false")])
+    def test_snapshot_with_a_removed_key_is_refused(self, data_dir, tmp_path, capsys,
+                                                    section, line):
+        run, config = tmp_path / "run", tmp_path / "config.snapshot"
+        old = serialize_config(tiny_train_config(data_dir, run))
+        config.write_text(old.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        capsys.readouterr()
+        code = run_cli("train", "--config", str(config))
         err = capsys.readouterr().err.splitlines()
+        key = line.split(" = ")[0]
         assert code == 2
-        assert len(err) == 1 and err[0].startswith("error:") and "sieve_beta" in err[0]
-        assert not (run / "config.snapshot").exists()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
+        assert not run.exists()
 
     @pytest.mark.parametrize("mode", ["supervised", "coteach-baseline"])
     def test_consistency_pin_without_consistency_term_is_a_usage_error(
@@ -421,13 +442,54 @@ class TestTrainEvalPipeline:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_abort_writes_diagnostics(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run",
-                                optimizer=OptimizerConfig(lr=1e6, milestones=()),
+                                lr=1e6, milestones=(),
                                 iterations=60)
         from cyclegait.cyclic import NonFiniteLossError
 
         with pytest.raises(NonFiniteLossError):
             run_experiment(cfg)
         assert (tmp_path / "run" / "diagnostics.json").exists()
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header line of a binary file with edit(header) bytes."""
+    blob = path.read_bytes()
+    end = blob.index(b"\n")
+    path.write_bytes(edit(json.loads(blob[:end])) + blob[end:])
+
+
+def without(key):
+    return lambda header: json.dumps({k: v for k, v in header.items() if k != key}).encode()
+
+
+class TestBinaryHeaders:
+    """A header line that is not a JSON object, or that lacks a key its reader
+    needs, is one usage-error line naming the file, and the key if one is missing."""
+
+    EVAL = ("eval", "--checkpoint", "{run}/model_f.ckpt", "--data", "{data}", "--out", "{out}")
+
+    @pytest.mark.parametrize("file, edit, argv, named", [
+        ("run/model_f.ckpt", without("d_in"), EVAL, "'d_in'"),
+        ("run/model_f.ckpt", lambda header: b"[1,2]", EVAL, "not a JSON object"),
+        ("run/model_f.ckpt", lambda header: b"{d_in: 16}", EVAL, "not JSON"),
+        ("data/test.bin", without("d_in"), EVAL, "'d_in'"),
+        ("run/trace.bin", without("momentum"), ("verify-closed-form", "--run", "{run}"),
+         "'momentum'"),
+    ], ids=["checkpoint-without-d_in", "checkpoint-list", "checkpoint-not-json",
+            "split-without-d_in", "trace-without-momentum"])
+    def test_bad_header_is_a_usage_error(self, tmp_path, capsys, file, edit, argv, named):
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
+        run_cli("gen-data", "--out", str(data), *TINY_GEN)
+        run_experiment(tiny_train_config(data, run, record_trace=True, iterations=2))
+        rewrite_header(tmp_path / file, edit)
+        capsys.readouterr()
+        code = run_cli(*(arg.format(data=data, run=run, out=out) for arg in argv))
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].split(" ")[0] in ("error:", "FAIL:")
+        assert str(tmp_path / file) in err[0] and named in err[0]
+        assert not out.exists()
 
 
 class TestAblateCommand:
@@ -472,6 +534,30 @@ class TestAblateCommand:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()  # checked before the output directory is made
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda gen: gen["geometry"].update(bogus=1.0), "'bogus'"),
+        (lambda gen: gen.pop("n_train_ids"), "'n_train_ids'"),
+    ], ids=["unknown-geometry-key", "missing-n_train_ids"])
+    def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                        edit, key):
+        data, out = tmp_path / "data", tmp_path / "ablation"
+        run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "12", "--train-ids", "9")
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest["generator"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        regenerations = []
+        regenerate = gaitgen.regenerate_from_manifest
+        monkeypatch.setattr(gaitgen, "regenerate_from_manifest",
+                            lambda m: regenerations.append(m) or regenerate(m))
+        capsys.readouterr()
+        code = run_cli("ablate", "--data", str(data), "--out", str(out),
+                       "--seeds", "1", "--iterations", "2")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not out.exists()
+        assert len(regenerations) == 1
 
 
 class TestSharedGridBundle:

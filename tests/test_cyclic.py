@@ -22,12 +22,10 @@ from cyclegait.cyclic import (
 )
 from cyclegait.gaitgen import make_benchmark
 from cyclegait.numkit import RngStream
-from cyclegait.setnet import EncoderShape, OptimizerConfig, ema_transfer
+from cyclegait.setnet import EncoderShape, ema_transfer
 import reference
 from conftest import record_dropped_caches
 from reference import padded_backward_batch, padded_forward_batch
-
-TINY_OPT = OptimizerConfig(lr=0.05, milestones=())
 
 
 def tiny_bundle(seed=2):
@@ -51,7 +49,8 @@ def tiny_config(**kwargs):
         momentum=0.9,
         d_hidden=8,
         d_emb=4,
-        optimizer=TINY_OPT,
+        lr=0.05,
+        milestones=(),
         augmentation="default",
         seed=11,
     )
@@ -126,7 +125,7 @@ class TestTrainIteration:
         assert np.array_equal(state.params_m.flat, before)
 
     def test_zero_lr_isolates_ema(self):
-        config = tiny_config(optimizer=OptimizerConfig(lr=0.0, milestones=()))
+        config = tiny_config(lr=0.0)
         schedule = build_schedule(config)
         state, batch = self._state_and_batch(config)
         f_before = state.params_f.flat.copy()
@@ -229,6 +228,25 @@ class TestRunTraining:
             tf = tf + delta_f
         assert np.array_equal(tf, result.params_f.flat)
         assert np.array_equal(tm, result.params_m.flat)
+
+    def test_ema_off_trace_verifies(self, tmp_path):
+        # momentum 1.0 turns the EMA off: M moves by its own steps only
+        bundle = tiny_bundle()
+        config = tiny_config(iterations=6, momentum=1.0, record_trace=True)
+        path = tmp_path / "trace.bin"
+        result = run_training(bundle, config, trace_path=str(path))
+        report = gaugekit.verify_trace_file(str(path), result.init_f, result.init_m,
+                                            result.params_f, result.params_m)
+        assert report["momentum"] == 1.0 and report["max_relative_deviation"] < 1e-8
+        assert report["endpoint_f_matches"] and report["endpoint_m_matches"]
+        _, records = read_trace(path)
+        _, replayed_m = gaugekit.replay_recurrence(result.init_f.flat, result.init_m.flat,
+                                                   records, 1.0)
+        own_steps = result.init_m.flat.copy()
+        for _, delta_m in records:
+            own_steps = own_steps + delta_m
+        assert np.array_equal(result.params_m.flat, replayed_m)
+        assert np.array_equal(result.params_m.flat, own_steps)
 
     def test_trace_file_roundtrip(self, tmp_path):
         bundle = tiny_bundle()
