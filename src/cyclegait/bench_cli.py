@@ -3,10 +3,14 @@ evaluation, the component ablation grid, trace verification and the
 forward-cost calculator.
 
 Experiment configs are plain sectioned key=value text (diffable provenance,
-lossless round-trip); every output file embeds the config hash. One output
-directory holds one reproducible experiment:
+lossless round-trip). A run is a pure function of its config and its
+dataset's manifest, so the config hash that every output file embeds covers
+exactly those two: the config without data_dir and out_dir, which only say
+where files live, and the sha256 of the manifest. The same experiment at two
+paths writes byte-identical files; runs on different data never share a hash.
+One output directory holds one reproducible experiment:
 
-    config.snapshot     effective config as written
+    config.snapshot     config_hash and dataset_hash comments, then the config
     model_f_init.ckpt   initial forgetting-network parameters
     model_m_init.ckpt   initial memorizing-network parameters (two-net modes)
     model_f.ckpt        final forgetting network (the inference model)
@@ -28,6 +32,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -56,36 +61,23 @@ OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig(TrainerConfig):
-    """Everything a full run needs; defaults give the desk-scale benchmark.
+    """Everything a run needs besides its data.
 
     The trainer and optimizer settings are the inherited TrainerConfig
-    fields; this class adds the dataset, corruption, eval, output and meta
-    settings. Each field is written to the config-file section it is tagged
+    fields; this class adds the dataset directory and the eval, output and
+    meta settings. What the data is, the dataset's manifest.json alone
+    records. Each field is written to the config-file section it is tagged
     with (in_section), or to [trainer] when untagged.
     """
 
     format_version: int = in_section("meta", CONFIG_FORMAT_VERSION)
     data_dir: str = in_section("dataset", "")
-    n_ids: int = in_section("dataset", 60)
-    n_train_ids: int = in_section("dataset", 40)
-    n_views: int = in_section("dataset", 4)
-    nm_groups: int = in_section("dataset", 4)
-    bg_groups: int = in_section("dataset", 3)
-    cl_groups: int = in_section("dataset", 3)
-    frames_per_seq: int = in_section("dataset", 30)
-    d_in: int = in_section("dataset", 16)
-    data_seed: int = in_section("dataset", 1)
-    # corruption of the train split: none | label | augmentation | split
-    corruption: str = in_section("corruption", "none")
-    corruption_rate: float = in_section("corruption", 0.2)
-    corruption_fraction: float = in_section("corruption", 0.6)
-    corruption_seed: int = in_section("corruption", 7)
     exclude_same_view: bool = in_section("eval", True)
     out_dir: str = in_section("output", "runs/exp")
 
 
 # Config files group keys into these sections, in this order
-_SECTION_ORDER = ("meta", "dataset", "corruption", "trainer", "optimizer", "eval", "output")
+_SECTION_ORDER = ("meta", "dataset", "trainer", "optimizer", "eval", "output")
 
 
 def _schema() -> dict:
@@ -166,8 +158,18 @@ def load_config_file(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()
+def dataset_hash(manifest: dict) -> str:
+    """sha256 of a dataset manifest, leaving out its own config_hash entry."""
+    manifest = {k: v for k, v in manifest.items() if k != "config_hash"}
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def config_hash(cfg: ExperimentConfig, manifest: dict) -> str:
+    """sha256 of what a run computes: the serialized config with data_dir and
+    out_dir blanked, then the dataset_hash of the manifest it trains on."""
+    text = serialize_config(dataclasses.replace(cfg, data_dir="", out_dir=""))
+    text += f"# dataset_hash={dataset_hash(manifest)}\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _resolve_out(path: str) -> str:
@@ -181,37 +183,15 @@ def _resolve_out(path: str) -> str:
 # dataset plumbing
 
 
-def build_bundle(cfg: ExperimentConfig) -> DatasetBundle:
-    """Generate (and corrupt) the dataset described by the config."""
-    bundle = gaitgen.make_benchmark(
-        n_ids=cfg.n_ids,
-        n_train_ids=cfg.n_train_ids,
-        n_views=cfg.n_views,
-        condition_groups={"NM": cfg.nm_groups, "BG": cfg.bg_groups, "CL": cfg.cl_groups},
-        frames_per_seq=cfg.frames_per_seq,
-        d_in=cfg.d_in,
-        seed=cfg.data_seed,
-    )
-    if cfg.corruption != "none":
-        amount = cfg.corruption_fraction if cfg.corruption == "split" else cfg.corruption_rate
-        bundle = gaitgen.corrupt_bundle(bundle, cfg.corruption, amount, cfg.corruption_seed)
-    return bundle
-
-
-def obtain_bundle(cfg: ExperimentConfig) -> DatasetBundle:
-    """Load the dataset from data_dir when set, else generate it in memory."""
-    if cfg.data_dir:
-        return gaitgen.load_bundle(cfg.data_dir)
-    return build_bundle(cfg)
+def _corrupt(bundle: DatasetBundle, mode: str, args) -> DatasetBundle:
+    """bundle with mode applied by the corruption flags of gen-data or corrupt."""
+    amount = args.fraction if mode == "split" else args.rate
+    return gaitgen.corrupt_bundle(bundle, mode, amount, args.corrupt_seed)
 
 
 def _manifest_with_hash(manifest: dict) -> dict:
-    manifest = dict(manifest)
-    manifest.pop("config_hash", None)
-    digest = hashlib.sha256(
-        json.dumps(manifest, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-    manifest["config_hash"] = digest
+    manifest = {k: v for k, v in manifest.items() if k != "config_hash"}
+    manifest["config_hash"] = dataset_hash(manifest)
     return manifest
 
 
@@ -245,20 +225,22 @@ def _write_csv(path: str, text: str, digest: str):
         fh.write(text)
 
 
-def run_experiment(cfg: ExperimentConfig, bundle: DatasetBundle | None = None):
-    """Train per config, persist the run directory, return (result, outdir).
+def run_experiment(cfg: ExperimentConfig):
+    """Train per config on the dataset in cfg.data_dir, persist the run
+    directory, return (result, outdir).
 
-    A dataset that cannot fill the batch shape raises ValueError before
-    anything is written.
+    No dataset directory, or a dataset that cannot fill the batch shape,
+    raises ValueError before anything is written.
     """
-    if bundle is None:
-        bundle = obtain_bundle(cfg)
+    if not cfg.data_dir:
+        raise ValueError("train needs a dataset directory: pass --data or set data_dir")
+    bundle = gaitgen.load_bundle(cfg.data_dir)
     train_groups(bundle, cfg)
     outdir = _resolve_out(cfg.out_dir)
     os.makedirs(outdir, exist_ok=True)
-    digest = config_hash(cfg)
+    digest = config_hash(cfg, bundle.manifest)
     with open(os.path.join(outdir, "config.snapshot"), "w", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={digest}\n")
+        fh.write(f"# config_hash={digest}\n# dataset_hash={dataset_hash(bundle.manifest)}\n")
         fh.write(serialize_config(cfg))
     trace_path = os.path.join(outdir, "trace.bin") if cfg.record_trace else None
 
@@ -363,19 +345,10 @@ def _check_grid(cfg: ExperimentConfig, bundle: DatasetBundle, seeds: list):
     train_groups(bundle, cfg)
 
 
-def run_ablation(cfg: ExperimentConfig, bundle: DatasetBundle, seeds, data=None) -> dict:
-    """Train and evaluate every grid cell for every seed, one after another;
-    returns {cell: {condition: (mean, std) over the seeds}}, with "overall"
-    among the conditions.
-
-    Every cell and seed trains on data, the dataset regenerated from bundle's
-    manifest, so a dataset whose files were edited after gen-data scores as
-    its manifest describes it. The grid regenerates it once when the caller
-    passes no data."""
-    seeds = list(seeds)
-    _check_grid(cfg, bundle, seeds)
-    if data is None:
-        data = gaitgen.regenerate_from_manifest(bundle.manifest)
+def run_ablation(cfg: ExperimentConfig, data: DatasetBundle, seeds) -> dict:
+    """Train and evaluate every grid cell for every seed on data, one after
+    another; returns {cell: {condition: (mean, std) over the seeds}}, with
+    "overall" among the conditions."""
     table = {}
     for cell_name, overrides in ABLATION_CELLS:
         scores = [_ablation_cell_job(cfg, data, overrides, seed) for seed in seeds]
@@ -416,10 +389,19 @@ def _config_fields(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = ExperimentConfig(**_config_fields(args))
     outdir = _resolve_out(args.out)
     _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
-    bundle = build_bundle(cfg)
+    bundle = gaitgen.make_benchmark(
+        n_ids=args.n_ids,
+        n_train_ids=args.n_train_ids,
+        n_views=args.n_views,
+        condition_groups={"NM": args.nm, "BG": args.bg, "CL": args.cl},
+        frames_per_seq=args.frames_per_seq,
+        d_in=args.d_in,
+        seed=args.seed,
+    )
+    if args.corrupt != "none":
+        bundle = _corrupt(bundle, args.corrupt, args)
     write_dataset(bundle, outdir)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {len(bundle.train)} train / {len(bundle.test)} test sequences")
@@ -432,8 +414,7 @@ def cmd_corrupt(args) -> int:
     bundle = gaitgen.load_bundle(args.data)
     outdir = _resolve_out(args.out)
     _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
-    amount = args.fraction if args.mode == "split" else args.rate
-    bundle = gaitgen.corrupt_bundle(bundle, args.mode, amount, args.seed)
+    bundle = _corrupt(bundle, args.mode, args)
     write_dataset(bundle, outdir)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {n_flagged} train sequences flagged {args.mode}")
@@ -478,10 +459,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     bundle = gaitgen.load_bundle(args.data)
-    base = ExperimentConfig(
-        data_dir=args.data,
-        iterations=args.iterations,
-    )
+    base = ExperimentConfig(iterations=args.iterations)
     seeds = [args.seed + i for i in range(args.seeds)]
     outdir = _resolve_out(args.out)
     csv_path = os.path.join(outdir, "ablation.csv")
@@ -489,11 +467,15 @@ def cmd_ablate(args) -> int:
     # a manifest that cannot regenerate its dataset is refused before --out is made
     _refuse_existing(csv_path, args.force, "ablation")
     _check_grid(base, bundle, seeds)
-    data = gaitgen.regenerate_from_manifest(bundle.manifest)
+    # every cell trains on the manifest's regeneration, so a dataset whose files
+    # were edited after gen-data scores as its manifest describes it
+    try:
+        data = gaitgen.regenerate_from_manifest(bundle.manifest)
+    except ValueError as err:
+        raise ValueError(f"{os.path.join(args.data, 'manifest.json')}: {err}") from None
     os.makedirs(outdir, exist_ok=True)
-    table = run_ablation(base, bundle, seeds, data)
-    digest = config_hash(base)
-    _write_csv(csv_path, ablation_csv(table), digest)
+    table = run_ablation(base, data, seeds)
+    _write_csv(csv_path, ablation_csv(table), config_hash(base, bundle.manifest))
     print(f"{'cell':<24}{'NM':>16}{'BG':>16}{'CL':>16}")
     for cell_name, _ in ABLATION_CELLS:
         e = table[cell_name]
@@ -549,6 +531,12 @@ def cmd_cost(args) -> int:
     return 0
 
 
+# gen-data flags are stored under make_benchmark's argument names, and its
+# signature holds their defaults (read once, as wrappers may replace the name)
+_GENERATOR_DEFAULTS = {name: param.default for name, param
+                       in inspect.signature(gaitgen.make_benchmark).parameters.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclegait",
@@ -556,44 +544,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # gen-data and train flags are stored under their ExperimentConfig field
-    # names, and flag defaults that are config settings read the config's
-    d = ExperimentConfig
+    def corruption_flags(p, seed_flag: str):
+        """The corruption amounts and seed of gen-data and corrupt."""
+        p.add_argument("--rate", type=float, default=0.2,
+                       help="label and augmentation noise: share of train sequences")
+        p.add_argument("--fraction", type=float, default=0.6,
+                       help="split noise: share of train identities")
+        p.add_argument(seed_flag, dest="corrupt_seed", type=int, default=7)
+
+    gen = _GENERATOR_DEFAULTS
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--ids", dest="n_ids", type=int, default=d.n_ids)
-    p.add_argument("--train-ids", dest="n_train_ids", type=int, default=d.n_train_ids)
-    p.add_argument("--views", dest="n_views", type=int, default=d.n_views)
-    p.add_argument("--nm", dest="nm_groups", type=int, default=d.nm_groups)
-    p.add_argument("--bg", dest="bg_groups", type=int, default=d.bg_groups)
-    p.add_argument("--cl", dest="cl_groups", type=int, default=d.cl_groups)
-    p.add_argument("--frames", dest="frames_per_seq", type=int, default=d.frames_per_seq)
-    p.add_argument("--d-in", dest="d_in", type=int, default=d.d_in)
-    p.add_argument("--seed", dest="data_seed", type=int, default=d.data_seed)
-    p.add_argument("--corrupt", dest="corruption", default=d.corruption,
-                   choices=("none", "label", "augmentation", "split"))
-    p.add_argument("--rate", dest="corruption_rate", type=float, default=d.corruption_rate)
-    p.add_argument("--fraction", dest="corruption_fraction", type=float,
-                   default=d.corruption_fraction)
-    p.add_argument("--corrupt-seed", dest="corruption_seed", type=int,
-                   default=d.corruption_seed)
+    p.add_argument("--ids", dest="n_ids", type=int, default=gen["n_ids"])
+    p.add_argument("--train-ids", dest="n_train_ids", type=int, default=gen["n_train_ids"])
+    p.add_argument("--views", dest="n_views", type=int, default=gen["n_views"])
+    groups = gen["condition_groups"]
+    p.add_argument("--nm", type=int, default=groups["NM"])
+    p.add_argument("--bg", type=int, default=groups["BG"])
+    p.add_argument("--cl", type=int, default=groups["CL"])
+    p.add_argument("--frames", dest="frames_per_seq", type=int, default=gen["frames_per_seq"])
+    p.add_argument("--d-in", dest="d_in", type=int, default=gen["d_in"])
+    p.add_argument("--seed", type=int, default=gen["seed"])
+    p.add_argument("--corrupt", default="none", choices=("none", *gaitgen.CORRUPTIONS))
+    corruption_flags(p, "--corrupt-seed")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("corrupt", help="corrupt the train split of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("label", "augmentation", "split"), required=True)
-    p.add_argument("--rate", type=float, default=d.corruption_rate)
-    p.add_argument("--fraction", type=float, default=d.corruption_fraction)
-    p.add_argument("--seed", type=int, default=d.corruption_seed)
+    p.add_argument("--mode", choices=tuple(gaitgen.CORRUPTIONS), required=True)
+    corruption_flags(p, "--seed")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_corrupt)
 
-    # unset train flags (None) leave the --config value in place
+    # train flags are stored under their ExperimentConfig field names; unset
+    # ones (None) leave the --config value in place
+    d = ExperimentConfig
     p = sub.add_parser("train", help="run a training experiment")
     p.add_argument("--config", default=None, help="experiment config file")
-    p.add_argument("--data", dest="data_dir", default=None, help="dataset directory")
+    p.add_argument("--data", dest="data_dir", default=None,
+                   help="dataset directory (required unless --config sets data_dir)")
     p.add_argument("--out", dest="out_dir", default=None)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--iterations", type=int, default=None)

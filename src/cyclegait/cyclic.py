@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaitgen import AUGMENTATIONS, augment_frame_sets
+from .gaitgen import AugmentationSpec, augment_frame_sets
 from .lossbank import (
     CoeffSchedule,
     LossBreakdown,
@@ -66,6 +66,11 @@ MODE_SIGMAS = {"cyclic": (0, 1, 2, 3), "supervised": (1, 2), "selfsup": (0,),
                "coteach-baseline": (1, 2)}
 MODES = tuple(MODE_SIGMAS)
 
+# fixed parts of the recipe: the training-time augmentation of every mode that
+# augments, and the temperature of the contrastive (MIL) label term
+AUGMENTATION = AugmentationSpec()
+MIL_TEMPERATURE = 0.2
+
 
 class NonFiniteLossError(RuntimeError):
     """Training hit a non-finite loss; carries a diagnostic dump."""
@@ -89,12 +94,8 @@ class TrainerConfig:
     k_seqs: int = 4
     momentum: float = 0.99  # EMA ratio m: M <- m*M + (1-m)*F; 1.0 turns the EMA off
     and_enabled: bool = False
-    detach_teacher: bool = False
-    augmentation: str = "default"
     seed: int = 1
     schedule_profile: str = "noisy"  # "noisy" or "clean"
-    triplet_margin: float = 0.2
-    mil_temperature: float = 0.2
     d_hidden: int = 64
     d_emb: int = 32
     record_trace: bool = False
@@ -105,7 +106,6 @@ class TrainerConfig:
     sieve_scale: float = 1.5
     sieve_entropy_scale: float = 1.0
     sieve_keep_floor: float = 0.5
-    schedule_ramp_fraction: float = 0.5
     # pin a coefficient to a constant after the mode's zeroing (None = off);
     # supervised and coteach-baseline have no consistency term to pin sigma0 on
     sigma0_const: float | None = None
@@ -130,8 +130,6 @@ class TrainerConfig:
             raise ValueError("EMA ratio must lie in [0, 1]")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.augmentation not in AUGMENTATIONS:
-            raise ValueError(f"unknown augmentation spec {self.augmentation!r}")
         if self.schedule_profile not in ("noisy", "clean"):
             raise ValueError(f"unknown schedule profile {self.schedule_profile!r}")
         if self.and_enabled and self.mode != "cyclic":
@@ -172,7 +170,7 @@ def build_schedule(config: TrainerConfig) -> CoeffSchedule:
     if config.schedule_profile == "clean":
         base = CoeffSchedule.clean_default()
     else:
-        base = CoeffSchedule.noisy_default(config.iterations, config.schedule_ramp_fraction)
+        base = CoeffSchedule.noisy_default(config.iterations)
     kept = MODE_SIGMAS[config.mode]
     ramps = (base.sigma0, base.sigma1, base.sigma2, base.sigma3)
     pins = (config.sigma0_const, config.sigma1_const, config.sigma2_const, config.sigma3_const)
@@ -232,9 +230,8 @@ def pxk_sampler(dataset, p_ids: int, k_seqs: int, rng: RngStream):
     return batch, rng
 
 
-def _augment_batch(batch, spec_name: str, rng: RngStream):
-    spec = AUGMENTATIONS[spec_name]
-    return augment_frame_sets([s.frames for s in batch], spec, rng)
+def _augment_batch(batch, rng: RngStream):
+    return augment_frame_sets([s.frames for s in batch], AUGMENTATION, rng)
 
 
 def _normalize_rows_with_grad_chain(z: np.ndarray):
@@ -308,15 +305,15 @@ def _two_net_step(batch, state, config, schedule, k):
     pre_hash = state.params_m.sha256()
     params_m = ema_transfer(state.params_m, state.params_f, config.momentum)
 
-    frames_f, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
-    frames_m, state.rng_aug_m = _augment_batch(batch, config.augmentation, state.rng_aug_m)
+    frames_f, state.rng_aug_f = _augment_batch(batch, state.rng_aug_f)
+    frames_m, state.rng_aug_m = _augment_batch(batch, state.rng_aug_m)
     z_f, p_f, cache_f = forward_batch(frames_f, state.params_f)
     z_m, p_m, cache_m = forward_batch(frames_m, params_m)
 
     s0, s1, s2, s3 = schedule.at(k)
 
     # consistency term over every sample, label-free
-    l_c, d_pf_c, d_pm_c = batch_coteach(p_m, p_f, config.detach_teacher)
+    l_c, d_pf_c, d_pm_c = batch_coteach(p_m, p_f)
 
     # noise sieve decides which samples feed the supervised losses
     mask_stats = {}
@@ -347,7 +344,7 @@ def _two_net_step(batch, state, config, schedule, k):
     params_f, vel_f, delta_f = optimizer_step(state.params_f, grad_f, state.vel_f, lr,
                                               config.opt_momentum)
 
-    if s0 != 0.0 and not config.detach_teacher:
+    if s0 != 0.0:
         grad_m = backward_batch(cache_m, params_m, np.zeros_like(z_m), s0 * d_pm_c)
     else:
         grad_m = GradVector.zeros(params_m.shape)
@@ -373,11 +370,11 @@ def _label_terms(z, p, labels, sigmas, config):
         l_ce, g = batch_ce(p, labels)
         d_p = s1 * g
     if s2 != 0.0 and has_valid_triplet(labels):
-        l_tri, g = triplet_loss(z, labels, config.triplet_margin)
+        l_tri, g = triplet_loss(z, labels)
         d_z += s2 * g
     if s3 != 0.0 and len(labels) >= 2:
         z_norm, chain = _normalize_rows_with_grad_chain(z)
-        l_mil, g_norm, n_queries = batch_mil_loss(z_norm, labels, config.mil_temperature)
+        l_mil, g_norm, n_queries = batch_mil_loss(z_norm, labels, MIL_TEMPERATURE)
         if n_queries:
             d_z += s3 * chain(g_norm)
     return l_ce, l_tri, l_mil, d_z, d_p
@@ -396,7 +393,7 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
 
 def _supervised_step(batch, state, config, schedule, k):
     labels = np.array([s.identity for s in batch], dtype=int)
-    frames, state.rng_aug_f = _augment_batch(batch, config.augmentation, state.rng_aug_f)
+    frames, state.rng_aug_f = _augment_batch(batch, state.rng_aug_f)
     params_f, vel_f, delta_f, losses = _label_update(
         state.params_f, state.vel_f, frames, labels, schedule.at(k)[1:], config, k
     )
@@ -507,7 +504,7 @@ def read_trace(path):
     """
     with open(path, "rb") as fh:
         header = read_header(fh, path, "trace", TRACE_FORMAT_VERSION,
-                             ("n_params", "iterations", "momentum"))
+                             {"n_params": int, "iterations": int, "momentum": (int, float)})
         n_params = int(header["n_params"])
         n_iters = int(header["iterations"])
         if n_params < 0 or n_iters < 0:

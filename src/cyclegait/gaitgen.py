@@ -20,7 +20,9 @@ import copy
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,11 +75,14 @@ class GeometryParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeometryParams":
-        """The params a manifest records; a key that is not a field is a ValueError."""
+        """The params a manifest records; a key that is not a field, or a value
+        that is not a number, is a ValueError."""
         known = {f.name for f in fields(cls)}
-        for key in d:
+        for key, value in d.items():
             if key not in known:
                 raise ValueError(f"unknown generator geometry key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"generator geometry key {key!r} holds a {type(value).__name__}")
         return cls(**{k: type(getattr(cls, k))(v) for k, v in d.items()})
 
 
@@ -333,16 +338,16 @@ def make_benchmark(
     n_ids: int = 60,
     n_train_ids: int = 40,
     n_views: int = 4,
-    condition_groups: dict | None = None,
+    condition_groups: Mapping[str, int] = MappingProxyType({"NM": 4, "BG": 3, "CL": 3}),
     frames_per_seq: int = 30,
     d_in: int = 16,
     seed: int = 1,
     params: GeometryParams | None = None,
 ) -> DatasetBundle:
-    """Clean benchmark: first n_train_ids identities train, the rest test."""
+    """Clean benchmark: first n_train_ids identities train, the rest test.
+    The defaults are the desk-scale benchmark that gen-data writes."""
     if not 2 <= n_train_ids < n_ids:
         raise ValueError("need 2 <= n_train_ids < n_ids")
-    condition_groups = condition_groups or {"NM": 4, "BG": 3, "CL": 3}
     samples, manifest = make_clean_dataset(
         n_ids, n_views, condition_groups, frames_per_seq, d_in, seed, params
     )
@@ -389,44 +394,25 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
 
 @dataclass(frozen=True)
 class AugmentationSpec:
-    name: str = "default"
     drop_prob: float = 0.2
     min_frames: int = 4
     jitter_sigma: float = 0.05
-    duplicate_prob: float = 0.0
-
-    @property
-    def is_identity(self) -> bool:
-        return self.drop_prob == 0.0 and self.jitter_sigma == 0.0 and self.duplicate_prob == 0.0
-
-
-AUGMENTATIONS = {
-    "none": AugmentationSpec(name="none", drop_prob=0.0, jitter_sigma=0.0, duplicate_prob=0.0),
-    "default": AugmentationSpec(name="default"),
-    "strong": AugmentationSpec(name="strong", drop_prob=0.3, jitter_sigma=0.1, duplicate_prob=0.2),
-}
 
 
 def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
     """Independent augmentation per sample, drawn in one batch for speed.
 
     Per sample: frame dropout, where a draw that keeps fewer than min_frames
-    frames keeps the min_frames with the largest survival draws instead;
-    optional duplication of one kept frame; additive jitter. The jitter block
-    is drawn for every slot regardless of the keep pattern, so draws stay
+    frames keeps the min_frames with the largest survival draws instead; then
+    additive jitter. The jitter block is drawn for every slot regardless of
+    the keep pattern, one slot past the longest set included, so draws stay
     addressable. Returns (list of augmented frame arrays, advanced rng).
     """
-    if spec.is_identity:
-        return [np.asarray(f, dtype=np.float64) for f in frame_sets], rng
     b = len(frame_sets)
     t_max = max(f.shape[0] for f in frame_sets)
     d = frame_sets[0].shape[1]
     u, rng = rng.uniform(b * t_max)
     u = u.reshape(b, t_max)
-    dup_u = dup_pos = None
-    if spec.duplicate_prob > 0.0:
-        dup_flat, rng = rng.uniform(2 * b)
-        dup_u, dup_pos = dup_flat[:b], dup_flat[b:]
     jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
     jitter = jitter.reshape(b, t_max + 1, d)
 
@@ -445,17 +431,7 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
     if spec.jitter_sigma > 0.0:
         kept += np.take(jitter.reshape(-1, d), rows * (t_max + 1) + cols, axis=0)
     bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
-    out = [kept[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if dup_u is not None:
-        for i in np.flatnonzero(dup_u < spec.duplicate_prob):
-            aug = out[i]
-            j = min(int(dup_pos[i] * aug.shape[0]), aug.shape[0] - 1)
-            if spec.jitter_sigma > 0.0:
-                dup_frame = frame_sets[i][np.flatnonzero(keep[i])[j]] + jitter[i, t_max]
-            else:
-                dup_frame = aug[j]
-            out[i] = np.concatenate([aug, dup_frame[None, :]], axis=0)
-    return out, rng
+    return [kept[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], rng
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +464,14 @@ def _read_split(path, with_frames: bool = True):
     then returns None without reading the frames."""
     with open(path, "rb") as fh:
         header = read_header(fh, path, "dataset split", SPLIT_FORMAT_VERSION,
-                             ("n_sequences", "d_in", "lengths"))
+                             {"n_sequences": int, "d_in": int, "lengths": list})
         n, d_in, lengths = header["n_sequences"], header["d_in"], header["lengths"]
         for col in ("lengths", *_SPLIT_COLUMNS):
             if len(header.get(col, ())) != n:
                 raise ValueError(f"{path}: header column {col!r} needs {n} entries")
-        if any(length < 1 for length in lengths):
-            raise ValueError(f"{path}: every sequence needs at least one frame")
+        if not all(type(length) is int and length >= 1 for length in lengths):
+            raise ValueError(f"{path}: header key 'lengths' needs a frame count of at least "
+                             "1 per sequence")
         n_rows = sum(lengths)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload_bytes != 8 * n_rows * d_in:

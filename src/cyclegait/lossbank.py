@@ -112,13 +112,12 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def batch_coteach(p_m: np.ndarray, p_f: np.ndarray, detach_teacher: bool = False):
+def batch_coteach(p_m: np.ndarray, p_f: np.ndarray):
     """Soft cross-entropy of each F-network logit row against the M-network
     row's distribution, averaged over the batch.
 
     Returns (mean loss, grad wrt p_f rows, grad wrt p_m rows); gradients are
-    already divided by the batch size so they differentiate the mean. With
-    detach_teacher the teacher logits are constants and their gradient is zero.
+    already divided by the batch size so they differentiate the mean.
     """
     if p_m.shape != p_f.shape:
         raise ValueError("logit batches must have equal shapes")
@@ -128,10 +127,7 @@ def batch_coteach(p_m: np.ndarray, p_f: np.ndarray, detach_teacher: bool = False
     log_f = log_softmax_rows(p_f)
     per_sample = -np.sum(a * log_f, axis=1)
     grad_f = (sm_f - a) / b
-    if detach_teacher:
-        grad_m = np.zeros_like(a)
-    else:
-        grad_m = a * (-log_f - per_sample[:, None]) / b
+    grad_m = a * (-log_f - per_sample[:, None]) / b
     return float(per_sample.mean()), grad_f, grad_m
 
 

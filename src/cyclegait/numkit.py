@@ -118,12 +118,13 @@ class RngStream:
 
 
 
-def read_header(fh, path, what: str, version: int, keys) -> dict:
+def read_header(fh, path, what: str, version: int, keys: dict) -> dict:
     """The JSON header line at fh's position, read past.
 
     A ValueError names path when the line is not a JSON object, when its
     format_version is not version (naming the file kind, what), or when it
-    lacks one of keys; that message names the key too.
+    lacks one of keys or holds a value there that is not of the type keys
+    maps it to (a bool is never a number); those messages name the key too.
     """
     try:
         header = json.loads(fh.readline().decode("utf-8"))
@@ -133,7 +134,10 @@ def read_header(fh, path, what: str, version: int, keys) -> dict:
         raise ValueError(f"{path}: header line is not a JSON object")
     if header.get("format_version") != version:
         raise ValueError(f"unsupported {what} format in {path}")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in header:
             raise ValueError(f"{path}: header lacks key {key!r}")
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{path}: header key {key!r} holds a {type(value).__name__}")
     return header

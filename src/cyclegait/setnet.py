@@ -368,7 +368,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, header dict)."""
     with open(path, "rb") as fh:
         header = read_header(fh, path, "checkpoint", CHECKPOINT_FORMAT_VERSION,
-                             ("d_in", "d_hidden", "d_emb", "n_classes", "n_params"))
+                             dict.fromkeys(("d_in", "d_hidden", "d_emb", "n_classes",
+                                            "n_params"), int))
         blob = fh.read()
     shape = EncoderShape.from_dict(header)
     declared = int(header["n_params"])

@@ -98,12 +98,11 @@ def ce_loss(p, y: int):
     return loss, grad
 
 
-def coteach_loss(p_m, p_f, detach_teacher: bool = False):
+def coteach_loss(p_m, p_f):
     """lossbank.batch_coteach for one sample: soft cross-entropy of the
     F-network prediction against the M-network.
 
-    Returns (loss, grad wrt p_f, grad wrt p_m). With detach_teacher the
-    teacher logits are treated as constants and their gradient is zero.
+    Returns (loss, grad wrt p_f, grad wrt p_m).
     """
     p_m = np.asarray(p_m, dtype=np.float64)
     p_f = np.asarray(p_f, dtype=np.float64)
@@ -117,10 +116,7 @@ def coteach_loss(p_m, p_f, detach_teacher: bool = False):
     log_b = log_b - np.log(np.exp(log_b).sum())
     loss = float(-np.sum(a * log_b))
     grad_f = b - a
-    if detach_teacher:
-        grad_m = np.zeros_like(a)
-    else:
-        grad_m = a * (-log_b - loss)
+    grad_m = a * (-log_b - loss)
     return loss, grad_f, grad_m
 
 
@@ -433,19 +429,13 @@ def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq,
 
 def augment_frame_sets(frame_sets, spec, rng):
     """gaitgen.augment_frame_sets as one loop over the samples, on the same
-    draws: each sample's keep mask, min_frames fallback, jitter and
-    duplication are built on its own."""
-    if spec.is_identity:
-        return [np.asarray(f, dtype=np.float64) for f in frame_sets], rng
+    draws: each sample's keep mask, min_frames fallback and jitter are built
+    on its own."""
     b = len(frame_sets)
     t_max = max(f.shape[0] for f in frame_sets)
     d = frame_sets[0].shape[1]
     u, rng = rng.uniform(b * t_max)
     u = u.reshape(b, t_max)
-    dup_u = dup_pos = None
-    if spec.duplicate_prob > 0.0:
-        dup_flat, rng = rng.uniform(2 * b)
-        dup_u, dup_pos = dup_flat[:b], dup_flat[b:]
     jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
     jitter = jitter.reshape(b, t_max + 1, d)
 
@@ -460,12 +450,8 @@ def augment_frame_sets(frame_sets, spec, rng):
                 order = np.argsort(-ui, kind="stable")
                 keep = np.zeros(t, dtype=bool)
                 keep[order[: spec.min_frames]] = True
-        aug = frames[keep] + jitter[i, :t][keep] if spec.jitter_sigma > 0.0 else frames[keep]
-        if dup_u is not None and dup_u[i] < spec.duplicate_prob:
-            j = min(int(dup_pos[i] * aug.shape[0]), aug.shape[0] - 1)
-            dup_frame = frames[keep][j] + jitter[i, t_max] if spec.jitter_sigma > 0.0 else aug[j]
-            aug = np.concatenate([aug, dup_frame[None, :]], axis=0)
-        out.append(aug)
+        out.append(frames[keep] + jitter[i, :t][keep] if spec.jitter_sigma > 0.0
+                   else frames[keep])
     return out, rng
 
 

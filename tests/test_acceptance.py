@@ -148,7 +148,7 @@ def test_c02_gradient_suite_through_encoder():
 
     # consistency loss, both parameter sets
     _, p_m, _ = forward_batch(frames, params_m)
-    loss, d_pf, d_pm = batch_coteach(p_m, p, detach_teacher=False)
+    loss, d_pf, d_pm = batch_coteach(p_m, p)
     g_f = backward_batch(cache, params_f, np.zeros_like(z), d_pf)
     check(lambda q: batch_coteach(forward_batch(frames, params_m)[1],
                                   forward_batch(frames, q)[1])[0], g_f, params_f, 50)

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from cyclegait.bench_cli import (
     ABLATION_CELLS,
     ExperimentConfig,
     _ablation_cell_job,
+    build_parser,
     config_hash,
     main,
     parse_config,
@@ -18,8 +22,7 @@ from cyclegait.bench_cli import (
     run_experiment,
     serialize_config,
 )
-from cyclegait.cyclic import TrainerConfig
-from cyclegait.gaitgen import load_bundle, regenerate_from_manifest
+from cyclegait.gaitgen import load_bundle, make_benchmark, regenerate_from_manifest
 from cyclegait.setnet import load_checkpoint
 
 
@@ -31,6 +34,12 @@ TINY_GEN = (
     "--ids", "8", "--train-ids", "6", "--views", "2", "--nm", "2", "--bg", "1",
     "--cl", "1", "--frames", "6", "--seed", "3",
 )
+# 8 train identities fill the default 8 x 4 batch that ablate and a train
+# without --config use
+WIDE_GEN = (*TINY_GEN, "--ids", "10", "--train-ids", "8")
+
+# the manifest the hash tests pair with a config
+MANIFEST = make_benchmark(n_ids=3, n_train_ids=2, n_views=1, frames_per_seq=1).manifest
 
 
 def tiny_train_config(data_dir, out_dir, **kwargs):
@@ -55,19 +64,13 @@ def tiny_train_config(data_dir, out_dir, **kwargs):
 # config.snapshot depend on the key names, sections and order staying the same
 DEFAULT_CONFIG_TEXT = "\n".join([
     "[meta]", "format_version = 1", "",
-    "[dataset]", "data_dir = ", "n_ids = 60", "n_train_ids = 40", "n_views = 4",
-    "nm_groups = 4", "bg_groups = 3", "cl_groups = 3", "frames_per_seq = 30",
-    "d_in = 16", "data_seed = 1", "",
-    "[corruption]", "corruption = none", "corruption_rate = 0.2",
-    "corruption_fraction = 0.6", "corruption_seed = 7", "",
+    "[dataset]", "data_dir = ", "",
     "[trainer]", "mode = cyclic", "iterations = 2000", "p_ids = 8", "k_seqs = 4",
-    "momentum = 0.99", "and_enabled = false",
-    "detach_teacher = false", "augmentation = default", "seed = 1",
-    "schedule_profile = noisy", "triplet_margin = 0.2", "mil_temperature = 0.2",
+    "momentum = 0.99", "and_enabled = false", "seed = 1", "schedule_profile = noisy",
     "d_hidden = 64", "d_emb = 32", "record_trace = false", "snapshot_every = 0",
     "coteach_noise_rate = 0.2", "sieve_beta = 0.9", "sieve_warmup = 200",
     "sieve_scale = 1.5", "sieve_entropy_scale = 1.0", "sieve_keep_floor = 0.5",
-    "schedule_ramp_fraction = 0.5", "sigma0_const = none", "sigma1_const = none",
+    "sigma0_const = none", "sigma1_const = none",
     "sigma2_const = none", "sigma3_const = none", "",
     "[optimizer]", "lr = 0.05", "opt_momentum = 0.9",
     "milestones = 1000", "gamma = 0.1", "",
@@ -99,30 +102,51 @@ class TestConfigRoundtrip:
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig()
         b = ExperimentConfig(seed=2)
-        assert config_hash(a) == config_hash(ExperimentConfig())
-        assert config_hash(a) != config_hash(b)
+        assert config_hash(a, MANIFEST) == config_hash(ExperimentConfig(), copy.deepcopy(MANIFEST))
+        assert config_hash(a, MANIFEST) != config_hash(b, MANIFEST)
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("sieve_entropy_scale", 0.75),
-            ("sieve_keep_floor", 0.25),
-            ("schedule_ramp_fraction", 0.3),
-        ],
-    )
-    def test_sieve_and_schedule_knobs_have_provenance(self, name, value):
-        cfg = ExperimentConfig(**{name: value})
+    @staticmethod
+    def changed_value(name):
+        """A valid value of config field name other than its default."""
+        default = getattr(ExperimentConfig(), name)
+        if name in ("mode", "schedule_profile", "milestones"):
+            return {"mode": "supervised", "schedule_profile": "clean", "milestones": (7, 9)}[name]
+        if default is None:  # a sigma pin
+            return 0.5
+        if isinstance(default, bool):
+            return not default
+        if isinstance(default, str):
+            return default + "/elsewhere"
+        return default + 1 if isinstance(default, int) else default / 2
+
+    # built from the fields, so a knob added later is covered without an edit here
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_has_provenance(self, name):
+        cfg = ExperimentConfig(**{name: self.changed_value(name)})
         text = serialize_config(cfg)
-        assert f"{name} = {value!r}" in text
-        assert parse_config(text) == cfg
-        assert config_hash(cfg) != config_hash(ExperimentConfig())
-        # the experiment config is itself the trainer config run_training reads
-        assert isinstance(cfg, TrainerConfig)
-        assert getattr(cfg, name) == value
+        if name == "format_version":
+            with pytest.raises(ValueError, match="format_version"):
+                parse_config(text)
+        else:
+            assert parse_config(text) == cfg
+        moved = config_hash(cfg, MANIFEST) != config_hash(ExperimentConfig(), MANIFEST)
+        # where the data and the outputs live changes nothing a run computes
+        assert moved == (name not in ("data_dir", "out_dir"))
+
+    def test_a_changed_manifest_moves_the_hash(self):
+        cfg = ExperimentConfig()
+        base = config_hash(cfg, MANIFEST)
+        for edit in (lambda m: m["generator"].update(seed=2),
+                     lambda m: m["generator"]["geometry"].update(frame_jitter=0.2),
+                     lambda m: m["corruptions"].append({"mode": "label", "rate": 0.2, "seed": 7})):
+            manifest = copy.deepcopy(MANIFEST)
+            edit(manifest)
+            assert config_hash(cfg, manifest) != base
+        # apart from the manifest's own hash entry, which write_dataset adds
+        assert config_hash(cfg, {**MANIFEST, "config_hash": "x"}) == base
 
     def test_every_field_is_serialized(self):
         import configparser
-        import dataclasses
 
         parser = configparser.ConfigParser()
         parser.read_string(serialize_config(ExperimentConfig()))
@@ -140,14 +164,17 @@ class TestConfigRoundtrip:
 
 class TestGenDataCommand:
     def test_default_contract(self):
-        # the stock benchmark: 40 train + 20 test identities, 4 views
-        cfg = ExperimentConfig()
-        assert (cfg.n_ids, cfg.n_train_ids, cfg.n_views) == (60, 40, 4)
-        assert cfg.data_seed == 1
-        from cyclegait.bench_cli import build_parser
-
+        # the stock benchmark: 40 train + 20 test identities, 4 views, as
+        # make_benchmark's defaults declare it; both corrupting commands share
+        # the corruption defaults
         args = build_parser().parse_args(["gen-data", "--out", "x"])
-        assert (args.n_ids, args.n_train_ids, args.n_views, args.data_seed) == (60, 40, 4, 1)
+        assert (args.n_ids, args.n_train_ids, args.n_views, args.seed) == (60, 40, 4, 1)
+        assert (args.nm, args.bg, args.cl, args.frames_per_seq, args.d_in) == (4, 3, 3, 30, 16)
+        assert args.corrupt == "none"
+        corrupt = build_parser().parse_args(["corrupt", "--data", "x", "--out", "y",
+                                             "--mode", "label"])
+        for parsed in (args, corrupt):
+            assert (parsed.rate, parsed.fraction, parsed.corrupt_seed) == (0.2, 0.6, 7)
 
     def test_generates_and_refuses_overwrite(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -205,12 +232,15 @@ class TestTrainEvalPipeline:
             assert os.path.exists(os.path.join(outdir, name)), name
         with open(os.path.join(outdir, "config.snapshot")) as fh:
             snap = fh.read()
-        assert config_hash(cfg) in snap
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        digest = config_hash(cfg, manifest)
+        assert snap.startswith(f"# config_hash={digest}\n"
+                               f"# dataset_hash={manifest['config_hash']}\n[meta]\n")
         _, header = load_checkpoint(os.path.join(outdir, "model_f.ckpt"))
-        assert header["config_hash"] == config_hash(cfg)
+        assert header["config_hash"] == digest
         with open(os.path.join(outdir, "metrics.jsonl")) as fh:
             head = json.loads(fh.readline())
-            assert head["config_hash"] == config_hash(cfg)
+            assert head["config_hash"] == digest
             row = json.loads(fh.readline())
         assert {"iter", "l_c", "l_ce", "l_tri", "l_mil", "l_crc", "sigma0",
                 "sigma1", "sigma2", "sigma3", "kept_fraction", "lr"} <= set(row)
@@ -236,7 +266,10 @@ class TestTrainEvalPipeline:
             assert not run.exists()
 
     @pytest.mark.parametrize("section, line", [("optimizer", "opt_kind = sgd"),
-                                               ("trainer", "ema_enabled = false")])
+                                               ("trainer", "ema_enabled = false"),
+                                               ("dataset", "n_ids = 60"),
+                                               ("trainer", "detach_teacher = false"),
+                                               ("trainer", "augmentation = default")])
     def test_snapshot_with_a_removed_key_is_refused(self, data_dir, tmp_path, capsys,
                                                     section, line):
         run, config = tmp_path / "run", tmp_path / "config.snapshot"
@@ -276,9 +309,10 @@ class TestTrainEvalPipeline:
         ("ablate", "--data", "{data}", "--out", "{out}", "--seeds", "0"),
         ("verify-closed-form",),
         ("verify-closed-form", "--trace", "{missing}/trace.bin"),
+        ("train", "--out", "{out}", "--iterations", "2"),
     ], ids=["train-missing-data", "train-too-few-ids", "train-unsectioned-config", "eval",
             "corrupt", "ablate", "verify", "ablate-no-seeds", "verify-no-inputs",
-            "verify-trace-only"])
+            "verify-trace-only", "train-without-data"])
     def test_bad_input_is_a_usage_error(self, data_dir, tmp_path, capsys, argv):
         out = tmp_path / "out"
         unsectioned = tmp_path / "exp.cfg"
@@ -462,9 +496,14 @@ def without(key):
     return lambda header: json.dumps({k: v for k, v in header.items() if k != key}).encode()
 
 
+def with_value(key, value):
+    return lambda header: json.dumps({**header, key: value}).encode()
+
+
 class TestBinaryHeaders:
     """A header line that is not a JSON object, or that lacks a key its reader
-    needs, is one usage-error line naming the file, and the key if one is missing."""
+    needs or holds a value of the wrong type there, is one usage-error line
+    naming the file, and the key if one is at fault."""
 
     EVAL = ("eval", "--checkpoint", "{run}/model_f.ckpt", "--data", "{data}", "--out", "{out}")
 
@@ -475,8 +514,13 @@ class TestBinaryHeaders:
         ("data/test.bin", without("d_in"), EVAL, "'d_in'"),
         ("run/trace.bin", without("momentum"), ("verify-closed-form", "--run", "{run}"),
          "'momentum'"),
+        ("run/model_f.ckpt", with_value("d_in", [16]), EVAL, "'d_in'"),
+        ("data/test.bin", with_value("lengths", 5), EVAL, "'lengths'"),
+        ("data/test.bin", lambda header: with_value("lengths", ["6"] * header["n_sequences"])(
+            header), EVAL, "'lengths'"),
     ], ids=["checkpoint-without-d_in", "checkpoint-list", "checkpoint-not-json",
-            "split-without-d_in", "trace-without-momentum"])
+            "split-without-d_in", "trace-without-momentum", "checkpoint-d_in-list",
+            "split-lengths-int", "split-length-string"])
     def test_bad_header_is_a_usage_error(self, tmp_path, capsys, file, edit, argv, named):
         data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
         run_cli("gen-data", "--out", str(data), *TINY_GEN)
@@ -496,7 +540,7 @@ class TestAblateCommand:
     def test_grid_writes_one_finite_row_per_cell(self, tmp_path):
         # the grid's default batch takes 8 identities, so widen the train split
         data, out = tmp_path / "data", tmp_path / "ablation"
-        run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        run_cli("gen-data", "--out", str(data), *WIDE_GEN)
         assert run_cli("ablate", "--data", str(data), "--out", str(out),
                        "--seeds", "1", "--iterations", "2") == 0
         lines = (out / "ablation.csv").read_text().splitlines()
@@ -507,7 +551,7 @@ class TestAblateCommand:
 
     def test_grid_aggregates_each_cell_over_seeds(self, tmp_path):
         data = tmp_path / "data"
-        run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        run_cli("gen-data", "--out", str(data), *WIDE_GEN)
         bundle = load_bundle(str(data))
         base = ExperimentConfig(data_dir=str(data), iterations=2)
         seeds = (1, 2)
@@ -538,7 +582,8 @@ class TestAblateCommand:
     @pytest.mark.parametrize("edit, key", [
         (lambda gen: gen["geometry"].update(bogus=1.0), "'bogus'"),
         (lambda gen: gen.pop("n_train_ids"), "'n_train_ids'"),
-    ], ids=["unknown-geometry-key", "missing-n_train_ids"])
+        (lambda gen: gen["geometry"].update(frame_jitter=[0.12]), "'frame_jitter'"),
+    ], ids=["unknown-geometry-key", "missing-n_train_ids", "geometry-value-list"])
     def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         edit, key):
         data, out = tmp_path / "data", tmp_path / "ablation"
@@ -556,18 +601,19 @@ class TestAblateCommand:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert str(data / "manifest.json") in err[0]
         assert not out.exists()
         assert len(regenerations) == 1
 
 
 class TestSharedGridBundle:
-    """The grid regenerates its dataset once and every cell and seed shares it."""
+    """ablate regenerates its dataset once and every cell and seed shares it."""
 
     @pytest.fixture()
     def data(self, tmp_path):
         # split noise, so the regeneration replays a corruption as well
         out = tmp_path / "data"
-        run_cli("gen-data", "--out", str(out), *TINY_GEN, "--ids", "10", "--train-ids", "8",
+        run_cli("gen-data", "--out", str(out), *WIDE_GEN,
                 "--corrupt", "split", "--fraction", "0.5")
         return out
 
@@ -585,21 +631,21 @@ class TestSharedGridBundle:
 
     def test_table_equals_the_per_cell_regeneration_oracle(self, data):
         bundle = load_bundle(str(data))
-        base = ExperimentConfig(data_dir=str(data), iterations=2)
+        base = ExperimentConfig(iterations=2)
         seeds = (1, 2)
-        table = run_ablation(base, bundle, seeds)
+        table = run_ablation(base, regenerate_from_manifest(bundle.manifest), seeds)
         assert table == reference.per_cell_ablation(base, bundle, seeds)
 
     @pytest.mark.parametrize("n_seeds", [1, 2])
-    def test_one_regeneration_per_grid(self, data, regenerations, n_seeds):
-        base = ExperimentConfig(data_dir=str(data), iterations=2)
-        run_ablation(base, load_bundle(str(data)), range(1, 1 + n_seeds))
+    def test_one_regeneration_per_grid(self, data, tmp_path, regenerations, n_seeds):
+        assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "grid"),
+                       "--seeds", str(n_seeds), "--iterations", "2") == 0
         assert len(regenerations) == 1
 
-    def test_training_leaves_the_shared_bundle_as_regenerated(self, data, regenerations):
+    def test_training_leaves_the_shared_bundle_as_regenerated(self, data):
         bundle = load_bundle(str(data))
-        run_ablation(ExperimentConfig(data_dir=str(data), iterations=2), bundle, (1, 2))
-        (shared,) = regenerations
+        shared = regenerate_from_manifest(bundle.manifest)
+        run_ablation(ExperimentConfig(iterations=2), shared, (1, 2))
         fresh = regenerate_from_manifest(bundle.manifest)
         for split in ("train", "test"):
             used, new = getattr(shared, split), getattr(fresh, split)
@@ -633,7 +679,7 @@ class TestAblateOutput:
     @pytest.fixture()
     def data(self, tmp_path):
         out = tmp_path / "data"
-        run_cli("gen-data", "--out", str(out), *TINY_GEN, "--ids", "10", "--train-ids", "8")
+        run_cli("gen-data", "--out", str(out), *WIDE_GEN)
         return out
 
     @pytest.fixture()
@@ -676,6 +722,52 @@ class TestAblateOutput:
                        "--seeds", "1", "--iterations", "2") == 0
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=") and len(lines) == 2 + len(ABLATION_CELLS)
+
+
+class TestProvenance:
+    """A run's hash names its config and its dataset, never the paths of either."""
+
+    def test_different_data_at_one_path_gets_different_hashes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        digests = []
+        for corruption in (("split", "--fraction", "0.6"), ("label", "--rate", "0.4")):
+            for path in ("d", "r"):
+                shutil.rmtree(path, ignore_errors=True)
+            assert run_cli("gen-data", "--out", "d", *WIDE_GEN, "--corrupt", *corruption) == 0
+            assert run_cli("train", "--data", "d", "--out", "r", "--iterations", "3") == 0
+            digests.append(load_checkpoint("r/model_f.ckpt")[1]["config_hash"])
+        assert digests[0] != digests[1]
+
+    def test_one_dataset_at_two_paths_trains_identical_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli("gen-data", "--out", "d", *WIDE_GEN, "--corrupt", "split", "--fraction", "0.5")
+        shutil.copytree("d", "x/d")
+        for data, out in (("d", "r1"), ("x/d", "r2")):
+            assert run_cli("train", "--data", data, "--out", out, "--iterations", "3",
+                           "--trace", "--snapshot-every", "2") == 0
+            assert run_cli("eval", "--checkpoint", f"{out}/model_f.ckpt", "--data", data) == 0
+        for name in ("model_f_init.ckpt", "model_m_init.ckpt", "model_f.ckpt", "model_m.ckpt",
+                     "metrics.jsonl", "trace.bin", "memorization.csv", "eval/rank1.csv",
+                     "eval/rank1.json", "eval/variance.csv"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+        snapshots = [(tmp_path / run / "config.snapshot").read_text().splitlines()
+                     for run in ("r1", "r2")]
+        assert [(a, b) for a, b in zip(*snapshots) if a != b] == [
+            ("data_dir = d", "data_dir = x/d"), ("out_dir = r1", "out_dir = r2")]
+        # --config reads a snapshot, its hash comments included, as the same run
+        assert run_cli("train", "--config", "r1/config.snapshot", "--out", "r3") == 0
+        assert (tmp_path / "r3" / "metrics.jsonl").read_bytes() == (
+            tmp_path / "r1" / "metrics.jsonl").read_bytes()
+
+    def test_ablate_at_two_paths_writes_identical_tables(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli("gen-data", "--out", "d", *WIDE_GEN)
+        shutil.copytree("d", "x/d")
+        for data, out in (("d", "a1"), ("x/d", "a2")):
+            assert run_cli("ablate", "--data", data, "--out", out,
+                           "--seeds", "1", "--iterations", "2") == 0
+        assert (tmp_path / "a1" / "ablation.csv").read_bytes() == (
+            tmp_path / "a2" / "ablation.csv").read_bytes()
 
 
 class TestCostCommand:

@@ -1,11 +1,10 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cyclegait.gaitgen import (
-    AUGMENTATIONS,
+    AugmentationSpec,
     DatasetBundle,
     FLAG_AUG,
     FLAG_CLEAN,
@@ -28,6 +27,14 @@ from cyclegait import gaitgen
 from cyclegait.numkit import RngStream
 import reference
 from reference import geometry_of, nearest_prototype_ids
+
+# the augmentations the tests run: one that changes nothing, the training
+# default, and one that drops more frames and jitters harder
+SPECS = {
+    "none": AugmentationSpec(drop_prob=0.0, jitter_sigma=0.0),
+    "default": AugmentationSpec(),
+    "strong": AugmentationSpec(drop_prob=0.3, jitter_sigma=0.1),
+}
 
 
 def small_dataset(n_ids=6, seed=3, **kwargs):
@@ -392,14 +399,12 @@ class TestBundleAndManifest:
 class TestTrainingAugmentation:
     def test_null_spec_is_identity(self, rng):
         frame_sets = [rng.normal(size=(t, 4)) for t in (9, 3, 12)]
-        out, after = augment_frame_sets(frame_sets, AUGMENTATIONS["none"], RngStream(1))
+        out, _ = augment_frame_sets(frame_sets, SPECS["none"], RngStream(1))
         assert all(np.array_equal(a, f) for a, f in zip(out, frame_sets))
-        assert after == RngStream(1)  # no draw is spent
 
     def test_min_frames_clamp(self, rng):
         frame_sets = [rng.normal(size=(t, 4)) for t in (10, 6, 5, 4, 3)]
-        for spec in (AUGMENTATIONS["default"],
-                     replace(AUGMENTATIONS["default"], drop_prob=0.9, jitter_sigma=0.0)):
+        for spec in (AugmentationSpec(), AugmentationSpec(drop_prob=0.9, jitter_sigma=0.0)):
             stream = RngStream(2)
             rescued = 0
             for _ in range(200):
@@ -420,11 +425,11 @@ class TestTrainingAugmentation:
     def test_matches_per_sample_loop(self, rng, name):
         # oracle: the per-sample loop on the same draws. Lengths 3 and 4 are
         # too short to drop from; 5 and 6 often need the min_frames fallback.
-        spec = AUGMENTATIONS[name]
+        spec = SPECS[name]
         frame_sets = [rng.normal(size=(t, 16)) for t in (3, 4, 5, 6, 30, 17, 5, 30)]
         t_max = max(f.shape[0] for f in frame_sets)
         stream = ref_stream = RngStream(11, 4)
-        rescued = duplicated = 0
+        rescued = 0
         for _ in range(300):
             u, _ = stream.uniform(len(frame_sets) * t_max)
             u = u.reshape(len(frame_sets), t_max)
@@ -438,32 +443,13 @@ class TestTrainingAugmentation:
                 t = frames.shape[0]
                 if spec.drop_prob > 0.0 and t > spec.min_frames:
                     rescued += (u[i, :t] >= spec.drop_prob).sum() < spec.min_frames
-                duplicated += out[i].shape[0] == t + 1
         if name != "none":
             assert rescued > 0
-        assert (duplicated > 0) == (spec.duplicate_prob > 0.0)
 
     def test_same_state_same_transform(self, rng):
         frame_sets = [rng.normal(size=(t, 4)) for t in (12, 7, 5)]
         for name in ("default", "strong"):
-            out1, after1 = augment_frame_sets(frame_sets, AUGMENTATIONS[name], RngStream(5, 7))
-            out2, after2 = augment_frame_sets(frame_sets, AUGMENTATIONS[name], RngStream(5, 7))
+            out1, after1 = augment_frame_sets(frame_sets, SPECS[name], RngStream(5, 7))
+            out2, after2 = augment_frame_sets(frame_sets, SPECS[name], RngStream(5, 7))
             assert after1 == after2
             assert all(np.array_equal(a, b) for a, b in zip(out1, out2))
-
-    def test_strong_lengths_reach_duplicate(self, rng):
-        spec = AUGMENTATIONS["strong"]
-        t = 6
-        frame_sets = [rng.normal(size=(t, 4)) for _ in range(64)]
-        lengths = []
-        stream = RngStream(3)
-        for _ in range(10):
-            out, stream = augment_frame_sets(frame_sets, spec, stream)
-            lengths += [aug.shape[0] for aug in out]
-        assert spec.min_frames <= min(lengths) and max(lengths) == t + 1
-        # without jitter a duplicated frame repeats a kept frame exactly
-        out, _ = augment_frame_sets(frame_sets, replace(spec, jitter_sigma=0.0), RngStream(3))
-        duplicated = [aug for aug in out if aug.shape[0] == t + 1]
-        assert duplicated
-        for aug in duplicated:
-            assert (aug[:-1] == aug[-1]).all(axis=1).any()

@@ -75,10 +75,6 @@ class TestCoteachLoss:
         for a, n in zip(grad_m, fd_m):
             assert_grad_close(a, n)
 
-    def test_detached_teacher_gets_zero_grad(self, rng):
-        _, _, grad_m = coteach_loss(rng.normal(size=4), rng.normal(size=4), detach_teacher=True)
-        assert np.array_equal(grad_m, np.zeros(4))
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             coteach_loss([1.0, 2.0], [1.0, 2.0, 3.0])
@@ -398,12 +394,11 @@ class TestBatchHelpersAgreeWithScalarOps:
     def test_batch_coteach_matches_scalar(self, rng):
         p_m = rng.normal(size=(5, 4))
         p_f = rng.normal(size=(5, 4))
-        for detach_teacher in (False, True):
-            loss, gf, gm = batch_coteach(p_m, p_f, detach_teacher=detach_teacher)
-            per = [coteach_loss(p_m[i], p_f[i], detach_teacher) for i in range(5)]
-            assert abs(loss - np.mean([x[0] for x in per])) < 1e-12
-            assert np.allclose(gf, np.stack([x[1] for x in per]) / 5.0, atol=1e-12)
-            assert np.allclose(gm, np.stack([x[2] for x in per]) / 5.0, atol=1e-12)
+        loss, gf, gm = batch_coteach(p_m, p_f)
+        per = [coteach_loss(p_m[i], p_f[i]) for i in range(5)]
+        assert abs(loss - np.mean([x[0] for x in per])) < 1e-12
+        assert np.allclose(gf, np.stack([x[1] for x in per]) / 5.0, atol=1e-12)
+        assert np.allclose(gm, np.stack([x[2] for x in per]) / 5.0, atol=1e-12)
 
     def test_batch_ce_matches_scalar(self, rng):
         p = rng.normal(size=(6, 5))
