@@ -41,6 +41,7 @@ from .gaitgen import (
 )
 from .cyclic import (
     NonFiniteLossError,
+    StepInputs,
     TrainerConfig,
     TrainingResult,
     pxk_sampler,

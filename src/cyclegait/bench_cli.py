@@ -164,11 +164,14 @@ def dataset_hash(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def config_hash(cfg: ExperimentConfig, manifest: dict) -> str:
+def config_hash(cfg: ExperimentConfig, manifest: dict, n_seeds: int | None = None) -> str:
     """sha256 of what a run computes: the serialized config with data_dir and
-    out_dir blanked, then the dataset_hash of the manifest it trains on."""
+    out_dir blanked, then the dataset_hash of the manifest it trains on. A
+    grid over n_seeds seeds from cfg.seed adds a line with that count."""
     text = serialize_config(dataclasses.replace(cfg, data_dir="", out_dir=""))
     text += f"# dataset_hash={dataset_hash(manifest)}\n"
+    if n_seeds is not None:
+        text += f"# seeds={n_seeds}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -295,12 +298,16 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str,
 # The supervised-family rows train with the plain constant-weight recipe;
 # the coefficient ramp schedule is part of the noise-tolerant method and is
 # applied only to rows that include the consistency loss.
-# "supervised+cyclic" trains bitwise the same F as "supervised" (checked with
-# np.array_equal on params_f): with sigma0 = sigma3 = 0 and no sieve, M never
-# reaches F's gradient, so the EMA network only costs forwards. The ordering
-# supervised+cyclic >= supervised therefore holds with equality.
+# "supervised+cyclic" trains bitwise the same F as "supervised": with
+# sigma0 = sigma3 = 0 and no sieve, M never reaches F's gradient, so the EMA
+# network only costs forwards. The ordering supervised+cyclic >= supervised
+# therefore holds with equality. Before sieve_warmup the sieve keeps every
+# sample, so "supervised+cyclic+and" matches them and "full" matches
+# "full-no-and" (tests/test_cli.py pins these collapses).
 # "selfsup" and "full-no-cyclic" run without the EMA: at momentum 1.0 M
 # takes nothing from F.
+# Every cell of one seed draws the same batches and augmentations, so
+# run_ablation trains the cells of a seed in lockstep and draws them once.
 ABLATION_CELLS = (
     ("supervised", {"mode": "supervised", "and_enabled": False,
                     "schedule_profile": "clean"}),
@@ -323,14 +330,12 @@ ABLATION_CELLS = (
 )
 
 
-def _ablation_cell_job(base, bundle, overrides, seed) -> dict:
-    """Train one grid cell at one seed on bundle and evaluate it on the test
-    split; returns its rank-1 means by condition and overall. Training and
-    evaluation only read the samples, so every cell can share one bundle."""
-    cfg = dataclasses.replace(base, **overrides, seed=seed)
-    result = run_training(bundle, cfg)
+def _ablation_cell_job(result, test_samples) -> dict:
+    """Evaluate one trained grid cell (a TrainingResult of run_training) on
+    the test split; returns its rank-1 means by condition and overall.
+    Evaluation only reads the samples, so every cell can share one bundle."""
     report = gaugekit.evaluate_checkpoint(
-        result.params_f, bundle.test, cfg.exclude_same_view
+        result.params_f, test_samples, result.config.exclude_same_view
     )
     scores = {c: report.condition_means.get(c, float("nan")) for c in ("NM", "BG", "CL")}
     scores["overall"] = report.overall_mean
@@ -346,15 +351,21 @@ def _check_grid(cfg: ExperimentConfig, bundle: DatasetBundle, seeds: list):
 
 
 def run_ablation(cfg: ExperimentConfig, data: DatasetBundle, seeds) -> dict:
-    """Train and evaluate every grid cell for every seed on data, one after
-    another; returns {cell: {condition: (mean, std) over the seeds}}, with
-    "overall" among the conditions."""
+    """Train and evaluate every grid cell for every seed on data; returns
+    {cell: {condition: (mean, std) over the seeds}}, with "overall" among the
+    conditions. The cells of one seed train in lockstep, then each is
+    evaluated; seeds run one after another."""
+    scores = {cell_name: [] for cell_name, _ in ABLATION_CELLS}
+    for seed in seeds:
+        configs = [dataclasses.replace(cfg, **overrides, seed=seed)
+                   for _, overrides in ABLATION_CELLS]
+        for cell_name, result in zip(scores, run_training(data, configs)):
+            scores[cell_name].append(_ablation_cell_job(result, data.test))
     table = {}
-    for cell_name, overrides in ABLATION_CELLS:
-        scores = [_ablation_cell_job(cfg, data, overrides, seed) for seed in seeds]
+    for cell_name, cell_scores in scores.items():
         table[cell_name] = {}
         for key in ("NM", "BG", "CL", "overall"):
-            vals = np.array([s[key] for s in scores])
+            vals = np.array([s[key] for s in cell_scores])
             table[cell_name][key] = (float(vals.mean()), float(vals.std()))
     return table
 
@@ -458,24 +469,26 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    bundle = gaitgen.load_bundle(args.data)
-    base = ExperimentConfig(iterations=args.iterations)
+    # every cell trains and evaluates on the manifest's regeneration, so a
+    # dataset whose files were edited after gen-data scores as its manifest
+    # describes it, and the train split's frames are never read
+    bundle = gaitgen.load_bundle(args.data, with_train=False)
+    base = ExperimentConfig(iterations=args.iterations, seed=args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     outdir = _resolve_out(args.out)
     csv_path = os.path.join(outdir, "ablation.csv")
-    # every check that can fail runs before the grid trains its first cell, and
-    # a manifest that cannot regenerate its dataset is refused before --out is made
+    # every check that can fail runs before --out is made and before the grid
+    # trains its first cell
     _refuse_existing(csv_path, args.force, "ablation")
-    _check_grid(base, bundle, seeds)
-    # every cell trains on the manifest's regeneration, so a dataset whose files
-    # were edited after gen-data scores as its manifest describes it
     try:
         data = gaitgen.regenerate_from_manifest(bundle.manifest)
     except ValueError as err:
         raise ValueError(f"{os.path.join(args.data, 'manifest.json')}: {err}") from None
+    _check_grid(base, data, seeds)
     os.makedirs(outdir, exist_ok=True)
     table = run_ablation(base, data, seeds)
-    _write_csv(csv_path, ablation_csv(table), config_hash(base, bundle.manifest))
+    _write_csv(csv_path, ablation_csv(table),
+               config_hash(base, bundle.manifest, n_seeds=args.seeds))
     print(f"{'cell':<24}{'NM':>16}{'BG':>16}{'CL':>16}")
     for cell_name, _ in ABLATION_CELLS:
         e = table[cell_name]

@@ -20,7 +20,10 @@ mode (sigma0 only where a consistency term exists), and _label_terms, the
 one CE / triplet / contrastive routine of every mode, runs each non-zero term.
 
 Every run is a pure function of (dataset, config): sampling, initialization
-and augmentation draws all come from substreams of config.seed.
+and augmentation draws all come from substreams of config.seed. The loop
+draws each iteration's inputs (the P x K batch and each network's augmented
+frames) once and hands them to the step, so configs that share the seed and
+the batch shape can train in lockstep on the same inputs.
 """
 
 from __future__ import annotations
@@ -191,17 +194,24 @@ class TraceRecord:
 
 @dataclass
 class TrainState:
-    """Everything that evolves across iterations; single-writer only."""
+    """What one config's training changes across iterations; single-writer
+    only. The sampler and augmentation streams are not here: the loop owns
+    them, as configs trained in lockstep share their draws."""
 
     params_f: ModelParams
     params_m: ModelParams | None
     vel_f: np.ndarray  # momentum-SGD velocity of F, in the parameter layout
     vel_m: np.ndarray | None
     sieve: SieveState
-    rng_sampler: RngStream
-    rng_aug_f: RngStream
-    rng_aug_m: RngStream
     forward_count: int = 0
+
+
+class StepInputs(NamedTuple):
+    """One iteration's inputs, drawn by the loop and only read by the steps."""
+
+    batch: list
+    frames_f: list | None  # F's augmented frames; None when no config reads them
+    frames_m: list | None  # M's augmented frames; None when no config reads them
 
 
 def group_by_identity(samples) -> dict:
@@ -230,8 +240,22 @@ def pxk_sampler(dataset, p_ids: int, k_seqs: int, rng: RngStream):
     return batch, rng
 
 
-def _augment_batch(batch, rng: RngStream):
-    return augment_frame_sets([s.frames for s in batch], AUGMENTATION, rng)
+def draw_inputs(groups, config: TrainerConfig, augment_f: bool, augment_m: bool):
+    """Yield the inputs of iterations 1..config.iterations: the P x K batch
+    (substream 3 of config.seed), then F's augmented frames (substream 4) when
+    augment_f and M's (substream 5) when augment_m. Each stream only serves
+    its own draw, so leaving one out moves no other."""
+    root = RngStream(config.seed)
+    rng_sampler, rng_f, rng_m = root.child(3), root.child(4), root.child(5)
+    for _ in range(config.iterations):
+        batch, rng_sampler = pxk_sampler(groups, config.p_ids, config.k_seqs, rng_sampler)
+        raw = [s.frames for s in batch]
+        frames_f = frames_m = None
+        if augment_f:
+            frames_f, rng_f = augment_frame_sets(raw, AUGMENTATION, rng_f)
+        if augment_m:
+            frames_m, rng_m = augment_frame_sets(raw, AUGMENTATION, rng_m)
+        yield StepInputs(batch, frames_f, frames_m)
 
 
 def _normalize_rows_with_grad_chain(z: np.ndarray):
@@ -273,18 +297,19 @@ class StepProposal(NamedTuple):
     extra: dict  # mode-specific metrics
 
 
-def train_iteration(batch, state: TrainState, config: TrainerConfig,
+def train_iteration(inputs: StepInputs, state: TrainState, config: TrainerConfig,
                     schedule: CoeffSchedule, k: int):
-    """Run iteration k (1-based) in place; returns (breakdown, TraceRecord, metrics).
+    """Run iteration k (1-based) on inputs in place; returns (breakdown,
+    TraceRecord, metrics).
 
     The mode's step proposes new networks; they replace the ones in state
     only once the combined loss is finite.
     """
-    step = _STEPS[config.mode](batch, state, config, schedule, k)
+    step = _STEPS[config.mode](inputs, state, config, schedule, k)
     breakdown = crc_combine(*step.losses, schedule, k)
     if not breakdown.is_finite():
         raise NonFiniteLossError(
-            f"non-finite loss at iteration {k}", _loss_diagnostics(batch, breakdown, k)
+            f"non-finite loss at iteration {k}", _loss_diagnostics(inputs.batch, breakdown, k)
         )
     state.params_f, state.vel_f, state.params_m, state.vel_m = step.nets
     state.forward_count += step.forwards
@@ -299,16 +324,15 @@ def train_iteration(batch, state: TrainState, config: TrainerConfig,
     return breakdown, step.record, metrics
 
 
-def _two_net_step(batch, state, config, schedule, k):
+def _two_net_step(inputs, state, config, schedule, k):
+    batch = inputs.batch
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     pre_hash = state.params_m.sha256()
     params_m = ema_transfer(state.params_m, state.params_f, config.momentum)
 
-    frames_f, state.rng_aug_f = _augment_batch(batch, state.rng_aug_f)
-    frames_m, state.rng_aug_m = _augment_batch(batch, state.rng_aug_m)
-    z_f, p_f, cache_f = forward_batch(frames_f, state.params_f)
-    z_m, p_m, cache_m = forward_batch(frames_m, params_m)
+    z_f, p_f, cache_f = forward_batch(inputs.frames_f, state.params_f)
+    z_m, p_m, cache_m = forward_batch(inputs.frames_m, params_m)
 
     s0, s1, s2, s3 = schedule.at(k)
 
@@ -391,25 +415,25 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     return new_params, new_velocity, delta, (l_ce, l_tri, l_mil)
 
 
-def _supervised_step(batch, state, config, schedule, k):
-    labels = np.array([s.identity for s in batch], dtype=int)
-    frames, state.rng_aug_f = _augment_batch(batch, state.rng_aug_f)
+def _supervised_step(inputs, state, config, schedule, k):
+    labels = np.array([s.identity for s in inputs.batch], dtype=int)
     params_f, vel_f, delta_f, losses = _label_update(
-        state.params_f, state.vel_f, frames, labels, schedule.at(k)[1:], config, k
+        state.params_f, state.vel_f, inputs.frames_f, labels, schedule.at(k)[1:], config, k
     )
     return StepProposal(
         (0.0, *losses), (params_f, vel_f, None, None),
-        TraceRecord(delta_f, None, None), 1.0, len(batch), {},
+        TraceRecord(delta_f, None, None), 1.0, len(labels), {},
     )
 
 
-def _coteach_step(batch, state, config, schedule, k):
+def _coteach_step(inputs, state, config, schedule, k):
     """Classic small-loss co-teaching step: each network selects its smallest-CE
     fraction (1 - coteach_noise_rate) of the batch and the peer trains on it.
 
     Requires the noise rate as prior knowledge, unlike the cyclic scheme.
     Selection forwards plus training forwards cost 2N + 2*ceil((1-rate)*N).
     """
+    batch = inputs.batch
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     frame_sets = [s.frames for s in batch]
@@ -609,9 +633,6 @@ def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
         vel_f=np.zeros(shape.n_params),
         vel_m=vel_m,
         sieve=SieveState(),
-        rng_sampler=root.child(3),
-        rng_aug_f=root.child(4),
-        rng_aug_m=root.child(5),
     )
 
 
@@ -628,64 +649,87 @@ def train_groups(dataset, config: TrainerConfig) -> dict:
     return groups
 
 
-def run_training(dataset, config: TrainerConfig, trace_path=None) -> TrainingResult:
+# the fields that fix every iteration's inputs, so configs trained in
+# lockstep must share them
+LOCKSTEP_FIELDS = ("seed", "p_ids", "k_seqs", "iterations")
+
+
+def run_training(dataset, configs, trace_path=None):
     """Train per config on the dataset's train split; deterministic in seed.
 
-    The forgetting network F is the inference model. Metrics are logged every
-    iteration; trace recording streams the applied update of both networks to
-    trace_path for closed-form verification.
-    """
-    if config.record_trace and trace_path is None:
-        raise ValueError("record_trace needs a trace_path to stream the trace to")
-    groups = train_groups(dataset, config)
-    shape = EncoderShape(
-        d_in=next(iter(groups.values()))[0].frames.shape[1],
-        d_hidden=config.d_hidden,
-        d_emb=config.d_emb,
-        n_classes=max(groups) + 1,
-    )
-    state = init_state(config, shape)
-    schedule = build_schedule(config)
+    configs is one TrainerConfig, which returns its TrainingResult, or a
+    sequence of them, which returns one TrainingResult per config, in order.
+    A sequence trains in lockstep: each iteration samples one batch and
+    augments each network's frames once, and every config takes its step on
+    those inputs. The configs must share LOCKSTEP_FIELDS, and each result is
+    byte for byte the one its config would get alone.
 
-    init_f = state.params_f.copy()
-    init_m = state.params_m.copy() if state.params_m is not None else None
+    The forgetting network F is the inference model. Metrics are logged every
+    iteration; trace recording, for one config only, streams the applied
+    update of both networks to trace_path for closed-form verification.
+    """
+    single = isinstance(configs, TrainerConfig)
+    configs = [configs] if single else list(configs)
+    if not configs:
+        raise ValueError("run_training needs at least one config")
+    lead = configs[0]
+    for name in LOCKSTEP_FIELDS:
+        if len({getattr(c, name) for c in configs}) > 1:
+            raise ValueError(f"configs trained in lockstep must share {name}")
+    if len(configs) > 1 and (trace_path is not None or any(c.record_trace for c in configs)):
+        raise ValueError("trace recording trains one config at a time")
+    if lead.record_trace and trace_path is None:
+        raise ValueError("record_trace needs a trace_path to stream the trace to")
+    groups = train_groups(dataset, lead)
+    d_in = next(iter(groups.values()))[0].frames.shape[1]
+
+    def shape(config):
+        return EncoderShape(d_in=d_in, d_hidden=config.d_hidden, d_emb=config.d_emb,
+                            n_classes=max(groups) + 1)
+
+    runs = []
+    for config in configs:
+        state = init_state(config, shape(config))
+        result = TrainingResult(
+            params_f=state.params_f,
+            params_m=state.params_m,
+            init_f=state.params_f.copy(),
+            init_m=state.params_m.copy() if state.params_m is not None else None,
+            metrics=[],
+            snapshots=[(0, state.params_f.copy())] if config.snapshot_every > 0 else [],
+            forward_count=0,
+            config=config,
+        )
+        runs.append((config, state, build_schedule(config), result))
 
     writer = None
-    if config.record_trace:
+    if lead.record_trace:
         writer = TraceWriter(
-            trace_path, shape.n_params, config.momentum, config.iterations,
-            extra={"mode": config.mode},
+            trace_path, shape(lead).n_params, lead.momentum, lead.iterations,
+            extra={"mode": lead.mode},
         )
 
-    metrics_log = []
-    snapshots = []
-    if config.snapshot_every > 0:
-        snapshots.append((0, state.params_f.copy()))
-
+    # coteach-baseline reads raw frames; only the two-net steps read M's
+    augment_f = any(c.mode != "coteach-baseline" for c in configs)
+    augment_m = any(_STEPS[c.mode] is _two_net_step for c in configs)
     try:
-        for k in range(1, config.iterations + 1):
-            batch, state.rng_sampler = pxk_sampler(
-                groups, config.p_ids, config.k_seqs, state.rng_sampler
-            )
-            breakdown, record, metrics = train_iteration(batch, state, config, schedule, k)
-            metrics_log.append(metrics)
-            if writer is not None and record.delta_m is not None:
-                writer.write(k, record.delta_f, record.delta_m)
-            if config.snapshot_every > 0 and (
-                k % config.snapshot_every == 0 or k == config.iterations
-            ):
-                snapshots.append((k, state.params_f.copy()))
+        inputs = draw_inputs(groups, lead, augment_f, augment_m)
+        for k, step_inputs in enumerate(inputs, start=1):
+            for config, state, schedule, result in runs:
+                _, record, metrics = train_iteration(step_inputs, state, config, schedule, k)
+                result.metrics.append(metrics)
+                if writer is not None and record.delta_m is not None:
+                    writer.write(k, record.delta_f, record.delta_m)
+                if config.snapshot_every > 0 and (
+                    k % config.snapshot_every == 0 or k == config.iterations
+                ):
+                    result.snapshots.append((k, state.params_f.copy()))
     finally:
         if writer is not None:
             writer.close()
 
-    return TrainingResult(
-        params_f=state.params_f,
-        params_m=state.params_m,
-        init_f=init_f,
-        init_m=init_m,
-        metrics=metrics_log,
-        snapshots=snapshots,
-        forward_count=state.forward_count,
-        config=config,
-    )
+    for _, state, _, result in runs:
+        result.params_f, result.params_m = state.params_f, state.params_m
+        result.forward_count = state.forward_count
+    results = [result for *_, result in runs]
+    return results[0] if single else results

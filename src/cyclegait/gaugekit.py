@@ -80,7 +80,9 @@ def nearest_gallery_entry(gallery_features, probe_features, admissible) -> np.nd
     for lo in range(0, len(probe_features), PROBE_CHUNK):
         chunk = probe_features[lo : lo + PROBE_CHUNK]
         adm = admissible[lo : lo + PROBE_CHUNK]
-        d = np.linalg.norm(gallery_features[None] - chunk[:, None], axis=2)
+        # np.linalg.norm's products and reduction, squared in place
+        d = gallery_features[None] - chunk[:, None]
+        d = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
         d[~adm] = np.inf
         best = d.argmin(axis=1)
         all_inf = np.isposinf(d[np.arange(len(d)), best])

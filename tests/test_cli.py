@@ -20,6 +20,7 @@ from cyclegait.bench_cli import (
     parse_config,
     run_ablation,
     run_experiment,
+    run_training,
     serialize_config,
 )
 from cyclegait.gaitgen import load_bundle, make_benchmark, regenerate_from_manifest
@@ -559,13 +560,56 @@ class TestAblateCommand:
         assert list(table) == [name for name, _ in ABLATION_CELLS]
         stds = []
         for cell_name, overrides in ABLATION_CELLS:
-            scores = [_ablation_cell_job(base, bundle, overrides, s) for s in seeds]
+            # each cell trained on its own, outside the lockstep grid
+            scores = [_ablation_cell_job(run_training(bundle, dataclasses.replace(
+                base, **overrides, seed=s)), bundle.test) for s in seeds]
             assert list(table[cell_name]) == ["NM", "BG", "CL", "overall"]
             for key, (mean, std) in table[cell_name].items():
                 vals = [score[key] for score in scores]
                 assert (mean, std) == (np.mean(vals), np.std(vals)), (cell_name, key)
                 stds.append(std)
         assert max(stds) > 0.0  # the seeds differ, so the spread is exercised
+
+    def test_collapsed_cells_are_pinned(self):
+        """Which cells train the same F today, below sieve_warmup: a redesign
+        of the cells that separates them has to change this test."""
+        bundle = make_benchmark(n_ids=8, n_train_ids=6, n_views=2, frames_per_seq=6, d_in=8,
+                                condition_groups={"NM": 2, "BG": 1, "CL": 1}, seed=3)
+        base = ExperimentConfig(iterations=6, p_ids=3, k_seqs=2, d_hidden=8, d_emb=4)
+        assert base.iterations < base.sieve_warmup
+        results = run_training(bundle, [dataclasses.replace(base, **overrides)
+                                        for _, overrides in ABLATION_CELLS])
+        final_f = {name: result.params_f.flat.tobytes()
+                   for (name, _), result in zip(ABLATION_CELLS, results)}
+        classes = [("supervised", "supervised+cyclic", "supervised+cyclic+and"),
+                   ("selfsup",), ("selfsup+cyclic",), ("full-no-cyclic",),
+                   ("full-no-and", "full")]
+        assert sorted(name for names in classes for name in names) == sorted(final_f)
+        for names in classes:
+            assert len({final_f[name] for name in names}) == 1, names
+        assert len({final_f[names[0]] for names in classes}) == len(classes)
+
+    def test_reads_no_train_frames(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "data"
+        run_cli("gen-data", "--out", str(data), *WIDE_GEN)
+        reads, read_split = [], gaitgen._read_split
+
+        def spied(path, with_frames=True):
+            reads.append((os.path.basename(path), with_frames))
+            return read_split(path, with_frames)
+
+        monkeypatch.setattr(gaitgen, "_read_split", spied)
+        grid = ("--seeds", "1", "--iterations", "2")
+        assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "a"), *grid) == 0
+        assert reads == [("train.bin", False), ("test.bin", True)]
+        # train.bin's header and payload size are still checked
+        train_bin = data / "train.bin"
+        train_bin.write_bytes(train_bin.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "b"), *grid) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "train.bin" in err[0]
+        assert not (tmp_path / "b").exists()
 
     def test_too_few_train_identities_is_a_usage_error(self, tmp_path, capsys):
         # TINY_GEN has 6 train identities; the grid's default batch takes 8
@@ -768,6 +812,20 @@ class TestProvenance:
                            "--seeds", "1", "--iterations", "2") == 0
         assert (tmp_path / "a1" / "ablation.csv").read_bytes() == (
             tmp_path / "a2" / "ablation.csv").read_bytes()
+
+    def test_ablate_hash_covers_the_seeds(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli("gen-data", "--out", "d", *WIDE_GEN)
+        tables = {}
+        for seeds in (("1", "1"), ("2", "5"), ("2", "1"), ("1", "5")):
+            out = f"a{'-'.join(seeds)}"
+            assert run_cli("ablate", "--data", "d", "--out", out, "--seeds", seeds[0],
+                           "--seed", seeds[1], "--iterations", "2") == 0
+            tables[seeds] = (tmp_path / out / "ablation.csv").read_text().splitlines()
+        # the first seed and the seed count each move the hash line
+        hashes = {lines[0] for lines in tables.values()}
+        assert len(hashes) == len(tables)
+        assert tables[("1", "1")][1:] != tables[("2", "5")][1:]
 
 
 class TestCostCommand:

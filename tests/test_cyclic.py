@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
+    StepInputs,
     TraceWriter,
     TrainerConfig,
     TrainState,
     build_schedule,
+    draw_inputs,
     group_by_identity,
     init_state,
     pxk_sampler,
@@ -103,33 +106,33 @@ class TestSampler:
 
 
 class TestTrainIteration:
-    def _state_and_batch(self, config, bundle=None):
+    def _state_and_inputs(self, config, bundle=None):
+        """A fresh state and the inputs of the first iteration, as run_training
+        draws them."""
         bundle = bundle or tiny_bundle()
         shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
                              d_emb=config.d_emb,
                              n_classes=reference.n_train_classes(bundle))
         state = init_state(config, shape)
-        batch, state.rng_sampler = pxk_sampler(
-            bundle.train, config.p_ids, config.k_seqs, state.rng_sampler
-        )
-        return state, batch
+        inputs = next(draw_inputs(group_by_identity(bundle.train), config, True, True))
+        return state, inputs
 
     def test_null_teacher_update(self):
         # sigma0 = 0 and m = 1: the memorizing network must not move at all
         config = tiny_config(momentum=1.0, sigma0_const=0.0)
         schedule = build_schedule(config)
-        state, batch = self._state_and_batch(config)
+        state, inputs = self._state_and_inputs(config)
         before = state.params_m.flat.copy()
-        train_iteration(batch, state, config, schedule, 1)
+        train_iteration(inputs, state, config, schedule, 1)
         assert np.array_equal(state.params_m.flat, before)
 
     def test_zero_lr_isolates_ema(self):
         config = tiny_config(lr=0.0)
         schedule = build_schedule(config)
-        state, batch = self._state_and_batch(config)
+        state, inputs = self._state_and_inputs(config)
         f_before = state.params_f.flat.copy()
         m_expected = ema_transfer(state.params_m, state.params_f, config.momentum)
-        train_iteration(batch, state, config, schedule, 1)
+        train_iteration(inputs, state, config, schedule, 1)
         assert np.array_equal(state.params_f.flat, f_before)
         assert np.array_equal(state.params_m.flat, m_expected.flat)
 
@@ -137,28 +140,29 @@ class TestTrainIteration:
         # shuffling labels must not change M's update in a single iteration
         config = tiny_config()
         schedule = build_schedule(config)
-        state_a, batch = self._state_and_batch(config)
-        state_b, _ = self._state_and_batch(config)
+        state_a, inputs = self._state_and_inputs(config)
+        state_b, _ = self._state_and_inputs(config)
 
         shuffled = [type(s)(s.frames, (s.identity + 1) % 6, s.condition, s.view,
-                            s.clean_identity, s.noise_flag) for s in batch]
-        _, rec_a, _ = train_iteration(batch, state_a, config, schedule, 1)
-        _, rec_b, _ = train_iteration(shuffled, state_b, config, schedule, 1)
+                            s.clean_identity, s.noise_flag) for s in inputs.batch]
+        _, rec_a, _ = train_iteration(inputs, state_a, config, schedule, 1)
+        _, rec_b, _ = train_iteration(inputs._replace(batch=shuffled), state_b, config,
+                                      schedule, 1)
         assert np.array_equal(rec_a.delta_m, rec_b.delta_m)
         assert not np.array_equal(rec_a.delta_f, rec_b.delta_f)
 
     def test_pre_ema_hash_differs_after_iteration(self):
         config = tiny_config()
         schedule = build_schedule(config)
-        state, batch = self._state_and_batch(config)
-        _, record, _ = train_iteration(batch, state, config, schedule, 1)
+        state, inputs = self._state_and_inputs(config)
+        _, record, _ = train_iteration(inputs, state, config, schedule, 1)
         assert record.pre_ema_m_hash != state.params_m.sha256()
 
     def test_breakdown_identity(self):
         config = tiny_config()
         schedule = build_schedule(config)
-        state, batch = self._state_and_batch(config)
-        breakdown, _, _ = train_iteration(batch, state, config, schedule, 1)
+        state, inputs = self._state_and_inputs(config)
+        breakdown, _, _ = train_iteration(inputs, state, config, schedule, 1)
         recomputed = (
             breakdown.sigma0 * breakdown.l_c
             + breakdown.sigma1 * breakdown.l_ce
@@ -172,9 +176,9 @@ class TestTrainIteration:
     def test_forward_counter_two_per_sample(self):
         config = tiny_config()
         schedule = build_schedule(config)
-        state, batch = self._state_and_batch(config)
-        train_iteration(batch, state, config, schedule, 1)
-        assert state.forward_count == 2 * len(batch)
+        state, inputs = self._state_and_inputs(config)
+        train_iteration(inputs, state, config, schedule, 1)
+        assert state.forward_count == 2 * len(inputs.batch)
 
 
 class TestRunTraining:
@@ -395,7 +399,8 @@ class TestCoteachBaseline:
         config = tiny_config(mode="coteach-baseline", coteach_noise_rate=0.5)
         state = zeroed_state(config)
         schedule = build_schedule(config)
-        _, _, metrics = train_iteration(same, state, config, schedule, 1)
+        _, _, metrics = train_iteration(StepInputs(same, None, None), state, config,
+                                        schedule, 1)
         assert metrics["kept_fraction"] == 0.5
         for subset, equal in ((same[:3], True), (same[3:], False)):
             zeros = zeroed_state(config)
@@ -407,6 +412,83 @@ class TestCoteachBaseline:
     def test_invalid_noise_rate_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(mode="coteach-baseline", coteach_noise_rate=1.0)
+
+
+# one config per mode, each with its own network size, EMA ratio and snapshots
+LOCKSTEP_CONFIGS = (
+    tiny_config(mode="cyclic", and_enabled=True, sieve_warmup=2, snapshot_every=3),
+    tiny_config(mode="supervised", schedule_profile="clean", d_hidden=6, snapshot_every=4),
+    tiny_config(mode="selfsup", momentum=1.0),
+    tiny_config(mode="coteach-baseline", coteach_noise_rate=0.25, d_emb=3),
+    tiny_config(mode="cyclic", sigma0_const=0.0, sigma3_const=0.0, lr=0.02),
+)
+
+
+class TestLockstep:
+    """run_training over several configs draws each iteration's inputs once
+    and gives every config what it gets alone."""
+
+    def test_each_config_matches_its_solo_run(self):
+        bundle = tiny_bundle()
+        together = run_training(bundle, [dataclasses.replace(c, iterations=8)
+                                         for c in LOCKSTEP_CONFIGS])
+        assert len(together) == len(LOCKSTEP_CONFIGS)
+        for config, joint in zip(LOCKSTEP_CONFIGS, together):
+            config = dataclasses.replace(config, iterations=8)
+            alone = run_training(bundle, config)
+            assert joint.config == config
+            for name in ("params_f", "params_m", "init_f", "init_m"):
+                a, b = getattr(alone, name), getattr(joint, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    assert a.flat.tobytes() == b.flat.tobytes(), (config.mode, name)
+            assert json.dumps(joint.metrics) == json.dumps(alone.metrics)
+            assert [(k, p.flat.tobytes()) for k, p in joint.snapshots] == \
+                [(k, p.flat.tobytes()) for k, p in alone.snapshots]
+            assert joint.forward_count == alone.forward_count
+
+    # a config that reads fewer augmented streams comes first, so the draws
+    # must follow every config, not the first
+    @pytest.mark.parametrize("modes, augments", [
+        (("coteach-baseline", "supervised", "selfsup", "cyclic"), 2),
+        (("coteach-baseline", "supervised"), 1),
+        (("coteach-baseline", "coteach-baseline"), 0),
+    ])
+    def test_inputs_are_drawn_once_per_iteration(self, monkeypatch, modes, augments):
+        calls = {"sample": 0, "augment": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cyclic, "pxk_sampler", counted("sample", cyclic.pxk_sampler))
+        monkeypatch.setattr(cyclic, "augment_frame_sets",
+                            counted("augment", cyclic.augment_frame_sets))
+        configs = [tiny_config(mode=mode, iterations=3) for mode in modes]
+        run_training(tiny_bundle(), configs)
+        assert calls == {"sample": 3, "augment": augments * 3}
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 12), ("p_ids", 2), ("k_seqs", 3), ("iterations", 4)])
+    def test_configs_that_draw_other_inputs_are_refused(self, field, value):
+        configs = [tiny_config(), tiny_config(mode="supervised", **{field: value})]
+        with pytest.raises(ValueError, match=field):
+            run_training(tiny_bundle(), configs)
+
+    def test_trace_recording_takes_one_config(self, tmp_path):
+        traced = tiny_config(record_trace=True)
+        with pytest.raises(ValueError, match="one config"):
+            run_training(tiny_bundle(), [traced, tiny_config()], trace_path=tmp_path / "t")
+        with pytest.raises(ValueError, match="one config"):
+            run_training(tiny_bundle(), [tiny_config(), tiny_config()],
+                         trace_path=tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
+    def test_no_config_is_refused(self):
+        with pytest.raises(ValueError):
+            run_training(tiny_bundle(), [])
 
 
 def test_coteach_step_drops_every_cache_before_the_next_forward(monkeypatch):
