@@ -58,26 +58,28 @@ CONFIG_FORMAT_VERSION = 1
 
 OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
 
+# largest relative deviation from the EMA closed form that verify-closed-form passes
+CLOSED_FORM_TOLERANCE = 1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig(TrainerConfig):
     """Everything a run needs besides its data.
 
     The trainer and optimizer settings are the inherited TrainerConfig
-    fields; this class adds the dataset directory and the eval, output and
-    meta settings. What the data is, the dataset's manifest.json alone
-    records. Each field is written to the config-file section it is tagged
-    with (in_section), or to [trainer] when untagged.
+    fields; this class adds the dataset directory and the output and meta
+    settings. What the data is, the dataset's manifest.json alone records.
+    Each field is written to the config-file section it is tagged with
+    (in_section), or to [trainer] when untagged.
     """
 
     format_version: int = in_section("meta", CONFIG_FORMAT_VERSION)
     data_dir: str = in_section("dataset", "")
-    exclude_same_view: bool = in_section("eval", True)
     out_dir: str = in_section("output", "runs/exp")
 
 
 # Config files group keys into these sections, in this order
-_SECTION_ORDER = ("meta", "dataset", "trainer", "optimizer", "eval", "output")
+_SECTION_ORDER = ("meta", "dataset", "trainer", "optimizer", "output")
 
 
 def _schema() -> dict:
@@ -273,12 +275,11 @@ def run_experiment(cfg: ExperimentConfig):
     return result, outdir
 
 
-def evaluate_to_dir(params, test_samples, outdir: str, digest: str,
-                    exclude_same_view: bool = True):
+def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
     """Write rank1.csv / rank1.json / variance.csv for a checkpoint."""
     os.makedirs(outdir, exist_ok=True)
     z, _ = gaugekit.embed_samples(params, test_samples)
-    report = gaugekit.evaluate_embeddings(z, test_samples, exclude_same_view)
+    report = gaugekit.evaluate_embeddings(z, test_samples)
     _write_csv(os.path.join(outdir, "rank1.csv"), report.to_csv_text(), digest)
     with open(os.path.join(outdir, "rank1.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": digest, **report.to_json_dict()}, fh, indent=2, sort_keys=True)
@@ -334,9 +335,7 @@ def _ablation_cell_job(result, test_samples) -> dict:
     """Evaluate one trained grid cell (a TrainingResult of run_training) on
     the test split; returns its rank-1 means by condition and overall.
     Evaluation only reads the samples, so every cell can share one bundle."""
-    report = gaugekit.evaluate_checkpoint(
-        result.params_f, test_samples, result.config.exclude_same_view
-    )
+    report = gaugekit.evaluate_checkpoint(result.params_f, test_samples)
     scores = {c: report.condition_means.get(c, float("nan")) for c in ("NM", "BG", "CL")}
     scores["overall"] = report.overall_mean
     return scores
@@ -453,14 +452,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, header = load_checkpoint(args.checkpoint)
-    bundle = gaitgen.load_bundle(args.data, with_train=False)
+    bundle = gaitgen.load_bundle(args.data, frames=("test",))
     digest = header.get("config_hash", "unknown")
     outdir = _resolve_out(args.out) if args.out else os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "eval"
     )
-    report = evaluate_to_dir(
-        params, bundle.test, outdir, digest, exclude_same_view=args.exclude_same_view
-    )
+    report = evaluate_to_dir(params, bundle.test, outdir, digest)
     print(f"rank-1 means: " + ", ".join(
         f"{c}={report.condition_means[c]:.2f}" for c in report.conditions
     ) + f", overall={report.overall_mean:.2f}")
@@ -471,8 +468,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     # every cell trains and evaluates on the manifest's regeneration, so a
     # dataset whose files were edited after gen-data scores as its manifest
-    # describes it, and the train split's frames are never read
-    bundle = gaitgen.load_bundle(args.data, with_train=False)
+    # describes it, and neither split's frames are read
+    bundle = gaitgen.load_bundle(args.data, frames=())
     base = ExperimentConfig(iterations=args.iterations, seed=args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     outdir = _resolve_out(args.out)
@@ -500,36 +497,27 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_verify_closed_form(args) -> int:
-    if not args.run and not (args.trace and args.init_f and args.init_m):
-        raise ValueError("need --run or all of --trace/--init-f/--init-m")
-    if args.run:
-        run_dir = args.run
-        trace = os.path.join(run_dir, "trace.bin")
-        init_f, _ = load_checkpoint(os.path.join(run_dir, "model_f_init.ckpt"))
-        init_m, _ = load_checkpoint(os.path.join(run_dir, "model_m_init.ckpt"))
-        final_f, _ = load_checkpoint(os.path.join(run_dir, "model_f.ckpt"))
-        final_m, _ = load_checkpoint(os.path.join(run_dir, "model_m.ckpt"))
-    else:
-        trace = args.trace
-        init_f, _ = load_checkpoint(args.init_f)
-        init_m, _ = load_checkpoint(args.init_m)
-        final_f = final_m = None
+    if not args.run:
+        raise ValueError("verify-closed-form needs --run, a run directory with a trace")
+    init_f, init_m, final_f, final_m = (
+        load_checkpoint(os.path.join(args.run, f"{name}.ckpt"))[0]
+        for name in ("model_f_init", "model_m_init", "model_f", "model_m")
+    )
     try:
-        report = gaugekit.verify_trace_file(trace, init_f, init_m, final_f, final_m)
+        report = gaugekit.verify_trace_file(os.path.join(args.run, "trace.bin"),
+                                            init_f, init_m, final_f, final_m)
     except (OSError, ValueError) as err:
         print(f"FAIL: {err}", file=sys.stderr)
         return 2
-    ok = report["max_relative_deviation"] <= args.tolerance
-    for key in ("endpoint_f_matches", "endpoint_m_matches"):
-        if key in report:
-            ok = ok and report[key]
+    endpoints = ("endpoint_f_matches", "endpoint_m_matches")
+    ok = (report["max_relative_deviation"] <= CLOSED_FORM_TOLERANCE
+          and all(report[key] for key in endpoints))
     print(f"iterations={report['iterations']} params={report['n_params']} "
           f"momentum={report['momentum']}")
     print(f"max relative deviation: {report['max_relative_deviation']:.3e} "
-          f"(tolerance {args.tolerance:.1e})")
-    for key in ("endpoint_f_matches", "endpoint_m_matches"):
-        if key in report:
-            print(f"{key}: {report[key]}")
+          f"(tolerance {CLOSED_FORM_TOLERANCE:.1e})")
+    for key in endpoints:
+        print(f"{key}: {report[key]}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -615,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--exclude-same-view", dest="exclude_same_view",
-                   action="store_true", default=d.exclude_same_view)
-    p.add_argument("--include-same-view", dest="exclude_same_view", action="store_false")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the component ablation grid")
@@ -632,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-closed-form",
                        help="check a training trace against the EMA closed form")
     p.add_argument("--run", default=None, help="run directory with trace + checkpoints")
-    p.add_argument("--trace", default=None)
-    p.add_argument("--init-f", dest="init_f", default=None)
-    p.add_argument("--init-m", dest="init_m", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify_closed_form)
 
     p = sub.add_parser("cost", help="forward-pass cost model")

@@ -15,9 +15,10 @@ Comparison modes: "supervised" (single network, CE + triplet),
 "selfsup" (consistency only, labels unused) and "coteach-baseline"
 (classic small-loss sample exchange, which unlike the cyclic scheme needs
 the noise rate as prior knowledge). A mode zeroes the schedule weights it
-does not keep (MODE_SIGMAS), a sigma*_const pin then sets a weight in any
-mode (sigma0 only where a consistency term exists), and _label_terms, the
-one CE / triplet / contrastive routine of every mode, runs each non-zero term.
+does not keep (MODE_SIGMAS), a sigma0_const or sigma3_const pin then sets
+that weight in any mode (sigma0 only where a consistency term exists), and
+_label_terms, the one CE / triplet / contrastive routine of every mode, runs
+each non-zero term.
 
 Every run is a pure function of (dataset, config): sampling, initialization
 and augmentation draws all come from substreams of config.seed. The loop
@@ -70,9 +71,12 @@ MODE_SIGMAS = {"cyclic": (0, 1, 2, 3), "supervised": (1, 2), "selfsup": (0,),
 MODES = tuple(MODE_SIGMAS)
 
 # fixed parts of the recipe: the training-time augmentation of every mode that
-# augments, and the temperature of the contrastive (MIL) label term
+# augments, the temperature of the contrastive (MIL) label term, and the
+# momentum SGD of both networks, whose lr decays by LR_DECAY at each milestone
 AUGMENTATION = AugmentationSpec()
 MIL_TEMPERATURE = 0.2
+SGD_MOMENTUM = 0.9
+LR_DECAY = 0.1
 
 
 class NonFiniteLossError(RuntimeError):
@@ -104,22 +108,14 @@ class TrainerConfig:
     record_trace: bool = False
     snapshot_every: int = 0
     coteach_noise_rate: float = 0.2  # prior required by the baseline only
-    sieve_beta: float = 0.9
     sieve_warmup: int = 200
-    sieve_scale: float = 1.5
-    sieve_entropy_scale: float = 1.0
-    sieve_keep_floor: float = 0.5
     # pin a coefficient to a constant after the mode's zeroing (None = off);
     # supervised and coteach-baseline have no consistency term to pin sigma0 on
     sigma0_const: float | None = None
-    sigma1_const: float | None = None
-    sigma2_const: float | None = None
     sigma3_const: float | None = None
-    # momentum SGD of both networks: lr decays by gamma at each milestone
+    # the learning rate, and the iterations from which it decays by LR_DECAY
     lr: float = in_section("optimizer", 0.05)
-    opt_momentum: float = in_section("optimizer", 0.9)
     milestones: tuple[int, ...] = in_section("optimizer", (1000,))
-    gamma: float = in_section("optimizer", 0.1)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -141,42 +137,36 @@ class TrainerConfig:
             raise ValueError("update traces require a two-network EMA-capable mode")
         if self.mode == "coteach-baseline" and not 0.0 <= self.coteach_noise_rate < 1.0:
             raise ValueError("coteach baseline noise rate must lie in [0, 1)")
-        if not 0.0 < self.sieve_beta < 1.0:
-            raise ValueError("sieve_beta (smoothing factor) must lie in (0, 1)")
         if self.sieve_warmup < 0:
             raise ValueError("sieve_warmup must be >= 0")
-        if not 0.0 < self.sieve_keep_floor <= 1.0:
-            raise ValueError("sieve_keep_floor must lie in (0, 1]")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0 (0 takes no snapshots)")
         if self.d_hidden < 1 or self.d_emb < 1:
             raise ValueError("d_hidden and d_emb must be >= 1")
         # written as not >= so that NaN fails too
         if not self.lr >= 0.0:
             raise ValueError("lr (learning rate) must be >= 0")
-        if not self.opt_momentum >= 0.0:
-            raise ValueError("opt_momentum must be >= 0")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma (decay factor) must lie in (0, 1]")
 
     @property
     def batch_size(self) -> int:
         return self.p_ids * self.k_seqs
 
     def lr_at(self, iteration: int) -> float:
-        """The learning rate of an iteration: lr, times gamma per milestone reached."""
+        """The learning rate of an iteration: lr, times LR_DECAY per milestone reached."""
         decays = sum(1 for ms in self.milestones if ms <= iteration)
-        return self.lr * self.gamma**decays
+        return self.lr * LR_DECAY**decays
 
 
 def build_schedule(config: TrainerConfig) -> CoeffSchedule:
     """The profile's weights that the mode keeps, zero for the others, then
-    the sigma*_const pins."""
+    the sigma0_const and sigma3_const pins."""
     if config.schedule_profile == "clean":
         base = CoeffSchedule.clean_default()
     else:
         base = CoeffSchedule.noisy_default(config.iterations)
     kept = MODE_SIGMAS[config.mode]
     ramps = (base.sigma0, base.sigma1, base.sigma2, base.sigma3)
-    pins = (config.sigma0_const, config.sigma1_const, config.sigma2_const, config.sigma3_const)
+    pins = (config.sigma0_const, None, None, config.sigma3_const)
     return CoeffSchedule(*(
         Ramp.constant(pin) if pin is not None else ramp if i in kept else Ramp.constant(0.0)
         for i, (ramp, pin) in enumerate(zip(ramps, pins))
@@ -343,7 +333,7 @@ def _two_net_step(inputs, state, config, schedule, k):
     mask_stats = {}
     if config.and_enabled:
         scores = score_arrays(p_f, p_m, labels)
-        mask, state.sieve = adapt_mask(scores, state.sieve, config)
+        mask, state.sieve = adapt_mask(scores, state.sieve, config.sieve_warmup)
         detected = detection_stats(mask, [s.noise_flag for s in batch])
         mask_stats = {
             "mask_mean_entropy": float(scores.entropy.mean()),
@@ -366,14 +356,14 @@ def _two_net_step(inputs, state, config, schedule, k):
     grad_f = backward_batch(cache_f, state.params_f, d_zf, d_pf)
     lr = config.lr_at(k)
     params_f, vel_f, delta_f = optimizer_step(state.params_f, grad_f, state.vel_f, lr,
-                                              config.opt_momentum)
+                                              SGD_MOMENTUM)
 
     if s0 != 0.0:
         grad_m = backward_batch(cache_m, params_m, np.zeros_like(z_m), s0 * d_pm_c)
     else:
         grad_m = GradVector.zeros(params_m.shape)
     params_m, vel_m, delta_m = optimizer_step(params_m, grad_m, state.vel_m, lr,
-                                              config.opt_momentum)
+                                              SGD_MOMENTUM)
 
     return StepProposal(
         (l_c, l_ce, l_tri, l_mil), (params_f, vel_f, params_m, vel_m),
@@ -411,7 +401,7 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z, p, labels, sigmas, config)
     grad = backward_batch(cache, params, d_z, d_p)
     new_params, new_velocity, delta = optimizer_step(params, grad, velocity, config.lr_at(k),
-                                                     config.opt_momentum)
+                                                     SGD_MOMENTUM)
     return new_params, new_velocity, delta, (l_ce, l_tri, l_mil)
 
 

@@ -494,14 +494,16 @@ def save_bundle(bundle: DatasetBundle, outdir, extra_header: dict | None = None)
         fh.write("\n")
 
 
-def load_bundle(datadir, with_train: bool = True) -> DatasetBundle:
-    """The dataset saved in datadir. With with_train False, train.bin is still
-    checked (header and payload size) but not read, and bundle.train is None."""
+def load_bundle(datadir, frames=("train", "test")) -> DatasetBundle:
+    """The dataset saved in datadir, with the frames of the splits named in
+    frames. Both split files are checked (header and payload size); a split
+    not named is not read further, and its bundle field is None."""
     train_bin = os.path.join(datadir, "train.bin")
     if os.path.exists(os.path.join(datadir, "train.jsonl")) and not os.path.exists(train_bin):
         raise ValueError(f"{datadir} holds a dataset in JSONL format 1, which is no longer "
                          "read; rebuild it with gen-data, as its manifest.json records every value")
     with open(os.path.join(datadir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return DatasetBundle(_read_split(train_bin, with_frames=with_train),
-                         _read_split(os.path.join(datadir, "test.bin")), manifest)
+    return DatasetBundle(_read_split(train_bin, with_frames="train" in frames),
+                         _read_split(os.path.join(datadir, "test.bin"),
+                                     with_frames="test" in frames), manifest)

@@ -320,13 +320,13 @@ def verify_ema_closed_form(theta0_f, theta0_m, records, m: float,
 
 
 def verify_trace_file(trace_path, theta0_f: ModelParams, theta0_m: ModelParams,
-                      final_f: ModelParams | None = None,
-                      final_m: ModelParams | None = None) -> dict:
+                      final_f: ModelParams, final_m: ModelParams) -> dict:
     """Verify a recorded training trace against the closed form.
 
-    Returns a report with the max relative deviation and, when final
-    checkpoints are supplied, whether the replayed endpoints match them
-    bit for bit. Every checkpoint must hold the trace's parameter count.
+    Returns a report with the max relative deviation of the closed form from
+    the replayed recurrence, and whether the replayed endpoints match the
+    final checkpoints bit for bit. Every checkpoint must hold the trace's
+    parameter count.
     The records stream from the file on each of three passes (two replays
     and the closed form), so memory stays at about one read chunk plus a
     few parameter vectors, whatever the trace's length.
@@ -338,24 +338,21 @@ def verify_trace_file(trace_path, theta0_f: ModelParams, theta0_m: ModelParams,
     n_params = int(header["n_params"])
     for name, params in (("initial F", theta0_f), ("initial M", theta0_m),
                          ("final F", final_f), ("final M", final_m)):
-        if params is not None and params.flat.size != n_params:
+        if params.flat.size != n_params:
             raise ValueError(
                 f"trace layout ({n_params} parameters) does not match the {name} "
                 f"checkpoint ({params.flat.size} parameters)"
             )
     deviation = verify_ema_closed_form(theta0_f.flat, theta0_m.flat, records, m)
     rep_f, rep_m = replay_recurrence(theta0_f.flat, theta0_m.flat, records, m)
-    report = {
+    return {
         "iterations": int(header["iterations"]),
         "n_params": n_params,
         "momentum": m,
         "max_relative_deviation": deviation,
+        "endpoint_f_matches": bool(np.array_equal(rep_f, final_f.flat)),
+        "endpoint_m_matches": bool(np.array_equal(rep_m, final_m.flat)),
     }
-    if final_f is not None:
-        report["endpoint_f_matches"] = bool(np.array_equal(rep_f, final_f.flat))
-    if final_m is not None:
-        report["endpoint_m_matches"] = bool(np.array_equal(rep_m, final_m.flat))
-    return report
 
 
 def cost_model(batch_size: int, noise_rate: float):
@@ -390,15 +387,15 @@ def split_gallery_probe(test_samples):
     return gallery, probe
 
 
-def evaluate_checkpoint(params: ModelParams, test_samples,
-                        exclude_same_view: bool = True) -> EvalReport:
+def evaluate_checkpoint(params: ModelParams, test_samples) -> EvalReport:
     """Full retrieval evaluation of a model on a test split."""
     z, _ = embed_samples(params, test_samples)
-    return evaluate_embeddings(z, test_samples, exclude_same_view)
+    return evaluate_embeddings(z, test_samples)
 
 
-def evaluate_embeddings(z, test_samples, exclude_same_view: bool = True) -> EvalReport:
-    """Retrieval evaluation from the embeddings z of a test split."""
+def evaluate_embeddings(z, test_samples) -> EvalReport:
+    """Retrieval evaluation from the embeddings z of a test split, same-view
+    matches excluded."""
     g_idx, p_idx = split_gallery_probe(test_samples)
     return rank1(
         z[g_idx],
@@ -408,5 +405,4 @@ def evaluate_embeddings(z, test_samples, exclude_same_view: bool = True) -> Eval
         [test_samples[i].identity for i in p_idx],
         [test_samples[i].view for i in p_idx],
         [test_samples[i].condition for i in p_idx],
-        exclude_same_view=exclude_same_view,
     )

@@ -31,23 +31,21 @@ batch (the true class wins, the assigned one is implausible); hard clean
 samples produce them only sporadically, so without such evidence the sieve
 keeps every sample instead of masking clean ones.
 
-The rule's knobs (smoothing, warmup, CE and entropy scales, keep floor) are
-the sieve_* fields of the TrainerConfig; SieveState holds only the running
-statistics.
+The rule's smoothing, CE and entropy scales and keep floor are module
+constants, like the two floors. Only the warmup is set per run
+(config.sieve_warmup); adapt_mask takes it as an int. SieveState holds only
+the running statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .gaitgen import FLAG_CLEAN
 from .lossbank import per_sample_ce, softmax_rows
-
-if TYPE_CHECKING:
-    from .cyclic import TrainerConfig
 
 # Share of the batch on which the two networks must agree before masking can
 # activate; before rough convergence the agreement flag is noise.
@@ -57,6 +55,15 @@ AGREEMENT_FLOOR = 0.5
 # label per 32 samples. Checked at P x K = 8x4, 4x2 and 16x4 on the split 0.6
 # and label 0.2 benchmarks (see CHANGES.md for the values).
 EVIDENCE_FLOOR = 1.0 / 32.0
+
+# Each running mean moves as mean <- SMOOTHING*mean + (1-SMOOTHING)*batch mean.
+# A CE above CE_SCALE times its running mean is high, an entropy at most
+# ENTROPY_SCALE times its running mean is sharp, and masking keeps at least
+# KEEP_FLOOR of every batch.
+SMOOTHING = 0.9
+CE_SCALE = 1.5
+ENTROPY_SCALE = 1.0
+KEEP_FLOOR = 0.5
 
 
 class NoiseScores(NamedTuple):
@@ -92,13 +99,13 @@ def score_arrays(logits_f: np.ndarray, logits_m: np.ndarray, labels) -> NoiseSco
     return NoiseScores(ent, ce, agree, ruled_out)
 
 
-def adapt_mask(scores: NoiseScores, state: SieveState, config: TrainerConfig):
+def adapt_mask(scores: NoiseScores, state: SieveState, warmup: int):
     """Binary keep-mask over the batch plus the advanced state.
 
-    During config.sieve_warmup iterations (and until the agreement gate
+    During the first warmup iterations (and until the agreement gate
     opens) everything is kept while the running means accumulate.
     Afterwards the confident-wrong and uninformative-wrong samples are
-    masked, subject to the keep floor, in every batch where the running
+    masked, subject to KEEP_FLOOR, in every batch where the running
     ruled-out fraction meets EVIDENCE_FLOOR; the minimum-CE sample can never
     be masked, so the supervised gradient never becomes empty.
     """
@@ -108,7 +115,7 @@ def adapt_mask(scores: NoiseScores, state: SieveState, config: TrainerConfig):
         raise ValueError("empty batch of scores")
 
     active = state.active or (
-        state.iteration >= config.sieve_warmup
+        state.iteration >= warmup
         and state.mean_entropy is not None
         and float(agree.mean()) >= AGREEMENT_FLOOR
     )
@@ -116,20 +123,20 @@ def adapt_mask(scores: NoiseScores, state: SieveState, config: TrainerConfig):
     if not (active and evidenced):
         mask = np.ones(b, dtype=bool)
     else:
-        high_ce = ce > config.sieve_scale * state.mean_ce
-        sharp = ent <= config.sieve_entropy_scale * state.mean_entropy
+        high_ce = ce > CE_SCALE * state.mean_ce
+        sharp = ent <= ENTROPY_SCALE * state.mean_entropy
         confident_wrong = agree & sharp & high_ce
         uninformative = ~agree & ~sharp & high_ce
         mask = ~(confident_wrong | uninformative)
-        # never starve the supervised loss: mask at most (1 - keep_floor) of
+        # never starve the supervised loss: mask at most (1 - KEEP_FLOOR) of
         # the batch, and spend the masking budget on the largest-CE samples
-        shortfall = max(1, int(np.ceil(config.sieve_keep_floor * b))) - int(mask.sum())
+        shortfall = max(1, int(np.ceil(KEEP_FLOOR * b))) - int(mask.sum())
         if shortfall > 0:
             order = np.argsort(ce, kind="stable")  # CE asc, ties by index
             mask[order[~mask[order]][:shortfall]] = True
 
     def smooth(old, now):
-        return now if old is None else config.sieve_beta * old + (1.0 - config.sieve_beta) * now
+        return now if old is None else SMOOTHING * old + (1.0 - SMOOTHING) * now
 
     new_state = SieveState(
         mean_entropy=smooth(state.mean_entropy, float(ent.mean())),

@@ -558,7 +558,7 @@ def per_cell_ablation(cfg, bundle, seeds) -> dict:
             data = regenerate_from_manifest(bundle.manifest)
             cell_cfg = dataclasses.replace(cfg, **overrides, seed=seed)
             result = run_training(data, cell_cfg)
-            report = evaluate_checkpoint(result.params_f, data.test, cell_cfg.exclude_same_view)
+            report = evaluate_checkpoint(result.params_f, data.test)
             for c in ("NM", "BG", "CL"):
                 scores[c].append(report.condition_means.get(c, float("nan")))
             scores["overall"].append(report.overall_mean)

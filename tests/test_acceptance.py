@@ -56,7 +56,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 def default_optimizer():
-    return dict(lr=0.05, opt_momentum=0.9, milestones=(1000,), gamma=0.1)
+    return dict(lr=0.05, milestones=(1000,))
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +73,8 @@ def label_bundle():
 
 @pytest.fixture(scope="module")
 def split_runs(split_bundle):
-    """Supervised and full-cyclic runs over 5 seeds on split-noise data,
-    shared between the robustness and ablation criteria."""
+    """Supervised and full-cyclic runs over 5 seeds on split-noise data, for
+    the robustness criterion."""
     t0 = time.time()
     rows = {}
     for seed in SEEDS5:
@@ -271,7 +271,7 @@ def test_c06_split_noise_robustness_gap(split_runs):
            + f"; {wins}/5 seeds >= +3.0, runs took {elapsed / 60:.1f} min (<20)")
 
 
-def test_c07_ablation_ordering(split_bundle, split_runs, tmp_path):
+def test_c07_ablation_ordering(split_bundle):
     base = ExperimentConfig(iterations=2000, schedule_profile="noisy")
     seeds = (1, 2)
     table = run_ablation(base, split_bundle, seeds)
@@ -302,7 +302,7 @@ def test_c07_ablation_ordering(split_bundle, split_runs, tmp_path):
 def test_c08_degeneration_effect_timing(label_bundle):
     # constant weights and constant lr: the diagnostic must not be masked by
     # the noise-robust schedule it is meant to motivate
-    opt = dict(lr=0.05, opt_momentum=0.9, milestones=())
+    opt = dict(lr=0.05, milestones=())
     wins = 0
     details = []
     for seed in SEEDS5:

@@ -69,13 +69,9 @@ DEFAULT_CONFIG_TEXT = "\n".join([
     "[trainer]", "mode = cyclic", "iterations = 2000", "p_ids = 8", "k_seqs = 4",
     "momentum = 0.99", "and_enabled = false", "seed = 1", "schedule_profile = noisy",
     "d_hidden = 64", "d_emb = 32", "record_trace = false", "snapshot_every = 0",
-    "coteach_noise_rate = 0.2", "sieve_beta = 0.9", "sieve_warmup = 200",
-    "sieve_scale = 1.5", "sieve_entropy_scale = 1.0", "sieve_keep_floor = 0.5",
-    "sigma0_const = none", "sigma1_const = none",
-    "sigma2_const = none", "sigma3_const = none", "",
-    "[optimizer]", "lr = 0.05", "opt_momentum = 0.9",
-    "milestones = 1000", "gamma = 0.1", "",
-    "[eval]", "exclude_same_view = true", "",
+    "coteach_noise_rate = 0.2", "sieve_warmup = 200",
+    "sigma0_const = none", "sigma3_const = none", "",
+    "[optimizer]", "lr = 0.05", "milestones = 1000", "",
     "[output]", "out_dir = runs/exp", "", "",
 ])
 
@@ -84,7 +80,7 @@ class TestConfigRoundtrip:
     def test_serialize_parse_identity(self):
         cfg = ExperimentConfig(mode="selfsup", iterations=123,
                                lr=0.007, milestones=(10, 20),
-                               sigma2_const=0.05, and_enabled=False, out_dir="runs/x")
+                               sigma3_const=0.05, and_enabled=False, out_dir="runs/x")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_defaults_fill_missing_sections(self):
@@ -93,8 +89,15 @@ class TestConfigRoundtrip:
         assert cfg.iterations == ExperimentConfig().iterations
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config("[trainer]\nbogus = 1\n")
+        # a made-up key, then the keys that became constants, each in its old section
+        unknown = [("trainer", "bogus"), ("trainer", "sieve_beta"), ("trainer", "sieve_scale"),
+                   ("trainer", "sieve_entropy_scale"), ("trainer", "sieve_keep_floor"),
+                   ("trainer", "sigma1_const"), ("trainer", "sigma2_const"),
+                   ("optimizer", "opt_momentum"), ("optimizer", "gamma"),
+                   ("eval", "exclude_same_view")]
+        for section, key in unknown:
+            with pytest.raises(ValueError, match=repr(key)):
+                parse_config(f"[{section}]\n{key} = 1\n")
 
     def test_wrong_section_rejected(self):
         with pytest.raises(ValueError):
@@ -248,11 +251,10 @@ class TestTrainEvalPipeline:
 
     def test_invalid_config_value_is_a_usage_error(self, data_dir, tmp_path, capsys):
         run, config = tmp_path / "run", tmp_path / "exp.cfg"
-        for section, key, value in [("trainer", "sieve_beta", "1.5"),
-                                    ("trainer", "d_hidden", "0"),
+        for section, key, value in [("trainer", "d_hidden", "0"),
                                     ("trainer", "d_emb", "0"),
-                                    ("optimizer", "lr", "nan"),
-                                    ("optimizer", "opt_momentum", "nan")]:
+                                    ("trainer", "snapshot_every", "-1"),
+                                    ("optimizer", "lr", "nan")]:
             # a run the tiny dataset can train, apart from this one value
             trainer = "[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
             bad = f"{key} = {value}\n"
@@ -309,11 +311,10 @@ class TestTrainEvalPipeline:
         ("verify-closed-form", "--run", "{missing}"),
         ("ablate", "--data", "{data}", "--out", "{out}", "--seeds", "0"),
         ("verify-closed-form",),
-        ("verify-closed-form", "--trace", "{missing}/trace.bin"),
         ("train", "--out", "{out}", "--iterations", "2"),
     ], ids=["train-missing-data", "train-too-few-ids", "train-unsectioned-config", "eval",
             "corrupt", "ablate", "verify", "ablate-no-seeds", "verify-no-inputs",
-            "verify-trace-only", "train-without-data"])
+            "train-without-data"])
     def test_bad_input_is_a_usage_error(self, data_dir, tmp_path, capsys, argv):
         out = tmp_path / "out"
         unsectioned = tmp_path / "exp.cfg"
@@ -419,7 +420,7 @@ class TestTrainEvalPipeline:
 
     @pytest.mark.parametrize("checkpoint, name", [
         ("model_f_init", "initial F"), ("model_m_init", "initial M"),
-        ("model_f", "final F"), ("model_m", "final M"), ("--init-m", "initial M"),
+        ("model_f", "final F"), ("model_m", "final M"),
     ])
     def test_verify_names_a_checkpoint_of_another_shape(self, data_dir, tmp_path, capsys,
                                                         checkpoint, name):
@@ -427,14 +428,9 @@ class TestTrainEvalPipeline:
         run_experiment(tiny_train_config(data_dir, run, record_trace=True, iterations=3))
         run_experiment(tiny_train_config(data_dir, other, record_trace=True, iterations=1,
                                          d_hidden=6))
-        if checkpoint == "--init-m":
-            argv = ("--trace", str(run / "trace.bin"), "--init-f", str(run / "model_f_init.ckpt"),
-                    "--init-m", str(other / "model_m_init.ckpt"))
-        else:
-            (run / f"{checkpoint}.ckpt").write_bytes((other / f"{checkpoint}.ckpt").read_bytes())
-            argv = ("--run", str(run))
+        (run / f"{checkpoint}.ckpt").write_bytes((other / f"{checkpoint}.ckpt").read_bytes())
         capsys.readouterr()
-        code = run_cli("verify-closed-form", *argv)
+        code = run_cli("verify-closed-form", "--run", str(run))
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert code == 2 and captured.out == ""
@@ -601,15 +597,17 @@ class TestAblateCommand:
         monkeypatch.setattr(gaitgen, "_read_split", spied)
         grid = ("--seeds", "1", "--iterations", "2")
         assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "a"), *grid) == 0
-        assert reads == [("train.bin", False), ("test.bin", True)]
-        # train.bin's header and payload size are still checked
-        train_bin = data / "train.bin"
-        train_bin.write_bytes(train_bin.read_bytes()[:-8])
-        capsys.readouterr()
-        assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "b"), *grid) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "train.bin" in err[0]
-        assert not (tmp_path / "b").exists()
+        assert reads == [("train.bin", False), ("test.bin", False)]
+        # both headers and payload sizes are still checked
+        for name in ("test.bin", "train.bin"):
+            split = data / name
+            split.write_bytes(split.read_bytes()[:-8])
+            capsys.readouterr()
+            assert run_cli("ablate", "--data", str(data), "--out", str(tmp_path / "b"),
+                           *grid) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+            assert not (tmp_path / "b").exists()
 
     def test_too_few_train_identities_is_a_usage_error(self, tmp_path, capsys):
         # TINY_GEN has 6 train identities; the grid's default batch takes 8

@@ -24,6 +24,7 @@ from cyclegait.cyclic import (
     train_iteration,
 )
 from cyclegait.gaitgen import make_benchmark
+from cyclegait.lossbank import Ramp
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, ema_transfer
 import reference
@@ -58,6 +59,23 @@ def tiny_config(**kwargs):
     )
     defaults.update(kwargs)
     return TrainerConfig(**defaults)
+
+
+def train_pinned(bundle, config, **pins):
+    """run_training's loop for one config, calling train_iteration directly
+    with build_schedule(config)'s ramps named in pins (sigma1=0.0, ...) set to
+    constants, as no config field pins sigma1 or sigma2. Returns (final F,
+    per-iteration metrics)."""
+    schedule = dataclasses.replace(build_schedule(config),
+                                   **{name: Ramp.constant(v) for name, v in pins.items()})
+    shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
+                         d_emb=config.d_emb, n_classes=reference.n_train_classes(bundle))
+    state = init_state(config, shape)
+    inputs = draw_inputs(group_by_identity(bundle.train), config,
+                         config.mode != "coteach-baseline", config.mode in ("cyclic", "selfsup"))
+    metrics = [train_iteration(step, state, config, schedule, k)[2]
+               for k, step in enumerate(inputs, start=1)]
+    return state.params_f, metrics
 
 
 class TestSampler:
@@ -328,21 +346,25 @@ class TestLabelTermsInEveryMode:
     weight the schedule gives is a weight the step applies."""
 
     @pytest.mark.parametrize("pins", [{"sigma3_const": 0.5},
-                                      {"sigma1_const": 0.0, "sigma3_const": 0.0},
-                                      {"sigma1_const": 0.0, "sigma2_const": 0.0,
-                                       "sigma3_const": 0.3}])
+                                      {"sigma1": 0.0, "sigma3_const": 0.0},
+                                      {"sigma1": 0.0, "sigma2": 0.0, "sigma3_const": 0.3}])
     def test_supervised_equals_cyclic_without_consistency(self, pins):
         # sigma0 = 0 keeps the teacher out of F's gradient, so F trains on the
-        # label terms alone in both modes
+        # label terms alone in both modes; the sigma3 pin is a config field,
+        # the sigma1 and sigma2 pins are set on the schedule
         bundle = tiny_bundle()
-        sup = run_training(bundle, tiny_config(mode="supervised", iterations=5, **pins))
-        cyc = run_training(bundle, tiny_config(iterations=5, sigma0_const=0.0, **pins))
-        assert np.array_equal(sup.params_f.flat, cyc.params_f.flat)
+        sigma3 = pins["sigma3_const"]
+        ramp_pins = {name: v for name, v in pins.items() if name != "sigma3_const"}
+        sup_f, sup_logs = train_pinned(
+            bundle, tiny_config(mode="supervised", sigma3_const=sigma3), **ramp_pins)
+        cyc_f, cyc_logs = train_pinned(
+            bundle, tiny_config(sigma0_const=0.0, sigma3_const=sigma3), **ramp_pins)
+        assert np.array_equal(sup_f.flat, cyc_f.flat)
 
-        def label_logs(result):
-            return [(r["l_ce"], r["l_tri"], r["l_mil"]) for r in result.metrics]
+        def label_logs(metrics):
+            return [(r["l_ce"], r["l_tri"], r["l_mil"]) for r in metrics]
 
-        assert label_logs(sup) == label_logs(cyc)
+        assert label_logs(sup_logs) == label_logs(cyc_logs)
 
     @pytest.mark.parametrize("mode", ["supervised", "coteach-baseline"])
     def test_pinned_contrastive_weight_trains_and_logs(self, mode):
@@ -355,9 +377,9 @@ class TestLabelTermsInEveryMode:
 
     @pytest.mark.parametrize("mode", ["cyclic", "supervised", "selfsup", "coteach-baseline"])
     def test_zero_ce_weight_logs_zero_ce(self, mode):
-        result = run_training(tiny_bundle(), tiny_config(mode=mode, iterations=3,
-                                                         sigma1_const=0.0))
-        assert all(r["sigma1"] == 0.0 and r["l_ce"] == 0.0 for r in result.metrics)
+        _, metrics = train_pinned(tiny_bundle(), tiny_config(mode=mode, iterations=3),
+                                  sigma1=0.0)
+        assert all(r["sigma1"] == 0.0 and r["l_ce"] == 0.0 for r in metrics)
 
 
 class TestCoteachBaseline:
@@ -541,10 +563,10 @@ class TestScheduleByMode:
         assert s1 == s2 == s3 == 0.0
 
     def test_overrides_pin_constants(self):
-        sched = build_schedule(tiny_config(sigma0_const=0.0, sigma2_const=0.05))
+        sched = build_schedule(tiny_config(sigma0_const=0.0, sigma3_const=0.05))
         assert sched.at(0)[0] == 0.0
         assert sched.at(10_000)[0] == 0.0
-        assert sched.at(10_000)[2] == 0.05
+        assert sched.at(0)[3] == sched.at(10_000)[3] == 0.05
         # a pin also sets a weight the mode zeroes
         for mode in ("supervised", "selfsup", "coteach-baseline"):
             sched = build_schedule(tiny_config(mode=mode, sigma3_const=0.25))

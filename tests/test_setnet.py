@@ -431,11 +431,11 @@ class TestOptimizer:
 
     def test_milestone_decay(self, rng):
         g = rng.normal(size=SMALL.n_params)
-        cfg = TrainerConfig(lr=0.1, opt_momentum=0.0, milestones=(10,), gamma=0.1)
+        cfg = TrainerConfig(lr=0.1, milestones=(10,))
         assert [cfg.lr_at(k) for k in (9, 10, 11)] == [0.1, 0.1 * 0.1, 0.1 * 0.1]
         params, velocity = small_params(), np.zeros(SMALL.n_params)
-        steps = [optimizer_step(params, GradVector(SMALL, g), velocity, cfg.lr_at(k),
-                                cfg.opt_momentum) for k in (9, 11)]
+        steps = [optimizer_step(params, GradVector(SMALL, g), velocity, cfg.lr_at(k), 0.0)
+                 for k in (9, 11)]
         # momentum 0: identical grads, so the step literally shrinks 10x
         assert np.allclose(steps[0][2], 10.0 * steps[1][2], rtol=1e-12)
 

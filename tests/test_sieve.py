@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from cyclegait import sieve
 from cyclegait.cyclic import TrainerConfig
 from reference import ce_loss, entropy, softmax
 from cyclegait.sieve import (
+    CE_SCALE,
+    ENTROPY_SCALE,
     EVIDENCE_FLOOR,
     NoiseScores,
     SieveState,
@@ -100,44 +103,44 @@ def make_scores(entropies, ces, agrees, ruled_out=True):
 
 class TestAdaptMask:
     def test_warmup_keeps_everything(self):
-        config = TrainerConfig(sieve_warmup=3)
+        warmup = 3
         state = SieveState()
         # sample 1 is confident-wrong: sharp, agreeing, huge CE
         mixed = make_scores([0.1, 0.1], [0.1, 9.0], [True, True])
         for _ in range(3):
-            mask, state = adapt_mask(mixed, state, config)
+            mask, state = adapt_mask(mixed, state, warmup)
             assert mask.all()
-        mask, state = adapt_mask(mixed, state, config)  # past warmup: outlier filtered
+        mask, state = adapt_mask(mixed, state, warmup)  # past warmup: outlier filtered
         assert mask.tolist() == [True, False]
 
     def test_agreement_gate_defers_activation(self):
         # while the two networks disagree the scores are uninformative and
         # nothing may be masked, regardless of warmup having elapsed
-        config = TrainerConfig(sieve_warmup=1)
+        warmup = 1
         state = SieveState()
         disagreeing = make_scores([0.1, 9.0], [0.1, 9.0], [False, False])
         for _ in range(5):
-            mask, state = adapt_mask(disagreeing, state, config)
+            mask, state = adapt_mask(disagreeing, state, warmup)
             assert mask.all()
         assert not state.active
         agreeing = make_scores([0.1, 0.1], [0.1, 9.0], [True, True])
-        mask, state = adapt_mask(agreeing, state, config)
+        mask, state = adapt_mask(agreeing, state, warmup)
         assert state.active
         assert mask.tolist() == [True, False]
         # activation is sticky: a later uninformative-wrong sample is masked
-        mask, state = adapt_mask(disagreeing, state, config)
+        mask, state = adapt_mask(disagreeing, state, warmup)
         assert mask.tolist() == [True, False]
 
     def test_hard_but_uncertain_samples_are_kept(self):
-        config = TrainerConfig(sieve_warmup=1)
+        warmup = 1
         state = SieveState()
         batch = make_scores([0.1, 0.1], [0.1, 0.2], [True, True])
-        _, state = adapt_mask(batch, state, config)
-        _, state = adapt_mask(batch, state, config)
+        _, state = adapt_mask(batch, state, warmup)
+        _, state = adapt_mask(batch, state, warmup)
         assert state.active
         # high CE but flat prediction while the networks agree: hard, not noisy
         hard = make_scores([0.1, 5.0], [0.1, 9.0], [True, True])
-        mask, _ = adapt_mask(hard, state, config)
+        mask, _ = adapt_mask(hard, state, warmup)
         assert mask.tolist() == [True, True]
 
     def test_two_group_batch_masks_the_uninformative_half(self):
@@ -148,65 +151,57 @@ class TestAdaptMask:
         ent = [0.001, 0.001, ln_c, ln_c]
         ce = [0.001, 0.001, ln_c, ln_c + 0.01]
         agree = [True, True, False, False]
-        config = TrainerConfig(sieve_warmup=1)
+        warmup = 1
         state = SieveState()
-        mask, state = adapt_mask(make_scores(ent, ce, agree), state, config)  # warmup pass
+        mask, state = adapt_mask(make_scores(ent, ce, agree), state, warmup)  # warmup pass
         assert mask.tolist() == [True, True, True, True]
-        mask, state = adapt_mask(make_scores(ent, ce, agree), state, config)
+        mask, state = adapt_mask(make_scores(ent, ce, agree), state, warmup)
         assert mask.tolist() == [True, True, False, False]
 
     def test_identical_scores_all_kept(self):
-        config = TrainerConfig(sieve_warmup=1)
+        warmup = 1
         state = SieveState()
         scores = make_scores([0.5] * 4, [0.7] * 4, [True] * 4)
-        _, state = adapt_mask(scores, state, config)
-        mask, _ = adapt_mask(scores, state, config)
+        _, state = adapt_mask(scores, state, warmup)
+        mask, _ = adapt_mask(scores, state, warmup)
         assert mask.all()
 
-    def test_minimum_ce_sample_always_kept(self):
-        config = TrainerConfig(sieve_warmup=1, sieve_scale=1.0)
+    def test_minimum_ce_sample_always_kept(self, monkeypatch):
+        monkeypatch.setattr(sieve, "CE_SCALE", 1.0)
+        warmup = 1
         state = SieveState()
         good = make_scores([0.01, 0.01], [0.01, 0.02], [True, True])
-        _, state = adapt_mask(good, state, config)
-        _, state = adapt_mask(good, state, config)  # past warmup with agreement: active
+        _, state = adapt_mask(good, state, warmup)
+        _, state = adapt_mask(good, state, warmup)  # past warmup with agreement: active
         assert state.active
         # both uninformative-wrong: flat, disagreeing, huge CE
         terrible = make_scores([5.0, 6.0], [5.0, 4.0], [False, False])
-        mask, _ = adapt_mask(terrible, state, config)
+        mask, _ = adapt_mask(terrible, state, warmup)
         assert mask.tolist() == [False, True]  # index 1 has the smaller CE
 
     def test_deterministic(self):
-        config = TrainerConfig(sieve_warmup=0)
+        warmup = 0
         scores = make_scores([0.1, 0.9, 0.5], [0.2, 0.8, 0.5], [True, False, True])
-        m1, s1 = adapt_mask(scores, SieveState(), config)
-        m2, s2 = adapt_mask(scores, SieveState(), config)
+        m1, s1 = adapt_mask(scores, SieveState(), warmup)
+        m2, s2 = adapt_mask(scores, SieveState(), warmup)
         assert np.array_equal(m1, m2)
         assert s1 == s2
 
-    def test_running_means_smooth(self):
-        config = TrainerConfig(sieve_warmup=0, sieve_beta=0.9)
+    def test_running_means_smooth(self, monkeypatch):
+        monkeypatch.setattr(sieve, "SMOOTHING", 0.9)
+        warmup = 0
         state = SieveState()
-        _, state = adapt_mask(make_scores([1.0], [2.0], [True]), state, config)
+        _, state = adapt_mask(make_scores([1.0], [2.0], [True]), state, warmup)
         assert state.mean_entropy == 1.0 and state.mean_ce == 2.0
-        _, state = adapt_mask(make_scores([2.0], [4.0], [True]), state, config)
+        _, state = adapt_mask(make_scores([2.0], [4.0], [True]), state, warmup)
         assert abs(state.mean_entropy - (0.9 * 1.0 + 0.1 * 2.0)) < 1e-12
         assert abs(state.mean_ce - (0.9 * 2.0 + 0.1 * 4.0)) < 1e-12
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError):
-            adapt_mask(make_scores([], [], []), SieveState(), TrainerConfig())
+            adapt_mask(make_scores([], [], []), SieveState(), 0)
 
-    @pytest.mark.parametrize(
-        "name, value",
-        [
-            ("sieve_beta", 0.0),
-            ("sieve_beta", 1.0),
-            ("sieve_beta", 1.5),
-            ("sieve_warmup", -1),
-            ("sieve_keep_floor", 0.0),
-            ("sieve_keep_floor", 1.5),
-        ],
-    )
+    @pytest.mark.parametrize("name, value", [("sieve_warmup", -1)])
     def test_out_of_range_knobs_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainerConfig(**{name: value})
@@ -230,12 +225,13 @@ class TestKeepFloor:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_per_sample_loop(self, rows, keep_floor):
         ent, ce, agree = (np.array(col) for col in zip(*rows))
-        config = TrainerConfig(sieve_keep_floor=keep_floor)
         state = SieveState(mean_entropy=1.0, mean_ce=1.0, mean_ruled_out=1.0,
-                           iteration=config.sieve_warmup, active=True)
-        mask, _ = adapt_mask(make_scores(ent, ce, agree), state, config)
-        high_ce = ce > config.sieve_scale * state.mean_ce
-        sharp = ent <= config.sieve_entropy_scale * state.mean_entropy
+                           iteration=0, active=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sieve, "KEEP_FLOOR", keep_floor)
+            mask, _ = adapt_mask(make_scores(ent, ce, agree), state, 0)
+        high_ce = ce > CE_SCALE * state.mean_ce
+        sharp = ent <= ENTROPY_SCALE * state.mean_entropy
         unfloored = ~((agree & sharp & high_ce) | (~agree & ~sharp & high_ce))
         floor_n = max(1, math.ceil(keep_floor * len(ce)))
         assert mask.tolist() == reference.keep_floor(unfloored, ce, floor_n).tolist()
@@ -250,7 +246,7 @@ class TestEvidenceGate:
     ENT = [0.125] * B
     CE = [0.1] * (B - 2) + [9.0, 9.0]
     AGREE = [True] * B
-    CONFIG = TrainerConfig(sieve_warmup=1)
+    WARMUP = 1
 
     def batch(self, n_ruled_out=0):
         flags = [False] * (self.B - n_ruled_out) + [True] * n_ruled_out
@@ -261,7 +257,7 @@ class TestEvidenceGate:
         # label out: hard clean samples, and the sieve must keep them
         state = SieveState()
         for _ in range(20):
-            mask, state = adapt_mask(self.batch(), state, self.CONFIG)
+            mask, state = adapt_mask(self.batch(), state, self.WARMUP)
             assert mask.all()
         assert state.active and state.mean_ruled_out == 0.0
 
@@ -270,15 +266,15 @@ class TestEvidenceGate:
         # batch but only about 1/128 on the running mean
         state = SieveState()
         for k in range(40):
-            mask, state = adapt_mask(self.batch(1 if k % 4 == 3 else 0), state, self.CONFIG)
+            mask, state = adapt_mask(self.batch(1 if k % 4 == 3 else 0), state, self.WARMUP)
             assert mask.all()
             assert state.mean_ruled_out < EVIDENCE_FLOOR
 
     def test_contradicted_labels_are_masked_once_evidence_accumulates(self):
         state = SieveState()
-        mask, state = adapt_mask(self.batch(1), state, self.CONFIG)  # warmup
+        mask, state = adapt_mask(self.batch(1), state, self.WARMUP)  # warmup
         assert mask.all() and state.mean_ruled_out == EVIDENCE_FLOOR
-        mask, state = adapt_mask(self.batch(1), state, self.CONFIG)
+        mask, state = adapt_mask(self.batch(1), state, self.WARMUP)
         assert mask.tolist() == [True] * (self.B - 2) + [False, False]
 
     def test_evidence_is_a_share_of_the_batch(self):
@@ -286,29 +282,30 @@ class TestEvidenceGate:
         # evidence at every batch size, and a smaller share keeps the gate shut
         small = self.batch(1)
         large = NoiseScores(*(np.concatenate([v, v]) for v in small))
-        _, state_small = adapt_mask(small, SieveState(), self.CONFIG)
-        _, state_large = adapt_mask(large, SieveState(), self.CONFIG)
+        _, state_small = adapt_mask(small, SieveState(), self.WARMUP)
+        _, state_large = adapt_mask(large, SieveState(), self.WARMUP)
         assert state_small.mean_ruled_out == state_large.mean_ruled_out == EVIDENCE_FLOOR
-        mask, _ = adapt_mask(large, state_large, self.CONFIG)
+        mask, _ = adapt_mask(large, state_large, self.WARMUP)
         assert not mask.all()
         diluted = NoiseScores(*(np.concatenate([v, w]) for v, w in zip(small, self.batch())))
-        _, state = adapt_mask(diluted, SieveState(), self.CONFIG)
+        _, state = adapt_mask(diluted, SieveState(), self.WARMUP)
         assert state.mean_ruled_out == EVIDENCE_FLOOR / 2
-        mask, _ = adapt_mask(diluted, state, self.CONFIG)
+        mask, _ = adapt_mask(diluted, state, self.WARMUP)
         assert mask.all()
 
-    def test_gate_closes_when_evidence_fades(self):
-        config = TrainerConfig(sieve_warmup=0, sieve_beta=0.5)
+    def test_gate_closes_when_evidence_fades(self, monkeypatch):
+        monkeypatch.setattr(sieve, "SMOOTHING", 0.5)
+        warmup = 0
         state = SieveState()
-        _, state = adapt_mask(self.batch(2), state, config)
-        mask, state = adapt_mask(self.batch(2), state, config)
+        _, state = adapt_mask(self.batch(2), state, warmup)
+        mask, state = adapt_mask(self.batch(2), state, warmup)
         assert not mask.all()
         # 1/16 -> 1/32 (the floor still holds) -> 1/64: the gate shuts again
         for _ in range(2):
-            mask, state = adapt_mask(self.batch(), state, config)
+            mask, state = adapt_mask(self.batch(), state, warmup)
             assert not mask.all()
         assert state.mean_ruled_out < EVIDENCE_FLOOR
-        mask, state = adapt_mask(self.batch(), state, config)
+        mask, state = adapt_mask(self.batch(), state, warmup)
         assert mask.all()
 
 
