@@ -27,7 +27,6 @@ from .sieve import NoiseScores, SieveState, adapt_mask, score_arrays
 from .gaitgen import (
     AugmentationSpec,
     DatasetBundle,
-    GeometryParams,
     SequenceSample,
     corrupt_bundle,
     inject_augmentation_noise,

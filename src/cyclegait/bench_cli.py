@@ -22,7 +22,7 @@ One output directory holds one reproducible experiment:
 
 A dataset directory (gen-data, corrupt) holds:
 
-    manifest.json       every generator and corruption value; regenerates the data
+    manifest.json       generator sizes, seed and corruptions; regenerates the data
     train.bin test.bin  one split each: JSON header line, then float64 frames
 """
 
@@ -32,7 +32,6 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -51,7 +50,7 @@ from .cyclic import (
     run_training,
     train_groups,
 )
-from .gaitgen import FLAG_CLEAN, DatasetBundle
+from .gaitgen import FLAG_CLEAN, DatasetBundle, dataset_hash
 from .setnet import load_checkpoint, save_checkpoint
 
 CONFIG_FORMAT_VERSION = 1
@@ -160,12 +159,6 @@ def load_config_file(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def dataset_hash(manifest: dict) -> str:
-    """sha256 of a dataset manifest, leaving out its own config_hash entry."""
-    manifest = {k: v for k, v in manifest.items() if k != "config_hash"}
-    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def config_hash(cfg: ExperimentConfig, manifest: dict, n_seeds: int | None = None) -> str:
     """sha256 of what a run computes: the serialized config with data_dir and
     out_dir blanked, then the dataset_hash of the manifest it trains on. A
@@ -192,19 +185,6 @@ def _corrupt(bundle: DatasetBundle, mode: str, args) -> DatasetBundle:
     """bundle with mode applied by the corruption flags of gen-data or corrupt."""
     amount = args.fraction if mode == "split" else args.rate
     return gaitgen.corrupt_bundle(bundle, mode, amount, args.corrupt_seed)
-
-
-def _manifest_with_hash(manifest: dict) -> dict:
-    manifest = {k: v for k, v in manifest.items() if k != "config_hash"}
-    manifest["config_hash"] = dataset_hash(manifest)
-    return manifest
-
-
-def write_dataset(bundle: DatasetBundle, outdir: str):
-    bundle = DatasetBundle(bundle.train, bundle.test, _manifest_with_hash(bundle.manifest))
-    gaitgen.save_bundle(
-        bundle, outdir, extra_header={"config_hash": bundle.manifest["config_hash"]}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +392,7 @@ def cmd_gen_data(args) -> int:
     )
     if args.corrupt != "none":
         bundle = _corrupt(bundle, args.corrupt, args)
-    write_dataset(bundle, outdir)
+    gaitgen.save_bundle(bundle, outdir)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {len(bundle.train)} train / {len(bundle.test)} test sequences")
     print(f"train identities: {len(set(s.identity for s in bundle.train))}, "
@@ -425,7 +405,7 @@ def cmd_corrupt(args) -> int:
     outdir = _resolve_out(args.out)
     _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
     bundle = _corrupt(bundle, args.mode, args)
-    write_dataset(bundle, outdir)
+    gaitgen.save_bundle(bundle, outdir)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
     print(f"wrote {outdir}: {n_flagged} train sequences flagged {args.mode}")
     return 0
@@ -532,12 +512,6 @@ def cmd_cost(args) -> int:
     return 0
 
 
-# gen-data flags are stored under make_benchmark's argument names, and its
-# signature holds their defaults (read once, as wrappers may replace the name)
-_GENERATOR_DEFAULTS = {name: param.default for name, param
-                       in inspect.signature(gaitgen.make_benchmark).parameters.items()}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclegait",
@@ -553,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="split noise: share of train identities")
         p.add_argument(seed_flag, dest="corrupt_seed", type=int, default=7)
 
-    gen = _GENERATOR_DEFAULTS
+    # gen-data flags are stored under make_benchmark's argument names, with its defaults
+    gen = gaitgen.GENERATOR_DEFAULTS
     p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
     p.add_argument("--out", required=True)
     p.add_argument("--ids", dest="n_ids", type=int, default=gen["n_ids"])

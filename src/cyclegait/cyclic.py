@@ -211,10 +211,10 @@ def group_by_identity(samples) -> dict:
     return groups
 
 
-def pxk_sampler(dataset, p_ids: int, k_seqs: int, rng: RngStream):
-    """Sample P identities, then K sequences each (with replacement only when
-    an identity has fewer than K). Returns (batch, advanced rng)."""
-    groups = dataset if isinstance(dataset, dict) else group_by_identity(dataset)
+def pxk_sampler(groups: dict, p_ids: int, k_seqs: int, rng: RngStream):
+    """Sample P identities of groups (group_by_identity's map), then K
+    sequences each (with replacement only when an identity has fewer than K).
+    Returns (batch, advanced rng)."""
     ids = sorted(groups)
     if len(ids) < p_ids:
         raise ValueError(f"need at least {p_ids} identities, dataset has {len(ids)}")
@@ -347,7 +347,7 @@ def _two_net_step(inputs, state, config, schedule, k):
 
     # label terms on the kept rows, scattered into F's gradients
     l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z_f[kept], p_f[kept], labels[kept],
-                                                (s1, s2, s3), config)
+                                                (s1, s2, s3))
     d_zf = np.zeros_like(z_f)
     d_zf[kept] = d_z
     d_pf = s0 * d_pf_c
@@ -371,7 +371,7 @@ def _two_net_step(inputs, state, config, schedule, k):
     )
 
 
-def _label_terms(z, p, labels, sigmas, config):
+def _label_terms(z, p, labels, sigmas):
     """CE, triplet and contrastive losses of embeddings z and logits p against
     labels, weighted by sigmas = (s1, s2, s3); returns (l_ce, l_tri, l_mil,
     d_z, d_p). A term runs when its weight is non-zero and the rows can form
@@ -398,7 +398,7 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     """Forward, label terms, backward and step of one network; returns
     (new params, new velocity, applied delta, (l_ce, l_tri, l_mil))."""
     z, p, cache = forward_batch(frame_sets, params)
-    l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z, p, labels, sigmas, config)
+    l_ce, l_tri, l_mil, d_z, d_p = _label_terms(z, p, labels, sigmas)
     grad = backward_batch(cache, params, d_z, d_p)
     new_params, new_velocity, delta = optimizer_step(params, grad, velocity, config.lr_at(k),
                                                      SGD_MOMENTUM)

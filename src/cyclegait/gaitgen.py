@@ -12,23 +12,30 @@ identities transfer to test identities.
 
 Corruptions never touch clean_identity and always set noise_flag, so
 detection diagnostics stay possible downstream.
+
+A dataset directory is manifest.json plus train.bin and test.bin. The
+manifest records what gen-data and corrupt set (make_benchmark's arguments
+and the corruptions applied), so it alone regenerates the data; this module
+builds, hashes, writes and checks it.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
+import inspect
 import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
 from .numkit import RngStream, read_header
 
-DATASET_FORMAT_VERSION = 1  # of manifest.json; split files carry SPLIT_FORMAT_VERSION
+DATASET_FORMAT_VERSION = 2  # of manifest.json; split files carry SPLIT_FORMAT_VERSION
 
 CONDITIONS = ("NM", "BG", "CL")
 
@@ -36,6 +43,26 @@ FLAG_CLEAN = "clean"
 FLAG_LABEL = "label-noise"
 FLAG_AUG = "augmentation-noise"
 FLAG_SPLIT = "split-noise"
+
+# Latent geometry of the generator, fixed by calibration so that (a) an
+# untrained encoder scores at chance under the same-view-excluded retrieval
+# protocol (adjacent views decorrelate: quarter-turn rotations in 7 of the 8
+# coordinate planes) and (b) clothing sequences are markedly harder to match
+# than normal walking.
+ROTATED_PLANES = 7  # coordinate planes (0,1)..(12,13) rotate with view
+VIEW_ANGLE = math.pi / 2  # quarter turn per view step
+FRAME_JITTER = 0.12
+SEQ_JITTER = 0.12
+BG_SCALE = 0.35
+CL_COMMON_SCALE = 1.1  # shared clothing direction strength
+CL_ID_SCALE = 0.1  # identity-specific clothing offset strength
+CL_MATRIX_SCALE = 0.05  # identity-specific affine mix strength
+
+# Strength of the appearance corruption, fixed by calibration: a
+# nearest-prototype classifier must lose >= 10 accuracy points on perturbed
+# sequences while labels stay untouched.
+AUG_NOISE_OFFSET = 1.1
+AUG_NOISE_MULT_SIGMA = 0.35
 
 
 @dataclass
@@ -50,45 +77,9 @@ class SequenceSample:
     noise_flag: str = FLAG_CLEAN
 
 
-@dataclass(frozen=True)
-class GeometryParams:
-    """Latent-space constants of the generator; all recorded in the manifest.
-
-    The defaults are calibrated so that (a) an untrained encoder scores at
-    chance under the same-view-excluded retrieval protocol (adjacent views
-    decorrelate: quarter-turn rotations in 7 of the 8 coordinate planes) and
-    (b) clothing sequences are markedly harder to match than normal walking.
-    """
-
-    rotated_planes: int = 7  # coordinate planes (0,1)..(12,13) rotate with view
-    view_angle: float = 1.5707963267948966  # quarter turn per view step
-    frame_jitter: float = 0.12
-    seq_jitter: float = 0.12
-    bg_scale: float = 0.35
-    cl_common_scale: float = 1.1  # shared clothing direction strength
-    cl_id_scale: float = 0.1  # identity-specific clothing offset strength
-    cl_matrix_scale: float = 0.05  # identity-specific affine mix strength
-    cl_attenuation: float = 0.0  # fraction of the identity signal hidden by clothing
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeometryParams":
-        """The params a manifest records; a key that is not a field, or a value
-        that is not a number, is a ValueError."""
-        known = {f.name for f in fields(cls)}
-        for key, value in d.items():
-            if key not in known:
-                raise ValueError(f"unknown generator geometry key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"generator geometry key {key!r} holds a {type(value).__name__}")
-        return cls(**{k: type(getattr(cls, k))(v) for k, v in d.items()})
-
-
 @dataclass
 class Geometry:
-    """Realized latent structure, regenerable from (params, seed)."""
+    """Realized latent structure, regenerable from the sizes and seed."""
 
     prototypes: np.ndarray  # (n_ids, d_in), unit rows
     rotations: np.ndarray  # (n_views, d_in, d_in)
@@ -117,7 +108,7 @@ def _rotation_matrix(d_in: int, planes: int, angle: float) -> np.ndarray:
     return rot
 
 
-def build_geometry(n_ids: int, n_views: int, d_in: int, seed: int, params: GeometryParams) -> Geometry:
+def build_geometry(n_ids: int, n_views: int, d_in: int, seed: int) -> Geometry:
     root = RngStream(seed)
     proto_raw, _ = root.child(1).normal(n_ids * d_in)
     prototypes = proto_raw.reshape(n_ids, d_in)
@@ -134,25 +125,24 @@ def build_geometry(n_ids: int, n_views: int, d_in: int, seed: int, params: Geome
         s = root.child(3).child(i)
         mat_raw, s = s.normal(d_in * d_in)
         off_raw, s = s.normal(d_in)
-        mix = params.cl_matrix_scale * mat_raw.reshape(d_in, d_in) / math.sqrt(d_in)
+        mix = CL_MATRIX_SCALE * mat_raw.reshape(d_in, d_in) / math.sqrt(d_in)
         cl_offsets[i] = (
             mix @ prototypes[i]
-            - params.cl_attenuation * prototypes[i]
-            + params.cl_common_scale * cl_common_dir
-            + params.cl_id_scale * _unit(off_raw)
+            + CL_COMMON_SCALE * cl_common_dir
+            + CL_ID_SCALE * _unit(off_raw)
         )
 
     rotations = np.stack(
-        [_rotation_matrix(d_in, params.rotated_planes, v * params.view_angle) for v in range(n_views)]
+        [_rotation_matrix(d_in, ROTATED_PLANES, v * VIEW_ANGLE) for v in range(n_views)]
     )
     return Geometry(prototypes, rotations, bg_dir, cl_common_dir, cl_offsets)
 
 
-def _condition_offset(geom: Geometry, params: GeometryParams, identity: int, condition: str) -> np.ndarray:
+def _condition_offset(geom: Geometry, identity: int, condition: str) -> np.ndarray:
     if condition == "NM":
         return np.zeros_like(geom.bg_dir)
     if condition == "BG":
-        return params.bg_scale * geom.bg_dir
+        return BG_SCALE * geom.bg_dir
     if condition == "CL":
         return geom.cl_offsets[identity]
     raise ValueError(f"unknown condition {condition!r}")
@@ -165,7 +155,6 @@ def make_clean_dataset(
     frames_per_seq: int,
     d_in: int,
     seed: int,
-    params: GeometryParams | None = None,
 ):
     """Generate the clean dataset; returns (samples, manifest).
 
@@ -186,8 +175,7 @@ def make_clean_dataset(
     for cond in condition_groups:
         if cond not in CONDITIONS:
             raise ValueError(f"unknown condition {cond!r}")
-    params = params or GeometryParams()
-    geom = build_geometry(n_ids, n_views, d_in, seed, params)
+    geom = build_geometry(n_ids, n_views, d_in, seed)
     root = RngStream(seed)
 
     # one (condition, view) tag per sequence of an identity, in draw order
@@ -200,10 +188,10 @@ def make_clean_dataset(
         seq_offs = np.empty((len(tags), d_in))
         block = np.empty((len(tags), frames_per_seq, d_in))
         for k in range(len(tags)):
-            seq_offs[k], s = s.normal(d_in, params.seq_jitter)
-            noise, s = s.normal(frames_per_seq * d_in, params.frame_jitter)
+            seq_offs[k], s = s.normal(d_in, SEQ_JITTER)
+            noise, s = s.normal(frames_per_seq * d_in, FRAME_JITTER)
             block[k] = noise.reshape(frames_per_seq, d_in)
-        offsets = {c: _condition_offset(geom, params, identity, c) for c in condition_groups}
+        offsets = {c: _condition_offset(geom, identity, c) for c in condition_groups}
         base = geom.prototypes[identity] + np.array([offsets[c] for c, _ in tags]).reshape(-1, d_in)
         block = np.matmul((base + seq_offs)[:, None, :] + block, rotations_t)
         samples.extend(SequenceSample(frames, identity, condition, view, identity)
@@ -218,7 +206,6 @@ def make_clean_dataset(
             "frames_per_seq": frames_per_seq,
             "d_in": d_in,
             "seed": seed,
-            "geometry": params.to_dict(),
         },
         "corruptions": [],
     }
@@ -254,13 +241,6 @@ def inject_random_label_noise(samples, rate: float, seed: int):
         out[v].identity = others[int(pick[0])]
         out[v].noise_flag = FLAG_LABEL
     return out, descriptor
-
-
-# Strength of the appearance corruption, fixed by calibration: a
-# nearest-prototype classifier must lose >= 10 accuracy points on perturbed
-# sequences while labels stay untouched.
-AUG_NOISE_OFFSET = 1.1
-AUG_NOISE_MULT_SIGMA = 0.35
 
 
 def inject_augmentation_noise(samples, rate: float, seed: int):
@@ -342,19 +322,24 @@ def make_benchmark(
     frames_per_seq: int = 30,
     d_in: int = 16,
     seed: int = 1,
-    params: GeometryParams | None = None,
 ) -> DatasetBundle:
     """Clean benchmark: first n_train_ids identities train, the rest test.
     The defaults are the desk-scale benchmark that gen-data writes."""
     if not 2 <= n_train_ids < n_ids:
         raise ValueError("need 2 <= n_train_ids < n_ids")
     samples, manifest = make_clean_dataset(
-        n_ids, n_views, condition_groups, frames_per_seq, d_in, seed, params
+        n_ids, n_views, condition_groups, frames_per_seq, d_in, seed
     )
     manifest["generator"]["n_train_ids"] = n_train_ids
     train = [s for s in samples if s.identity < n_train_ids]
     test = [s for s in samples if s.identity >= n_train_ids]
     return DatasetBundle(train, test, manifest)
+
+
+# gen-data's flags and a manifest's generator keys are make_benchmark's
+# arguments, with its defaults (read once, as wrappers may replace the name)
+GENERATOR_DEFAULTS = MappingProxyType({name: param.default for name, param
+                                       in inspect.signature(make_benchmark).parameters.items()})
 
 
 def corrupt_bundle(bundle: DatasetBundle, mode: str, amount: float, seed: int) -> DatasetBundle:
@@ -370,20 +355,39 @@ def corrupt_bundle(bundle: DatasetBundle, mode: str, amount: float, seed: int) -
 def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
     """Rebuild a dataset byte-for-byte from its manifest.
 
-    A value the manifest lacks, or a geometry key the generator does not
-    take, is a ValueError that names the key.
+    The generator block holds exactly the keys of GENERATOR_DEFAULTS, each of
+    its default's type (condition_groups maps condition names to ints), and
+    each corruption a numeric amount and an int seed. A key that is missing,
+    unknown or of another type is a ValueError that names it.
     """
     try:
         gen = manifest["generator"]
-        sizes = {key: gen[key] for key in ("n_ids", "n_train_ids", "n_views",
-                                           "condition_groups", "frames_per_seq", "d_in", "seed")}
-        geometry = gen["geometry"]
-        steps = [(d["mode"], d["fraction"] if d["mode"] == "split" else d["rate"], d["seed"])
-                 for d in manifest.get("corruptions", [])]
+        sizes = {key: gen[key] for key in GENERATOR_DEFAULTS}
+        steps = []
+        for d in manifest.get("corruptions", []):
+            amount_key = "fraction" if d["mode"] == "split" else "rate"
+            steps.append((d["mode"], amount_key, d[amount_key], d["seed"]))
     except KeyError as err:
         raise ValueError(f"dataset manifest lacks key {err.args[0]!r}") from None
-    bundle = make_benchmark(**sizes, params=GeometryParams.from_dict(geometry))
-    for mode, amount, seed in steps:
+    unknown = sorted(gen.keys() - GENERATOR_DEFAULTS.keys())
+    if unknown:
+        raise ValueError(f"unknown generator key {unknown[0]!r}")
+    for key, value in sizes.items():  # a bool is not an int
+        default = GENERATOR_DEFAULTS[key]
+        if isinstance(default, Mapping):
+            if type(value) is not dict or any(type(v) is not int for v in value.values()):
+                raise ValueError(f"generator key {key!r} must map condition names to ints, "
+                                 f"got {value!r}")
+        elif type(value) is not type(default):
+            raise ValueError(f"generator key {key!r} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
+    for _, amount_key, amount, seed in steps:
+        if isinstance(amount, bool) or not isinstance(amount, (int, float)):
+            raise ValueError(f"corruption key {amount_key!r} must be a number, got {amount!r}")
+        if type(seed) is not int:
+            raise ValueError(f"corruption key 'seed' must be of type int, got {seed!r}")
+    bundle = make_benchmark(**sizes)
+    for mode, _, amount, seed in steps:
         bundle = corrupt_bundle(bundle, mode, amount, seed)
     return bundle
 
@@ -437,8 +441,9 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
 # ---------------------------------------------------------------------------
 # persistence: manifest.json plus train.bin and test.bin. A split file is one
 # sorted-key JSON header line (format_version, n_sequences, d_in, then "lengths"
-# and the columns below with one entry per sequence, and extras like config_hash),
-# then every sequence's frames as little-endian float64, in sample order.
+# and the columns below with one entry per sequence, and config_hash, the
+# manifest's dataset_hash), then every sequence's frames as little-endian
+# float64, in sample order.
 
 SPLIT_FORMAT_VERSION = 2
 # header column -> field, in SequenceSample's field order after frames
@@ -446,11 +451,12 @@ _SPLIT_COLUMNS = {"id": "identity", "condition": "condition", "view": "view",
                   "clean_id": "clean_identity", "noise_flag": "noise_flag"}
 
 
-def _write_split(path, samples, extra_header: dict | None = None):
+def _write_split(path, samples, config_hash: str):
     columns = {col: [getattr(s, field) for s in samples] for col, field in _SPLIT_COLUMNS.items()}
     header = {"format_version": SPLIT_FORMAT_VERSION, "n_sequences": len(samples),
               "d_in": samples[0].frames.shape[1] if samples else 0,
-              "lengths": [s.frames.shape[0] for s in samples], **columns, **(extra_header or {})}
+              "lengths": [s.frames.shape[0] for s in samples], **columns,
+              "config_hash": config_hash}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         if samples:
@@ -485,25 +491,36 @@ def _read_split(path, with_frames: bool = True):
         bounds[:-1], bounds[1:], *(header[col] for col in _SPLIT_COLUMNS))]
 
 
-def save_bundle(bundle: DatasetBundle, outdir, extra_header: dict | None = None):
+def dataset_hash(manifest: dict) -> str:
+    """sha256 of a dataset manifest, leaving out its own config_hash entry."""
+    manifest = {k: v for k, v in manifest.items() if k != "config_hash"}
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def save_bundle(bundle: DatasetBundle, outdir):
+    """Write bundle to outdir. manifest.json and both split headers carry the
+    manifest's dataset_hash as config_hash; bundle itself is left unchanged."""
+    digest = dataset_hash(bundle.manifest)
     os.makedirs(outdir, exist_ok=True)
-    _write_split(os.path.join(outdir, "train.bin"), bundle.train, extra_header)
-    _write_split(os.path.join(outdir, "test.bin"), bundle.test, extra_header)
+    _write_split(os.path.join(outdir, "train.bin"), bundle.train, digest)
+    _write_split(os.path.join(outdir, "test.bin"), bundle.test, digest)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(bundle.manifest, fh, sort_keys=True, indent=2)
+        json.dump({**bundle.manifest, "config_hash": digest}, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_bundle(datadir, frames=("train", "test")) -> DatasetBundle:
     """The dataset saved in datadir, with the frames of the splits named in
-    frames. Both split files are checked (header and payload size); a split
-    not named is not read further, and its bundle field is None."""
-    train_bin = os.path.join(datadir, "train.bin")
-    if os.path.exists(os.path.join(datadir, "train.jsonl")) and not os.path.exists(train_bin):
-        raise ValueError(f"{datadir} holds a dataset in JSONL format 1, which is no longer "
-                         "read; rebuild it with gen-data, as its manifest.json records every value")
+    frames. A manifest of another format_version is refused. Both split files
+    are checked (header and payload size); a split not named is not read
+    further, and its bundle field is None."""
     with open(os.path.join(datadir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    return DatasetBundle(_read_split(train_bin, with_frames="train" in frames),
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != DATASET_FORMAT_VERSION:
+        raise ValueError(f"{datadir} holds a dataset manifest in format {version}, not "
+                         f"{DATASET_FORMAT_VERSION}; rebuild the dataset with gen-data")
+    return DatasetBundle(_read_split(os.path.join(datadir, "train.bin"),
+                                     with_frames="train" in frames),
                          _read_split(os.path.join(datadir, "test.bin"),
                                      with_frames="test" in frames), manifest)

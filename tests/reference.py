@@ -20,8 +20,9 @@ carries in a faster shape, each next to the fast one:
 - the ablation grid that regenerated the dataset for every cell, next to
   the one that regenerates it once.
 The audit helpers are readers that only tests need: the generator's latent
-geometry and its nearest-prototype oracle, a bundle's class count and frame
-width, and the first iteration a curve reaches a target.
+geometry and its nearest-prototype oracle, a manifest as format 1 wrote it, a
+bundle's class count and frame width, and the first iteration a curve
+reaches a target.
 """
 
 import dataclasses
@@ -31,10 +32,10 @@ import numpy as np
 
 from cyclegait.bench_cli import ABLATION_CELLS
 from cyclegait.cyclic import run_training
+from cyclegait import gaitgen
 from cyclegait.gaitgen import (
     CONDITIONS,
     DATASET_FORMAT_VERSION,
-    GeometryParams,
     SequenceSample,
     _condition_offset,
     build_geometry,
@@ -384,14 +385,13 @@ def nearest_gallery_entry(gallery_features, probe_features, admissible):
     return nearest
 
 
-def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq, d_in, seed,
-                               params=None):
+def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq, d_in, seed):
     """gaitgen.make_clean_dataset as one loop over the sequences, on the same
-    draws: each sequence's offset, jitter and view rotation are applied on
-    their own, to a frame array of its own. Same signature and result, so a
-    test can patch it in."""
-    params = params or GeometryParams()
-    geom = build_geometry(n_ids, n_views, d_in, seed, params)
+    draws and the same geometry constants (read at call time, so a patched
+    constant moves both): each sequence's offset, jitter and view rotation
+    are applied on their own, to a frame array of its own. Same signature and
+    result, so a test can patch it in."""
+    geom = build_geometry(n_ids, n_views, d_in, seed)
     root = RngStream(seed)
     samples = []
     for identity in range(n_ids):
@@ -399,11 +399,11 @@ def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq,
         for condition in CONDITIONS:
             for _group in range(condition_groups.get(condition, 0)):
                 for view in range(n_views):
-                    seq_off, s = s.normal(d_in, params.seq_jitter)
-                    noise, s = s.normal(frames_per_seq * d_in, params.frame_jitter)
+                    seq_off, s = s.normal(d_in, gaitgen.SEQ_JITTER)
+                    noise, s = s.normal(frames_per_seq * d_in, gaitgen.FRAME_JITTER)
                     base = (
                         geom.prototypes[identity]
-                        + _condition_offset(geom, params, identity, condition)
+                        + _condition_offset(geom, identity, condition)
                         + seq_off
                     )
                     frames = base + noise.reshape(frames_per_seq, d_in)
@@ -420,7 +420,6 @@ def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq,
             "frames_per_seq": frames_per_seq,
             "d_in": d_in,
             "seed": seed,
-            "geometry": params.to_dict(),
         },
         "corruptions": [],
     }
@@ -578,10 +577,17 @@ def first_reach_iteration(iterations, values, target: float):
 def geometry_of(manifest: dict):
     """Latent geometry of a dataset, regenerated from its manifest."""
     gen = manifest["generator"]
-    return build_geometry(
-        gen["n_ids"], gen["n_views"], gen["d_in"], gen["seed"],
-        GeometryParams.from_dict(gen["geometry"]),
-    )
+    return build_geometry(gen["n_ids"], gen["n_views"], gen["d_in"], gen["seed"])
+
+
+def format_1_manifest(manifest: dict) -> dict:
+    """manifest as format 1 wrote it: the generator's geometry, at the values
+    that are now gaitgen's constants, recorded beside its sizes."""
+    geometry = {"rotated_planes": 7, "view_angle": 1.5707963267948966, "frame_jitter": 0.12,
+                "seq_jitter": 0.12, "bg_scale": 0.35, "cl_common_scale": 1.1,
+                "cl_id_scale": 0.1, "cl_matrix_scale": 0.05, "cl_attenuation": 0.0}
+    return {**manifest, "format_version": 1,
+            "generator": {**manifest["generator"], "geometry": geometry}}
 
 
 def nearest_prototype_ids(samples, geom) -> np.ndarray:

@@ -141,12 +141,12 @@ class TestConfigRoundtrip:
         cfg = ExperimentConfig()
         base = config_hash(cfg, MANIFEST)
         for edit in (lambda m: m["generator"].update(seed=2),
-                     lambda m: m["generator"]["geometry"].update(frame_jitter=0.2),
+                     lambda m: m["generator"]["condition_groups"].update(CL=2),
                      lambda m: m["corruptions"].append({"mode": "label", "rate": 0.2, "seed": 7})):
             manifest = copy.deepcopy(MANIFEST)
             edit(manifest)
             assert config_hash(cfg, manifest) != base
-        # apart from the manifest's own hash entry, which write_dataset adds
+        # apart from the manifest's own hash entry, which save_bundle adds
         assert config_hash(cfg, {**MANIFEST, "config_hash": "x"}) == base
 
     def test_every_field_is_serialized(self):
@@ -330,10 +330,12 @@ class TestTrainEvalPipeline:
 
     @pytest.mark.parametrize("command", ["train", "corrupt"])
     def test_jsonl_dataset_is_a_usage_error(self, data_dir, tmp_path, capsys, command):
-        # a dataset directory as format 1 wrote it: the manifest plus JSONL splits
+        # a dataset directory as format 1 wrote it: a manifest that records the
+        # generator geometry, plus JSONL splits
         old, out = tmp_path / "old", tmp_path / "out"
         old.mkdir()
-        (old / "manifest.json").write_bytes((data_dir / "manifest.json").read_bytes())
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        (old / "manifest.json").write_text(json.dumps(reference.format_1_manifest(manifest)))
         for split in ("train", "test"):
             (old / f"{split}.jsonl").write_text(
                 '{"format_version": 1, "n_sequences": 1}\n'
@@ -347,7 +349,7 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
-        assert str(old) in err[0] and "JSONL format 1" in err[0] and "gen-data" in err[0]
+        assert str(old) in err[0] and "format 1" in err[0] and "gen-data" in err[0]
         assert not out.exists()
 
     def test_truncated_split_fails_train_and_eval(self, data_dir, tmp_path, capsys):
@@ -622,16 +624,27 @@ class TestAblateCommand:
         assert not out.exists()  # checked before the output directory is made
 
     @pytest.mark.parametrize("edit, key", [
-        (lambda gen: gen["geometry"].update(bogus=1.0), "'bogus'"),
-        (lambda gen: gen.pop("n_train_ids"), "'n_train_ids'"),
-        (lambda gen: gen["geometry"].update(frame_jitter=[0.12]), "'frame_jitter'"),
-    ], ids=["unknown-geometry-key", "missing-n_train_ids", "geometry-value-list"])
+        (lambda m: m["generator"].update(bogus=1), "'bogus'"),
+        (lambda m: m["generator"].pop("n_train_ids"), "'n_train_ids'"),
+        # the geometry block that format 1 recorded
+        (lambda m: m["generator"].update(geometry={"frame_jitter": 0.12}), "'geometry'"),
+        (lambda m: m["generator"].update(frames_per_seq=[6]), "'frames_per_seq'"),
+        (lambda m: m["generator"].update(n_views="2"), "'n_views'"),
+        (lambda m: m["generator"].update(d_in=True), "'d_in'"),
+        (lambda m: m["generator"]["condition_groups"].update(CL=1.0), "'condition_groups'"),
+        (lambda m: m["corruptions"].append({"mode": "label", "rate": "0.2", "seed": 7}),
+         "'rate'"),
+        (lambda m: m["corruptions"].append({"mode": "split", "fraction": 0.5, "seed": "7"}),
+         "'seed'"),
+    ], ids=["unknown-generator-key", "missing-n_train_ids", "unknown-geometry-key",
+            "generator-value-list", "n_views-str", "d_in-bool", "condition_groups-float",
+            "rate-str", "seed-str"])
     def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         edit, key):
         data, out = tmp_path / "data", tmp_path / "ablation"
         run_cli("gen-data", "--out", str(data), *TINY_GEN, "--ids", "12", "--train-ids", "9")
         manifest = json.loads((data / "manifest.json").read_text())
-        edit(manifest["generator"])
+        edit(manifest)
         (data / "manifest.json").write_text(json.dumps(manifest))
         regenerations = []
         regenerate = gaitgen.regenerate_from_manifest

@@ -82,7 +82,7 @@ class TestSampler:
     def test_exhaustive_two_by_two(self):
         bundle = tiny_bundle()
         two_ids = [s for s in bundle.train if s.identity in (0, 1)]
-        batch, _ = pxk_sampler(two_ids, 2, 2, RngStream(1))
+        batch, _ = pxk_sampler(group_by_identity(two_ids), 2, 2, RngStream(1))
         assert len(batch) == 4
         ids = [s.identity for s in batch]
         assert ids.count(0) == 2 and ids.count(1) == 2
@@ -91,7 +91,7 @@ class TestSampler:
         bundle = tiny_bundle()
         one_seq = [next(s for s in bundle.train if s.identity == 0)]
         other = [s for s in bundle.train if s.identity == 1]
-        batch, _ = pxk_sampler(one_seq + other, 2, 4, RngStream(1))
+        batch, _ = pxk_sampler(group_by_identity(one_seq + other), 2, 4, RngStream(1))
         zero_frames = [s.frames for s in batch if s.identity == 0]
         assert len(zero_frames) == 4
         assert all(np.array_equal(zero_frames[0], f) for f in zero_frames)
@@ -100,7 +100,7 @@ class TestSampler:
         bundle = tiny_bundle()
         two_ids = [s for s in bundle.train if s.identity in (0, 1)]
         with pytest.raises(ValueError):
-            pxk_sampler(two_ids, 3, 2, RngStream(1))
+            pxk_sampler(group_by_identity(two_ids), 3, 2, RngStream(1))
 
     def test_identity_frequency_uniform(self):
         bundle = tiny_bundle()
@@ -402,7 +402,7 @@ class TestCoteachBaseline:
 
     def test_selection_tie_break_by_index(self):
         bundle = tiny_bundle()
-        batch, _ = pxk_sampler(bundle.train, 3, 2, RngStream(5))
+        batch, _ = pxk_sampler(group_by_identity(bundle.train), 3, 2, RngStream(5))
         same = [type(s)(batch[0].frames, s.identity, s.condition, s.view,
                         s.clean_identity, s.noise_flag) for s in batch]
 

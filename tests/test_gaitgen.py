@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,10 +11,10 @@ from cyclegait.gaitgen import (
     FLAG_CLEAN,
     FLAG_LABEL,
     FLAG_SPLIT,
-    GeometryParams,
     SequenceSample,
     augment_frame_sets,
     corrupt_bundle,
+    dataset_hash,
     inject_augmentation_noise,
     inject_identity_split,
     inject_random_label_noise,
@@ -138,15 +139,11 @@ class TestCleanGeneration:
             assert 0 <= s.view < 2
             assert s.frames.shape == (8, 16)
 
-    def test_zero_jitter_nearest_prototype_perfect(self):
-        params = GeometryParams(frame_jitter=0.0, seq_jitter=0.0)
-        samples, manifest = make_clean_dataset(
-            2, 1, {"NM": 1}, 5, 16, seed=9, params=params
-        )
-        geom = geometry_of(
-            {"generator": {"n_ids": 2, "n_views": 1, "d_in": 16, "seed": 9,
-                           "geometry": params.to_dict()}}
-        )
+    def test_zero_jitter_nearest_prototype_perfect(self, monkeypatch):
+        monkeypatch.setattr(gaitgen, "FRAME_JITTER", 0.0)
+        monkeypatch.setattr(gaitgen, "SEQ_JITTER", 0.0)
+        samples, manifest = make_clean_dataset(2, 1, {"NM": 1}, 5, 16, seed=9)
+        geom = geometry_of(manifest)
         preds = nearest_prototype_ids(samples, geom)
         assert np.array_equal(preds, [s.clean_identity for s in samples])
 
@@ -312,13 +309,16 @@ class TestBundleAndManifest:
         loaded = load_bundle(tmp_path)
         assert frames_equal(bundle.train, loaded.train)
         assert frames_equal(bundle.test, loaded.test)
-        assert loaded.manifest == bundle.manifest
+        # the saved manifest gains its hash; the caller's bundle is left as it was
+        assert "config_hash" not in bundle.manifest
+        digest = dataset_hash(bundle.manifest)
+        assert loaded.manifest == {**bundle.manifest, "config_hash": digest}
 
     def test_split_file_layout(self, tmp_path):
         bundle = make_benchmark(n_ids=5, n_train_ids=3, n_views=1,
                                 condition_groups={"NM": 1, "CL": 1},
                                 frames_per_seq=4, seed=1)
-        save_bundle(bundle, tmp_path, extra_header={"config_hash": "abc"})
+        save_bundle(bundle, tmp_path)
         blob = (tmp_path / "train.bin").read_bytes()
         header_end = blob.index(b"\n") + 1
         header = json.loads(blob[:header_end])
@@ -326,6 +326,7 @@ class TestBundleAndManifest:
         assert set(header) == {"format_version", "n_sequences", "d_in", "lengths", "id",
                                "clean_id", "condition", "view", "noise_flag", "config_hash"}
         assert header["format_version"] == 2
+        assert header["config_hash"] == dataset_hash(bundle.manifest)
         assert header["n_sequences"] == len(bundle.train)
         assert header["lengths"] == [s.frames.shape[0] for s in bundle.train]
         assert len(blob) - header_end == 8 * sum(header["lengths"]) * header["d_in"]
@@ -342,7 +343,8 @@ class TestBundleAndManifest:
             for k, (t, cond, flag) in enumerate(zip((1, 5, 30, 2), ("NM", "BG", "CL", "NM"), flags))
         ]
         samples[1].frames[0, :] = (-0.0, 5e-324, np.nextafter(1.0, 2.0))
-        bundle = DatasetBundle(samples, samples[::-1], {"format_version": 1})
+        bundle = DatasetBundle(samples, samples[::-1],
+                               {"format_version": gaitgen.DATASET_FORMAT_VERSION})
         save_bundle(bundle, tmp_path)
         loaded = load_bundle(tmp_path)
         for split, back in ((bundle.train, loaded.train), (bundle.test, loaded.test)):
@@ -373,6 +375,32 @@ class TestBundleAndManifest:
             path.write_bytes(blob)
             with pytest.raises(ValueError, match="train.bin"):
                 load_bundle(tmp_path)
+
+    def test_manifest_of_another_format_is_refused(self, tmp_path):
+        bundle = make_benchmark(n_ids=5, n_train_ids=3, n_views=1,
+                                condition_groups={"NM": 1, "CL": 1},
+                                frames_per_seq=4, seed=1)
+        save_bundle(bundle, tmp_path)
+        # format 1 wrote the same split files
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps(reference.format_1_manifest(manifest)))
+        with pytest.raises(ValueError, match="format 1") as err:
+            load_bundle(tmp_path)
+        assert str(tmp_path) in str(err.value) and "gen-data" in str(err.value)
+
+    def test_default_benchmark_is_pinned(self):
+        # sha256 of each split's frames in sample order; a generator change
+        # that moves them must bump DATASET_FORMAT_VERSION with this pin
+        assert gaitgen.DATASET_FORMAT_VERSION == 2
+        bundle = make_benchmark(seed=1)
+        for split, n, digest in (
+                (bundle.train, 1600,
+                 "0b147a817e37f952cc636471557f21f43ac6ba2c806890aac5477b2fb6501e0a"),
+                (bundle.test, 800,
+                 "42a42fd38a337fb527e746989175e03e6557a3ccaba268f7f1bbfd3c10f754dc")):
+            assert len(split) == n
+            frames = np.concatenate([s.frames for s in split]).astype("<f8")
+            assert hashlib.sha256(frames.tobytes()).hexdigest() == digest
 
     def test_counts_preserved_by_corruptions(self):
         bundle = make_benchmark(n_ids=6, n_train_ids=4, n_views=2,
