@@ -211,15 +211,15 @@ def _write_csv(path: str, text: str, digest: str):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Train per config on the dataset in cfg.data_dir, persist the run
-    directory, return (result, outdir).
+    """Train per config on the dataset in cfg.data_dir, reading only its
+    train split's frames; persist the run directory, return (result, outdir).
 
     No dataset directory, or a dataset that cannot fill the batch shape,
     raises ValueError before anything is written.
     """
     if not cfg.data_dir:
         raise ValueError("train needs a dataset directory: pass --data or set data_dir")
-    bundle = gaitgen.load_bundle(cfg.data_dir)
+    bundle = gaitgen.load_bundle(cfg.data_dir, frames=("train",))
     train_groups(bundle, cfg)
     outdir = _resolve_out(cfg.out_dir)
     os.makedirs(outdir, exist_ok=True)

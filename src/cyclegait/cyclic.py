@@ -14,11 +14,13 @@ One cyclic iteration, in order:
 Comparison modes: "supervised" (single network, CE + triplet),
 "selfsup" (consistency only, labels unused) and "coteach-baseline"
 (classic small-loss sample exchange, which unlike the cyclic scheme needs
-the noise rate as prior knowledge). A mode zeroes the schedule weights it
-does not keep (MODE_SIGMAS), a sigma0_const or sigma3_const pin then sets
-that weight in any mode (sigma0 only where a consistency term exists), and
-_label_terms, the one CE / triplet / contrastive routine of every mode, runs
-each non-zero term.
+the noise rate as prior knowledge). MODE_TABLE holds each mode's recipe in
+one row: its step, the schedule weights it keeps, whether it trains M,
+whether M follows F by EMA, whether F reads augmented frames and whether the
+sieve may run. A mode zeroes the weights it does not keep, a sigma0_const or
+sigma3_const pin then sets that weight in any mode (sigma0 only where weight
+0 is kept), and _label_terms, the one CE / triplet / contrastive routine of
+every mode, runs each non-zero term.
 
 Every run is a pure function of (dataset, config): sampling, initialization
 and augmentation draws all come from substreams of config.seed. The loop
@@ -29,11 +31,10 @@ the batch shape can train in lockstep on the same inputs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .lossbank import (
     per_sample_ce,
     triplet_loss,
 )
-from .numkit import RngStream, read_header
+from .numkit import RngStream, read_header, write_header
 from .setnet import (
     EncoderShape,
     GradVector,
@@ -64,11 +65,6 @@ from .setnet import (
 from .sieve import SieveState, adapt_mask, detection_stats, score_arrays
 
 TRACE_FORMAT_VERSION = 1
-
-# profile weights each mode keeps, by sigma index; the others read 0
-MODE_SIGMAS = {"cyclic": (0, 1, 2, 3), "supervised": (1, 2), "selfsup": (0,),
-               "coteach-baseline": (1, 2)}
-MODES = tuple(MODE_SIGMAS)
 
 # fixed parts of the recipe: the training-time augmentation of every mode that
 # augments, the temperature of the contrastive (MIL) label term, and the
@@ -103,8 +99,8 @@ class TrainerConfig:
     and_enabled: bool = False
     seed: int = 1
     schedule_profile: str = "noisy"  # "noisy" or "clean"
-    d_hidden: int = 64
-    d_emb: int = 32
+    d_hidden: int = EncoderShape.d_hidden
+    d_emb: int = EncoderShape.d_emb
     record_trace: bool = False
     snapshot_every: int = 0
     coteach_noise_rate: float = 0.2  # prior required by the baseline only
@@ -118,9 +114,9 @@ class TrainerConfig:
     milestones: tuple[int, ...] = in_section("optimizer", (1000,))
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_TABLE:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.sigma0_const is not None and 0 not in MODE_SIGMAS[self.mode]:
+        if self.sigma0_const is not None and 0 not in self.recipe.sigmas:
             raise ValueError(f"mode {self.mode} has no consistency term; sigma0_const "
                              "must be none")
         if self.p_ids < 2 or self.k_seqs < 2:
@@ -131,9 +127,9 @@ class TrainerConfig:
             raise ValueError("iterations must be >= 0")
         if self.schedule_profile not in ("noisy", "clean"):
             raise ValueError(f"unknown schedule profile {self.schedule_profile!r}")
-        if self.and_enabled and self.mode != "cyclic":
+        if self.and_enabled and not self.recipe.sieve:
             raise ValueError("the noise sieve needs the two-network cyclic mode")
-        if self.record_trace and self.mode not in ("cyclic", "selfsup"):
+        if self.record_trace and not self.recipe.ema:
             raise ValueError("update traces require a two-network EMA-capable mode")
         if self.mode == "coteach-baseline" and not 0.0 <= self.coteach_noise_rate < 1.0:
             raise ValueError("coteach baseline noise rate must lie in [0, 1)")
@@ -146,6 +142,11 @@ class TrainerConfig:
         # written as not >= so that NaN fails too
         if not self.lr >= 0.0:
             raise ValueError("lr (learning rate) must be >= 0")
+
+    @property
+    def recipe(self) -> Recipe:
+        """The mode's row of MODE_TABLE."""
+        return MODE_TABLE[self.mode]
 
     @property
     def batch_size(self) -> int:
@@ -164,7 +165,7 @@ def build_schedule(config: TrainerConfig) -> CoeffSchedule:
         base = CoeffSchedule.clean_default()
     else:
         base = CoeffSchedule.noisy_default(config.iterations)
-    kept = MODE_SIGMAS[config.mode]
+    kept = config.recipe.sigmas
     ramps = (base.sigma0, base.sigma1, base.sigma2, base.sigma3)
     pins = (config.sigma0_const, None, None, config.sigma3_const)
     return CoeffSchedule(*(
@@ -180,20 +181,6 @@ class TraceRecord:
     delta_f: np.ndarray
     delta_m: np.ndarray | None
     pre_ema_m_hash: str | None
-
-
-@dataclass
-class TrainState:
-    """What one config's training changes across iterations; single-writer
-    only. The sampler and augmentation streams are not here: the loop owns
-    them, as configs trained in lockstep share their draws."""
-
-    params_f: ModelParams
-    params_m: ModelParams | None
-    vel_f: np.ndarray  # momentum-SGD velocity of F, in the parameter layout
-    vel_m: np.ndarray | None
-    sieve: SieveState
-    forward_count: int = 0
 
 
 class StepInputs(NamedTuple):
@@ -287,22 +274,23 @@ class StepProposal(NamedTuple):
     extra: dict  # mode-specific metrics
 
 
-def train_iteration(inputs: StepInputs, state: TrainState, config: TrainerConfig,
-                    schedule: CoeffSchedule, k: int):
-    """Run iteration k (1-based) on inputs in place; returns (breakdown,
-    TraceRecord, metrics).
+def train_iteration(inputs: StepInputs, run: TrainingResult, schedule: CoeffSchedule,
+                    k: int):
+    """Run iteration k (1-based) of run on inputs, updating run in place;
+    returns (breakdown, TraceRecord, metrics).
 
-    The mode's step proposes new networks; they replace the ones in state
-    only once the combined loss is finite.
+    The mode's step proposes new networks; they replace the ones in run only
+    once the combined loss is finite.
     """
-    step = _STEPS[config.mode](inputs, state, config, schedule, k)
+    config = run.config
+    step = config.recipe.step(inputs, run, schedule, k)
     breakdown = crc_combine(*step.losses, schedule, k)
     if not breakdown.is_finite():
         raise NonFiniteLossError(
             f"non-finite loss at iteration {k}", _loss_diagnostics(inputs.batch, breakdown, k)
         )
-    state.params_f, state.vel_f, state.params_m, state.vel_m = step.nets
-    state.forward_count += step.forwards
+    run.params_f, run.vel_f, run.params_m, run.vel_m = step.nets
+    run.forward_count += step.forwards
     metrics = {
         "iter": k,
         **breakdown.as_dict(),
@@ -314,14 +302,15 @@ def train_iteration(inputs: StepInputs, state: TrainState, config: TrainerConfig
     return breakdown, step.record, metrics
 
 
-def _two_net_step(inputs, state, config, schedule, k):
+def _two_net_step(inputs, run, schedule, k):
+    config = run.config
     batch = inputs.batch
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
-    pre_hash = state.params_m.sha256()
-    params_m = ema_transfer(state.params_m, state.params_f, config.momentum)
+    pre_hash = run.params_m.sha256()
+    params_m = ema_transfer(run.params_m, run.params_f, config.momentum)
 
-    z_f, p_f, cache_f = forward_batch(inputs.frames_f, state.params_f)
+    z_f, p_f, cache_f = forward_batch(inputs.frames_f, run.params_f)
     z_m, p_m, cache_m = forward_batch(inputs.frames_m, params_m)
 
     s0, s1, s2, s3 = schedule.at(k)
@@ -333,7 +322,7 @@ def _two_net_step(inputs, state, config, schedule, k):
     mask_stats = {}
     if config.and_enabled:
         scores = score_arrays(p_f, p_m, labels)
-        mask, state.sieve = adapt_mask(scores, state.sieve, config.sieve_warmup)
+        mask, run.sieve = adapt_mask(scores, run.sieve, config.sieve_warmup)
         detected = detection_stats(mask, [s.noise_flag for s in batch])
         mask_stats = {
             "mask_mean_entropy": float(scores.entropy.mean()),
@@ -353,16 +342,16 @@ def _two_net_step(inputs, state, config, schedule, k):
     d_pf = s0 * d_pf_c
     d_pf[kept] += d_p
 
-    grad_f = backward_batch(cache_f, state.params_f, d_zf, d_pf)
+    grad_f = backward_batch(cache_f, run.params_f, d_zf, d_pf)
     lr = config.lr_at(k)
-    params_f, vel_f, delta_f = optimizer_step(state.params_f, grad_f, state.vel_f, lr,
+    params_f, vel_f, delta_f = optimizer_step(run.params_f, grad_f, run.vel_f, lr,
                                               SGD_MOMENTUM)
 
     if s0 != 0.0:
         grad_m = backward_batch(cache_m, params_m, np.zeros_like(z_m), s0 * d_pm_c)
     else:
         grad_m = GradVector.zeros(params_m.shape)
-    params_m, vel_m, delta_m = optimizer_step(params_m, grad_m, state.vel_m, lr,
+    params_m, vel_m, delta_m = optimizer_step(params_m, grad_m, run.vel_m, lr,
                                               SGD_MOMENTUM)
 
     return StepProposal(
@@ -405,10 +394,10 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     return new_params, new_velocity, delta, (l_ce, l_tri, l_mil)
 
 
-def _supervised_step(inputs, state, config, schedule, k):
+def _supervised_step(inputs, run, schedule, k):
     labels = np.array([s.identity for s in inputs.batch], dtype=int)
     params_f, vel_f, delta_f, losses = _label_update(
-        state.params_f, state.vel_f, inputs.frames_f, labels, schedule.at(k)[1:], config, k
+        run.params_f, run.vel_f, inputs.frames_f, labels, schedule.at(k)[1:], run.config, k
     )
     return StepProposal(
         (0.0, *losses), (params_f, vel_f, None, None),
@@ -416,20 +405,21 @@ def _supervised_step(inputs, state, config, schedule, k):
     )
 
 
-def _coteach_step(inputs, state, config, schedule, k):
+def _coteach_step(inputs, run, schedule, k):
     """Classic small-loss co-teaching step: each network selects its smallest-CE
     fraction (1 - coteach_noise_rate) of the batch and the peer trains on it.
 
     Requires the noise rate as prior knowledge, unlike the cyclic scheme.
     Selection forwards plus training forwards cost 2N + 2*ceil((1-rate)*N).
     """
+    config = run.config
     batch = inputs.batch
     labels = np.array([s.identity for s in batch], dtype=int)
     b = len(batch)
     frame_sets = [s.frames for s in batch]
 
-    p_a = forward_batch(frame_sets, state.params_f)[1]  # selection only: no cache kept
-    p_b = forward_batch(frame_sets, state.params_m)[1]
+    p_a = forward_batch(frame_sets, run.params_f)[1]  # selection only: no cache kept
+    p_b = forward_batch(frame_sets, run.params_m)[1]
     n_keep = math.ceil((1.0 - config.coteach_noise_rate) * b)
     sel_a = np.argsort(per_sample_ce(p_a, labels), kind="stable")[:n_keep]  # ties by index
     sel_b = np.argsort(per_sample_ce(p_b, labels), kind="stable")[:n_keep]
@@ -437,11 +427,11 @@ def _coteach_step(inputs, state, config, schedule, k):
     # peer exchange: A trains on B's selection and vice versa; losses log the peers' mean
     sigmas = schedule.at(k)[1:]
     params_f, vel_f, delta_f, losses_f = _label_update(
-        state.params_f, state.vel_f, [frame_sets[i] for i in sel_b], labels[sel_b],
+        run.params_f, run.vel_f, [frame_sets[i] for i in sel_b], labels[sel_b],
         sigmas, config, k,
     )
     params_m, vel_m, _, losses_m = _label_update(
-        state.params_m, state.vel_m, [frame_sets[i] for i in sel_a], labels[sel_a],
+        run.params_m, run.vel_m, [frame_sets[i] for i in sel_a], labels[sel_a],
         sigmas, config, k,
     )
     return StepProposal(
@@ -451,12 +441,24 @@ def _coteach_step(inputs, state, config, schedule, k):
     )
 
 
-_STEPS = {
-    "cyclic": _two_net_step,
-    "selfsup": _two_net_step,
-    "supervised": _supervised_step,
-    "coteach-baseline": _coteach_step,
+class Recipe(NamedTuple):
+    """One mode's training recipe, a row of MODE_TABLE."""
+
+    step: Callable  # (inputs, run, schedule, k) -> StepProposal
+    sigmas: tuple  # schedule weights kept, by sigma index; the others read 0
+    trains_m: bool  # a second network M trains beside F
+    ema: bool  # M follows F by EMA, so a trace may be recorded; M reads augmented frames
+    augment_f: bool  # F reads augmented frames, else the raw ones
+    sieve: bool  # the noise sieve (and_enabled) may run
+
+
+MODE_TABLE = {
+    "cyclic": Recipe(_two_net_step, (0, 1, 2, 3), True, True, True, True),
+    "supervised": Recipe(_supervised_step, (1, 2), False, False, True, False),
+    "selfsup": Recipe(_two_net_step, (0,), True, True, True, False),
+    "coteach-baseline": Recipe(_coteach_step, (1, 2), True, False, False, False),
 }
+MODES = tuple(MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +487,7 @@ class TraceWriter:
         self.n_params = n_params
         self._record = np.zeros((), dtype=trace_record_dtype(n_params))
         self._fh = open(path, "wb")
-        self._fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        write_header(self._fh, header)
 
     def write(self, k: int, delta_f: np.ndarray, delta_m: np.ndarray):
         record = self._record
@@ -598,32 +600,35 @@ def _check_records(chunk, done: int):
 
 @dataclass
 class TrainingResult:
+    """One config's run. train_iteration updates it in place, and
+    run_training returns it; single-writer only. The sampler and augmentation
+    streams are not here: the loop owns them, as configs trained in lockstep
+    share their draws."""
+
+    config: TrainerConfig
     params_f: ModelParams
     params_m: ModelParams | None
     init_f: ModelParams
     init_m: ModelParams | None
-    metrics: list
-    snapshots: list  # (iteration, ModelParams) copies of F
-    forward_count: int
-    config: TrainerConfig
+    vel_f: np.ndarray  # momentum-SGD velocity of F, in the parameter layout
+    vel_m: np.ndarray | None
+    sieve: SieveState = field(default_factory=SieveState)
+    metrics: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)  # (iteration, ModelParams) copies of F
+    forward_count: int = 0
 
-
-def init_state(config: TrainerConfig, shape: EncoderShape) -> TrainState:
-    """Fresh training state; the two networks draw distinct init streams."""
-    root = RngStream(config.seed)
-    params_f, _ = init_params(shape, root.child(1))
-    two_net = config.mode in ("cyclic", "selfsup", "coteach-baseline")
-    params_m = vel_m = None
-    if two_net:
-        params_m, _ = init_params(shape, root.child(2))
-        vel_m = np.zeros(shape.n_params)
-    return TrainState(
-        params_f=params_f,
-        params_m=params_m,
-        vel_f=np.zeros(shape.n_params),
-        vel_m=vel_m,
-        sieve=SieveState(),
-    )
+    @classmethod
+    def start(cls, config: TrainerConfig, shape: EncoderShape) -> TrainingResult:
+        """A fresh run of config; the two networks draw distinct init streams."""
+        root = RngStream(config.seed)
+        params_f, _ = init_params(shape, root.child(1))
+        params_m = init_m = vel_m = None
+        if config.recipe.trains_m:
+            params_m, _ = init_params(shape, root.child(2))
+            init_m, vel_m = params_m.copy(), np.zeros(shape.n_params)
+        snapshots = [(0, params_f.copy())] if config.snapshot_every > 0 else []
+        return cls(config, params_f, params_m, params_f.copy(), init_m,
+                   np.zeros(shape.n_params), vel_m, snapshots=snapshots)
 
 
 def train_groups(dataset, config: TrainerConfig) -> dict:
@@ -677,20 +682,7 @@ def run_training(dataset, configs, trace_path=None):
         return EncoderShape(d_in=d_in, d_hidden=config.d_hidden, d_emb=config.d_emb,
                             n_classes=max(groups) + 1)
 
-    runs = []
-    for config in configs:
-        state = init_state(config, shape(config))
-        result = TrainingResult(
-            params_f=state.params_f,
-            params_m=state.params_m,
-            init_f=state.params_f.copy(),
-            init_m=state.params_m.copy() if state.params_m is not None else None,
-            metrics=[],
-            snapshots=[(0, state.params_f.copy())] if config.snapshot_every > 0 else [],
-            forward_count=0,
-            config=config,
-        )
-        runs.append((config, state, build_schedule(config), result))
+    runs = [(TrainingResult.start(c, shape(c)), build_schedule(c)) for c in configs]
 
     writer = None
     if lead.record_trace:
@@ -699,27 +691,22 @@ def run_training(dataset, configs, trace_path=None):
             extra={"mode": lead.mode},
         )
 
-    # coteach-baseline reads raw frames; only the two-net steps read M's
-    augment_f = any(c.mode != "coteach-baseline" for c in configs)
-    augment_m = any(_STEPS[c.mode] is _two_net_step for c in configs)
+    augment_f = any(c.recipe.augment_f for c in configs)
+    augment_m = any(c.recipe.ema for c in configs)
     try:
         inputs = draw_inputs(groups, lead, augment_f, augment_m)
         for k, step_inputs in enumerate(inputs, start=1):
-            for config, state, schedule, result in runs:
-                _, record, metrics = train_iteration(step_inputs, state, config, schedule, k)
-                result.metrics.append(metrics)
+            for run, schedule in runs:
+                _, record, metrics = train_iteration(step_inputs, run, schedule, k)
+                run.metrics.append(metrics)
                 if writer is not None and record.delta_m is not None:
                     writer.write(k, record.delta_f, record.delta_m)
-                if config.snapshot_every > 0 and (
-                    k % config.snapshot_every == 0 or k == config.iterations
-                ):
-                    result.snapshots.append((k, state.params_f.copy()))
+                every = run.config.snapshot_every
+                if every > 0 and (k % every == 0 or k == run.config.iterations):
+                    run.snapshots.append((k, run.params_f.copy()))
     finally:
         if writer is not None:
             writer.close()
 
-    for _, state, _, result in runs:
-        result.params_f, result.params_m = state.params_f, state.params_m
-        result.forward_count = state.forward_count
-    results = [result for *_, result in runs]
+    results = [run for run, _ in runs]
     return results[0] if single else results

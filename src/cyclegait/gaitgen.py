@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .numkit import RngStream, read_header
+from .numkit import RngStream, read_header, write_header
 
 DATASET_FORMAT_VERSION = 2  # of manifest.json; split files carry SPLIT_FORMAT_VERSION
 
@@ -355,16 +355,23 @@ def corrupt_bundle(bundle: DatasetBundle, mode: str, amount: float, seed: int) -
 def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
     """Rebuild a dataset byte-for-byte from its manifest.
 
-    The generator block holds exactly the keys of GENERATOR_DEFAULTS, each of
-    its default's type (condition_groups maps condition names to ints), and
-    each corruption a numeric amount and an int seed. A key that is missing,
-    unknown or of another type is a ValueError that names it.
+    The generator block is an object holding exactly the keys of
+    GENERATOR_DEFAULTS, each of its default's type (condition_groups maps
+    condition names to ints), and corruptions a list of objects, each with a
+    numeric amount and an int seed. A block or key that is missing, unknown
+    or of another type is a ValueError that names it.
     """
     try:
         gen = manifest["generator"]
+        corruptions = manifest.get("corruptions", [])
+        if type(gen) is not dict:
+            raise ValueError(f"manifest block 'generator' must be an object, got {gen!r}")
+        if type(corruptions) is not list or any(type(d) is not dict for d in corruptions):
+            raise ValueError("manifest block 'corruptions' must be a list of objects, "
+                             f"got {corruptions!r}")
         sizes = {key: gen[key] for key in GENERATOR_DEFAULTS}
         steps = []
-        for d in manifest.get("corruptions", []):
+        for d in corruptions:
             amount_key = "fraction" if d["mode"] == "split" else "rate"
             steps.append((d["mode"], amount_key, d[amount_key], d["seed"]))
     except KeyError as err:
@@ -458,7 +465,7 @@ def _write_split(path, samples, config_hash: str):
               "lengths": [s.frames.shape[0] for s in samples], **columns,
               "config_hash": config_hash}
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        write_header(fh, header)
         if samples:
             fh.write(np.concatenate([s.frames for s in samples]).astype("<f8", copy=False))
 

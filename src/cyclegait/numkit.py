@@ -1,5 +1,6 @@
-"""Seeded, splittable randomness (RngStream), and read_header, the reader of
-the JSON header line that starts every binary file of the package.
+"""Seeded, splittable randomness (RngStream), and write_header and
+read_header, the writer and reader of the JSON header line that starts every
+binary file of the package.
 
 RngStream is the single source of randomness for the whole package; any draw
 is addressable by (seed, stream id, block), which makes every experiment
@@ -116,6 +117,10 @@ class RngStream:
         vals = self._generator().integers(0, 1 << 63, size=2)
         return (int(vals[0]), int(vals[1])), self._advanced(2)
 
+
+def write_header(fh, header: dict):
+    """Write header as one sorted-key JSON line, the form read_header reads."""
+    fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
 
 
 def read_header(fh, path, what: str, version: int, keys: dict) -> dict:

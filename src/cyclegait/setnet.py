@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkit import RngStream, read_header
+from .numkit import RngStream, read_header, write_header
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -158,18 +157,13 @@ GradVector = ParamVector
 
 
 def init_params(shape: EncoderShape, rng: RngStream):
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per segment."""
-    fan_in = {
-        "w1": shape.d_in,
-        "b1": shape.d_in,
-        "w2": shape.d_pooled,
-        "b2": shape.d_pooled,
-        "w3": shape.d_emb,
-        "b3": shape.d_emb,
-    }
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per segment: a
+    weight's fan-in is its input width (d_in, d_pooled, d_emb), and the bias
+    that follows it shares that bound."""
     chunks = []
-    for name, seg_shape in shape.segments():
-        bound = 1.0 / np.sqrt(fan_in[name])
+    for _, seg_shape in shape.segments():
+        if len(seg_shape) == 2:  # a weight (out, in)
+            bound = 1.0 / np.sqrt(seg_shape[1])
         vals, rng = rng.uniform(int(np.prod(seg_shape)), -bound, bound)
         chunks.append(vals)
     return ModelParams(shape, np.concatenate(chunks)), rng
@@ -360,7 +354,7 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None):
     if extra:
         header.update(extra)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        write_header(fh, header)
         fh.write(params.flat.astype("<f8").tobytes())
 
 

@@ -387,6 +387,19 @@ class TestTrainEvalPipeline:
         assert len(built) == len(by_eval) + len(bundle.train) + len(bundle.test)
         assert frames_of(by_eval) == frames_of(bundle.test)
 
+    def test_train_reads_no_test_frames(self, data_dir, tmp_path, monkeypatch):
+        reads, read_split = [], gaitgen._read_split
+
+        def spied(path, with_frames=True):
+            reads.append((os.path.basename(path), with_frames))
+            return read_split(path, with_frames)
+
+        config = tmp_path / "exp.cfg"
+        config.write_text(serialize_config(tiny_train_config(data_dir, tmp_path / "run")))
+        monkeypatch.setattr(gaitgen, "_read_split", spied)
+        assert run_cli("train", "--config", str(config)) == 0
+        assert reads == [("train.bin", True), ("test.bin", False)]
+
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")
         _, outdir = run_experiment(cfg)
@@ -636,9 +649,12 @@ class TestAblateCommand:
          "'rate'"),
         (lambda m: m["corruptions"].append({"mode": "split", "fraction": 0.5, "seed": "7"}),
          "'seed'"),
+        (lambda m: m.update(generator=[1]), "'generator'"),
+        (lambda m: m.update(corruptions=["split"]), "'corruptions'"),
+        (lambda m: m.update(corruptions={"mode": "split"}), "'corruptions'"),
     ], ids=["unknown-generator-key", "missing-n_train_ids", "unknown-geometry-key",
             "generator-value-list", "n_views-str", "d_in-bool", "condition_groups-float",
-            "rate-str", "seed-str"])
+            "rate-str", "seed-str", "generator-list", "corruption-str", "corruptions-object"])
     def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         edit, key):
         data, out = tmp_path / "data", tmp_path / "ablation"

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
+    MODE_TABLE,
+    MODES,
     StepInputs,
     TraceWriter,
     TrainerConfig,
-    TrainState,
+    TrainingResult,
     build_schedule,
     draw_inputs,
     group_by_identity,
-    init_state,
     pxk_sampler,
     read_trace,
     run_training,
@@ -70,12 +71,12 @@ def train_pinned(bundle, config, **pins):
                                    **{name: Ramp.constant(v) for name, v in pins.items()})
     shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
                          d_emb=config.d_emb, n_classes=reference.n_train_classes(bundle))
-    state = init_state(config, shape)
-    inputs = draw_inputs(group_by_identity(bundle.train), config,
-                         config.mode != "coteach-baseline", config.mode in ("cyclic", "selfsup"))
-    metrics = [train_iteration(step, state, config, schedule, k)[2]
+    run = TrainingResult.start(config, shape)
+    inputs = draw_inputs(group_by_identity(bundle.train), config, config.recipe.augment_f,
+                         config.recipe.ema)
+    metrics = [train_iteration(step, run, schedule, k)[2]
                for k, step in enumerate(inputs, start=1)]
-    return state.params_f, metrics
+    return run.params_f, metrics
 
 
 class TestSampler:
@@ -125,13 +126,13 @@ class TestSampler:
 
 class TestTrainIteration:
     def _state_and_inputs(self, config, bundle=None):
-        """A fresh state and the inputs of the first iteration, as run_training
+        """A fresh run and the inputs of the first iteration, as run_training
         draws them."""
         bundle = bundle or tiny_bundle()
         shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
                              d_emb=config.d_emb,
                              n_classes=reference.n_train_classes(bundle))
-        state = init_state(config, shape)
+        state = TrainingResult.start(config, shape)
         inputs = next(draw_inputs(group_by_identity(bundle.train), config, True, True))
         return state, inputs
 
@@ -141,7 +142,7 @@ class TestTrainIteration:
         schedule = build_schedule(config)
         state, inputs = self._state_and_inputs(config)
         before = state.params_m.flat.copy()
-        train_iteration(inputs, state, config, schedule, 1)
+        train_iteration(inputs, state, schedule, 1)
         assert np.array_equal(state.params_m.flat, before)
 
     def test_zero_lr_isolates_ema(self):
@@ -150,7 +151,7 @@ class TestTrainIteration:
         state, inputs = self._state_and_inputs(config)
         f_before = state.params_f.flat.copy()
         m_expected = ema_transfer(state.params_m, state.params_f, config.momentum)
-        train_iteration(inputs, state, config, schedule, 1)
+        train_iteration(inputs, state, schedule, 1)
         assert np.array_equal(state.params_f.flat, f_before)
         assert np.array_equal(state.params_m.flat, m_expected.flat)
 
@@ -163,9 +164,8 @@ class TestTrainIteration:
 
         shuffled = [type(s)(s.frames, (s.identity + 1) % 6, s.condition, s.view,
                             s.clean_identity, s.noise_flag) for s in inputs.batch]
-        _, rec_a, _ = train_iteration(inputs, state_a, config, schedule, 1)
-        _, rec_b, _ = train_iteration(inputs._replace(batch=shuffled), state_b, config,
-                                      schedule, 1)
+        _, rec_a, _ = train_iteration(inputs, state_a, schedule, 1)
+        _, rec_b, _ = train_iteration(inputs._replace(batch=shuffled), state_b, schedule, 1)
         assert np.array_equal(rec_a.delta_m, rec_b.delta_m)
         assert not np.array_equal(rec_a.delta_f, rec_b.delta_f)
 
@@ -173,14 +173,14 @@ class TestTrainIteration:
         config = tiny_config()
         schedule = build_schedule(config)
         state, inputs = self._state_and_inputs(config)
-        _, record, _ = train_iteration(inputs, state, config, schedule, 1)
+        _, record, _ = train_iteration(inputs, state, schedule, 1)
         assert record.pre_ema_m_hash != state.params_m.sha256()
 
     def test_breakdown_identity(self):
         config = tiny_config()
         schedule = build_schedule(config)
         state, inputs = self._state_and_inputs(config)
-        breakdown, _, _ = train_iteration(inputs, state, config, schedule, 1)
+        breakdown, _, _ = train_iteration(inputs, state, schedule, 1)
         recomputed = (
             breakdown.sigma0 * breakdown.l_c
             + breakdown.sigma1 * breakdown.l_ce
@@ -195,7 +195,7 @@ class TestTrainIteration:
         config = tiny_config()
         schedule = build_schedule(config)
         state, inputs = self._state_and_inputs(config)
-        train_iteration(inputs, state, config, schedule, 1)
+        train_iteration(inputs, state, schedule, 1)
         assert state.forward_count == 2 * len(inputs.batch)
 
 
@@ -341,6 +341,60 @@ class TestRunTraining:
         assert np.array_equal(sup.params_f.flat, cyc.params_f.flat)
 
 
+def accepted(ok, **kwargs):
+    """tiny_config(**kwargs) when ok, else assert that it raises ValueError."""
+    if ok:
+        return tiny_config(**kwargs)
+    with pytest.raises(ValueError):
+        tiny_config(**kwargs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestModeTable:
+    """Each rule of a mode's MODE_TABLE row is that mode's behaviour, and the
+    rows say what the recipe of each mode is."""
+
+    def test_sieve_only_in_cyclic(self, mode):
+        assert MODE_TABLE[mode].sieve == (mode == "cyclic")
+        accepted(MODE_TABLE[mode].sieve, mode=mode, and_enabled=True)
+
+    def test_trace_only_where_m_follows_f_by_ema(self, mode, tmp_path):
+        ema = MODE_TABLE[mode].ema
+        assert ema == (mode in ("cyclic", "selfsup"))
+        config = accepted(ema, mode=mode, record_trace=True, iterations=2)
+        if ema:
+            run_training(tiny_bundle(), config, trace_path=str(tmp_path / "trace.bin"))
+            assert len(read_trace(tmp_path / "trace.bin")[1]) == 2
+
+    def test_consistency_pin_only_where_weight_0_is_kept(self, mode):
+        kept = MODE_TABLE[mode].sigmas
+        assert (0 in kept) == (mode in ("cyclic", "selfsup"))
+        accepted(0 in kept, mode=mode, sigma0_const=0.0)
+        metrics = run_training(tiny_bundle(), tiny_config(mode=mode, iterations=2)).metrics
+        for i in set(range(4)) - set(kept):
+            assert all(r[f"sigma{i}"] == 0.0 for r in metrics)
+
+    def test_memorizing_network_only_where_the_row_trains_it(self, mode):
+        trains_m = MODE_TABLE[mode].trains_m
+        assert trains_m == (mode != "supervised")
+        result = run_training(tiny_bundle(), tiny_config(mode=mode, iterations=2))
+        assert (result.params_m is None) == (not trains_m)
+        assert (result.init_m is None) == (not trains_m)
+
+    def test_forwards_per_iteration(self, mode):
+        # 2B for the two-net modes, B for supervised, 2B + 2 ceil((1 - r) B) for
+        # co-teaching, the one mode that trains M without the EMA
+        recipe = MODE_TABLE[mode]
+        config = tiny_config(mode=mode, iterations=3, coteach_noise_rate=0.4)
+        b = config.batch_size
+        per_iter = 2 * b if recipe.trains_m else b
+        if recipe.trains_m and not recipe.ema:
+            per_iter += 2 * math.ceil((1.0 - config.coteach_noise_rate) * b)
+        result = run_training(tiny_bundle(), config)
+        assert [r["forwards"] for r in result.metrics] == [per_iter] * 3
+        assert result.forward_count == 3 * per_iter
+
+
 class TestLabelTermsInEveryMode:
     """One routine forms CE, triplet and contrastive for every mode, so a
     weight the schedule gives is a weight the step applies."""
@@ -410,7 +464,7 @@ class TestCoteachBaseline:
             shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
                                  d_emb=config.d_emb,
                                  n_classes=reference.n_train_classes(bundle))
-            state = init_state(config, shape)
+            state = TrainingResult.start(config, shape)
             state.params_f.flat[:] = 0.0
             if state.params_m is not None:
                 state.params_m.flat[:] = 0.0
@@ -421,8 +475,7 @@ class TestCoteachBaseline:
         config = tiny_config(mode="coteach-baseline", coteach_noise_rate=0.5)
         state = zeroed_state(config)
         schedule = build_schedule(config)
-        _, _, metrics = train_iteration(StepInputs(same, None, None), state, config,
-                                        schedule, 1)
+        _, _, metrics = train_iteration(StepInputs(same, None, None), state, schedule, 1)
         assert metrics["kept_fraction"] == 0.5
         for subset, equal in ((same[:3], True), (same[3:], False)):
             zeros = zeroed_state(config)
