@@ -248,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig):
     if result.snapshots:
         curve = gaugekit.memorization_curve(result.snapshots, bundle.train)
         rows = ["iteration,clean_accuracy,noisy_accuracy"]
-        for it, clean_acc, noisy_acc in curve.rows():
+        for it, clean_acc, noisy_acc in curve:
             noisy_txt = "" if noisy_acc is None else f"{noisy_acc:.6f}"
             rows.append(f"{it},{clean_acc:.6f},{noisy_txt}")
         _write_csv(os.path.join(outdir, "memorization.csv"), "\n".join(rows) + "\n", digest)
@@ -259,7 +259,7 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
     """Write rank1.csv / rank1.json / variance.csv for a checkpoint."""
     os.makedirs(outdir, exist_ok=True)
     z, _ = gaugekit.embed_samples(params, test_samples)
-    report = gaugekit.evaluate_embeddings(z, test_samples)
+    report = gaugekit.rank1(z, test_samples)
     _write_csv(os.path.join(outdir, "rank1.csv"), report.to_csv_text(), digest)
     with open(os.path.join(outdir, "rank1.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": digest, **report.to_json_dict()}, fh, indent=2, sort_keys=True)
@@ -267,7 +267,7 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
     stats = gaugekit.variance_stats(
         z, [s.identity for s in test_samples], [s.condition for s in test_samples]
     )
-    lines = ["statistic,value"] + [f"{k},{v:.9f}" for k, v in stats.as_dict().items()]
+    lines = ["statistic,value"] + [f"{k},{v:.9f}" for k, v in stats.items()]
     _write_csv(os.path.join(outdir, "variance.csv"), "\n".join(lines) + "\n", digest)
     return report
 

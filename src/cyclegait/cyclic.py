@@ -139,9 +139,12 @@ class TrainerConfig:
             raise ValueError("snapshot_every must be >= 0 (0 takes no snapshots)")
         if self.d_hidden < 1 or self.d_emb < 1:
             raise ValueError("d_hidden and d_emb must be >= 1")
-        # written as not >= so that NaN fails too
-        if not self.lr >= 0.0:
-            raise ValueError("lr (learning rate) must be >= 0")
+        if not 0.0 <= self.lr < math.inf:  # NaN fails too
+            raise ValueError("lr (learning rate) must be finite and >= 0")
+        for name in ("sigma0_const", "sigma3_const"):
+            pin = getattr(self, name)
+            if pin is not None and not math.isfinite(pin):
+                raise ValueError(f"{name} must be finite when set")
 
     @property
     def recipe(self) -> Recipe:
@@ -675,6 +678,8 @@ def run_training(dataset, configs, trace_path=None):
         raise ValueError("trace recording trains one config at a time")
     if lead.record_trace and trace_path is None:
         raise ValueError("record_trace needs a trace_path to stream the trace to")
+    if trace_path is not None and not lead.record_trace:
+        raise ValueError("a trace_path needs record_trace to write the trace")
     groups = train_groups(dataset, lead)
     d_in = next(iter(groups.values()))[0].frames.shape[1]
 

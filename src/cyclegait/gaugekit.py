@@ -1,6 +1,7 @@
-"""Evaluation and analysis: rank-1 retrieval, feature variance statistics,
-memorization curves, the closed-form check of the EMA parameter recurrence,
-and the forward-pass cost model.
+"""Evaluation and analysis: rank-1 evaluation of a test split (rank1 holds
+the gallery/probe protocol), feature variance statistics, memorization
+curves, the closed-form check of the EMA parameter recurrence, and the
+forward-pass cost model.
 
 The recurrence check takes a trace's records as a re-iterable of
 (delta_f, delta_m) pairs with a len(), such as the TraceRecords that
@@ -12,7 +13,7 @@ the trace is.
 from __future__ import annotations
 
 import io
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class EvalReport:
     overall_mean: float
     gallery_size: int
     probe_size: int
-    exclude_same_view: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -46,14 +46,16 @@ class EvalReport:
             "overall_mean": self.overall_mean,
             "gallery_size": self.gallery_size,
             "probe_size": self.probe_size,
-            "exclude_same_view": self.exclude_same_view,
+            "exclude_same_view": True,  # rank1 always excludes same-view matches
         }
 
     def to_csv_text(self) -> str:
         out = io.StringIO()
         out.write("probe," + ",".join(str(v) for v in self.views) + ",Mean\n")
         for c in self.conditions:
-            row = [f"{self.cells[(c, v)]:.6f}" for v in self.views]
+            # a view with no probe of this condition leaves its cell empty
+            row = [f"{self.cells[(c, v)]:.6f}" if (c, v) in self.cells else ""
+                   for v in self.views]
             out.write(f"{c}," + ",".join(row) + f",{self.condition_means[c]:.6f}\n")
         out.write(
             "Overall," + ",".join("" for _ in self.views) + f",{self.overall_mean:.6f}\n"
@@ -91,83 +93,61 @@ def nearest_gallery_entry(gallery_features, probe_features, admissible) -> np.nd
     return nearest
 
 
-def rank1(gallery_features, gallery_ids, gallery_views,
-          probe_features, probe_ids, probe_views, probe_conditions,
-          exclude_same_view: bool = True) -> EvalReport:
-    """Nearest-neighbor rank-1 accuracy per (probe condition, probe view).
+def rank1(z, test_samples) -> EvalReport:
+    """Rank-1 retrieval accuracy of a test split's embeddings z (one row per
+    sample), per (probe condition, probe view), plus plain means of the cells.
 
-    Distances are Euclidean; when exclusion is on, gallery entries sharing
-    the probe's view are inadmissible. Ties resolve to the lowest gallery
-    index. Means are plain arithmetic means of their constituent cells.
+    The gallery is the first NM sequence per (identity, view) in file order,
+    and every other sequence probes (split_gallery_probe). A probe's
+    candidates are the gallery entries of other views: same-view matches are
+    excluded. It takes the candidate at the least Euclidean distance; ties
+    resolve to the lowest gallery index (nearest_gallery_entry).
     """
-    g_feat = np.asarray(gallery_features, dtype=np.float64)
-    p_feat = np.asarray(probe_features, dtype=np.float64)
-    if g_feat.size == 0 or p_feat.size == 0:
-        raise ValueError("gallery and probe must both be nonempty")
-    if g_feat.shape[1] != p_feat.shape[1]:
-        raise ValueError("gallery and probe feature dimensions differ")
-    g_ids = np.asarray(gallery_ids)
-    g_views = np.asarray(gallery_views)
-    p_ids = np.asarray(probe_ids)
-    p_views = np.asarray(probe_views)
-    p_conds = list(probe_conditions)
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or len(z) != len(test_samples):
+        raise ValueError("z must hold one embedding row per test sample")
+    g_idx, p_idx = split_gallery_probe(test_samples)
+    probes = [test_samples[i] for i in p_idx]
+    g_ids = np.array([test_samples[i].identity for i in g_idx])
+    g_views = np.array([test_samples[i].view for i in g_idx])
+    p_ids = np.array([s.identity for s in probes])
+    p_views = np.array([s.view for s in probes])
 
-    if exclude_same_view:
-        admissible = g_views[None, :] != p_views[:, None]
-    else:
-        admissible = np.ones((len(p_ids), len(g_ids)), bool)
+    admissible = g_views[None, :] != p_views[:, None]
     no_entry = np.flatnonzero(~admissible.any(axis=1))
     if no_entry.size:
         i = int(no_entry[0])
+        s = probes[i]
         raise EvalStructureError(
-            f"probe {i} (id {p_ids[i]}, view {p_views[i]}, {p_conds[i]}) "
+            f"probe {i} (id {s.identity}, view {s.view}, {s.condition}) "
             "has no admissible gallery entry"
         )
-    hit = g_ids[nearest_gallery_entry(g_feat, p_feat, admissible)] == p_ids
+    hit = g_ids[nearest_gallery_entry(z[g_idx], z[p_idx], admissible)] == p_ids
 
     hits: dict = {}
     totals: dict = {}
-    for c, v, h in zip(p_conds, p_views.tolist(), hit.tolist()):
-        key = (c, int(v))
+    for s, h in zip(probes, hit.tolist()):
+        key = (s.condition, int(s.view))
         totals[key] = totals.get(key, 0) + 1
         hits[key] = hits.get(key, 0) + int(h)
 
     conditions = tuple(c for c in CONDITIONS if any(k[0] == c for k in totals))
     views = tuple(sorted({k[1] for k in totals}))
-    cells = {}
-    for c in conditions:
-        for v in views:
-            key = (c, v)
-            if key in totals:
-                cells[key] = 100.0 * hits[key] / totals[key]
+    cells = {(c, v): 100.0 * hits[(c, v)] / totals[(c, v)]
+             for c in conditions for v in views if (c, v) in totals}
     condition_means = {
         c: float(np.mean([cells[(c, v)] for v in views if (c, v) in cells]))
         for c in conditions
     }
-    overall = float(np.mean(list(cells.values())))
     return EvalReport(
         conditions=conditions,
         views=views,
         cells=cells,
         condition_means=condition_means,
-        overall_mean=overall,
-        gallery_size=len(g_ids),
-        probe_size=len(p_ids),
-        exclude_same_view=exclude_same_view,
+        overall_mean=float(np.mean(list(cells.values()))),
+        gallery_size=len(g_idx),
+        probe_size=len(p_idx),
     )
-
-
-@dataclass
-class VarianceStats:
-    """Feature-spread statistics (trace of biased covariances)."""
-
-    intra_class: float
-    intra_class_nm_bg: float
-    intra_class_cl: float
-    total: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _mean_class_variance(features, ids, keep) -> float:
@@ -187,8 +167,10 @@ def _mean_class_variance(features, ids, keep) -> float:
     return float(np.mean(per_class)) if per_class else 0.0
 
 
-def variance_stats(features, ids, conditions) -> VarianceStats:
-    """Intra-class (optionally condition-restricted) and total feature variance."""
+def variance_stats(features, ids, conditions) -> dict:
+    """Intra-class (optionally condition-restricted) and total feature variance
+    (traces of biased covariances), keyed intra_class, intra_class_nm_bg,
+    intra_class_cl and total in that order."""
     f = np.asarray(features, dtype=np.float64)
     ids = np.asarray(ids)
     conds = np.asarray(list(conditions))
@@ -201,26 +183,12 @@ def variance_stats(features, ids, conditions) -> VarianceStats:
     cl = conds == "CL"
     centered = f - f.mean(axis=0)
     total = float((centered**2).sum(axis=1).mean())
-    return VarianceStats(
-        intra_class=_mean_class_variance(f, ids, everything),
-        intra_class_nm_bg=_mean_class_variance(f, ids, nm_bg),
-        intra_class_cl=_mean_class_variance(f, ids, cl),
-        total=total,
-    )
-
-
-@dataclass
-class MemCurve:
-    """Train accuracy against assigned labels, split by ground-truth noise."""
-
-    iterations: tuple
-    clean_accuracy: tuple
-    noisy_accuracy: tuple | None  # None when the set has no noisy samples
-
-    def rows(self):
-        for i, it in enumerate(self.iterations):
-            noisy = self.noisy_accuracy[i] if self.noisy_accuracy is not None else None
-            yield it, self.clean_accuracy[i], noisy
+    return {
+        "intra_class": _mean_class_variance(f, ids, everything),
+        "intra_class_nm_bg": _mean_class_variance(f, ids, nm_bg),
+        "intra_class_cl": _mean_class_variance(f, ids, cl),
+        "total": total,
+    }
 
 
 def embed_samples(params: ModelParams, samples, batch: int = 256):
@@ -234,27 +202,22 @@ def embed_samples(params: ModelParams, samples, batch: int = 256):
     return np.concatenate(zs), np.concatenate(ps)
 
 
-def memorization_curve(snapshots, samples) -> MemCurve:
+def memorization_curve(snapshots, samples) -> list:
     """Accuracy of argmax logits vs the assigned label per parameter snapshot,
-    separately on the ground-truth-clean and ground-truth-noisy subsets."""
+    separately on the ground-truth-clean and ground-truth-noisy subsets: one
+    (iteration, clean accuracy, noisy accuracy) row per snapshot, the noisy
+    accuracy None when the set has no noisy samples."""
     if not snapshots:
         raise ValueError("no snapshots")
     labels = np.array([s.identity for s in samples], dtype=int)
     noisy = np.array([s.noise_flag != FLAG_CLEAN for s in samples], dtype=bool)
-    iters, clean_acc, noisy_acc = [], [], []
+    rows = []
     for it, params in snapshots:
         _, logits = embed_samples(params, samples)
-        pred = logits.argmax(axis=1)
-        correct = pred == labels
-        iters.append(int(it))
-        clean_acc.append(float(correct[~noisy].mean()))
-        if noisy.any():
-            noisy_acc.append(float(correct[noisy].mean()))
-    return MemCurve(
-        iterations=tuple(iters),
-        clean_accuracy=tuple(clean_acc),
-        noisy_accuracy=tuple(noisy_acc) if noisy.any() else None,
-    )
+        correct = logits.argmax(axis=1) == labels
+        noisy_acc = float(correct[noisy].mean()) if noisy.any() else None
+        rows.append((int(it), float(correct[~noisy].mean()), noisy_acc))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +294,8 @@ def verify_trace_file(trace_path, theta0_f: ModelParams, theta0_m: ModelParams,
     and the closed form), so memory stays at about one read chunk plus a
     few parameter vectors, whatever the trace's length.
     """
+    # looked up at call time: perfbench/tracing.py wraps cyclic.read_trace, and a
+    # module-level import would bind the function as it was before the wrap
     from .cyclic import read_trace
 
     header, records = read_trace(trace_path)
@@ -371,8 +336,8 @@ def cost_model(batch_size: int, noise_rate: float):
 
 
 def split_gallery_probe(test_samples):
-    """Gallery = the first NM sequence per (identity, view) in file order;
-    everything else probes. Returns (gallery indices, probe indices)."""
+    """rank1's gallery/probe split of a test split: (gallery indices, probe
+    indices)."""
     seen = set()
     gallery, probe = [], []
     for i, s in enumerate(test_samples):
@@ -390,19 +355,4 @@ def split_gallery_probe(test_samples):
 def evaluate_checkpoint(params: ModelParams, test_samples) -> EvalReport:
     """Full retrieval evaluation of a model on a test split."""
     z, _ = embed_samples(params, test_samples)
-    return evaluate_embeddings(z, test_samples)
-
-
-def evaluate_embeddings(z, test_samples) -> EvalReport:
-    """Retrieval evaluation from the embeddings z of a test split, same-view
-    matches excluded."""
-    g_idx, p_idx = split_gallery_probe(test_samples)
-    return rank1(
-        z[g_idx],
-        [test_samples[i].identity for i in g_idx],
-        [test_samples[i].view for i in g_idx],
-        z[p_idx],
-        [test_samples[i].identity for i in p_idx],
-        [test_samples[i].view for i in p_idx],
-        [test_samples[i].condition for i in p_idx],
-    )
+    return rank1(z, test_samples)

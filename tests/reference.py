@@ -10,7 +10,8 @@ carries in a faster shape, each next to the fast one:
 - the frame-by-frame einsum for w1's gradient, next to the BLAS product,
   and the (B, B, d) difference cube of the triplet gradient, next to its
   two matrix products;
-- the per-probe rank-1 search, next to the chunked one;
+- the per-probe rank-1 search and the whole retrieval protocol spelled
+  out one probe at a time, next to the chunked ones;
 - the sequence-by-sequence dataset generator, next to the one that builds
   each identity's sequences as one block;
 - the three-write trace record, the whole-trace reader and the
@@ -41,7 +42,7 @@ from cyclegait.gaitgen import (
     build_geometry,
     regenerate_from_manifest,
 )
-from cyclegait.gaugekit import evaluate_checkpoint
+from cyclegait.gaugekit import EvalReport, EvalStructureError, evaluate_checkpoint
 from cyclegait.lossbank import BatchStructureError, _pairwise_distances, has_valid_triplet
 from cyclegait.numkit import _DRAW_BLOCK, RngStream
 from cyclegait.setnet import GradVector, ModelParams, forward_batch
@@ -383,6 +384,47 @@ def nearest_gallery_entry(gallery_features, probe_features, admissible):
         d = np.linalg.norm(gallery_features[adm] - probe_features[i], axis=1)
         nearest[i] = np.flatnonzero(adm)[int(np.argmin(d))]
     return nearest
+
+
+def rank1(z, samples) -> EvalReport:
+    """gaugekit.rank1 one probe at a time: the gallery is the first NM
+    sequence per (identity, view), every other sequence probes, and a probe
+    is a hit when its nearest other-view gallery entry, by np.linalg.norm
+    with the first minimum on ties, has its identity."""
+    gallery, probes = [], []
+    for i, s in enumerate(samples):
+        first_nm = s.condition == "NM" and all(
+            (samples[g].identity, samples[g].view) != (s.identity, s.view) for g in gallery)
+        (gallery if first_nm else probes).append(i)
+    if not gallery or not probes:
+        raise ValueError("test split does not contain both gallery and probe sequences")
+    hits, totals = {}, {}
+    for n, i in enumerate(probes):
+        probe = samples[i]
+        candidates = [g for g in gallery if samples[g].view != probe.view]
+        if not candidates:
+            raise EvalStructureError(
+                f"probe {n} (id {probe.identity}, view {probe.view}, {probe.condition}) "
+                "has no admissible gallery entry")
+        d = [np.linalg.norm(z[g] - z[i]) for g in candidates]
+        nearest = candidates[int(np.argmin(d))]
+        key = (probe.condition, probe.view)
+        totals[key] = totals.get(key, 0) + 1
+        hits[key] = hits.get(key, 0) + int(samples[nearest].identity == probe.identity)
+    conditions = tuple(c for c in CONDITIONS if any(c == k[0] for k in totals))
+    views = tuple(sorted({k[1] for k in totals}))
+    cells = {}
+    for c in conditions:
+        for v in views:
+            if (c, v) in totals:
+                cells[(c, v)] = 100.0 * hits[(c, v)] / totals[(c, v)]
+    condition_means = {}
+    for c in conditions:
+        condition_means[c] = float(np.mean([cells[k] for k in cells if k[0] == c]))
+    return EvalReport(conditions=conditions, views=views, cells=cells,
+                      condition_means=condition_means,
+                      overall_mean=float(np.mean(list(cells.values()))),
+                      gallery_size=len(gallery), probe_size=len(probes))
 
 
 def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq, d_in, seed):

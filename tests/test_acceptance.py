@@ -309,13 +309,10 @@ def test_c08_degeneration_effect_timing(label_bundle):
         run = run_training(label_bundle, TrainerConfig(
             mode="supervised", iterations=2000, schedule_profile="clean",
             **opt, seed=seed, snapshot_every=100))
-        curve = memorization_curve(run.snapshots, label_bundle.train)
-        clean_final = curve.clean_accuracy[-1]
-        noisy_final = curve.noisy_accuracy[-1]
-        it_clean = first_reach_iteration(curve.iterations, curve.clean_accuracy,
-                                         0.9 * clean_final)
-        it_noisy = first_reach_iteration(curve.iterations, curve.noisy_accuracy,
-                                         0.9 * noisy_final)
+        iterations, clean, noisy = zip(*memorization_curve(run.snapshots,
+                                                           label_bundle.train))
+        it_clean = first_reach_iteration(iterations, clean, 0.9 * clean[-1])
+        it_noisy = first_reach_iteration(iterations, noisy, 0.9 * noisy[-1])
         win = it_clean is not None and it_noisy is not None and it_clean < it_noisy
         wins += int(win)
         details.append(f"seed {seed}: clean@{it_clean} vs noisy@{it_noisy}")

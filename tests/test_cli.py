@@ -254,7 +254,9 @@ class TestTrainEvalPipeline:
         for section, key, value in [("trainer", "d_hidden", "0"),
                                     ("trainer", "d_emb", "0"),
                                     ("trainer", "snapshot_every", "-1"),
-                                    ("optimizer", "lr", "nan")]:
+                                    ("optimizer", "lr", "nan"),
+                                    ("trainer", "sigma3_const", "nan"),
+                                    ("optimizer", "lr", "inf")]:
             # a run the tiny dataset can train, apart from this one value
             trainer = "[trainer]\np_ids = 3\nk_seqs = 2\niterations = 2\n"
             bad = f"{key} = {value}\n"

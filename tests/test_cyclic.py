@@ -308,6 +308,11 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="trace_path"):
             run_training(tiny_bundle(), tiny_config(record_trace=True))
 
+    def test_trace_path_needs_record_trace(self, tmp_path):
+        with pytest.raises(ValueError, match="record_trace"):
+            run_training(tiny_bundle(), tiny_config(), trace_path=tmp_path / "t")
+        assert not (tmp_path / "t").exists()
+
     def test_dataset_too_small_rejected(self):
         bundle = tiny_bundle()
         config = tiny_config(p_ids=7)

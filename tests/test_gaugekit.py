@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclegait import cyclic, gaugekit
-from cyclegait.gaitgen import make_benchmark
+from cyclegait.gaitgen import SequenceSample, make_benchmark
 from cyclegait.gaugekit import (
+    PROBE_CHUNK,
     EvalStructureError,
     cost_model,
     closed_form_theta_m,
@@ -43,66 +45,121 @@ def write_trace(path, rng, n, p, m, scale=0.01):
     return path
 
 
-class TestRank1:
-    def test_exact_match_without_exclusion(self):
-        feats = np.array([[1.0, 0.0], [0.0, 1.0]])
-        report = rank1(
-            feats, [0, 1], [0, 0],
-            feats, [0, 1], [0, 0], ["NM", "NM"],
-            exclude_same_view=False,
-        )
-        assert report.cells[("NM", 0)] == 100.0
-        assert report.overall_mean == 100.0
+def sample(identity, view, condition):
+    """A test-split sample; rank1 reads only its tags."""
+    return SequenceSample(np.zeros((1, 1)), identity, condition, view, identity)
 
+
+class TestRank1:
+    # The first NM of each (identity, view) is gallery, so every hand-made
+    # probe is BG or CL.
     def test_hand_computed_half_accuracy(self):
-        gallery = np.array([[1.0, 0.0], [0.0, 1.0]])  # ids A=0, B=1
-        probes = np.array([[0.4, 0.6], [0.2, 0.8]])
-        report = rank1(
-            gallery, [0, 1], [0, 0],
-            probes, [0, 1], [1, 1], ["NM", "NM"],
-            exclude_same_view=True,
-        )
+        samples = [sample(0, 0, "NM"), sample(1, 0, "NM"),  # ids A=0, B=1
+                   sample(0, 1, "BG"), sample(1, 1, "BG")]
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [0.4, 0.6], [0.2, 0.8]])
+        report = rank1(z, samples)
         # probe A: d(A)=0.849 > d(B)=0.566 -> wrong; probe B correct
-        assert report.cells[("NM", 1)] == 50.0
+        assert report.cells[("BG", 1)] == 50.0
+        assert (report.gallery_size, report.probe_size) == (2, 2)
 
     def test_tie_break_lowest_gallery_index(self):
-        gallery = np.zeros((3, 2))
-        probes = np.zeros((2, 2))
-        report = rank1(
-            gallery, [7, 8, 9], [0, 0, 0],
-            probes, [7, 9], [1, 1], ["NM", "NM"],
-            exclude_same_view=True,
-        )
+        samples = [sample(7, 0, "NM"), sample(8, 0, "NM"), sample(9, 0, "NM"),
+                   sample(7, 1, "CL"), sample(9, 1, "CL")]
+        report = rank1(np.zeros((5, 2)), samples)
         # every probe resolves to gallery index 0 (id 7)
-        assert report.cells[("NM", 1)] == 50.0
+        assert report.cells[("CL", 1)] == 50.0
 
     def test_same_view_exclusion_changes_candidates(self):
-        gallery = np.array([[0.0, 0.0], [10.0, 10.0]])
-        probes = np.array([[0.1, 0.0]])
-        with_excl = rank1(gallery, [0, 1], [0, 1], probes, [0], [0], ["NM"], True)
-        without = rank1(gallery, [0, 1], [0, 1], probes, [0], [0], ["NM"], False)
-        assert with_excl.cells[("NM", 0)] == 0.0  # only the far id-1 entry admissible
-        assert without.cells[("NM", 0)] == 100.0
+        samples = [sample(0, 0, "NM"), sample(1, 1, "NM"), sample(0, 0, "BG")]
+        z = np.array([[0.0, 0.0], [10.0, 10.0], [0.1, 0.0]])
+        report = rank1(z, samples)
+        assert report.cells[("BG", 0)] == 0.0  # only the far id-1 entry admissible
+        assert report.to_json_dict()["exclude_same_view"] is True
+
+    def test_later_nm_of_a_gallery_key_probes(self):
+        samples = [sample(0, 0, "NM"), sample(1, 1, "NM"), sample(1, 1, "NM")]
+        report = rank1(np.array([[0.0], [5.0], [0.0]]), samples)
+        assert (report.gallery_size, report.probe_size) == (2, 1)
+        assert report.cells == {("NM", 1): 0.0}
+
+    def test_a_cell_without_probes_is_empty_in_the_csv(self):
+        samples = [sample(0, 0, "NM"), sample(0, 1, "NM"), sample(0, 0, "BG"),
+                   sample(0, 1, "CL")]
+        text = rank1(np.zeros((4, 1)), samples).to_csv_text()
+        assert text.splitlines() == ["probe,0,1,Mean",
+                                     "BG,100.000000,,100.000000",
+                                     "CL,,100.000000,100.000000",
+                                     "Overall,,,100.000000"]
 
     def test_empty_admissible_gallery_is_structural_error(self):
-        gallery = np.zeros((1, 2))
-        probes = np.zeros((1, 2))
-        with pytest.raises(EvalStructureError):
-            rank1(gallery, [0], [0], probes, [0], [0], ["NM"], True)
+        samples = [sample(0, 0, "NM"), sample(0, 1, "NM"), sample(0, 0, "BG"),
+                   sample(3, 2, "CL")]
+        with pytest.raises(EvalStructureError,
+                           match=r"^probe 0 \(id 0, view 0, BG\) has no admissible"):
+            rank1(np.zeros((2, 2)), samples[:1] + samples[2:3])
+        # view 2 has no gallery entry of its own, so its probe can match
+        assert rank1(np.zeros((4, 2)), samples).probe_size == 2
+
+    def test_embeddings_must_align_with_samples(self):
+        samples = [sample(0, 0, "NM"), sample(0, 1, "BG")]
+        for z in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2)):
+            with pytest.raises(ValueError, match="one embedding row per test sample"):
+                rank1(z, samples)
 
     def test_means_recompute_from_cells(self, rng):
-        gallery = rng.normal(size=(20, 4))
-        probes = rng.normal(size=(30, 4))
-        report = rank1(
-            gallery, rng.integers(0, 5, 20), rng.integers(0, 3, 20),
-            probes, rng.integers(0, 5, 30), rng.integers(0, 3, 30),
-            [("NM", "BG", "CL")[i % 3] for i in range(30)],
-            exclude_same_view=False,
-        )
+        samples = [sample(int(rng.integers(0, 5)), int(rng.integers(0, 3)),
+                          ("NM", "BG", "CL")[i % 3]) for i in range(50)]
+        report = rank1(rng.normal(size=(50, 4)), samples)
         for c in report.conditions:
             cells = [report.cells[(c, v)] for v in report.views if (c, v) in report.cells]
             assert abs(report.condition_means[c] - np.mean(cells)) < 1e-12
         assert abs(report.overall_mean - np.mean(list(report.cells.values()))) < 1e-12
+
+
+class TestRank1MatchesPerProbeOracle:
+    # Sample lists mix conditions and order, so later NMs of a gallery key
+    # probe; copied embedding rows give ties; with one view every probe has
+    # no admissible entry, and both must raise the same error.
+    @given(
+        n_samples=st.integers(2, 160),
+        n_ids=st.integers(1, 6),
+        n_views=st.integers(1, 4),
+        d=st.integers(1, 6),
+        n_copies=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_splits(self, n_samples, n_ids, n_views, d, n_copies, seed):
+        rng = np.random.default_rng(seed)
+        samples = [sample(int(rng.integers(n_ids)), int(rng.integers(n_views)),
+                          str(rng.choice(["NM", "NM", "BG", "CL"])))
+                   for _ in range(n_samples)]
+        z = rng.normal(size=(n_samples, d))
+        for _ in range(n_copies):
+            z[rng.integers(n_samples)] = z[rng.integers(n_samples)]
+        try:
+            expected = reference.rank1(z, samples)
+        except (ValueError, EvalStructureError) as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                rank1(z, samples)
+            return
+        got = rank1(z, samples)
+        assert got.to_json_dict() == expected.to_json_dict()
+        assert got.to_csv_text() == expected.to_csv_text()
+
+    def test_probe_counts_across_the_chunk_edge(self):
+        # two views, three ids: 6 gallery entries, then probes in file order
+        rng = np.random.default_rng(4)
+        for n_probes in (PROBE_CHUNK - 1, PROBE_CHUNK, PROBE_CHUNK + 1, 3 * PROBE_CHUNK):
+            samples = [sample(i % 3, i // 3, "NM") for i in range(6)]
+            samples += [sample(int(rng.integers(3)), int(rng.integers(2)),
+                               ("NM", "BG", "CL")[k % 3]) for k in range(n_probes)]
+            z = rng.normal(size=(len(samples), 3))
+            z[-1] = z[0]
+            got, expected = rank1(z, samples), reference.rank1(z, samples)
+            assert got.probe_size == n_probes
+            assert got.to_json_dict() == expected.to_json_dict()
+            assert got.to_csv_text() == expected.to_csv_text()
 
 
 class TestNearestGalleryEntryMatchesPerProbeSearch:
@@ -161,29 +218,30 @@ class TestVarianceStats:
     def test_all_identical_features(self):
         f = np.ones((6, 3))
         stats = variance_stats(f, [0, 0, 1, 1, 2, 2], ["NM"] * 6)
-        assert stats.intra_class == 0.0
-        assert stats.total == 0.0
+        assert list(stats) == ["intra_class", "intra_class_nm_bg", "intra_class_cl", "total"]
+        assert stats["intra_class"] == 0.0
+        assert stats["total"] == 0.0
 
     def test_two_point_configuration(self):
         d = 3.0
         f = np.array([[0.0], [d]] * 2)
         ids = [0, 1, 0, 1]
         stats = variance_stats(f, ids, ["NM"] * 4)
-        assert stats.intra_class == 0.0
-        assert abs(stats.total - d * d / 4.0) < 1e-12
+        assert stats["intra_class"] == 0.0
+        assert abs(stats["total"] - d * d / 4.0) < 1e-12
 
     def test_total_matches_covariance_trace_oracle(self, rng):
         f = rng.normal(size=(100, 7))
         stats = variance_stats(f, rng.integers(0, 5, 100), ["NM"] * 100)
         oracle = float(np.trace(np.cov(f.T, bias=True)))
-        assert abs(stats.total - oracle) < 1e-9
+        assert abs(stats["total"] - oracle) < 1e-9
 
     def test_condition_restriction(self, rng):
         f = np.concatenate([rng.normal(size=(10, 2)), 5.0 + rng.normal(size=(10, 2))])
         ids = [0] * 10 + [0] * 10
         conds = ["NM"] * 10 + ["CL"] * 10
         stats = variance_stats(f, ids, conds)
-        assert stats.intra_class_nm_bg < stats.intra_class  # mixing conditions spreads
+        assert stats["intra_class_nm_bg"] < stats["intra_class"]  # mixing conditions spreads
 
 
 def test_embed_samples_keeps_no_cache_across_chunks(monkeypatch):
@@ -206,12 +264,13 @@ class TestMemorizationCurve:
                                 frames_per_seq=6, seed=5)
         shape = EncoderShape(d_in=16, d_hidden=16, d_emb=8, n_classes=10)
         params, _ = init_params(shape, RngStream(3).child(1))
-        curve = memorization_curve([(0, params)], bundle.train)
+        [(it, clean_acc, noisy_acc)] = memorization_curve([(0, params)], bundle.train)
         n = len(bundle.train)
         chance = 1.0 / 10.0
         se = math.sqrt(chance * (1 - chance) / n)
-        assert abs(curve.clean_accuracy[0] - chance) <= 4 * se
-        assert curve.noisy_accuracy is None  # clean set: noisy curve absent
+        assert it == 0
+        assert abs(clean_acc - chance) <= 4 * se
+        assert noisy_acc is None  # clean set: no noisy accuracy
 
     def test_accuracies_split_by_flag(self):
         bundle = make_benchmark(n_ids=6, n_train_ids=4, n_views=2,
@@ -222,10 +281,11 @@ class TestMemorizationCurve:
         noisy = corrupt_bundle(bundle, "label", 0.3, seed=2)
         shape = EncoderShape(d_in=16, d_hidden=8, d_emb=4, n_classes=4)
         params, _ = init_params(shape, RngStream(1).child(1))
-        curve = memorization_curve([(0, params), (10, params)], noisy.train)
-        assert curve.iterations == (0, 10)
-        assert curve.noisy_accuracy is not None
-        assert all(0.0 <= a <= 1.0 for a in curve.clean_accuracy + curve.noisy_accuracy)
+        rows = memorization_curve([(0, params), (10, params)], noisy.train)
+        assert [it for it, _, _ in rows] == [0, 10]
+        assert all(noisy_acc is not None for _, _, noisy_acc in rows)
+        assert all(0.0 <= a <= 1.0 for _, clean_acc, noisy_acc in rows
+                   for a in (clean_acc, noisy_acc))
 
     def test_first_reach(self):
         assert reference.first_reach_iteration((0, 10, 20), (0.1, 0.5, 0.9), 0.45) == 10
