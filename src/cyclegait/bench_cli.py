@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     def corruption_flags(p, seed_flag: str):
         """The corruption amounts and seed of gen-data and corrupt."""
         p.add_argument("--rate", type=float, default=0.2,
-                       help="label and augmentation noise: share of train sequences")
+                       help="label noise: share of train sequences")
         p.add_argument("--fraction", type=float, default=0.6,
                        help="split noise: share of train identities")
         p.add_argument(seed_flag, dest="corrupt_seed", type=int, default=7)

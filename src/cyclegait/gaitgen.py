@@ -1,4 +1,4 @@
-"""Synthetic sequence-set datasets and the three label-noise constructions.
+"""Synthetic sequence-set datasets and the two label-noise constructions.
 
 Each identity owns a unit prototype vector. A frame is the prototype plus a
 condition offset plus jitter, rotated by a view-indexed rotation:
@@ -41,7 +41,6 @@ CONDITIONS = ("NM", "BG", "CL")
 
 FLAG_CLEAN = "clean"
 FLAG_LABEL = "label-noise"
-FLAG_AUG = "augmentation-noise"
 FLAG_SPLIT = "split-noise"
 
 # Latent geometry of the generator, fixed by calibration so that (a) an
@@ -57,12 +56,6 @@ BG_SCALE = 0.35
 CL_COMMON_SCALE = 1.1  # shared clothing direction strength
 CL_ID_SCALE = 0.1  # identity-specific clothing offset strength
 CL_MATRIX_SCALE = 0.05  # identity-specific affine mix strength
-
-# Strength of the appearance corruption, fixed by calibration: a
-# nearest-prototype classifier must lose >= 10 accuracy points on perturbed
-# sequences while labels stay untouched.
-AUG_NOISE_OFFSET = 1.1
-AUG_NOISE_MULT_SIGMA = 0.35
 
 
 @dataclass
@@ -243,32 +236,6 @@ def inject_random_label_noise(samples, rate: float, seed: int):
     return out, descriptor
 
 
-def inject_augmentation_noise(samples, rate: float, seed: int):
-    """Strong appearance perturbation of round(rate * n) sequences.
-
-    Frames get a per-frame multiplicative distortion plus an amplified
-    condition-like offset in a random direction; labels are untouched.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("noise rate must lie in [0, 1)")
-    out = [copy.copy(s) for s in samples]
-    n_corrupt = round(rate * len(out))
-    descriptor = {"mode": "augmentation", "rate": rate, "seed": seed}
-    if n_corrupt == 0:
-        return out, descriptor
-    rng = RngStream(seed, stream=12)
-    victims, rng = rng.choice(len(out), n_corrupt, replace_=False)
-    for v in sorted(victims.tolist()):
-        frames = out[v].frames
-        t, d = frames.shape
-        dir_raw, rng = rng.normal(d)
-        factors, rng = rng.normal(t, AUG_NOISE_MULT_SIGMA)
-        offset = AUG_NOISE_OFFSET * _unit(dir_raw)
-        out[v].frames = frames * (1.0 + factors[:, None]) + offset
-        out[v].noise_flag = FLAG_AUG
-    return out, descriptor
-
-
 def inject_identity_split(samples, fraction: float, seed: int = 0):
     """Clothing-split noise: relabel CL sequences of early identities.
 
@@ -300,7 +267,6 @@ def inject_identity_split(samples, fraction: float, seed: int = 0):
 
 CORRUPTIONS = {
     "label": inject_random_label_noise,
-    "augmentation": inject_augmentation_noise,
     "split": inject_identity_split,
 }
 
@@ -358,7 +324,7 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
     The generator block is an object holding exactly the keys of
     GENERATOR_DEFAULTS, each of its default's type (condition_groups maps
     condition names to ints), and corruptions a list of objects, each with a
-    numeric amount and an int seed. A block or key that is missing, unknown
+    mode that is a key of CORRUPTIONS, a numeric amount and an int seed. A block or key that is missing, unknown
     or of another type is a ValueError that names it.
     """
     try:
@@ -388,7 +354,10 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
         elif type(value) is not type(default):
             raise ValueError(f"generator key {key!r} must be of type "
                              f"{type(default).__name__}, got {value!r}")
-    for _, amount_key, amount, seed in steps:
+    for mode, amount_key, amount, seed in steps:
+        if type(mode) is not str or mode not in CORRUPTIONS:
+            raise ValueError(f"corruption key 'mode' must be one of {sorted(CORRUPTIONS)}, "
+                             f"got {mode!r}")
         if isinstance(amount, bool) or not isinstance(amount, (int, float)):
             raise ValueError(f"corruption key {amount_key!r} must be a number, got {amount!r}")
         if type(seed) is not int:
@@ -477,10 +446,11 @@ def _read_split(path, with_frames: bool = True):
     then returns None without reading the frames."""
     with open(path, "rb") as fh:
         header = read_header(fh, path, "dataset split", SPLIT_FORMAT_VERSION,
-                             {"n_sequences": int, "d_in": int, "lengths": list})
+                             {"n_sequences": int, "d_in": int, "lengths": list,
+                              **dict.fromkeys(_SPLIT_COLUMNS, list)})
         n, d_in, lengths = header["n_sequences"], header["d_in"], header["lengths"]
         for col in ("lengths", *_SPLIT_COLUMNS):
-            if len(header.get(col, ())) != n:
+            if len(header[col]) != n:
                 raise ValueError(f"{path}: header column {col!r} needs {n} entries")
         if not all(type(length) is int and length >= 1 for length in lengths):
             raise ValueError(f"{path}: header key 'lengths' needs a frame count of at least "

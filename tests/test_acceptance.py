@@ -1,8 +1,9 @@
 """Acceptance gate: every criterion runs end to end at its stated tolerance.
 
 Each criterion prints one PASS/FAIL line (run with -s or -v to see them).
-The statistical criteria train real models over multiple seeds on the
-default desk-scale benchmark; the whole module is laptop-runnable.
+The statistical criteria C06-C09 train real models over multiple seeds on the
+default desk-scale benchmark; their runs and judges are declared once in
+experiments.py. The whole module is laptop-runnable.
 """
 
 import math
@@ -17,8 +18,6 @@ from cyclegait.cyclic import TrainerConfig, run_training
 from cyclegait.gaitgen import (
     FLAG_LABEL,
     FLAG_SPLIT,
-    corrupt_bundle,
-    make_benchmark,
     make_clean_dataset,
     inject_identity_split,
     inject_random_label_noise,
@@ -43,60 +42,40 @@ from cyclegait.setnet import (
     backward_batch,
     init_params,
 )
-from reference import coteach_loss, first_reach_iteration, forward, mil_loss
+from experiments import (
+    C06,
+    C07,
+    C08,
+    C09,
+    C09_CLEAN,
+    Verdict,
+    judge_c06,
+    judge_c07,
+    judge_c08,
+    judge_c09,
+    make_bundle,
+    train,
+    verdict,
+)
+from reference import coteach_loss, forward, mil_loss
 
 pytestmark = pytest.mark.acceptance
 
-SEEDS5 = (1, 2, 3, 4, 5)
+
+def check(outcome: Verdict):
+    print(f"\n{outcome.line}")
+    assert outcome.ok, outcome.line
 
 
 def report(criterion: str, ok: bool, detail: str):
-    print(f"\n[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
-    assert ok, f"{criterion}: {detail}"
+    check(verdict(criterion, ok, detail))
 
 
-def default_optimizer():
-    return dict(lr=0.05, milestones=(1000,))
-
-
-@pytest.fixture(scope="module")
-def split_bundle():
-    clean = make_benchmark(seed=1)
-    return corrupt_bundle(clean, "split", 0.6, seed=7)
-
-
-@pytest.fixture(scope="module")
-def label_bundle():
-    clean = make_benchmark(seed=1)
-    return corrupt_bundle(clean, "label", 0.2, seed=7)
-
-
-@pytest.fixture(scope="module")
-def split_runs(split_bundle):
-    """Supervised and full-cyclic runs over 5 seeds on split-noise data, for
-    the robustness criterion."""
-    t0 = time.time()
-    rows = {}
-    for seed in SEEDS5:
-        sup = run_training(split_bundle, TrainerConfig(
-            mode="supervised", iterations=2000, schedule_profile="noisy",
-            **default_optimizer(), seed=seed))
-        full = run_training(split_bundle, TrainerConfig(
-            mode="cyclic", iterations=2000, schedule_profile="noisy",
-            and_enabled=True, **default_optimizer(), seed=seed))
-        rows[seed] = {
-            "supervised": evaluate_checkpoint(sup.params_f, split_bundle.test),
-            "full": evaluate_checkpoint(full.params_f, split_bundle.test),
-        }
-    rows["elapsed"] = time.time() - t0
-    return rows
-
-
-def test_c01_closed_form_parameter_evolution(split_bundle, tmp_path):
+def test_c01_closed_form_parameter_evolution(tmp_path):
     config = TrainerConfig(mode="cyclic", iterations=500, momentum=0.99,
-                           record_trace=True, **default_optimizer())
+                           record_trace=True)
     trace_path = tmp_path / "trace.bin"
-    result = run_training(split_bundle, config, trace_path=str(trace_path))
+    result = run_training(make_bundle("split"), config, trace_path=str(trace_path))
     n_params = result.params_f.shape.n_params
     t0 = time.time()
     verdict = verify_trace_file(str(trace_path), result.init_f, result.init_m,
@@ -213,8 +192,9 @@ def test_c03_analytic_loss_values():
            f"contrastive={l_ref:.6f} (oracle {oracle_mil:.6f})")
 
 
-def test_c04_cost_model_and_live_counters(split_bundle):
+def test_c04_cost_model_and_live_counters():
     exact = cost_model(8, 0.2) == (28.8, 16.0, 8.0) and cost_model(1, 0.0) == (4.0, 2.0, 1.0)
+    split_bundle = make_bundle("split")
 
     iters = 5
     counters_ok = True
@@ -226,8 +206,7 @@ def test_c04_cost_model_and_live_counters(split_bundle):
         ("coteach-baseline", 0.0, lambda n: 4 * n),
     ):
         cfg = TrainerConfig(mode=mode, iterations=iters,
-                            coteach_noise_rate=rate if rate is not None else 0.2,
-                            **default_optimizer())
+                            coteach_noise_rate=rate if rate is not None else 0.2)
         result = run_training(split_bundle, cfg)
         n = cfg.batch_size
         want = expected_per_iter(n) * iters
@@ -256,94 +235,31 @@ def test_c05_corruption_audits():
            f"{len(affected)} ids")
 
 
-def test_c06_split_noise_robustness_gap(split_runs):
-    gaps = []
-    for seed in SEEDS5:
-        full_cl = split_runs[seed]["full"].condition_means["CL"]
-        sup_cl = split_runs[seed]["supervised"].condition_means["CL"]
-        gaps.append(full_cl - sup_cl)
-    wins = sum(1 for g in gaps if g >= 3.0)
-    elapsed = split_runs["elapsed"]
-    ok = wins >= 4 and elapsed < 20 * 60
-    report("C6 split-noise robustness gap", ok,
-           f"CL gain full-vs-supervised per seed: "
-           + ", ".join(f"{g:+.1f}" for g in gaps)
-           + f"; {wins}/5 seeds >= +3.0, runs took {elapsed / 60:.1f} min (<20)")
+def test_c06_split_noise_robustness_gap():
+    bundle = make_bundle(C06.bundle)
+    t0 = time.time()
+    cl_means = {seed: {name: evaluate_checkpoint(run.params_f, bundle.test).condition_means["CL"]
+                       for name, run in runs.items()}
+                for seed, runs in train(C06, bundle).items()}
+    check(judge_c06(cl_means, time.time() - t0))
 
 
-def test_c07_ablation_ordering(split_bundle):
-    base = ExperimentConfig(iterations=2000, schedule_profile="noisy")
-    seeds = (1, 2)
-    table = run_ablation(base, split_bundle, seeds)
-
-    def cl(cell):
-        return table[cell]["CL"][0]
-
-    def overall(cell):
-        return table[cell]["overall"][0]
-
-    sup_cells = ("supervised", "supervised+cyclic", "supervised+cyclic+and",
-                 "full-no-cyclic", "full-no-and", "full")
-    selfsup_cells = ("selfsup", "selfsup+cyclic")
-    tol = 1e-9
-    ordering = (
-        cl("full") >= cl("supervised+cyclic") - tol
-        and cl("supervised+cyclic") >= cl("supervised") - tol
-    )
-    separation = min(overall(c) for c in sup_cells) > max(overall(c) for c in selfsup_cells)
-    ok = ordering and separation
-    report("C7 ablation ordering", ok,
-           f"CL means: full={cl('full'):.1f} >= supervised+cyclic="
-           f"{cl('supervised+cyclic'):.1f} >= supervised={cl('supervised'):.1f}; "
-           f"worst supervised overall {min(overall(c) for c in sup_cells):.1f} > "
-           f"best selfsup overall {max(overall(c) for c in selfsup_cells):.1f}")
+def test_c07_ablation_ordering():
+    check(judge_c07(run_ablation(C07.configs["grid"], make_bundle(C07.bundle), C07.seeds)))
 
 
-def test_c08_degeneration_effect_timing(label_bundle):
-    # constant weights and constant lr: the diagnostic must not be masked by
-    # the noise-robust schedule it is meant to motivate
-    opt = dict(lr=0.05, milestones=())
-    wins = 0
-    details = []
-    for seed in SEEDS5:
-        run = run_training(label_bundle, TrainerConfig(
-            mode="supervised", iterations=2000, schedule_profile="clean",
-            **opt, seed=seed, snapshot_every=100))
-        iterations, clean, noisy = zip(*memorization_curve(run.snapshots,
-                                                           label_bundle.train))
-        it_clean = first_reach_iteration(iterations, clean, 0.9 * clean[-1])
-        it_noisy = first_reach_iteration(iterations, noisy, 0.9 * noisy[-1])
-        win = it_clean is not None and it_noisy is not None and it_clean < it_noisy
-        wins += int(win)
-        details.append(f"seed {seed}: clean@{it_clean} vs noisy@{it_noisy}")
-    ok = wins >= 4
-    report("C8 degeneration-effect timing", ok,
-           f"clean subset reaches 90% of final strictly earlier in {wins}/5 seeds "
-           f"({'; '.join(details)})")
+def test_c08_degeneration_effect_timing():
+    bundle = make_bundle(C08.bundle)
+    curves = {seed: memorization_curve(runs["supervised"].snapshots, bundle.train)
+              for seed, runs in train(C08, bundle).items()}
+    check(judge_c08(curves))
 
 
-def test_c09_noise_detection_floor(label_bundle):
-    precisions = []
-    for seed in SEEDS5:
-        run = run_training(label_bundle, TrainerConfig(
-            mode="cyclic", iterations=2000, schedule_profile="noisy",
-            and_enabled=True, **default_optimizer(), seed=seed))
-        second_half = run.metrics[len(run.metrics) // 2 :]
-        vals = [m["noise_precision"] for m in second_half
-                if "noise_precision" in m and not math.isnan(m["noise_precision"])]
-        precisions.append(float(np.mean(vals)))
-    mean_precision = float(np.mean(precisions))
-
-    clean = make_benchmark(seed=1)
-    clean_run = run_training(clean, TrainerConfig(
-        mode="cyclic", iterations=2000, schedule_profile="clean",
-        and_enabled=True, **default_optimizer(), seed=1))
-    kept_end = float(np.mean([m["kept_fraction"] for m in clean_run.metrics[-50:]]))
-    ok = mean_precision >= 1.5 * 0.2 and kept_end >= 0.9
-    report("C9 detection sanity floor", ok,
-           f"masked-set precision {mean_precision:.2f} (need >= 0.30, 5-seed mean; "
-           f"per-seed {', '.join(f'{p:.2f}' for p in precisions)}); "
-           f"noise-free kept_fraction at end {kept_end:.3f} (need >= 0.9)")
+def test_c09_noise_detection_floor():
+    metrics = {seed: runs["full"].metrics
+               for seed, runs in train(C09, make_bundle(C09.bundle)).items()}
+    (clean_runs,) = train(C09_CLEAN, make_bundle(C09_CLEAN.bundle)).values()
+    check(judge_c09(metrics, [m["kept_fraction"] for m in clean_runs["full"].metrics]))
 
 
 def test_c10_pipeline_determinism(tmp_path, monkeypatch):

@@ -532,9 +532,10 @@ class TestBinaryHeaders:
         ("data/test.bin", with_value("lengths", 5), EVAL, "'lengths'"),
         ("data/test.bin", lambda header: with_value("lengths", ["6"] * header["n_sequences"])(
             header), EVAL, "'lengths'"),
+        ("data/train.bin", with_value("view", 3), EVAL, "'view'"),
     ], ids=["checkpoint-without-d_in", "checkpoint-list", "checkpoint-not-json",
             "split-without-d_in", "trace-without-momentum", "checkpoint-d_in-list",
-            "split-lengths-int", "split-length-string"])
+            "split-lengths-int", "split-length-string", "split-view-int"])
     def test_bad_header_is_a_usage_error(self, tmp_path, capsys, file, edit, argv, named):
         data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
         run_cli("gen-data", "--out", str(data), *TINY_GEN)
@@ -654,9 +655,15 @@ class TestAblateCommand:
         (lambda m: m.update(generator=[1]), "'generator'"),
         (lambda m: m.update(corruptions=["split"]), "'corruptions'"),
         (lambda m: m.update(corruptions={"mode": "split"}), "'corruptions'"),
+        (lambda m: m["corruptions"].append({"mode": ["label"], "rate": 0.2, "seed": 7}),
+         "'mode'"),
+        # the appearance corruption that format 2 once listed
+        (lambda m: m["corruptions"].append({"mode": "augmentation", "rate": 0.2, "seed": 7}),
+         "'augmentation'"),
     ], ids=["unknown-generator-key", "missing-n_train_ids", "unknown-geometry-key",
             "generator-value-list", "n_views-str", "d_in-bool", "condition_groups-float",
-            "rate-str", "seed-str", "generator-list", "corruption-str", "corruptions-object"])
+            "rate-str", "seed-str", "generator-list", "corruption-str", "corruptions-object",
+            "corruption-mode-list", "corruption-mode-augmentation"])
     def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         edit, key):
         data, out = tmp_path / "data", tmp_path / "ablation"

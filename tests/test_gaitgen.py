@@ -7,7 +7,6 @@ import pytest
 from cyclegait.gaitgen import (
     AugmentationSpec,
     DatasetBundle,
-    FLAG_AUG,
     FLAG_CLEAN,
     FLAG_LABEL,
     FLAG_SPLIT,
@@ -15,7 +14,6 @@ from cyclegait.gaitgen import (
     augment_frame_sets,
     corrupt_bundle,
     dataset_hash,
-    inject_augmentation_noise,
     inject_identity_split,
     inject_random_label_noise,
     load_bundle,
@@ -97,8 +95,7 @@ class TestBlockGeneratorMatchesLoopOracle:
         assert manifest == oracle_manifest
         assert normal_calls[:n_block] == normal_calls[n_block:]
 
-    @pytest.mark.parametrize("mode, amount", [("label", 0.3), ("augmentation", 0.3),
-                                              ("split", 0.5)])
+    @pytest.mark.parametrize("mode, amount", [("label", 0.3), ("split", 0.5)])
     def test_after_corruption_and_regeneration(self, mode, amount, normal_calls, monkeypatch):
         def build():
             bundle = corrupt_bundle(make_benchmark(
@@ -218,38 +215,6 @@ class TestLabelNoise:
             inject_random_label_noise(samples, 1.0, seed=1)
 
 
-class TestAugmentationNoise:
-    def test_rate_zero_is_noop(self):
-        samples, _ = small_dataset()
-        out, _ = inject_augmentation_noise(samples, 0.0, seed=1)
-        assert frames_equal(samples, out)
-
-    def test_perturbed_frames_move_but_labels_stay(self):
-        samples, _ = small_dataset()
-        out, _ = inject_augmentation_noise(samples, 0.25, seed=3)
-        flagged = [(orig, new) for orig, new in zip(samples, out) if new.noise_flag == FLAG_AUG]
-        assert len(flagged) == round(0.25 * len(samples))
-        for orig, new in flagged:
-            assert new.identity == new.clean_identity == orig.identity
-            assert np.linalg.norm(new.frames - orig.frames) > 0.0
-
-    def test_calibration_drops_prototype_accuracy(self):
-        # a nearest-prototype classifier must lose >= 10 points on the
-        # perturbed sequences of a 20-identity dataset
-        samples, manifest = make_clean_dataset(
-            20, 2, {"NM": 3, "BG": 2, "CL": 2}, 10, 16, seed=8
-        )
-        geom = geometry_of(manifest)
-        out, _ = inject_augmentation_noise(samples, 0.5, seed=21)
-        hit = np.array([s.noise_flag == FLAG_AUG for s in out])
-        clean_before = np.array([s.clean_identity for s in samples])[hit]
-        preds_before = nearest_prototype_ids([s for s, h in zip(samples, hit) if h], geom)
-        preds_after = nearest_prototype_ids([s for s, h in zip(out, hit) if h], geom)
-        acc_before = float(np.mean(preds_before == clean_before))
-        acc_after = float(np.mean(preds_after == clean_before))
-        assert acc_before - acc_after >= 0.10
-
-
 class TestIdentitySplit:
     def test_fraction_zero_is_noop(self):
         samples, _ = small_dataset()
@@ -335,7 +300,7 @@ class TestBundleAndManifest:
 
     def test_ragged_roundtrip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
-        flags = (FLAG_CLEAN, FLAG_LABEL, FLAG_AUG, FLAG_SPLIT)
+        flags = (FLAG_CLEAN, FLAG_LABEL, FLAG_SPLIT, FLAG_CLEAN)
         samples = [
             SequenceSample(rng.normal(size=(t, 3)) * 10.0 ** rng.integers(-300, 300, size=(t, 3)),
                            identity=k + 1, condition=cond, view=k, clean_identity=k,
@@ -407,11 +372,11 @@ class TestBundleAndManifest:
                                 condition_groups={"NM": 2, "BG": 1, "CL": 1},
                                 frames_per_seq=5, seed=7)
         n = len(bundle.train)
-        for mode, amount in (("label", 0.2), ("augmentation", 0.2), ("split", 0.5)):
+        for mode, amount in (("label", 0.2), ("split", 0.5)):
             out = corrupt_bundle(bundle, mode, amount, seed=1)
             assert len(out.train) == n
 
-    @pytest.mark.parametrize("mode, amount", [("label", 0.2), ("augmentation", 0.2), ("split", 0.6)])
+    @pytest.mark.parametrize("mode, amount", [("label", 0.2), ("split", 0.6)])
     def test_benchmark_matches_fresh_generator(self, mode, amount, monkeypatch):
         def build():
             return corrupt_bundle(make_benchmark(seed=1), mode, amount, seed=7)
