@@ -107,7 +107,10 @@ def _format_value(value) -> str:
 def _parse_value(key: str, ftype, text: str):
     text = text.strip()
     if typing.get_origin(ftype) is tuple:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        try:
+            return tuple(int(t) for t in text.split(",") if t.strip())
+        except ValueError:
+            raise ValueError(f"{key} must be comma-separated ints, got {text!r}") from None
     args = typing.get_args(ftype)
     if type(None) in args:
         if text == "none":
@@ -118,7 +121,11 @@ def _parse_value(key: str, ftype, text: str):
             raise ValueError(f"{key} must be true or false, got {text!r}")
         return text == "true"
     if ftype in (int, float):
-        return ftype(text)
+        try:
+            return ftype(text)
+        except ValueError:
+            raise ValueError(f"{key} must be {'an int' if ftype is int else 'a float'}"
+                             f"{' or none' if args else ''}, got {text!r}") from None
     return text
 
 
@@ -256,10 +263,11 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
-    """Write rank1.csv / rank1.json / variance.csv for a checkpoint."""
-    os.makedirs(outdir, exist_ok=True)
+    """Write rank1.csv / rank1.json / variance.csv for a checkpoint; a test
+    split rank1 refuses leaves outdir unmade."""
     z, _ = gaugekit.embed_samples(params, test_samples)
     report = gaugekit.rank1(z, test_samples)
+    os.makedirs(outdir, exist_ok=True)
     _write_csv(os.path.join(outdir, "rank1.csv"), report.to_csv_text(), digest)
     with open(os.path.join(outdir, "rank1.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": digest, **report.to_json_dict()}, fh, indent=2, sort_keys=True)
@@ -276,8 +284,8 @@ def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
 # ablation grid
 
 
-# The supervised-family rows train with the plain constant-weight recipe;
-# the coefficient ramp schedule is part of the noise-tolerant method and is
+# The supervised-family rows train with the clean profile's constant weights;
+# the noisy profile's weight ramp is part of the noise-tolerant method and is
 # applied only to rows that include the consistency loss.
 # "supervised+cyclic" trains bitwise the same F as "supervised": with
 # sigma0 = sigma3 = 0 and no sieve, M never reaches F's gradient, so the EMA
@@ -322,11 +330,13 @@ def _ablation_cell_job(result, test_samples) -> dict:
 
 
 def _check_grid(cfg: ExperimentConfig, bundle: DatasetBundle, seeds: list):
-    """Raise ValueError when the grid cannot run: no seed, or a train split
-    that cannot fill the batch shape."""
+    """Raise ValueError when the grid cannot run: no seed, a train split
+    that cannot fill the batch shape, or a test split that rank1 cannot
+    score."""
     if not seeds:
         raise ValueError("the ablation grid needs at least one seed")
     train_groups(bundle, cfg)
+    gaugekit.split_gallery_probe(bundle.test)
 
 
 def run_ablation(cfg: ExperimentConfig, data: DatasetBundle, seeds) -> dict:

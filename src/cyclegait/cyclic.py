@@ -7,15 +7,19 @@ One cyclic iteration, in order:
   4. consistency loss between M's and F's predictions (all samples)
   5. CE / triplet / contrastive losses on F's outputs, restricted to the
      samples kept by the noise sieve when it is enabled
-  6. weighted combination via the coefficient schedule
+  6. weighted combination by the iteration's loss weights
   7. F steps on the full combined gradient; M steps on the consistency term
      only, so it never receives label-dependent gradient
+
+TrainerConfig owns both schedules: lr_at(k) gives an iteration's learning
+rate and sigmas_at(k) its four loss weights, which the loop evaluates once
+per iteration and hands to the step and to the metrics row alike.
 
 Comparison modes: "supervised" (single network, CE + triplet),
 "selfsup" (consistency only, labels unused) and "coteach-baseline"
 (classic small-loss sample exchange, which unlike the cyclic scheme needs
 the noise rate as prior knowledge). MODE_TABLE holds each mode's recipe in
-one row: its step, the schedule weights it keeps, whether it trains M,
+one row: its step, the loss weights it keeps, whether it trains M,
 whether M follows F by EMA, whether F reads augmented frames and whether the
 sieve may run. A mode zeroes the weights it does not keep, a sigma0_const or
 sigma3_const pin then sets that weight in any mode (sigma0 only where weight
@@ -40,13 +44,9 @@ import numpy as np
 
 from .gaitgen import AugmentationSpec, augment_frame_sets
 from .lossbank import (
-    CoeffSchedule,
-    LossBreakdown,
-    Ramp,
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    crc_combine,
     has_valid_triplet,
     per_sample_ce,
     triplet_loss,
@@ -160,30 +160,27 @@ class TrainerConfig:
         decays = sum(1 for ms in self.milestones if ms <= iteration)
         return self.lr * LR_DECAY**decays
 
+    def sigmas_at(self, iteration: int) -> tuple:
+        """The loss weights (s0, s1, s2, s3) of an iteration, for consistency,
+        CE, triplet and contrastive.
 
-def build_schedule(config: TrainerConfig) -> CoeffSchedule:
-    """The profile's weights that the mode keeps, zero for the others, then
-    the sigma0_const and sigma3_const pins."""
-    if config.schedule_profile == "clean":
-        base = CoeffSchedule.clean_default()
-    else:
-        base = CoeffSchedule.noisy_default(config.iterations)
-    kept = config.recipe.sigmas
-    ramps = (base.sigma0, base.sigma1, base.sigma2, base.sigma3)
-    pins = (config.sigma0_const, None, None, config.sigma3_const)
-    return CoeffSchedule(*(
-        Ramp.constant(pin) if pin is not None else ramp if i in kept else Ramp.constant(0.0)
-        for i, (ramp, pin) in enumerate(zip(ramps, pins))
-    ))
-
-
-@dataclass
-class TraceRecord:
-    """Applied updates for one iteration, enough to replay the run."""
-
-    delta_f: np.ndarray
-    delta_m: np.ndarray | None
-    pre_ema_m_hash: str | None
+        The clean profile is (0.1, 1.0, 0.1, 0.1). The noisy profile ramps
+        s0, s2 and s3 from 0.01 to 0.1 over the first half of the run, so the
+        noise-robust terms start small while both networks are still
+        unreliable, and then equals the clean one. It keeps s1 at 1.0:
+        annealing CE as well compounds with the lr milestone and leaves F
+        undertrained, which costs more accuracy than the late CE gradient on
+        noisy labels does. The mode zeroes the weights its recipe does not
+        keep; the sigma0_const and sigma3_const pins then set theirs."""
+        ramp = max(1, int(self.iterations * 0.5))
+        up = 0.1
+        if self.schedule_profile == "noisy" and iteration < ramp:
+            up = 0.01 + (0.1 - 0.01) * (iteration / ramp)  # unfolded: 0.09 rounds differently
+        s0, s1, s2, s3 = (w if i in self.recipe.sigmas else 0.0
+                          for i, w in enumerate((up, 1.0, up, up)))
+        s0 = s0 if self.sigma0_const is None else self.sigma0_const
+        s3 = s3 if self.sigma3_const is None else self.sigma3_const
+        return s0, s1, s2, s3
 
 
 class StepInputs(NamedTuple):
@@ -255,10 +252,10 @@ def _normalize_rows_with_grad_chain(z: np.ndarray):
     return zn, chain
 
 
-def _loss_diagnostics(batch, breakdown: LossBreakdown, iteration: int) -> dict:
+def _loss_diagnostics(batch, losses: dict, iteration: int) -> dict:
     return {
         "iteration": iteration,
-        "losses": breakdown.as_dict(),
+        "losses": losses,
         "batch_identities": [int(s.identity) for s in batch],
         "batch_conditions": [s.condition for s in batch],
         "batch_views": [int(s.view) for s in batch],
@@ -271,41 +268,46 @@ class StepProposal(NamedTuple):
 
     losses: tuple  # (l_c, l_ce, l_tri, l_mil)
     nets: tuple  # (params_f, vel_f, params_m, vel_m)
-    record: TraceRecord
+    delta_f: np.ndarray  # F's applied update, as a trace records it
+    delta_m: np.ndarray | None  # M's, None when M does not follow F by EMA
+    pre_ema_m_hash: str | None  # sha256 of M before the EMA transfer
     kept_fraction: float
     forwards: int
     extra: dict  # mode-specific metrics
 
 
-def train_iteration(inputs: StepInputs, run: TrainingResult, schedule: CoeffSchedule,
-                    k: int):
-    """Run iteration k (1-based) of run on inputs, updating run in place;
-    returns (breakdown, TraceRecord, metrics).
+def train_iteration(inputs: StepInputs, run: TrainingResult, sigmas: tuple, k: int):
+    """Run iteration k (1-based) of run on inputs with the loss weights
+    sigmas (TrainerConfig.sigmas_at(k)), updating run in place; returns
+    (StepProposal, metrics).
 
     The mode's step proposes new networks; they replace the ones in run only
-    once the combined loss is finite.
+    once every loss, the combined loss and every weight are finite.
     """
-    config = run.config
-    step = config.recipe.step(inputs, run, schedule, k)
-    breakdown = crc_combine(*step.losses, schedule, k)
-    if not breakdown.is_finite():
+    step = run.config.recipe.step(inputs, run, sigmas, k)
+    l_c, l_ce, l_tri, l_mil = step.losses
+    s0, s1, s2, s3 = sigmas
+    losses = {"l_c": l_c, "l_ce": l_ce, "l_tri": l_tri, "l_mil": l_mil,
+              "l_crc": s0 * l_c + s1 * l_ce + s2 * l_tri + s3 * l_mil,
+              "sigma0": s0, "sigma1": s1, "sigma2": s2, "sigma3": s3}
+    if not all(math.isfinite(v) for v in losses.values()):
         raise NonFiniteLossError(
-            f"non-finite loss at iteration {k}", _loss_diagnostics(inputs.batch, breakdown, k)
+            f"non-finite loss at iteration {k}", _loss_diagnostics(inputs.batch, losses, k)
         )
     run.params_f, run.vel_f, run.params_m, run.vel_m = step.nets
     run.forward_count += step.forwards
     metrics = {
         "iter": k,
-        **breakdown.as_dict(),
+        **losses,
         "kept_fraction": step.kept_fraction,
-        "lr": config.lr_at(k),
+        "lr": run.config.lr_at(k),
         "forwards": step.forwards,
         **step.extra,
     }
-    return breakdown, step.record, metrics
+    return step, metrics
 
 
-def _two_net_step(inputs, run, schedule, k):
+def _two_net_step(inputs, run, sigmas, k):
     config = run.config
     batch = inputs.batch
     labels = np.array([s.identity for s in batch], dtype=int)
@@ -316,7 +318,7 @@ def _two_net_step(inputs, run, schedule, k):
     z_f, p_f, cache_f = forward_batch(inputs.frames_f, run.params_f)
     z_m, p_m, cache_m = forward_batch(inputs.frames_m, params_m)
 
-    s0, s1, s2, s3 = schedule.at(k)
+    s0, s1, s2, s3 = sigmas
 
     # consistency term over every sample, label-free
     l_c, d_pf_c, d_pm_c = batch_coteach(p_m, p_f)
@@ -359,7 +361,7 @@ def _two_net_step(inputs, run, schedule, k):
 
     return StepProposal(
         (l_c, l_ce, l_tri, l_mil), (params_f, vel_f, params_m, vel_m),
-        TraceRecord(delta_f, delta_m, pre_hash), kept.size / b, 2 * b, mask_stats,
+        delta_f, delta_m, pre_hash, kept.size / b, 2 * b, mask_stats,
     )
 
 
@@ -397,18 +399,18 @@ def _label_update(params, velocity, frame_sets, labels, sigmas, config, k):
     return new_params, new_velocity, delta, (l_ce, l_tri, l_mil)
 
 
-def _supervised_step(inputs, run, schedule, k):
+def _supervised_step(inputs, run, sigmas, k):
     labels = np.array([s.identity for s in inputs.batch], dtype=int)
     params_f, vel_f, delta_f, losses = _label_update(
-        run.params_f, run.vel_f, inputs.frames_f, labels, schedule.at(k)[1:], run.config, k
+        run.params_f, run.vel_f, inputs.frames_f, labels, sigmas[1:], run.config, k
     )
     return StepProposal(
         (0.0, *losses), (params_f, vel_f, None, None),
-        TraceRecord(delta_f, None, None), 1.0, len(labels), {},
+        delta_f, None, None, 1.0, len(labels), {},
     )
 
 
-def _coteach_step(inputs, run, schedule, k):
+def _coteach_step(inputs, run, sigmas, k):
     """Classic small-loss co-teaching step: each network selects its smallest-CE
     fraction (1 - coteach_noise_rate) of the batch and the peer trains on it.
 
@@ -428,27 +430,26 @@ def _coteach_step(inputs, run, schedule, k):
     sel_b = np.argsort(per_sample_ce(p_b, labels), kind="stable")[:n_keep]
 
     # peer exchange: A trains on B's selection and vice versa; losses log the peers' mean
-    sigmas = schedule.at(k)[1:]
     params_f, vel_f, delta_f, losses_f = _label_update(
         run.params_f, run.vel_f, [frame_sets[i] for i in sel_b], labels[sel_b],
-        sigmas, config, k,
+        sigmas[1:], config, k,
     )
     params_m, vel_m, _, losses_m = _label_update(
         run.params_m, run.vel_m, [frame_sets[i] for i in sel_a], labels[sel_a],
-        sigmas, config, k,
+        sigmas[1:], config, k,
     )
     return StepProposal(
         (0.0, *((f + m) / 2.0 for f, m in zip(losses_f, losses_m))),
         (params_f, vel_f, params_m, vel_m),
-        TraceRecord(delta_f, None, None), n_keep / b, 2 * b + 2 * n_keep, {},
+        delta_f, None, None, n_keep / b, 2 * b + 2 * n_keep, {},
     )
 
 
 class Recipe(NamedTuple):
     """One mode's training recipe, a row of MODE_TABLE."""
 
-    step: Callable  # (inputs, run, schedule, k) -> StepProposal
-    sigmas: tuple  # schedule weights kept, by sigma index; the others read 0
+    step: Callable  # (inputs, run, sigmas, k) -> StepProposal
+    sigmas: tuple  # loss weights kept, by sigma index; the others read 0
     trains_m: bool  # a second network M trains beside F
     ema: bool  # M follows F by EMA, so a trace may be recorded; M reads augmented frames
     augment_f: bool  # F reads augmented frames, else the raw ones
@@ -687,7 +688,7 @@ def run_training(dataset, configs, trace_path=None):
         return EncoderShape(d_in=d_in, d_hidden=config.d_hidden, d_emb=config.d_emb,
                             n_classes=max(groups) + 1)
 
-    runs = [(TrainingResult.start(c, shape(c)), build_schedule(c)) for c in configs]
+    runs = [TrainingResult.start(c, shape(c)) for c in configs]
 
     writer = None
     if lead.record_trace:
@@ -701,11 +702,11 @@ def run_training(dataset, configs, trace_path=None):
     try:
         inputs = draw_inputs(groups, lead, augment_f, augment_m)
         for k, step_inputs in enumerate(inputs, start=1):
-            for run, schedule in runs:
-                _, record, metrics = train_iteration(step_inputs, run, schedule, k)
+            for run in runs:
+                step, metrics = train_iteration(step_inputs, run, run.config.sigmas_at(k), k)
                 run.metrics.append(metrics)
-                if writer is not None and record.delta_m is not None:
-                    writer.write(k, record.delta_f, record.delta_m)
+                if writer is not None and step.delta_m is not None:
+                    writer.write(k, step.delta_f, step.delta_m)
                 every = run.config.snapshot_every
                 if every > 0 and (k % every == 0 or k == run.config.iterations):
                     run.snapshots.append((k, run.params_f.copy()))
@@ -713,5 +714,4 @@ def run_training(dataset, configs, trace_path=None):
         if writer is not None:
             writer.close()
 
-    results = [run for run, _ in runs]
-    return results[0] if single else results
+    return runs[0] if single else runs

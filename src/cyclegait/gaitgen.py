@@ -425,6 +425,9 @@ SPLIT_FORMAT_VERSION = 2
 # header column -> field, in SequenceSample's field order after frames
 _SPLIT_COLUMNS = {"id": "identity", "condition": "condition", "view": "view",
                   "clean_id": "clean_identity", "noise_flag": "noise_flag"}
+# header column -> the strs its entries may be; None: ints (a bool is no int)
+_SPLIT_ENTRIES = {"id": None, "condition": CONDITIONS, "view": None, "clean_id": None,
+                  "noise_flag": (FLAG_CLEAN, FLAG_LABEL, FLAG_SPLIT)}
 
 
 def _write_split(path, samples, config_hash: str):
@@ -455,6 +458,13 @@ def _read_split(path, with_frames: bool = True):
         if not all(type(length) is int and length >= 1 for length in lengths):
             raise ValueError(f"{path}: header key 'lengths' needs a frame count of at least "
                              "1 per sequence")
+        for col, allowed in _SPLIT_ENTRIES.items():
+            types = set(map(type, header[col]))  # set(header[col]) may meet a list
+            if allowed is None and not types <= {int}:
+                raise ValueError(f"{path}: header key {col!r} needs an int per sequence")
+            if allowed and not (types <= {str} and set(header[col]) <= set(allowed)):
+                raise ValueError(f"{path}: header key {col!r} needs one of "
+                                 f"{', '.join(allowed)} per sequence")
         n_rows = sum(lengths)
         payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload_bytes != 8 * n_rows * d_in:

@@ -21,7 +21,7 @@ from .gaitgen import CONDITIONS, FLAG_CLEAN
 from .setnet import ModelParams, forward_batch
 
 
-class EvalStructureError(RuntimeError):
+class EvalStructureError(ValueError):
     """A probe has no admissible gallery entry under the exclusion policy."""
 
 
@@ -114,14 +114,6 @@ def rank1(z, test_samples) -> EvalReport:
     p_views = np.array([s.view for s in probes])
 
     admissible = g_views[None, :] != p_views[:, None]
-    no_entry = np.flatnonzero(~admissible.any(axis=1))
-    if no_entry.size:
-        i = int(no_entry[0])
-        s = probes[i]
-        raise EvalStructureError(
-            f"probe {i} (id {s.identity}, view {s.view}, {s.condition}) "
-            "has no admissible gallery entry"
-        )
     hit = g_ids[nearest_gallery_entry(z[g_idx], z[p_idx], admissible)] == p_ids
 
     hits: dict = {}
@@ -337,7 +329,8 @@ def cost_model(batch_size: int, noise_rate: float):
 
 def split_gallery_probe(test_samples):
     """rank1's gallery/probe split of a test split: (gallery indices, probe
-    indices)."""
+    indices). Raises ValueError when either is empty, and EvalStructureError
+    when a probe has no gallery entry of another view to match."""
     seen = set()
     gallery, probe = [], []
     for i, s in enumerate(test_samples):
@@ -349,6 +342,12 @@ def split_gallery_probe(test_samples):
             probe.append(i)
     if not gallery or not probe:
         raise ValueError("test split does not contain both gallery and probe sequences")
+    g_views = {test_samples[i].view for i in gallery}
+    for n, i in enumerate(probe):
+        s = test_samples[i]
+        if len(g_views) == 1 and s.view in g_views:  # no gallery entry of another view
+            raise EvalStructureError(f"probe {n} (id {s.identity}, view {s.view}, "
+                                     f"{s.condition}) has no admissible gallery entry")
     return gallery, probe
 
 

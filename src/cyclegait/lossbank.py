@@ -1,104 +1,18 @@
-"""Scalar training losses with analytic gradients, plus coefficient schedules.
+"""Scalar training losses with analytic gradients.
 
 Four losses feed the weighted combination
     combined = sigma0 * consistency + sigma1 * ce + sigma2 * triplet + sigma3 * contrastive
-and every gradient here is exact (finite-difference checked in the tests).
+whose weights TrainerConfig.sigmas_at in cyclic.py gives per iteration. Every
+gradient here is exact (finite-difference checked in the tests).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class BatchStructureError(ValueError):
     """A batch violates the structural contract of a loss (sampler bug)."""
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-batch loss components and the coefficients that combined them."""
-
-    l_c: float
-    l_ce: float
-    l_tri: float
-    l_mil: float
-    l_crc: float
-    sigma0: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)  # in field order; every field is a float
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.__dict__.values())
-
-
-@dataclass(frozen=True)
-class Ramp:
-    """Piecewise-linear coefficient: start -> end over ramp_iters, then flat."""
-
-    start: float
-    end: float
-    ramp_iters: int = 0
-
-    def value(self, iteration: int) -> float:
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        if self.ramp_iters <= 0 or iteration >= self.ramp_iters:
-            return self.end
-        frac = iteration / self.ramp_iters
-        return self.start + (self.end - self.start) * frac
-
-    @classmethod
-    def constant(cls, v: float) -> "Ramp":
-        return cls(v, v, 0)
-
-
-@dataclass(frozen=True)
-class CoeffSchedule:
-    """The four loss coefficients as ramps, evaluable at any iteration."""
-
-    sigma0: Ramp
-    sigma1: Ramp
-    sigma2: Ramp
-    sigma3: Ramp
-
-    def at(self, iteration: int):
-        return (
-            self.sigma0.value(iteration),
-            self.sigma1.value(iteration),
-            self.sigma2.value(iteration),
-            self.sigma3.value(iteration),
-        )
-
-    @classmethod
-    def constants(cls, s0=0.1, s1=1.0, s2=0.1, s3=0.1) -> "CoeffSchedule":
-        return cls(*(Ramp.constant(v) for v in (s0, s1, s2, s3)))
-
-    @classmethod
-    def noisy_default(cls, total_iters: int, ramp_fraction: float = 0.5) -> "CoeffSchedule":
-        """Ramped profile for noisy-data runs.
-
-        The consistency and triplet weights grow 0.01 -> 0.1 over the ramp
-        window, so the noise-robust terms start small while both networks
-        are still unreliable; the contrastive weight follows the triplet
-        weight. The CE weight stays at 1.0: annealing it as well compounds
-        with the learning-rate milestone and leaves F undertrained, which
-        costs more accuracy than the late CE gradient on noisy labels does.
-        After the ramp the profile equals clean_default.
-        """
-        ramp = max(1, int(total_iters * ramp_fraction))
-        up = Ramp(0.01, 0.1, ramp)
-        return cls(sigma0=up, sigma1=Ramp.constant(1.0), sigma2=up, sigma3=up)
-
-    @classmethod
-    def clean_default(cls) -> "CoeffSchedule":
-        return cls.constants(0.1, 1.0, 0.1, 0.1)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -256,19 +170,3 @@ def batch_mil_loss(embeddings, labels, temperature: float = 1.0):
     grads = d_sim @ e + d_sim.T @ e
     return loss, grads, n_queries
 
-
-def crc_combine(l_c, l_ce, l_tri, l_mil, schedule: CoeffSchedule, iteration: int) -> LossBreakdown:
-    """Evaluate the coefficients at this iteration and combine the parts."""
-    s0, s1, s2, s3 = schedule.at(iteration)
-    combined = s0 * l_c + s1 * l_ce + s2 * l_tri + s3 * l_mil
-    return LossBreakdown(
-        l_c=float(l_c),
-        l_ce=float(l_ce),
-        l_tri=float(l_tri),
-        l_mil=float(l_mil),
-        l_crc=float(combined),
-        sigma0=s0,
-        sigma1=s1,
-        sigma2=s2,
-        sigma3=s3,
-    )

@@ -39,6 +39,9 @@ TINY_GEN = (
 # without --config use
 WIDE_GEN = (*TINY_GEN, "--ids", "10", "--train-ids", "8")
 
+# 9 train identities fill the default batch, but every sequence has view 0
+ONE_VIEW_GEN = (*TINY_GEN, "--ids", "12", "--train-ids", "9", "--views", "1")
+
 # the manifest the hash tests pair with a config
 MANIFEST = make_benchmark(n_ids=3, n_train_ids=2, n_views=1, frames_per_seq=1).manifest
 
@@ -164,6 +167,18 @@ class TestConfigRoundtrip:
     def test_float_roundtrip_exact(self):
         cfg = ExperimentConfig(lr=0.1 + 2e-17, momentum=1 / 3)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("section, key, text, expected", [
+        ("trainer", "iterations", "abc", "an int"),
+        ("trainer", "iterations", "1.5", "an int"),
+        ("trainer", "momentum", "high", "a float"),
+        ("trainer", "sigma3_const", "off", "a float or none"),
+        ("optimizer", "milestones", "1.5", "comma-separated ints"),
+        ("optimizer", "milestones", "10,x", "comma-separated ints"),
+    ])
+    def test_unparsable_value_names_its_key(self, section, key, text, expected):
+        with pytest.raises(ValueError, match=f"^{key} must be {expected}, got '{text}'$"):
+            parse_config(f"[{section}]\n{key} = {text}\n")
 
 
 class TestGenDataCommand:
@@ -453,6 +468,20 @@ class TestTrainEvalPipeline:
         assert code == 2 and captured.out == ""
         assert len(err) == 1 and err[0].startswith("FAIL:") and f"the {name} checkpoint" in err[0]
 
+    def test_eval_of_one_view_dataset_is_a_usage_error(self, tmp_path, capsys):
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        run_cli("gen-data", "--out", str(data), *ONE_VIEW_GEN)
+        run_experiment(tiny_train_config(data, run, iterations=2))
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(run / "model_f.ckpt"), "--data", str(data),
+                       "--out", str(out))
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: probe 0 ")
+        assert "has no admissible gallery entry" in err[0]
+        assert not out.exists()
+
     def test_eval_writes_tab_layout_csv(self, data_dir, tmp_path, capsys):
         run = tmp_path / "run"
         cfg = tiny_train_config(data_dir, run)
@@ -496,7 +525,9 @@ class TestTrainEvalPipeline:
 
         with pytest.raises(NonFiniteLossError):
             run_experiment(cfg)
-        assert (tmp_path / "run" / "diagnostics.json").exists()
+        diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+        assert list(diagnostics["losses"]) == ["l_c", "l_ce", "l_tri", "l_mil", "l_crc",
+                                               "sigma0", "sigma1", "sigma2", "sigma3"]
 
 
 def rewrite_header(path, edit):
@@ -533,9 +564,19 @@ class TestBinaryHeaders:
         ("data/test.bin", lambda header: with_value("lengths", ["6"] * header["n_sequences"])(
             header), EVAL, "'lengths'"),
         ("data/train.bin", with_value("view", 3), EVAL, "'view'"),
+        ("data/test.bin", lambda header: with_value("view", ["x"] * header["n_sequences"])(
+            header), EVAL, "'view'"),
+        ("data/test.bin", lambda header: with_value("id", [True] * header["n_sequences"])(
+            header), EVAL, "'id'"),
+        ("data/train.bin", lambda header: with_value("condition", ["XX"] * header[
+            "n_sequences"])(header), EVAL, "'condition'"),
+        ("data/test.bin", lambda header: with_value("noise_flag", [[]] * header[
+            "n_sequences"])(header), EVAL, "'noise_flag'"),
     ], ids=["checkpoint-without-d_in", "checkpoint-list", "checkpoint-not-json",
             "split-without-d_in", "trace-without-momentum", "checkpoint-d_in-list",
-            "split-lengths-int", "split-length-string", "split-view-int"])
+            "split-lengths-int", "split-length-string", "split-view-int",
+            "split-view-strings", "split-id-bools", "split-unknown-condition",
+            "split-noise-flag-lists"])
     def test_bad_header_is_a_usage_error(self, tmp_path, capsys, file, edit, argv, named):
         data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "out"
         run_cli("gen-data", "--out", str(data), *TINY_GEN)
@@ -626,6 +667,21 @@ class TestAblateCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
             assert not (tmp_path / "b").exists()
+
+    def test_one_view_dataset_is_refused_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # with one view no probe has a gallery entry of another view to match
+        data, out = tmp_path / "data", tmp_path / "ablation"
+        run_cli("gen-data", "--out", str(data), *ONE_VIEW_GEN)
+        monkeypatch.setattr(bench_cli, "run_training", None)  # training would fail here
+        capsys.readouterr()
+        code = run_cli("ablate", "--data", str(data), "--out", str(out),
+                       "--seeds", "1", "--iterations", "2")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: probe 0 ")
+        assert "has no admissible gallery entry" in err[0]
+        assert not out.exists()
 
     def test_too_few_train_identities_is_a_usage_error(self, tmp_path, capsys):
         # TINY_GEN has 6 train identities; the grid's default batch takes 8

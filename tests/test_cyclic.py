@@ -12,11 +12,11 @@ from cyclegait import cyclic, gaugekit
 from cyclegait.cyclic import (
     MODE_TABLE,
     MODES,
+    NonFiniteLossError,
     StepInputs,
     TraceWriter,
     TrainerConfig,
     TrainingResult,
-    build_schedule,
     draw_inputs,
     group_by_identity,
     pxk_sampler,
@@ -25,7 +25,6 @@ from cyclegait.cyclic import (
     train_iteration,
 )
 from cyclegait.gaitgen import make_benchmark
-from cyclegait.lossbank import Ramp
 from cyclegait.numkit import RngStream
 from cyclegait.setnet import EncoderShape, ema_transfer
 import reference
@@ -64,18 +63,18 @@ def tiny_config(**kwargs):
 
 def train_pinned(bundle, config, **pins):
     """run_training's loop for one config, calling train_iteration directly
-    with build_schedule(config)'s ramps named in pins (sigma1=0.0, ...) set to
+    with config.sigmas_at(k)'s weights named in pins (sigma1=0.0, ...) set to
     constants, as no config field pins sigma1 or sigma2. Returns (final F,
     per-iteration metrics)."""
-    schedule = dataclasses.replace(build_schedule(config),
-                                   **{name: Ramp.constant(v) for name, v in pins.items()})
     shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
                          d_emb=config.d_emb, n_classes=reference.n_train_classes(bundle))
     run = TrainingResult.start(config, shape)
     inputs = draw_inputs(group_by_identity(bundle.train), config, config.recipe.augment_f,
                          config.recipe.ema)
-    metrics = [train_iteration(step, run, schedule, k)[2]
-               for k, step in enumerate(inputs, start=1)]
+    metrics = []
+    for k, step in enumerate(inputs, start=1):
+        sigmas = tuple(pins.get(f"sigma{i}", w) for i, w in enumerate(config.sigmas_at(k)))
+        metrics.append(train_iteration(step, run, sigmas, k)[1])
     return run.params_f, metrics
 
 
@@ -124,78 +123,68 @@ class TestSampler:
         assert chi2 < 30.0
 
 
-class TestTrainIteration:
-    def _state_and_inputs(self, config, bundle=None):
-        """A fresh run and the inputs of the first iteration, as run_training
-        draws them."""
-        bundle = bundle or tiny_bundle()
-        shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
-                             d_emb=config.d_emb,
-                             n_classes=reference.n_train_classes(bundle))
-        state = TrainingResult.start(config, shape)
-        inputs = next(draw_inputs(group_by_identity(bundle.train), config, True, True))
-        return state, inputs
+def start_run(config):
+    """A fresh run of config on tiny_bundle() and the inputs of its first
+    iteration, as run_training draws them."""
+    bundle = tiny_bundle()
+    shape = EncoderShape(d_in=reference.d_in(bundle), d_hidden=config.d_hidden,
+                         d_emb=config.d_emb, n_classes=reference.n_train_classes(bundle))
+    state = TrainingResult.start(config, shape)
+    inputs = next(draw_inputs(group_by_identity(bundle.train), config, True, True))
+    return state, inputs
 
+
+class TestTrainIteration:
     def test_null_teacher_update(self):
         # sigma0 = 0 and m = 1: the memorizing network must not move at all
         config = tiny_config(momentum=1.0, sigma0_const=0.0)
-        schedule = build_schedule(config)
-        state, inputs = self._state_and_inputs(config)
+        state, inputs = start_run(config)
         before = state.params_m.flat.copy()
-        train_iteration(inputs, state, schedule, 1)
+        train_iteration(inputs, state, config.sigmas_at(1), 1)
         assert np.array_equal(state.params_m.flat, before)
 
     def test_zero_lr_isolates_ema(self):
         config = tiny_config(lr=0.0)
-        schedule = build_schedule(config)
-        state, inputs = self._state_and_inputs(config)
+        state, inputs = start_run(config)
         f_before = state.params_f.flat.copy()
         m_expected = ema_transfer(state.params_m, state.params_f, config.momentum)
-        train_iteration(inputs, state, schedule, 1)
+        train_iteration(inputs, state, config.sigmas_at(1), 1)
         assert np.array_equal(state.params_f.flat, f_before)
         assert np.array_equal(state.params_m.flat, m_expected.flat)
 
     def test_teacher_gradient_is_label_free(self):
         # shuffling labels must not change M's update in a single iteration
         config = tiny_config()
-        schedule = build_schedule(config)
-        state_a, inputs = self._state_and_inputs(config)
-        state_b, _ = self._state_and_inputs(config)
+        state_a, inputs = start_run(config)
+        state_b, _ = start_run(config)
 
         shuffled = [type(s)(s.frames, (s.identity + 1) % 6, s.condition, s.view,
                             s.clean_identity, s.noise_flag) for s in inputs.batch]
-        _, rec_a, _ = train_iteration(inputs, state_a, schedule, 1)
-        _, rec_b, _ = train_iteration(inputs._replace(batch=shuffled), state_b, schedule, 1)
+        rec_a, _ = train_iteration(inputs, state_a, config.sigmas_at(1), 1)
+        rec_b, _ = train_iteration(inputs._replace(batch=shuffled), state_b,
+                                   config.sigmas_at(1), 1)
         assert np.array_equal(rec_a.delta_m, rec_b.delta_m)
         assert not np.array_equal(rec_a.delta_f, rec_b.delta_f)
 
     def test_pre_ema_hash_differs_after_iteration(self):
         config = tiny_config()
-        schedule = build_schedule(config)
-        state, inputs = self._state_and_inputs(config)
-        _, record, _ = train_iteration(inputs, state, schedule, 1)
-        assert record.pre_ema_m_hash != state.params_m.sha256()
+        state, inputs = start_run(config)
+        step, _ = train_iteration(inputs, state, config.sigmas_at(1), 1)
+        assert step.pre_ema_m_hash != state.params_m.sha256()
 
     def test_breakdown_identity(self):
         config = tiny_config()
-        schedule = build_schedule(config)
-        state, inputs = self._state_and_inputs(config)
-        breakdown, _, _ = train_iteration(inputs, state, schedule, 1)
-        recomputed = (
-            breakdown.sigma0 * breakdown.l_c
-            + breakdown.sigma1 * breakdown.l_ce
-            + breakdown.sigma2 * breakdown.l_tri
-            + breakdown.sigma3 * breakdown.l_mil
-        )
-        assert abs(breakdown.l_crc - recomputed) < 1e-10
-        assert all(v >= 0.0 for v in (breakdown.l_c, breakdown.l_ce, breakdown.l_tri,
-                                      breakdown.l_mil))
+        state, inputs = start_run(config)
+        _, row = train_iteration(inputs, state, config.sigmas_at(1), 1)
+        recomputed = (row["sigma0"] * row["l_c"] + row["sigma1"] * row["l_ce"]
+                      + row["sigma2"] * row["l_tri"] + row["sigma3"] * row["l_mil"])
+        assert abs(row["l_crc"] - recomputed) < 1e-10
+        assert all(row[key] >= 0.0 for key in ("l_c", "l_ce", "l_tri", "l_mil"))
 
     def test_forward_counter_two_per_sample(self):
         config = tiny_config()
-        schedule = build_schedule(config)
-        state, inputs = self._state_and_inputs(config)
-        train_iteration(inputs, state, schedule, 1)
+        state, inputs = start_run(config)
+        train_iteration(inputs, state, config.sigmas_at(1), 1)
         assert state.forward_count == 2 * len(inputs.batch)
 
 
@@ -402,7 +391,7 @@ class TestModeTable:
 
 class TestLabelTermsInEveryMode:
     """One routine forms CE, triplet and contrastive for every mode, so a
-    weight the schedule gives is a weight the step applies."""
+    weight sigmas_at gives is a weight the step applies."""
 
     @pytest.mark.parametrize("pins", [{"sigma3_const": 0.5},
                                       {"sigma1": 0.0, "sigma3_const": 0.0},
@@ -410,14 +399,14 @@ class TestLabelTermsInEveryMode:
     def test_supervised_equals_cyclic_without_consistency(self, pins):
         # sigma0 = 0 keeps the teacher out of F's gradient, so F trains on the
         # label terms alone in both modes; the sigma3 pin is a config field,
-        # the sigma1 and sigma2 pins are set on the schedule
+        # the sigma1 and sigma2 pins are set on the weights train_pinned passes
         bundle = tiny_bundle()
         sigma3 = pins["sigma3_const"]
-        ramp_pins = {name: v for name, v in pins.items() if name != "sigma3_const"}
+        weight_pins = {name: v for name, v in pins.items() if name != "sigma3_const"}
         sup_f, sup_logs = train_pinned(
-            bundle, tiny_config(mode="supervised", sigma3_const=sigma3), **ramp_pins)
+            bundle, tiny_config(mode="supervised", sigma3_const=sigma3), **weight_pins)
         cyc_f, cyc_logs = train_pinned(
-            bundle, tiny_config(sigma0_const=0.0, sigma3_const=sigma3), **ramp_pins)
+            bundle, tiny_config(sigma0_const=0.0, sigma3_const=sigma3), **weight_pins)
         assert np.array_equal(sup_f.flat, cyc_f.flat)
 
         def label_logs(metrics):
@@ -479,14 +468,14 @@ class TestCoteachBaseline:
         # selects samples 0..R-1 and F takes a plain label step on them
         config = tiny_config(mode="coteach-baseline", coteach_noise_rate=0.5)
         state = zeroed_state(config)
-        schedule = build_schedule(config)
-        _, _, metrics = train_iteration(StepInputs(same, None, None), state, schedule, 1)
+        _, metrics = train_iteration(StepInputs(same, None, None), state,
+                                     config.sigmas_at(1), 1)
         assert metrics["kept_fraction"] == 0.5
         for subset, equal in ((same[:3], True), (same[3:], False)):
             zeros = zeroed_state(config)
             expected, _, _, _ = cyclic._label_update(
                 zeros.params_f, zeros.vel_f, [s.frames for s in subset],
-                np.array([s.identity for s in subset]), schedule.at(1)[1:], config, 1)
+                np.array([s.identity for s in subset]), config.sigmas_at(1)[1:], config, 1)
             assert np.array_equal(state.params_f.flat, expected.flat) == equal
 
     def test_invalid_noise_rate_rejected(self):
@@ -609,31 +598,131 @@ class TestRaggedEncoderTrajectory:
 
 class TestScheduleByMode:
     def test_supervised_masks_consistency_and_mil(self):
-        sched = build_schedule(tiny_config(mode="supervised"))
-        s0, s1, s2, s3 = sched.at(100)
+        s0, s1, s2, s3 = tiny_config(mode="supervised").sigmas_at(100)
         assert s0 == 0.0 and s3 == 0.0
         assert s1 > 0.0 and s2 > 0.0
 
     def test_selfsup_masks_supervised_terms(self):
-        sched = build_schedule(tiny_config(mode="selfsup"))
-        s0, s1, s2, s3 = sched.at(100)
+        s0, s1, s2, s3 = tiny_config(mode="selfsup").sigmas_at(100)
         assert s0 > 0.0
         assert s1 == s2 == s3 == 0.0
 
     def test_overrides_pin_constants(self):
-        sched = build_schedule(tiny_config(sigma0_const=0.0, sigma3_const=0.05))
-        assert sched.at(0)[0] == 0.0
-        assert sched.at(10_000)[0] == 0.0
-        assert sched.at(0)[3] == sched.at(10_000)[3] == 0.05
+        config = tiny_config(sigma0_const=0.0, sigma3_const=0.05)
+        assert config.sigmas_at(0)[0] == 0.0
+        assert config.sigmas_at(10_000)[0] == 0.0
+        assert config.sigmas_at(0)[3] == config.sigmas_at(10_000)[3] == 0.05
         # a pin also sets a weight the mode zeroes
         for mode in ("supervised", "selfsup", "coteach-baseline"):
-            sched = build_schedule(tiny_config(mode=mode, sigma3_const=0.25))
-            assert sched.at(0)[3] == sched.at(10_000)[3] == 0.25
+            config = tiny_config(mode=mode, sigma3_const=0.25)
+            assert config.sigmas_at(0)[3] == config.sigmas_at(10_000)[3] == 0.25
 
     def test_clean_profile_constants(self):
-        sched = build_schedule(tiny_config(schedule_profile="clean"))
-        assert sched.at(0) == (0.1, 1.0, 0.1, 0.1)
-        assert sched.at(99_999) == (0.1, 1.0, 0.1, 0.1)
+        config = tiny_config(schedule_profile="clean")
+        assert config.sigmas_at(0) == (0.1, 1.0, 0.1, 0.1)
+        assert config.sigmas_at(99_999) == (0.1, 1.0, 0.1, 0.1)
+
+
+class TestLossWeights:
+    """TrainerConfig.sigmas_at's profiles, before any mode zeroing or pin."""
+
+    def test_ramp_shape(self):
+        config = TrainerConfig(iterations=200)  # the ramp spans 100 iterations
+        up = [config.sigmas_at(k)[0] for k in range(101)]
+        assert up[0] == 0.01 and abs(up[50] - 0.055) < 1e-12 and up[100] == 0.1
+        assert up == sorted(up)
+        assert config.sigmas_at(10_000) == (0.1, 1.0, 0.1, 0.1)
+
+    def test_noisy_profile_endpoints(self):
+        config = TrainerConfig(iterations=1000)
+        assert config.sigmas_at(0) == (0.01, 1.0, 0.01, 0.01)
+        assert config.sigmas_at(500) == (0.1, 1.0, 0.1, 0.1)
+        assert config.sigmas_at(5000) == TrainerConfig(schedule_profile="clean").sigmas_at(0)
+
+    def test_ramp_values_are_bit_exact(self):
+        # 0.01 + (0.1 - 0.01) * 0.2; the literal 0.09 would give 0.027999999999999997
+        assert TrainerConfig(iterations=60).sigmas_at(6) == (
+            0.028000000000000004, 1.0, 0.028000000000000004, 0.028000000000000004)
+
+
+LOSS_KEYS = ["l_c", "l_ce", "l_tri", "l_mil", "l_crc", "sigma0", "sigma1", "sigma2", "sigma3"]
+
+
+class TestMetricsRow:
+    """train_iteration's one dict of losses and weights: the metrics row and
+    the diagnostics of a non-finite iteration."""
+
+    @staticmethod
+    def fixed_parts(monkeypatch, mode, parts):
+        """Make mode's step report the loss parts (l_c, l_ce, l_tri, l_mil)."""
+        recipe = MODE_TABLE[mode]
+        monkeypatch.setitem(MODE_TABLE, mode, recipe._replace(
+            step=lambda *args: recipe.step(*args)._replace(losses=parts)))
+
+    @staticmethod
+    def first_row(config):
+        """The metrics row of config's first iteration."""
+        run, inputs = start_run(config)
+        return train_iteration(inputs, run, config.sigmas_at(1), 1)[1]
+
+    def test_combined_loss_identity(self):
+        # every row of a noisy-profile run, all four weights non-zero and moving
+        for row in run_training(tiny_bundle(), tiny_config(iterations=8)).metrics:
+            assert row["l_crc"] == (row["sigma0"] * row["l_c"] + row["sigma1"] * row["l_ce"]
+                                    + row["sigma2"] * row["l_tri"] + row["sigma3"] * row["l_mil"])
+            assert all(row[f"sigma{i}"] > 0.0 for i in range(4))
+
+    def test_linear_in_each_component(self, monkeypatch):
+        # raising one part by 1 raises l_crc by that part's weight and no more
+        config = tiny_config(schedule_profile="clean", sigma0_const=0.3, sigma3_const=0.9)
+        sigmas = config.sigmas_at(1)
+        assert sigmas == (0.3, 1.0, 0.1, 0.9)
+        self.fixed_parts(monkeypatch, "cyclic", (1.0, 1.0, 1.0, 1.0))
+        base = self.first_row(config)["l_crc"]
+        monkeypatch.undo()
+        for i in range(4):
+            parts = [1.0, 1.0, 1.0, 1.0]
+            parts[i] = 2.0
+            self.fixed_parts(monkeypatch, "cyclic", tuple(parts))
+            assert abs((self.first_row(config)["l_crc"] - base) - sigmas[i]) < 1e-12
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("mode, pins, l_crc", [
+        ("cyclic", {"schedule_profile": "clean"}, 0.1 + 2.0 + 0.3 + 0.4),
+        ("selfsup", {"sigma0_const": 1.0}, 1.0),
+        ("selfsup", {"sigma0_const": 0.0}, 0.0),
+    ], ids=["clean-profile", "consistency-only", "all-zero"])
+    def test_combined_loss_of_known_parts(self, monkeypatch, mode, pins, l_crc):
+        self.fixed_parts(monkeypatch, mode, (1.0, 2.0, 3.0, 4.0))
+        row = self.first_row(tiny_config(mode=mode, **pins))
+        assert abs(row["l_crc"] - l_crc) < 1e-12
+        assert [row[key] for key in LOSS_KEYS[:4]] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_non_finite_value_raises(self, monkeypatch):
+        config = tiny_config()
+        for bad in range(4):
+            for value in (math.nan, math.inf):
+                parts = [1.0, 2.0, 3.0, 4.0]
+                parts[bad] = value
+                self.fixed_parts(monkeypatch, "cyclic", tuple(parts))
+                run, inputs = start_run(config)
+                before = run.params_f.flat.copy()
+                with pytest.raises(NonFiniteLossError, match="at iteration 1$") as err:
+                    train_iteration(inputs, run, config.sigmas_at(1), 1)
+                losses = err.value.diagnostics["losses"]
+                assert not math.isfinite(losses[LOSS_KEYS[bad]])
+                assert not math.isfinite(losses["l_crc"])
+                # the step's networks are not committed
+                assert np.array_equal(run.params_f.flat, before) and run.forward_count == 0
+                monkeypatch.undo()
+
+    def test_diagnostics_losses_key_order(self, monkeypatch):
+        # diagnostics.json writes the losses in this order; the row holds the same keys
+        assert list(self.first_row(tiny_config()))[1:10] == LOSS_KEYS
+        self.fixed_parts(monkeypatch, "cyclic", (math.nan, 2.0, 3.0, 4.0))
+        with pytest.raises(NonFiniteLossError) as err:
+            self.first_row(tiny_config())
+        assert list(err.value.diagnostics["losses"]) == LOSS_KEYS
 
 
 N_RECORDS, N_PARAMS = 8, 5

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +8,9 @@ from hypothesis import strategies as st
 from conftest import assert_grad_close
 from cyclegait.lossbank import (
     BatchStructureError,
-    CoeffSchedule,
-    Ramp,
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    crc_combine,
     has_valid_triplet,
     per_sample_ce,
     triplet_loss,
@@ -324,70 +320,6 @@ class TestMilLoss:
         labels = np.array([0, 0, 1])  # the lone '1' cannot be a query
         _, _, n_q = batch_mil_loss(e, labels)
         assert n_q == 2
-
-
-class TestLossBreakdown:
-    def test_as_dict_is_a_copy_in_field_order(self):
-        bd = crc_combine(1.0, 2.0, 3.0, 4.0, CoeffSchedule.constants(), 0)
-        d = bd.as_dict()
-        assert list(d) == [f.name for f in dataclasses.fields(bd)]
-        assert d == dataclasses.asdict(bd)
-        d["l_c"] = 99.0
-        assert bd.l_c == 1.0
-
-    def test_is_finite(self):
-        sched = CoeffSchedule.constants()
-        assert crc_combine(1.0, 2.0, 3.0, 4.0, sched, 0).is_finite()
-        assert not crc_combine(1.0, float("nan"), 3.0, 4.0, sched, 0).is_finite()
-        assert not crc_combine(1.0, 2.0, float("inf"), 4.0, sched, 0).is_finite()
-
-
-class TestSchedulesAndCombine:
-    def test_null_combination(self):
-        sched = CoeffSchedule.constants(0.0, 0.0, 0.0, 0.0)
-        bd = crc_combine(1.0, 2.0, 3.0, 4.0, sched, 0)
-        assert bd.l_crc == 0.0
-
-    def test_projection(self):
-        sched = CoeffSchedule.constants(1.0, 0.0, 0.0, 0.0)
-        bd = crc_combine(1.7, 2.0, 3.0, 4.0, sched, 5)
-        assert bd.l_crc == 1.7
-
-    def test_reference_coefficients_arithmetic(self):
-        sched = CoeffSchedule.constants(0.1, 1.0, 0.1, 0.1)
-        bd = crc_combine(1.0, 2.0, 3.0, 4.0, sched, 0)
-        assert abs(bd.l_crc - 2.8) < 1e-12
-
-    def test_breakdown_identity_invariant(self, rng):
-        sched = CoeffSchedule.noisy_default(1000)
-        for it in (0, 1, 250, 500, 999, 5000):
-            parts = rng.uniform(0, 3, size=4)
-            bd = crc_combine(*parts, sched, it)
-            recomputed = (
-                bd.sigma0 * bd.l_c + bd.sigma1 * bd.l_ce + bd.sigma2 * bd.l_tri + bd.sigma3 * bd.l_mil
-            )
-            assert abs(bd.l_crc - recomputed) < 1e-10
-
-    def test_linear_in_each_component(self):
-        sched = CoeffSchedule.constants(0.3, 0.5, 0.7, 0.9)
-        base = crc_combine(1.0, 1.0, 1.0, 1.0, sched, 0).l_crc
-        bumped = crc_combine(2.0, 1.0, 1.0, 1.0, sched, 0).l_crc
-        assert abs((bumped - base) - 0.3) < 1e-12
-
-    def test_ramp_shape(self):
-        r = Ramp(0.01, 0.1, 100)
-        assert r.value(0) == 0.01
-        assert abs(r.value(50) - 0.055) < 1e-12
-        assert r.value(100) == 0.1
-        assert r.value(10_000) == 0.1
-
-    def test_noisy_profile_endpoints(self):
-        sched = CoeffSchedule.noisy_default(1000)
-        s0, s1, s2, s3 = sched.at(0)
-        assert (s0, s1, s2, s3) == (0.01, 1.0, 0.01, 0.01)
-        s0, s1, s2, s3 = sched.at(500)
-        assert (s0, s1, s2, s3) == (0.1, 1.0, 0.1, 0.1)
-        assert sched.at(5000) == CoeffSchedule.clean_default().at(0)
 
 
 class TestBatchHelpersAgreeWithScalarOps:

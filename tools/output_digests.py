@@ -9,8 +9,10 @@ relative, because config.snapshot records data_dir and out_dir as given:
 only relative paths make two trees' snapshots equal. Each command's stdout
 is kept as stdout/<step>.txt and hashed with the rest. The output is one
 "sha256  path" line per file under DIR, sorted by path; run it once per
-tree into two new directories and compare the two listings. The exit code
-is non-zero if a command fails, and the set stops there.
+tree into two new directories and compare the two listings. Each command
+has an expected exit code: train-diverge must abort with 1, after writing
+its diagnostics.json, and every other command must succeed. The exit code
+is non-zero if a command exits otherwise, and the set stops there.
 """
 
 import argparse
@@ -19,37 +21,46 @@ import os
 import subprocess
 import sys
 
-# the cyclic run: a P x K = 4 x 2 batch whose sieve opens after 5 iterations
-CYCLIC_CONFIG = "[trainer]\np_ids = 4\nk_seqs = 2\nsieve_warmup = 5\n"
+# config file -> text: the cyclic run's P x K = 4 x 2 batch, whose sieve
+# opens after 5 iterations, and a learning rate that diverges within 60
+# iterations, before any milestone
+CONFIGS = {
+    "cyclic.cfg": "[trainer]\np_ids = 4\nk_seqs = 2\nsieve_warmup = 5\n",
+    "diverge.cfg": "[optimizer]\nlr = 1000000.0\nmilestones =\n",
+}
 
+# (step, command, expected exit code)
 COMMANDS = (
-    ("gen-clean", ["gen-data", "--out", "data/clean"]),
-    ("gen-label", ["gen-data", "--out", "data/label", "--corrupt", "label"]),
-    ("gen-split", ["gen-data", "--out", "data/split", "--corrupt", "split"]),
+    ("gen-clean", ["gen-data", "--out", "data/clean"], 0),
+    ("gen-label", ["gen-data", "--out", "data/label", "--corrupt", "label"], 0),
+    ("gen-split", ["gen-data", "--out", "data/split", "--corrupt", "split"], 0),
     ("corrupt-label", ["corrupt", "--data", "data/clean", "--out", "data/relabel",
-                       "--mode", "label"]),
+                       "--mode", "label"], 0),
     ("train-cyclic", ["train", "--config", "cyclic.cfg", "--data", "data/split",
                       "--out", "runs/cyclic", "--mode", "cyclic", "--and", "--trace",
-                      "--iterations", "300"]),
+                      "--iterations", "300"], 0),
     ("train-supervised", ["train", "--data", "data/label", "--out", "runs/supervised",
                           "--mode", "supervised", "--iterations", "200",
-                          "--snapshot-every", "50"]),
+                          "--snapshot-every", "50"], 0),
     ("train-selfsup", ["train", "--data", "data/clean", "--out", "runs/selfsup",
-                       "--mode", "selfsup", "--trace", "--iterations", "100"]),
+                       "--mode", "selfsup", "--trace", "--iterations", "100"], 0),
     ("train-coteach", ["train", "--data", "data/relabel", "--out", "runs/coteach",
-                       "--mode", "coteach-baseline", "--iterations", "100"]),
+                       "--mode", "coteach-baseline", "--iterations", "100"], 0),
     ("eval-cyclic", ["eval", "--checkpoint", "runs/cyclic/model_f.ckpt",
-                     "--data", "data/split", "--out", "evals/cyclic"]),
+                     "--data", "data/split", "--out", "evals/cyclic"], 0),
     ("eval-supervised", ["eval", "--checkpoint", "runs/supervised/model_f.ckpt",
-                         "--data", "data/label", "--out", "evals/supervised"]),
+                         "--data", "data/label", "--out", "evals/supervised"], 0),
     ("eval-selfsup", ["eval", "--checkpoint", "runs/selfsup/model_f.ckpt",
-                      "--data", "data/clean", "--out", "evals/selfsup"]),
+                      "--data", "data/clean", "--out", "evals/selfsup"], 0),
     ("eval-coteach", ["eval", "--checkpoint", "runs/coteach/model_f.ckpt",
-                      "--data", "data/relabel", "--out", "evals/coteach"]),
-    ("verify-cyclic", ["verify-closed-form", "--run", "runs/cyclic"]),
-    ("verify-selfsup", ["verify-closed-form", "--run", "runs/selfsup"]),
+                      "--data", "data/relabel", "--out", "evals/coteach"], 0),
+    ("verify-cyclic", ["verify-closed-form", "--run", "runs/cyclic"], 0),
+    ("verify-selfsup", ["verify-closed-form", "--run", "runs/selfsup"], 0),
+    ("train-diverge", ["train", "--config", "diverge.cfg", "--data", "data/split",
+                       "--out", "runs/diverge", "--mode", "cyclic", "--and",
+                       "--iterations", "60"], 1),
     ("ablate", ["ablate", "--data", "data/split", "--out", "ablation", "--seeds", "1",
-                "--iterations", "20"]),
+                "--iterations", "20"], 0),
 )
 
 
@@ -79,18 +90,19 @@ def main(argv=None) -> int:
         print(f"error: {args.out} is not empty", file=sys.stderr)
         return 2
     os.makedirs(os.path.join(args.out, "stdout"), exist_ok=True)
-    with open(os.path.join(args.out, "cyclic.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(CYCLIC_CONFIG)
+    for name, text in CONFIGS.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CYCLEGAIT_OUT_ROOT", None)
-    for step, command in COMMANDS:
+    for step, command, expected in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "cyclegait.bench_cli", *command],
                               cwd=args.out, env=env, capture_output=True, text=True)
         with open(os.path.join(args.out, "stdout", f"{step}.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(proc.stdout)
-        if proc.returncode != 0:
+        if proc.returncode != expected:
             print(f"error: {step} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
             return 1
 
