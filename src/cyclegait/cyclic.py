@@ -699,17 +699,20 @@ def run_training(dataset, configs, trace_path=None):
 
     augment_f = any(c.recipe.augment_f for c in configs)
     augment_m = any(c.recipe.ema for c in configs)
+    # a diverging run overflows on its way to the non-finite loss that stops
+    # it; the NonFiniteLossError names that iteration, so numpy stays quiet
     try:
-        inputs = draw_inputs(groups, lead, augment_f, augment_m)
-        for k, step_inputs in enumerate(inputs, start=1):
-            for run in runs:
-                step, metrics = train_iteration(step_inputs, run, run.config.sigmas_at(k), k)
-                run.metrics.append(metrics)
-                if writer is not None and step.delta_m is not None:
-                    writer.write(k, step.delta_f, step.delta_m)
-                every = run.config.snapshot_every
-                if every > 0 and (k % every == 0 or k == run.config.iterations):
-                    run.snapshots.append((k, run.params_f.copy()))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inputs = draw_inputs(groups, lead, augment_f, augment_m)
+            for k, step_inputs in enumerate(inputs, start=1):
+                for run in runs:
+                    step, metrics = train_iteration(step_inputs, run, run.config.sigmas_at(k), k)
+                    run.metrics.append(metrics)
+                    if writer is not None and step.delta_m is not None:
+                        writer.write(k, step.delta_f, step.delta_m)
+                    every = run.config.snapshot_every
+                    if every > 0 and (k % every == 0 or k == run.config.iterations):
+                        run.snapshots.append((k, run.params_f.copy()))
     finally:
         if writer is not None:
             writer.close()

@@ -11,7 +11,8 @@ shared CL direction is what lets clothing-driven mistakes learned on train
 identities transfer to test identities.
 
 Corruptions never touch clean_identity and always set noise_flag, so
-detection diagnostics stay possible downstream.
+detection diagnostics stay possible downstream. They copy only the samples
+they relabel; the others are shared with their input.
 
 A dataset directory is manifest.json plus train.bin and test.bin. The
 manifest records what gen-data and corrupt set (make_benchmark's arguments
@@ -28,7 +29,7 @@ import json
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -157,7 +158,8 @@ def make_clean_dataset(
 
     Each identity's sequences are built as one (sequences, T, d_in) block and
     every sample's frames are a view of its identity's block, so nothing may
-    write into them in place: the corruptions' copies share them too.
+    write into them in place: the corruptions share them too, whole samples
+    where they leave a sample unchanged and the frames of those they relabel.
     """
     if n_ids < 2:
         raise ValueError("need at least two identities")
@@ -177,13 +179,19 @@ def make_clean_dataset(
     rotations_t = geom.rotations[[view for _, view in tags]].transpose(0, 2, 1)
     samples = []
     for identity in range(n_ids):
-        s = root.child(4).child(identity)
+        # per sequence an offset draw, then a jitter draw, as standard normals
+        # in place; numpy's normal(0, sigma) is 0.0 + sigma * x, so scaling
+        # each whole array after is bit-equal to drawing normal(0, sigma)
         seq_offs = np.empty((len(tags), d_in))
         block = np.empty((len(tags), frames_per_seq, d_in))
-        for k in range(len(tags)):
-            seq_offs[k], s = s.normal(d_in, SEQ_JITTER)
-            noise, s = s.normal(frames_per_seq * d_in, FRAME_JITTER)
-            block[k] = noise.reshape(frames_per_seq, d_in)
+        draws = [out for pair in zip(seq_offs, block) for out in pair]
+        stream = root.child(4).child(identity)
+        for out, gen in zip(draws, stream.generators([out.size for out in draws])):
+            gen.standard_normal(out=out)
+        seq_offs *= SEQ_JITTER
+        seq_offs += 0.0
+        block *= FRAME_JITTER
+        block += 0.0
         offsets = {c: _condition_offset(geom, identity, c) for c in condition_groups}
         base = geom.prototypes[identity] + np.array([offsets[c] for c, _ in tags]).reshape(-1, d_in)
         block = np.matmul((base + seq_offs)[:, None, :] + block, rotations_t)
@@ -214,11 +222,13 @@ def inject_random_label_noise(samples, rate: float, seed: int):
 
     Returns (new samples, corruption descriptor). Victims are drawn without
     replacement; the new identity is uniform over the other identities
-    present in the dataset.
+    present in the dataset. Only the victims are copied: every other entry of
+    the new list is the input's own sample, shared, so neither may be
+    changed in place.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("noise rate must lie in [0, 1)")
-    out = [copy.copy(s) for s in samples]
+    out = list(samples)
     n_corrupt = round(rate * len(out))
     descriptor = {"mode": "label", "rate": rate, "seed": seed}
     if n_corrupt == 0:
@@ -226,13 +236,15 @@ def inject_random_label_noise(samples, rate: float, seed: int):
     ids = dataset_ids(samples)
     if len(ids) < 2:
         raise ValueError("label noise needs at least two identities")
-    rng = RngStream(seed, stream=11)
-    victims, rng = rng.choice(len(out), n_corrupt, replace_=False)
-    for v in sorted(victims.tolist()):
-        others = [i for i in ids if i != out[v].identity]
-        pick, rng = rng.integers(1, 0, len(others))
-        out[v].identity = others[int(pick[0])]
-        out[v].noise_flag = FLAG_LABEL
+    rank = {identity: k for k, identity in enumerate(ids)}
+    victims, rng = RngStream(seed, stream=11).choice(len(out), n_corrupt, replace_=False)
+    victims = sorted(victims.tolist())
+    # one draw per victim, in victim order: the j-th of the other identities
+    # is ids[j], or ids[j + 1] from the victim's own identity on
+    for v, gen in zip(victims, rng.generators([1] * len(victims))):
+        j = int(gen.integers(0, len(ids) - 1, size=1)[0])
+        j += j >= rank[out[v].identity]
+        out[v] = replace(out[v], identity=ids[j], noise_flag=FLAG_LABEL)
     return out, descriptor
 
 
@@ -242,25 +254,26 @@ def inject_identity_split(samples, fraction: float, seed: int = 0):
     The first floor(fraction * n_ids) identities (by index) have every CL
     sequence moved to a brand-new identity appended after the existing id
     range, with the condition tag rewritten to NM. One new identity per
-    affected original that actually has CL sequences. The seed argument is
-    accepted for interface symmetry; the construction is deterministic.
+    affected original that actually has CL sequences. Only the relabelled
+    sequences are copied: every other entry of the new list is the input's
+    own sample, shared, so neither may be changed in place. The seed argument
+    is accepted for interface symmetry; the construction is deterministic.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    out = [copy.copy(s) for s in samples]
+    out = list(samples)
     ids = dataset_ids(samples)
     n_affected = int(math.floor(fraction * len(ids)))
     affected = set(ids[:n_affected])
     next_id = max(ids) + 1 if ids else 0
     new_id_of = {}
-    for s in out:
+    for k, s in enumerate(out):
         if s.identity in affected and s.condition == "CL" and s.noise_flag == FLAG_CLEAN:
             if s.identity not in new_id_of:
                 new_id_of[s.identity] = next_id
                 next_id += 1
-            s.identity = new_id_of[s.identity]
-            s.condition = "NM"
-            s.noise_flag = FLAG_SPLIT
+            out[k] = replace(s, identity=new_id_of[s.identity], condition="NM",
+                             noise_flag=FLAG_SPLIT)
     descriptor = {"mode": "split", "fraction": fraction, "seed": seed}
     return out, descriptor
 

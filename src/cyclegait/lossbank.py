@@ -85,8 +85,9 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     """Batch-all triplet loss with Euclidean distances.
 
     Mean of hinge(d(a,p) - d(a,n) + margin) over triplets whose hinge is
-    strictly positive; zero when every valid triplet already satisfies the
-    margin. Returns (loss, per-embedding gradients).
+    strictly positive or NaN; zero when every valid triplet already satisfies
+    the margin, NaN (loss and gradient) when a hinge is NaN. Returns (loss,
+    per-embedding gradients).
 
     Hinges are formed only for anchor-positive pairs, a row of B candidate
     negatives each, in the (a, p, n) order of the full cube, so the mean
@@ -112,7 +113,7 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     anchor, positive = np.nonzero(same & ~np.eye(b, dtype=bool))  # row-major (a, p)
 
     hinge = dist[anchor, positive][:, None] - dist[anchor] + margin  # (pair, n)
-    active = ~same[anchor] & (hinge > 0.0)
+    active = ~same[anchor] & ~(hinge <= 0.0)  # a NaN hinge is active: NaN in, NaN out
     n_active = np.count_nonzero(active)
     if n_active == 0:
         return 0.0, np.zeros_like(e)

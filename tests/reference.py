@@ -14,6 +14,9 @@ carries in a faster shape, each next to the fast one:
   out one probe at a time, next to the chunked ones;
 - the sequence-by-sequence dataset generator, next to the one that builds
   each identity's sequences as one block;
+- the label-noise loop that copies every sample and lists each victim's
+  other identities, next to the one that copies only the victims and finds
+  the pick by index;
 - the three-write trace record, the whole-trace reader and the
   (N, P)-array replay and closed form, next to the streamed ones;
 - the sieve's sample-by-sample keep floor, next to its one indexed
@@ -26,6 +29,7 @@ bundle's class count and frame width, and the first iteration a curve
 reaches a target.
 """
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -466,6 +470,30 @@ def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq,
         "corruptions": [],
     }
     return samples, manifest
+
+
+def per_victim_label_noise(samples, rate, seed):
+    """gaitgen.inject_random_label_noise with a copy of every sample and, per
+    victim, the list of its other identities, indexed by one integers draw
+    each. Same signature and result."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("noise rate must lie in [0, 1)")
+    out = [copy.copy(s) for s in samples]
+    n_corrupt = round(rate * len(out))
+    descriptor = {"mode": "label", "rate": rate, "seed": seed}
+    if n_corrupt == 0:
+        return out, descriptor
+    ids = gaitgen.dataset_ids(samples)
+    if len(ids) < 2:
+        raise ValueError("label noise needs at least two identities")
+    rng = RngStream(seed, stream=11)
+    victims, rng = rng.choice(len(out), n_corrupt, replace_=False)
+    for v in sorted(victims.tolist()):
+        others = [i for i in ids if i != out[v].identity]
+        pick, rng = rng.integers(1, 0, len(others))
+        out[v].identity = others[int(pick[0])]
+        out[v].noise_flag = gaitgen.FLAG_LABEL
+    return out, descriptor
 
 
 def augment_frame_sets(frame_sets, spec, rng):

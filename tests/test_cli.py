@@ -1,9 +1,13 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +31,24 @@ from cyclegait.gaitgen import load_bundle, make_benchmark, regenerate_from_manif
 from cyclegait.setnet import load_checkpoint
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def load_tool(name):
+    """The script tools/<name>.py as a module, imported without writing
+    bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
 
 
 TINY_GEN = (
@@ -515,8 +535,8 @@ class TestTrainEvalPipeline:
             b = (outputs[1] / rel).read_bytes()
             assert a == b, f"{rel} differs between identical pipelines"
 
-    # a huge learning rate reliably overflows the logits, warnings included
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a huge learning rate reliably overflows the logits; the training loop
+    # raises no RuntimeWarning on the way, which pytest would turn into an error
     def test_nonfinite_abort_writes_diagnostics(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run",
                                 lr=1e6, milestones=(),
@@ -528,6 +548,25 @@ class TestTrainEvalPipeline:
         diagnostics = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
         assert list(diagnostics["losses"]) == ["l_c", "l_ce", "l_tri", "l_mil", "l_crc",
                                                "sigma0", "sigma1", "sigma2", "sigma3"]
+
+    def test_diverging_train_prints_only_its_abort_line(self, tmp_path):
+        # the gen-split and train-diverge steps of tools/output_digests.py, each
+        # in its own process, so numpy's warnings would reach its stderr
+        tool = load_tool("output_digests")
+        steps = {step: (command, code) for step, command, code in tool.COMMANDS}
+        for name, text in tool.CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONWARNINGS", bench_cli.OUT_ROOT_ENV)}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        for step in ("gen-split", "train-diverge"):
+            command, code = steps[step]
+            proc = subprocess.run([sys.executable, "-m", "cyclegait.bench_cli", *command],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "aborted: non-finite loss at iteration 6 (diagnostics written)"]
 
 
 def rewrite_header(path, edit):

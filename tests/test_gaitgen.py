@@ -23,9 +23,12 @@ from cyclegait.gaitgen import (
     save_bundle,
 )
 from cyclegait import gaitgen
-from cyclegait.numkit import RngStream
+from cyclegait import numkit
+from cyclegait.numkit import _DRAW_BLOCK, RngStream
 import reference
 from reference import geometry_of, nearest_prototype_ids
+
+MASK64 = 2**64 - 1
 
 # the augmentations the tests run: one that changes nothing, the training
 # default, and one that drops more frames and jitters harder
@@ -69,34 +72,47 @@ def frame_bytes_equal(a, b):
 
 class TestBlockGeneratorMatchesLoopOracle:
     @pytest.fixture()
-    def normal_calls(self, monkeypatch):
-        """Every RngStream.normal call as (stream, arguments), in call order."""
+    def draw_addresses(self, monkeypatch):
+        """The address and size of every draw, as (seed, stream, block, n
+        values), in draw order: an RngStream.normal call by its stream, and a
+        yield of RngStream.generators by the key and counter its Philox holds
+        when yielded."""
         calls = []
-        real = RngStream.normal
+        real_normal, real_generators = RngStream.normal, RngStream.generators
 
-        def counted(stream, *args):
-            calls.append((stream, args))
-            return real(stream, *args)
+        def normal(stream, n, *args):
+            calls.append((stream.seed & MASK64, stream.stream & MASK64, stream.block, n))
+            return real_normal(stream, n, *args)
 
-        monkeypatch.setattr(RngStream, "normal", counted)
+        def generators(stream, sizes):
+            sizes = list(sizes)
+            for n, gen in zip(sizes, real_generators(stream, sizes)):
+                state = gen.bit_generator.state["state"]
+                counter, key = state["counter"].tolist(), state["key"].tolist()
+                assert counter[0] % _DRAW_BLOCK == 0 and counter[1:] == [0, 0, 0]
+                calls.append((key[0], key[1], counter[0] // _DRAW_BLOCK, n))
+                yield gen
+
+        monkeypatch.setattr(RngStream, "normal", normal)
+        monkeypatch.setattr(RngStream, "generators", generators)
         return calls
 
     @pytest.mark.parametrize("n_views", [1, 4])
     @pytest.mark.parametrize("d_in", [5, 16])
     @pytest.mark.parametrize("frames_per_seq", [1, 30])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_frames_tags_and_draws(self, n_views, d_in, frames_per_seq, seed, normal_calls):
+    def test_frames_tags_and_draws(self, n_views, d_in, frames_per_seq, seed, draw_addresses):
         args = (5, n_views, {"NM": 2, "BG": 0, "CL": 1}, frames_per_seq, d_in, seed)
         samples, manifest = make_clean_dataset(*args)
-        n_block = len(normal_calls)
+        n_block = len(draw_addresses)
         oracle, oracle_manifest = reference.per_sequence_clean_dataset(*args)
         assert len(samples) == 5 * 3 * n_views
         assert frame_bytes_equal(samples, oracle)
         assert manifest == oracle_manifest
-        assert normal_calls[:n_block] == normal_calls[n_block:]
+        assert draw_addresses[:n_block] == draw_addresses[n_block:]
 
     @pytest.mark.parametrize("mode, amount", [("label", 0.3), ("split", 0.5)])
-    def test_after_corruption_and_regeneration(self, mode, amount, normal_calls, monkeypatch):
+    def test_after_corruption_and_regeneration(self, mode, amount, draw_addresses, monkeypatch):
         def build():
             bundle = corrupt_bundle(make_benchmark(
                 n_ids=8, n_train_ids=5, n_views=2, condition_groups={"NM": 2, "BG": 1, "CL": 1},
@@ -104,10 +120,10 @@ class TestBlockGeneratorMatchesLoopOracle:
             return bundle, regenerate_from_manifest(bundle.manifest)
 
         built = build()
-        n_block = len(normal_calls)
+        n_block = len(draw_addresses)
         monkeypatch.setattr(gaitgen, "make_clean_dataset", reference.per_sequence_clean_dataset)
         oracle = build()
-        assert normal_calls[:n_block] == normal_calls[n_block:]
+        assert draw_addresses[:n_block] == draw_addresses[n_block:]
         for fast, slow in zip((*built, built[1]), (*oracle, built[0])):
             assert frame_bytes_equal(fast.train, slow.train)
             assert frame_bytes_equal(fast.test, slow.test)
@@ -214,6 +230,30 @@ class TestLabelNoise:
         with pytest.raises(ValueError):
             inject_random_label_noise(samples, 1.0, seed=1)
 
+    @pytest.mark.parametrize("ids", [(0, 1), (3, 7, 8, 20), (-4, 2, 5, 9, 11, 30)])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.45])
+    def test_matches_per_victim_loop(self, ids, rate):
+        # ten sequences per identity, in shuffled id order, so victims hold the
+        # smallest and the largest id across the seeds
+        order = np.random.default_rng(len(ids)).permutation(10 * len(ids))
+        samples = [SequenceSample(np.full((2, 3), float(k)), ids[k % len(ids)], "NM", 0,
+                                  ids[k % len(ids)]) for k in order.tolist()]
+        before = [dict(vars(s)) for s in samples]
+        victim_ids = set()
+        for seed in range(8):
+            out, descriptor = inject_random_label_noise(samples, rate, seed)
+            want, want_descriptor = reference.per_victim_label_noise(samples, rate, seed)
+            assert frame_bytes_equal(out, want) and descriptor == want_descriptor
+            for s, new in zip(samples, out):
+                # an unchanged sample is shared, a relabelled one a copy
+                assert (new is s) == (new.noise_flag == FLAG_CLEAN)
+                assert new.frames is s.frames
+                if new is not s:
+                    victim_ids.add(s.identity)
+            assert all(vars(s) == b for s, b in zip(samples, before))
+        if rate > 0.0:
+            assert {min(ids), max(ids)} <= victim_ids
+
 
 class TestIdentitySplit:
     def test_fraction_zero_is_noop(self):
@@ -235,6 +275,16 @@ class TestIdentitySplit:
         out, _ = inject_identity_split(samples, 0.6)
         affected = {s.clean_identity for s in out if s.noise_flag == FLAG_SPLIT}
         assert affected == set(range(44))  # floor(0.6 * 74) = 44 first ids
+
+    def test_only_relabelled_sequences_are_copied(self):
+        samples, _ = small_dataset(n_ids=4)
+        before = [dict(vars(s)) for s in samples]
+        out, _ = inject_identity_split(samples, 0.5)
+        for s, new in zip(samples, out):
+            assert (new is s) == (new.noise_flag == FLAG_CLEAN)
+            assert new.frames is s.frames
+        assert any(new is not s for s, new in zip(samples, out))
+        assert all(vars(s) == b for s, b in zip(samples, before))
 
     def test_condition_rewritten_and_clean_id_kept(self):
         samples, _ = small_dataset(n_ids=4)
@@ -382,7 +432,10 @@ class TestBundleAndManifest:
             return corrupt_bundle(make_benchmark(seed=1), mode, amount, seed=7)
 
         fast = build()
-        monkeypatch.setattr(RngStream, "_generator", reference.fresh_generator)
+        # every draw, RngStream's methods and its generators alike, resets
+        # through numkit._reset
+        monkeypatch.setattr(numkit, "_reset", lambda seed, stream, block:
+                            reference.fresh_generator(RngStream(seed, stream, block)))
         oracle = build()
         assert frames_equal(fast.train, oracle.train)
         assert frames_equal(fast.test, oracle.test)

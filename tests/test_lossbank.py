@@ -158,6 +158,16 @@ class TestTripletLoss:
         for a, n in zip(grad.ravel(), fd.ravel()):
             assert_grad_close(a, n)
 
+    def test_nan_embeddings_give_nan_loss_and_gradient(self):
+        # a NaN hinge counts as active, so NaN reaches the loss and the
+        # gradient instead of reading as every margin met
+        loss, grad = triplet_loss(np.full((4, 3), np.nan), [0, 0, 1, 1])
+        assert math.isnan(loss) and np.isnan(grad).all()
+        e = np.random.default_rng(4).normal(size=(4, 3))
+        e[2, 1] = np.nan
+        loss, grad = triplet_loss(e, [0, 0, 1, 1])
+        assert math.isnan(loss) and np.isnan(grad).any()
+
     def test_no_valid_triplet_rejected(self):
         with pytest.raises(BatchStructureError):
             triplet_loss(np.zeros((3, 2)), [0, 1, 2])

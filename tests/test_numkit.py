@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclegait.numkit import _DRAW_BLOCK, RngStream
+from cyclegait import numkit
+from cyclegait.numkit import _DRAW_BLOCK, _VALUES_PER_BLOCK, RngStream
 from reference import entropy, fresh_generator, philox_generator, softmax
 
 
@@ -149,6 +150,87 @@ class TestRngStream:
         assert np.array_equal(s.permutation(30)[0], fresh_generator(s).permutation(30))
 
 
+LAST_BLOCK = 2**64 // _DRAW_BLOCK - 1
+
+# what a test draws from a yield of RngStream.generators, as generator -> values
+GENERATOR_DRAWS = {
+    "standard_normal": lambda g: g.standard_normal(50),
+    "normal": lambda g: g.normal(0.0, 0.3, size=50),
+    "integers": lambda g: g.integers(3, 90, size=51),
+    "uniform": lambda g: g.uniform(-1.0, 2.0, size=50),
+}
+
+
+def _philox_words(bit_gen):
+    """Every word of a Philox's state, as plain lists and ints."""
+    state = bit_gen.state
+    return ({k: v.tolist() for k, v in state["state"].items()}, state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class TestGenerators:
+    """RngStream.generators yields the thread's Generator once per draw of a
+    chain, reset to that draw's (key, counter)."""
+
+    @pytest.mark.parametrize("block", [0, 1, 37, LAST_BLOCK])
+    @pytest.mark.parametrize("sid", [0, 5, 2**63 + 5])
+    def test_each_yield_matches_fresh_generator(self, block, sid):
+        stream = RngStream(7, sid, block)
+        for name, draw in GENERATOR_DRAWS.items():
+            (gen,) = stream.generators([50])
+            assert np.array_equal(draw(gen), draw(fresh_generator(stream))), name
+
+    @pytest.mark.parametrize("block", [0, 1, 37])
+    def test_chain_matches_the_draw_methods(self, block):
+        # a draw of 2**18 values spans two blocks, so the third yield is two past
+        # the second; each yield reads what the chain's draw call returns
+        sizes = [5, _VALUES_PER_BLOCK, 3, 1]
+        stream, expected = RngStream(7, 9, block), []
+        for n in sizes:
+            values, stream = stream.normal(n, 0.3)
+            expected.append(values)
+        for n, gen, want in zip(sizes, RngStream(7, 9, block).generators(sizes), expected):
+            got = gen.standard_normal(n)
+            got *= 0.3
+            got += 0.0
+            assert got.tobytes() == want.tobytes()
+
+    def test_block_past_the_counter_range_raises_before_the_generator_is_touched(self):
+        gens = RngStream(1, 3, LAST_BLOCK).generators([4, 4])
+        gen = next(gens)
+        gen.integers(0, 3, size=3, dtype=np.uint32)  # leaves a buffered 32-bit half
+        words = _philox_words(gen.bit_generator)
+        with pytest.raises(ValueError, match="past the end"):
+            next(gens)
+        assert _philox_words(gen.bit_generator) == words
+        with pytest.raises(ValueError, match="past the end"):
+            next(RngStream(1, 0, LAST_BLOCK + 1).generators([1]))
+        assert _philox_words(gen.bit_generator) == words
+
+    def test_draws_between_yields_do_not_leak_into_the_next(self):
+        # between two yields of one chain: a draw method on another stream and
+        # a yield of another chain, each leaving the generator mid-buffer
+        a, b, c = RngStream(9, 1), RngStream(9, 2, 4), RngStream(9, 3)
+        chain_a, chain_c = a.generators([7, 7, 7]), c.generators([5, 5])
+        got = []
+        for k in range(2):
+            got.append(next(chain_a).integers(0, 3, size=7, dtype=np.uint32))
+            b.integers(5, 0, 3)
+            got.append(next(chain_c).integers(0, 3, size=5, dtype=np.uint32))
+        got.append(next(chain_a).integers(0, 3, size=7, dtype=np.uint32))
+        expected = [fresh_generator(RngStream(seed, sid, blk)).integers(0, 3, size=n,
+                                                                        dtype=np.uint32)
+                    for seed, sid, blk, n in ((9, 1, 0, 7), (9, 3, 0, 5), (9, 1, 1, 7),
+                                              (9, 3, 1, 5), (9, 1, 2, 7))]
+        for values, want in zip(got, expected, strict=True):
+            assert np.array_equal(values, want)
+
+    def test_nothing_is_reset_before_a_yield_is_taken(self):
+        gens = RngStream(1, 0, LAST_BLOCK + 1).generators([1])
+        with pytest.raises(ValueError, match="past the end"):
+            next(gens)
+
+
 # Every draw method as (stream, size) -> result, with sizes that leave the
 # generator mid-buffer: odd counts of 32-bit integers keep a buffered half.
 DRAWS = {
@@ -165,12 +247,12 @@ def _run_draws(plan):
     return [DRAWS[name](stream, n) for stream, name, n in plan]
 
 
-def _draw_in_threads(plans):
+def _draw_in_threads(plans, run=_run_draws):
     """Run each plan in its own thread; the results in plan order."""
     results = [None] * len(plans)
 
     def work(i):
-        results[i] = _run_draws(plans[i])
+        results[i] = run(plans[i])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(plans))]
     for t in threads:
@@ -233,6 +315,30 @@ class TestThreadPhilox:
         monkeypatch.setattr(RngStream, "_generator", reset_then_wait)
         for plan, got, expected in zip(plans, _draw_in_threads(plans), serial):
             _assert_same_draws(plan, got, expected)
+
+    def test_two_threads_run_generators_as_if_alone(self, monkeypatch):
+        # as above, for the yields of RngStream.generators: each reset waits
+        # until the other thread's chain has reset too
+        chains = [(RngStream(11, sid), [7, 3, 30, 1, 12] * 3) for sid in (1, 2)]
+
+        def run_chain(chain):
+            stream, sizes = chain
+            return [gen.standard_normal(n) for n, gen in zip(sizes, stream.generators(sizes))]
+
+        serial = [run_chain(chain) for chain in chains]
+        barrier = threading.Barrier(2, timeout=10)
+        reset = numkit._reset
+
+        def reset_then_wait(seed, stream, block):
+            gen = reset(seed, stream, block)
+            barrier.wait()
+            return gen
+
+        monkeypatch.setattr(numkit, "_reset", reset_then_wait)
+        for got, expected in zip(_draw_in_threads(chains, run_chain), serial, strict=True):
+            assert len(got) == len(expected)
+            for values, want in zip(got, expected):
+                assert np.array_equal(values, want)
 
     def test_many_threads_under_fast_switching(self):
         plans = [[(RngStream(13, i), name, 9) for _ in range(30) for name in sorted(DRAWS)]

@@ -33,6 +33,8 @@ CONFIGS = {
 COMMANDS = (
     ("gen-clean", ["gen-data", "--out", "data/clean"], 0),
     ("gen-label", ["gen-data", "--out", "data/label", "--corrupt", "label"], 0),
+    ("gen-label-2", ["gen-data", "--out", "data/label2", "--seed", "2", "--corrupt", "label",
+                     "--rate", "0.45", "--corrupt-seed", "3"], 0),
     ("gen-split", ["gen-data", "--out", "data/split", "--corrupt", "split"], 0),
     ("corrupt-label", ["corrupt", "--data", "data/clean", "--out", "data/relabel",
                        "--mode", "label"], 0),
