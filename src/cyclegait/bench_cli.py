@@ -44,13 +44,13 @@ import numpy as np
 from . import gaitgen, gaugekit
 from .cyclic import (
     MODES,
+    SCHEDULE_PROFILES,
     NonFiniteLossError,
     TrainerConfig,
-    in_section,
     run_training,
     train_groups,
 )
-from .gaitgen import FLAG_CLEAN, DatasetBundle, dataset_hash
+from .gaitgen import CONDITIONS, FLAG_CLEAN, DatasetBundle, dataset_hash
 from .setnet import load_checkpoint, save_checkpoint
 
 CONFIG_FORMAT_VERSION = 1
@@ -66,27 +66,28 @@ class ExperimentConfig(TrainerConfig):
     """Everything a run needs besides its data.
 
     The trainer and optimizer settings are the inherited TrainerConfig
-    fields; this class adds the dataset directory and the output and meta
-    settings. What the data is, the dataset's manifest.json alone records.
-    Each field is written to the config-file section it is tagged with
-    (in_section), or to [trainer] when untagged.
+    fields; this class adds the dataset directory and the output directory.
+    What the data is, the dataset's manifest.json alone records.
     """
 
-    format_version: int = in_section("meta", CONFIG_FORMAT_VERSION)
-    data_dir: str = in_section("dataset", "")
-    out_dir: str = in_section("output", "runs/exp")
+    data_dir: str = ""
+    out_dir: str = "runs/exp"
 
 
-# Config files group keys into these sections, in this order
-_SECTION_ORDER = ("meta", "dataset", "trainer", "optimizer", "output")
+# Config-file sections in file order, each with the keys it holds: [meta]
+# holds the file's format_version, which is no config field, and [trainer]
+# every ExperimentConfig field that no other section names
+_SECTIONS = {"meta": ("format_version",), "dataset": ("data_dir",), "trainer": (),
+             "optimizer": ("lr", "milestones"), "output": ("out_dir",)}
 
 
 def _schema() -> dict:
-    """Config-file key (the field name) -> (section, type), in file order."""
-    hints = typing.get_type_hints(ExperimentConfig)
-    keys = {f.name: (f.metadata.get("section", "trainer"), hints[f.name])
-            for f in dataclasses.fields(ExperimentConfig)}
-    return dict(sorted(keys.items(), key=lambda kv: _SECTION_ORDER.index(kv[1][0])))
+    """Config-file key -> (section, type), in file order: by section, and in
+    field order within one."""
+    hints = {"format_version": int, **typing.get_type_hints(ExperimentConfig)}
+    section_of = {key: section for section, keys in _SECTIONS.items() for key in keys}
+    keys = {key: (section_of.get(key, "trainer"), ftype) for key, ftype in hints.items()}
+    return dict(sorted(keys.items(), key=lambda kv: list(_SECTIONS).index(kv[1][0])))
 
 
 _SCHEMA = _schema()
@@ -130,12 +131,13 @@ def _parse_value(key: str, ftype, text: str):
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
+    values = {"format_version": CONFIG_FORMAT_VERSION, **vars(cfg)}
     out = io.StringIO()
-    for section in _SECTION_ORDER:
+    for section in _SECTIONS:
         out.write(f"[{section}]\n")
         for key, (sec, _) in _SCHEMA.items():
             if sec == section:
-                out.write(f"{key} = {_format_value(getattr(cfg, key))}\n")
+                out.write(f"{key} = {_format_value(values[key])}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -155,10 +157,10 @@ def parse_config(text: str) -> ExperimentConfig:
             if sec != section:
                 raise ValueError(f"key {key!r} belongs in [{sec}]")
             values[key] = _parse_value(key, ftype, raw)
-    cfg = ExperimentConfig(**values)
-    if cfg.format_version != CONFIG_FORMAT_VERSION:
-        raise ValueError(f"unsupported config format_version {cfg.format_version}")
-    return cfg
+    version = values.pop("format_version", CONFIG_FORMAT_VERSION)
+    if version != CONFIG_FORMAT_VERSION:
+        raise ValueError(f"unsupported config format_version {version}")
+    return ExperimentConfig(**values)
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -190,7 +192,7 @@ def _resolve_out(path: str) -> str:
 
 def _corrupt(bundle: DatasetBundle, mode: str, args) -> DatasetBundle:
     """bundle with mode applied by the corruption flags of gen-data or corrupt."""
-    amount = args.fraction if mode == "split" else args.rate
+    amount = getattr(args, gaitgen.CORRUPTIONS[mode].amount_key)
     return gaitgen.corrupt_bundle(bundle, mode, amount, args.corrupt_seed)
 
 
@@ -324,7 +326,7 @@ def _ablation_cell_job(result, test_samples) -> dict:
     the test split; returns its rank-1 means by condition and overall.
     Evaluation only reads the samples, so every cell can share one bundle."""
     report = gaugekit.evaluate_checkpoint(result.params_f, test_samples)
-    scores = {c: report.condition_means.get(c, float("nan")) for c in ("NM", "BG", "CL")}
+    scores = {c: report.condition_means.get(c, float("nan")) for c in CONDITIONS}
     scores["overall"] = report.overall_mean
     return scores
 
@@ -353,7 +355,7 @@ def run_ablation(cfg: ExperimentConfig, data: DatasetBundle, seeds) -> dict:
     table = {}
     for cell_name, cell_scores in scores.items():
         table[cell_name] = {}
-        for key in ("NM", "BG", "CL", "overall"):
+        for key in (*CONDITIONS, "overall"):
             vals = np.array([s[key] for s in cell_scores])
             table[cell_name][key] = (float(vals.mean()), float(vals.std()))
     return table
@@ -367,7 +369,7 @@ def ablation_csv(table: dict) -> str:
         lines.append(
             f"{cell_name},"
             + ",".join(
-                f"{e[c][0]:.4f},{e[c][1]:.4f}" for c in ("NM", "BG", "CL", "overall")
+                f"{e[c][0]:.4f},{e[c][1]:.4f}" for c in (*CONDITIONS, "overall")
             )
         )
     return "\n".join(lines) + "\n"
@@ -480,7 +482,7 @@ def cmd_ablate(args) -> int:
     for cell_name, _ in ABLATION_CELLS:
         e = table[cell_name]
         print(f"{cell_name:<24}" + "".join(
-            f"{e[c][0]:>9.2f}±{e[c][1]:<6.2f}" for c in ("NM", "BG", "CL")
+            f"{e[c][0]:>9.2f}±{e[c][1]:<6.2f}" for c in CONDITIONS
         ))
     print(f"wrote {csv_path}")
     return 0
@@ -575,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--schedule", dest="schedule_profile", choices=("noisy", "clean"),
+    p.add_argument("--schedule", dest="schedule_profile", choices=SCHEDULE_PROFILES,
                    default=None)
     p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None)
     p.add_argument("--trace", dest="record_trace", action="store_true", default=None)

@@ -42,15 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .gaitgen import AugmentationSpec, augment_frame_sets
-from .lossbank import (
-    batch_ce,
-    batch_coteach,
-    batch_mil_loss,
-    has_valid_triplet,
-    per_sample_ce,
-    triplet_loss,
-)
+from .gaitgen import augment_frame_sets
+from .lossbank import batch_ce, batch_coteach, batch_mil_loss, per_sample_ce, triplet_loss
 from .numkit import RngStream, read_header, write_header
 from .setnet import (
     EncoderShape,
@@ -66,13 +59,13 @@ from .sieve import SieveState, adapt_mask, detection_stats, score_arrays
 
 TRACE_FORMAT_VERSION = 1
 
-# fixed parts of the recipe: the training-time augmentation of every mode that
-# augments, the temperature of the contrastive (MIL) label term, and the
-# momentum SGD of both networks, whose lr decays by LR_DECAY at each milestone
-AUGMENTATION = AugmentationSpec()
+# fixed parts of the recipe: the temperature of the contrastive (MIL) label
+# term, and the momentum SGD of both networks, whose lr decays by LR_DECAY at
+# each milestone (gaitgen fixes the training-time augmentation)
 MIL_TEMPERATURE = 0.2
 SGD_MOMENTUM = 0.9
 LR_DECAY = 0.1
+SCHEDULE_PROFILES = ("noisy", "clean")  # see TrainerConfig.sigmas_at
 
 
 class NonFiniteLossError(RuntimeError):
@@ -81,12 +74,6 @@ class NonFiniteLossError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-def in_section(name: str, default):
-    """A config field written to the config-file section [name]; an untagged
-    field is written to [trainer]."""
-    return field(default=default, metadata={"section": name})
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ class TrainerConfig:
     momentum: float = 0.99  # EMA ratio m: M <- m*M + (1-m)*F; 1.0 turns the EMA off
     and_enabled: bool = False
     seed: int = 1
-    schedule_profile: str = "noisy"  # "noisy" or "clean"
+    schedule_profile: str = "noisy"  # one of SCHEDULE_PROFILES
     d_hidden: int = EncoderShape.d_hidden
     d_emb: int = EncoderShape.d_emb
     record_trace: bool = False
@@ -110,8 +97,8 @@ class TrainerConfig:
     sigma0_const: float | None = None
     sigma3_const: float | None = None
     # the learning rate, and the iterations from which it decays by LR_DECAY
-    lr: float = in_section("optimizer", 0.05)
-    milestones: tuple[int, ...] = in_section("optimizer", (1000,))
+    lr: float = 0.05
+    milestones: tuple[int, ...] = (1000,)
 
     def __post_init__(self):
         if self.mode not in MODE_TABLE:
@@ -125,7 +112,7 @@ class TrainerConfig:
             raise ValueError("EMA ratio must lie in [0, 1]")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.schedule_profile not in ("noisy", "clean"):
+        if self.schedule_profile not in SCHEDULE_PROFILES:
             raise ValueError(f"unknown schedule profile {self.schedule_profile!r}")
         if self.and_enabled and not self.recipe.sieve:
             raise ValueError("the noise sieve needs the two-network cyclic mode")
@@ -229,27 +216,10 @@ def draw_inputs(groups, config: TrainerConfig, augment_f: bool, augment_m: bool)
         raw = [s.frames for s in batch]
         frames_f = frames_m = None
         if augment_f:
-            frames_f, rng_f = augment_frame_sets(raw, AUGMENTATION, rng_f)
+            frames_f, rng_f = augment_frame_sets(raw, rng_f)
         if augment_m:
-            frames_m, rng_m = augment_frame_sets(raw, AUGMENTATION, rng_m)
+            frames_m, rng_m = augment_frame_sets(raw, rng_m)
         yield StepInputs(batch, frames_f, frames_m)
-
-
-def _normalize_rows_with_grad_chain(z: np.ndarray):
-    """Row-normalize; returns (normalized, chain) where chain maps gradients
-    wrt the normalized rows back to gradients wrt the raw rows."""
-    norms = np.linalg.norm(z, axis=1)
-    safe = np.maximum(norms, 1e-12)
-    zn = z / safe[:, None]
-    zn[norms < 1e-12] = 0.0
-
-    def chain(g_norm: np.ndarray) -> np.ndarray:
-        inner = np.sum(zn * g_norm, axis=1, keepdims=True)
-        g = (g_norm - inner * zn) / safe[:, None]
-        g[norms < 1e-12] = 0.0
-        return g
-
-    return zn, chain
 
 
 def _loss_diagnostics(batch, losses: dict, iteration: int) -> dict:
@@ -368,23 +338,22 @@ def _two_net_step(inputs, run, sigmas, k):
 def _label_terms(z, p, labels, sigmas):
     """CE, triplet and contrastive losses of embeddings z and logits p against
     labels, weighted by sigmas = (s1, s2, s3); returns (l_ce, l_tri, l_mil,
-    d_z, d_p). A term runs when its weight is non-zero and the rows can form
-    it; otherwise it reads 0.0 and adds no gradient."""
+    d_z, d_p). A term runs when its weight is non-zero, else it reads 0.0 and
+    adds no gradient; lossbank gives 0.0 and a zero gradient for a term the
+    rows cannot form."""
     s1, s2, s3 = sigmas
     l_ce = l_tri = l_mil = 0.0
     d_z = np.zeros_like(z)
     d_p = np.zeros_like(p)
-    if s1 != 0.0 and len(labels):
+    if s1 != 0.0:
         l_ce, g = batch_ce(p, labels)
         d_p = s1 * g
-    if s2 != 0.0 and has_valid_triplet(labels):
+    if s2 != 0.0:
         l_tri, g = triplet_loss(z, labels)
         d_z += s2 * g
-    if s3 != 0.0 and len(labels) >= 2:
-        z_norm, chain = _normalize_rows_with_grad_chain(z)
-        l_mil, g_norm, n_queries = batch_mil_loss(z_norm, labels, MIL_TEMPERATURE)
-        if n_queries:
-            d_z += s3 * chain(g_norm)
+    if s3 != 0.0:
+        l_mil, g = batch_mil_loss(z, labels, MIL_TEMPERATURE)
+        d_z += s3 * g
     return l_ce, l_tri, l_mil, d_z, d_p
 
 

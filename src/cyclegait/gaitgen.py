@@ -31,6 +31,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +58,11 @@ BG_SCALE = 0.35
 CL_COMMON_SCALE = 1.1  # shared clothing direction strength
 CL_ID_SCALE = 0.1  # identity-specific clothing offset strength
 CL_MATRIX_SCALE = 0.05  # identity-specific affine mix strength
+
+# training-time augmentation, a fixed part of the recipe (augment_frame_sets)
+AUG_DROP_PROB = 0.2
+AUG_MIN_FRAMES = 4
+AUG_JITTER = 0.05
 
 
 @dataclass
@@ -167,9 +173,13 @@ def make_clean_dataset(
         raise ValueError("need at least one view")
     if frames_per_seq < 1:
         raise ValueError("need at least one frame per sequence")
-    for cond in condition_groups:
+    if d_in < 1:
+        raise ValueError(f"d_in must be >= 1, got {d_in}")
+    for cond, count in condition_groups.items():
         if cond not in CONDITIONS:
             raise ValueError(f"unknown condition {cond!r}")
+        if count < 0:
+            raise ValueError(f"condition_groups[{cond!r}] must be >= 0, got {count}")
     geom = build_geometry(n_ids, n_views, d_in, seed)
     root = RngStream(seed)
 
@@ -220,19 +230,17 @@ def dataset_ids(samples) -> list:
 def inject_random_label_noise(samples, rate: float, seed: int):
     """Relabel exactly round(rate * n) sequences to a different identity.
 
-    Returns (new samples, corruption descriptor). Victims are drawn without
-    replacement; the new identity is uniform over the other identities
-    present in the dataset. Only the victims are copied: every other entry of
-    the new list is the input's own sample, shared, so neither may be
-    changed in place.
+    Returns the new samples. Victims are drawn without replacement; the new
+    identity is uniform over the other identities present in the dataset.
+    Only the victims are copied: every other entry of the new list is the
+    input's own sample, shared, so neither may be changed in place.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("noise rate must lie in [0, 1)")
     out = list(samples)
     n_corrupt = round(rate * len(out))
-    descriptor = {"mode": "label", "rate": rate, "seed": seed}
     if n_corrupt == 0:
-        return out, descriptor
+        return out
     ids = dataset_ids(samples)
     if len(ids) < 2:
         raise ValueError("label noise needs at least two identities")
@@ -245,7 +253,7 @@ def inject_random_label_noise(samples, rate: float, seed: int):
         j = int(gen.integers(0, len(ids) - 1, size=1)[0])
         j += j >= rank[out[v].identity]
         out[v] = replace(out[v], identity=ids[j], noise_flag=FLAG_LABEL)
-    return out, descriptor
+    return out
 
 
 def inject_identity_split(samples, fraction: float, seed: int = 0):
@@ -274,13 +282,17 @@ def inject_identity_split(samples, fraction: float, seed: int = 0):
                 next_id += 1
             out[k] = replace(s, identity=new_id_of[s.identity], condition="NM",
                              noise_flag=FLAG_SPLIT)
-    descriptor = {"mode": "split", "fraction": fraction, "seed": seed}
-    return out, descriptor
+    return out
+
+
+class Corruption(NamedTuple):
+    inject: Callable  # (samples, amount, seed) -> new samples
+    amount_key: str  # the key of the amount in the manifest's corruption descriptor
 
 
 CORRUPTIONS = {
-    "label": inject_random_label_noise,
-    "split": inject_identity_split,
+    "label": Corruption(inject_random_label_noise, "rate"),
+    "split": Corruption(inject_identity_split, "fraction"),
 }
 
 
@@ -325,10 +337,11 @@ def corrupt_bundle(bundle: DatasetBundle, mode: str, amount: float, seed: int) -
     """Apply a corruption to the train split; the manifest records it."""
     if mode not in CORRUPTIONS:
         raise ValueError(f"unknown corruption mode {mode!r}")
-    new_train, descriptor = CORRUPTIONS[mode](bundle.train, amount, seed)
+    corruption = CORRUPTIONS[mode]
     manifest = copy.deepcopy(bundle.manifest)
-    manifest["corruptions"].append(descriptor)
-    return DatasetBundle(new_train, list(bundle.test), manifest)
+    manifest["corruptions"].append({"mode": mode, corruption.amount_key: amount, "seed": seed})
+    return DatasetBundle(corruption.inject(bundle.train, amount, seed), list(bundle.test),
+                         manifest)
 
 
 def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
@@ -337,8 +350,9 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
     The generator block is an object holding exactly the keys of
     GENERATOR_DEFAULTS, each of its default's type (condition_groups maps
     condition names to ints), and corruptions a list of objects, each with a
-    mode that is a key of CORRUPTIONS, a numeric amount and an int seed. A block or key that is missing, unknown
-    or of another type is a ValueError that names it.
+    mode that is a key of CORRUPTIONS, a numeric amount under that mode's
+    amount_key and an int seed. A block or key that is missing, unknown or of
+    another type is a ValueError that names it.
     """
     try:
         gen = manifest["generator"]
@@ -349,34 +363,36 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
             raise ValueError("manifest block 'corruptions' must be a list of objects, "
                              f"got {corruptions!r}")
         sizes = {key: gen[key] for key in GENERATOR_DEFAULTS}
+        unknown = sorted(gen.keys() - GENERATOR_DEFAULTS.keys())
+        if unknown:
+            raise ValueError(f"unknown generator key {unknown[0]!r}")
+        for key, value in sizes.items():  # a bool is not an int
+            default = GENERATOR_DEFAULTS[key]
+            if isinstance(default, Mapping):
+                if type(value) is not dict or any(type(v) is not int for v in value.values()):
+                    raise ValueError(f"generator key {key!r} must map condition names to "
+                                     f"ints, got {value!r}")
+            elif type(value) is not type(default):
+                raise ValueError(f"generator key {key!r} must be of type "
+                                 f"{type(default).__name__}, got {value!r}")
         steps = []
         for d in corruptions:
-            amount_key = "fraction" if d["mode"] == "split" else "rate"
-            steps.append((d["mode"], amount_key, d[amount_key], d["seed"]))
+            mode = d["mode"]
+            if type(mode) is not str or mode not in CORRUPTIONS:
+                raise ValueError(f"corruption key 'mode' must be one of "
+                                 f"{sorted(CORRUPTIONS)}, got {mode!r}")
+            amount_key = CORRUPTIONS[mode].amount_key
+            amount, seed = d[amount_key], d["seed"]
+            if isinstance(amount, bool) or not isinstance(amount, (int, float)):
+                raise ValueError(f"corruption key {amount_key!r} must be a number, "
+                                 f"got {amount!r}")
+            if type(seed) is not int:
+                raise ValueError(f"corruption key 'seed' must be of type int, got {seed!r}")
+            steps.append((mode, amount, seed))
     except KeyError as err:
         raise ValueError(f"dataset manifest lacks key {err.args[0]!r}") from None
-    unknown = sorted(gen.keys() - GENERATOR_DEFAULTS.keys())
-    if unknown:
-        raise ValueError(f"unknown generator key {unknown[0]!r}")
-    for key, value in sizes.items():  # a bool is not an int
-        default = GENERATOR_DEFAULTS[key]
-        if isinstance(default, Mapping):
-            if type(value) is not dict or any(type(v) is not int for v in value.values()):
-                raise ValueError(f"generator key {key!r} must map condition names to ints, "
-                                 f"got {value!r}")
-        elif type(value) is not type(default):
-            raise ValueError(f"generator key {key!r} must be of type "
-                             f"{type(default).__name__}, got {value!r}")
-    for mode, amount_key, amount, seed in steps:
-        if type(mode) is not str or mode not in CORRUPTIONS:
-            raise ValueError(f"corruption key 'mode' must be one of {sorted(CORRUPTIONS)}, "
-                             f"got {mode!r}")
-        if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-            raise ValueError(f"corruption key {amount_key!r} must be a number, got {amount!r}")
-        if type(seed) is not int:
-            raise ValueError(f"corruption key 'seed' must be of type int, got {seed!r}")
     bundle = make_benchmark(**sizes)
-    for mode, _, amount, seed in steps:
+    for mode, amount, seed in steps:
         bundle = corrupt_bundle(bundle, mode, amount, seed)
     return bundle
 
@@ -385,44 +401,35 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
 # training-time augmentation
 
 
-@dataclass(frozen=True)
-class AugmentationSpec:
-    drop_prob: float = 0.2
-    min_frames: int = 4
-    jitter_sigma: float = 0.05
-
-
-def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
+def augment_frame_sets(frame_sets, rng: RngStream):
     """Independent augmentation per sample, drawn in one batch for speed.
 
-    Per sample: frame dropout, where a draw that keeps fewer than min_frames
-    frames keeps the min_frames with the largest survival draws instead; then
-    additive jitter. The jitter block is drawn for every slot regardless of
-    the keep pattern, one slot past the longest set included, so draws stay
-    addressable. Returns (list of augmented frame arrays, advanced rng).
+    Per sample: frame dropout at AUG_DROP_PROB, where a draw that keeps fewer
+    than AUG_MIN_FRAMES frames keeps the AUG_MIN_FRAMES with the largest
+    survival draws instead; then additive jitter of deviation AUG_JITTER. The
+    jitter block is drawn for every slot regardless of the keep pattern, one
+    slot past the longest set included, so draws stay addressable. Returns
+    (list of augmented frame arrays, advanced rng).
     """
     b = len(frame_sets)
     t_max = max(f.shape[0] for f in frame_sets)
     d = frame_sets[0].shape[1]
     u, rng = rng.uniform(b * t_max)
     u = u.reshape(b, t_max)
-    jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
+    jitter, rng = rng.normal(b * (t_max + 1) * d, AUG_JITTER)
     jitter = jitter.reshape(b, t_max + 1, d)
 
     lengths = np.array([f.shape[0] for f in frame_sets])
-    keep = np.arange(t_max) < lengths[:, None]
-    if spec.drop_prob > 0.0:
-        droppable = lengths > spec.min_frames
-        keep &= (u >= spec.drop_prob) | ~droppable[:, None]
-        for i in np.flatnonzero(droppable & (keep.sum(axis=1) < spec.min_frames)):
-            # the min_frames largest draws include every frame kept so far
-            order = np.argsort(-u[i, : lengths[i]], kind="stable")
-            keep[i, order[: spec.min_frames]] = True
+    droppable = lengths > AUG_MIN_FRAMES
+    keep = (np.arange(t_max) < lengths[:, None]) & ((u >= AUG_DROP_PROB) | ~droppable[:, None])
+    for i in np.flatnonzero(droppable & (keep.sum(axis=1) < AUG_MIN_FRAMES)):
+        # the AUG_MIN_FRAMES largest draws include every frame kept so far
+        order = np.argsort(-u[i, : lengths[i]], kind="stable")
+        keep[i, order[:AUG_MIN_FRAMES]] = True
     rows, cols = np.nonzero(keep)
     starts = np.cumsum(lengths) - lengths
     kept = np.take(np.concatenate(frame_sets), starts[rows] + cols, axis=0)
-    if spec.jitter_sigma > 0.0:
-        kept += np.take(jitter.reshape(-1, d), rows * (t_max + 1) + cols, axis=0)
+    kept += np.take(jitter.reshape(-1, d), rows * (t_max + 1) + cols, axis=0)
     bounds = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
     return [kept[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], rng
 
@@ -435,16 +442,16 @@ def augment_frame_sets(frame_sets, spec: AugmentationSpec, rng: RngStream):
 # float64, in sample order.
 
 SPLIT_FORMAT_VERSION = 2
-# header column -> field, in SequenceSample's field order after frames
-_SPLIT_COLUMNS = {"id": "identity", "condition": "condition", "view": "view",
-                  "clean_id": "clean_identity", "noise_flag": "noise_flag"}
-# header column -> the strs its entries may be; None: ints (a bool is no int)
-_SPLIT_ENTRIES = {"id": None, "condition": CONDITIONS, "view": None, "clean_id": None,
-                  "noise_flag": (FLAG_CLEAN, FLAG_LABEL, FLAG_SPLIT)}
+# header column -> (field, the strs its entries may be; None: ints, and a bool
+# is no int), in SequenceSample's field order after frames
+_SPLIT_COLUMNS = {"id": ("identity", None), "condition": ("condition", CONDITIONS),
+                  "view": ("view", None), "clean_id": ("clean_identity", None),
+                  "noise_flag": ("noise_flag", (FLAG_CLEAN, FLAG_LABEL, FLAG_SPLIT))}
 
 
 def _write_split(path, samples, config_hash: str):
-    columns = {col: [getattr(s, field) for s in samples] for col, field in _SPLIT_COLUMNS.items()}
+    columns = {col: [getattr(s, field) for s in samples]
+               for col, (field, _) in _SPLIT_COLUMNS.items()}
     header = {"format_version": SPLIT_FORMAT_VERSION, "n_sequences": len(samples),
               "d_in": samples[0].frames.shape[1] if samples else 0,
               "lengths": [s.frames.shape[0] for s in samples], **columns,
@@ -471,7 +478,7 @@ def _read_split(path, with_frames: bool = True):
         if not all(type(length) is int and length >= 1 for length in lengths):
             raise ValueError(f"{path}: header key 'lengths' needs a frame count of at least "
                              "1 per sequence")
-        for col, allowed in _SPLIT_ENTRIES.items():
+        for col, (_, allowed) in _SPLIT_COLUMNS.items():
             types = set(map(type, header[col]))  # set(header[col]) may meet a list
             if allowed is None and not types <= {int}:
                 raise ValueError(f"{path}: header key {col!r} needs an int per sequence")

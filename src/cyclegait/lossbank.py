@@ -3,16 +3,14 @@
 Four losses feed the weighted combination
     combined = sigma0 * consistency + sigma1 * ce + sigma2 * triplet + sigma3 * contrastive
 whose weights TrainerConfig.sigmas_at in cyclic.py gives per iteration. Every
-gradient here is exact (finite-difference checked in the tests).
+gradient here is exact (finite-difference checked in the tests). A label loss
+whose rows cannot form it (no rows, no valid triplet, no query with a
+positive) reads 0.0 with an all-zero gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class BatchStructureError(ValueError):
-    """A batch violates the structural contract of a loss (sampler bug)."""
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -55,6 +53,8 @@ def batch_ce(p: np.ndarray, labels) -> tuple:
     batch; grads include the 1/B."""
     labels = np.asarray(labels, dtype=int)
     b = p.shape[0]
+    if b == 0:
+        return 0.0, np.zeros_like(p)
     loss = float(per_sample_ce(p, labels).mean())
     grad = softmax_rows(p)
     grad[np.arange(b), labels] -= 1.0
@@ -74,19 +74,13 @@ def _pairwise_distances(embeddings: np.ndarray):
     return np.sqrt(d2), resolved
 
 
-def has_valid_triplet(labels) -> bool:
-    """Whether the labels hold two classes and a class with two members. A
-    sort rather than a bincount, so any integer ids work, large or negative."""
-    s = np.sort(np.asarray(labels))
-    return s.size > 0 and bool(s[0] != s[-1]) and bool((s[1:] == s[:-1]).any())
-
-
 def triplet_loss(embeddings, labels, margin: float = 0.2):
     """Batch-all triplet loss with Euclidean distances.
 
     Mean of hinge(d(a,p) - d(a,n) + margin) over triplets whose hinge is
     strictly positive or NaN; zero when every valid triplet already satisfies
-    the margin, NaN (loss and gradient) when a hinge is NaN. Returns (loss,
+    the margin or the labels hold none (no class with two members beside
+    another class), NaN (loss and gradient) when a hinge is NaN. Returns (loss,
     per-embedding gradients).
 
     Hinges are formed only for anchor-positive pairs, a row of B candidate
@@ -103,10 +97,6 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     labels = np.asarray(labels)
     if e.ndim != 2 or e.shape[0] != labels.shape[0]:
         raise ValueError("embeddings must be (B, d) with one label per row")
-    if not has_valid_triplet(labels):
-        raise BatchStructureError(
-            "no valid (anchor, positive, negative) triplet in batch"
-        )
     b = e.shape[0]
     dist, resolved = _pairwise_distances(e)
     same = labels[:, None] == labels[None, :]
@@ -130,24 +120,26 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
 
 
 def batch_mil_loss(embeddings, labels, temperature: float = 1.0):
-    """Mean contrastive loss over every sample that has an in-batch positive.
+    """Mean contrastive loss over every sample that has an in-batch positive,
+    on the row-normalized embeddings (a row of norm below 1e-12 reads zero).
 
-    Embeddings are used as given (normalize upstream). Samples without any
-    same-label peer are skipped as queries but still serve as keys. Returns
-    (loss, per-embedding gradients, number of queries).
+    Samples without any same-label peer are skipped as queries but still
+    serve as keys. Returns (loss, gradients wrt the raw embedding rows).
     """
-    e = np.asarray(embeddings, dtype=np.float64)
+    z = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    b = e.shape[0]
-    if b == 0:
-        return 0.0, np.zeros_like(e), 0
+    b = z.shape[0]
     same = labels[:, None] == labels[None, :]
     pos_mask = same & ~np.eye(b, dtype=bool)
     neg_mask = ~same
     is_query = pos_mask.any(axis=1)
     n_queries = int(is_query.sum())
     if n_queries == 0:
-        return 0.0, np.zeros_like(e), 0
+        return 0.0, np.zeros_like(z)
+    norms = np.linalg.norm(z, axis=1)
+    safe = np.maximum(norms, 1e-12)
+    e = z / safe[:, None]
+    e[norms < 1e-12] = 0.0
 
     sim = e @ e.T / temperature
     key_mask = pos_mask | neg_mask
@@ -162,12 +154,14 @@ def batch_mil_loss(embeddings, labels, temperature: float = 1.0):
 
     # d(loss_i)/d(sim_ij): positives get (-w/s_pos + w/s_all), negatives w/s_all
     d_sim = np.zeros((b, b))
-    rows = is_query
     with np.errstate(invalid="ignore", divide="ignore"):
         d_sim += np.where(pos_mask, -w / s_pos[:, None] + w / s_all[:, None], 0.0)
         d_sim += np.where(neg_mask, w / s_all[:, None], 0.0)
-    d_sim[~rows] = 0.0
+    d_sim[~is_query] = 0.0
     d_sim /= temperature * n_queries
     grads = d_sim @ e + d_sim.T @ e
-    return loss, grads, n_queries
-
+    # back through the row normalization: project out each row's direction
+    inner = np.sum(e * grads, axis=1, keepdims=True)
+    grads = (grads - inner * e) / safe[:, None]
+    grads[norms < 1e-12] = 0.0
+    return loss, grads

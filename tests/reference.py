@@ -47,7 +47,7 @@ from cyclegait.gaitgen import (
     regenerate_from_manifest,
 )
 from cyclegait.gaugekit import EvalReport, EvalStructureError, evaluate_checkpoint
-from cyclegait.lossbank import BatchStructureError, _pairwise_distances, has_valid_triplet
+from cyclegait.lossbank import _pairwise_distances
 from cyclegait.numkit import _DRAW_BLOCK, RngStream
 from cyclegait.setnet import GradVector, ModelParams, forward_batch
 
@@ -142,7 +142,7 @@ def mil_loss(q, positives, negatives, temperature: float = 1.0):
         else np.zeros((0, q.size))
     )
     if pos.shape[0] == 0:
-        raise BatchStructureError("contrastive query needs at least one positive")
+        raise ValueError("contrastive query needs at least one positive")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
 
@@ -262,8 +262,6 @@ def cube_triplet_loss(embeddings, labels, margin: float = 0.2):
     1/d wherever the Gram-form distance is positive."""
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    if not has_valid_triplet(labels):
-        raise BatchStructureError("no valid (anchor, positive, negative) triplet in batch")
     b = e.shape[0]
     dist, _ = _pairwise_distances(e)
     same = labels[:, None] == labels[None, :]
@@ -480,9 +478,8 @@ def per_victim_label_noise(samples, rate, seed):
         raise ValueError("noise rate must lie in [0, 1)")
     out = [copy.copy(s) for s in samples]
     n_corrupt = round(rate * len(out))
-    descriptor = {"mode": "label", "rate": rate, "seed": seed}
     if n_corrupt == 0:
-        return out, descriptor
+        return out
     ids = gaitgen.dataset_ids(samples)
     if len(ids) < 2:
         raise ValueError("label noise needs at least two identities")
@@ -493,33 +490,35 @@ def per_victim_label_noise(samples, rate, seed):
         pick, rng = rng.integers(1, 0, len(others))
         out[v].identity = others[int(pick[0])]
         out[v].noise_flag = gaitgen.FLAG_LABEL
-    return out, descriptor
+    return out
 
 
-def augment_frame_sets(frame_sets, spec, rng):
+def augment_frame_sets(frame_sets, rng):
     """gaitgen.augment_frame_sets as one loop over the samples, on the same
-    draws: each sample's keep mask, min_frames fallback and jitter are built
-    on its own."""
+    draws and with gaitgen's AUG_ constants as they are at the call: each
+    sample's keep mask, min_frames fallback and jitter are built on its own."""
+    drop_prob, min_frames = gaitgen.AUG_DROP_PROB, gaitgen.AUG_MIN_FRAMES
+    jitter_sigma = gaitgen.AUG_JITTER
     b = len(frame_sets)
     t_max = max(f.shape[0] for f in frame_sets)
     d = frame_sets[0].shape[1]
     u, rng = rng.uniform(b * t_max)
     u = u.reshape(b, t_max)
-    jitter, rng = rng.normal(b * (t_max + 1) * d, spec.jitter_sigma)
+    jitter, rng = rng.normal(b * (t_max + 1) * d, jitter_sigma)
     jitter = jitter.reshape(b, t_max + 1, d)
 
     out = []
     for i, frames in enumerate(frame_sets):
         t = frames.shape[0]
         keep = np.ones(t, dtype=bool)
-        if spec.drop_prob > 0.0 and t > spec.min_frames:
+        if drop_prob > 0.0 and t > min_frames:
             ui = u[i, :t]
-            keep = ui >= spec.drop_prob
-            if keep.sum() < spec.min_frames:
+            keep = ui >= drop_prob
+            if keep.sum() < min_frames:
                 order = np.argsort(-ui, kind="stable")
                 keep = np.zeros(t, dtype=bool)
-                keep[order[: spec.min_frames]] = True
-        out.append(frames[keep] + jitter[i, :t][keep] if spec.jitter_sigma > 0.0
+                keep[order[:min_frames]] = True
+        out.append(frames[keep] + jitter[i, :t][keep] if jitter_sigma > 0.0
                    else frames[keep])
     return out, rng
 

@@ -150,15 +150,19 @@ class TestConfigRoundtrip:
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
     def test_every_field_has_provenance(self, name):
         cfg = ExperimentConfig(**{name: self.changed_value(name)})
-        text = serialize_config(cfg)
-        if name == "format_version":
-            with pytest.raises(ValueError, match="format_version"):
-                parse_config(text)
-        else:
-            assert parse_config(text) == cfg
+        assert parse_config(serialize_config(cfg)) == cfg
         moved = config_hash(cfg, MANIFEST) != config_hash(ExperimentConfig(), MANIFEST)
         # where the data and the outputs live changes nothing a run computes
         assert moved == (name not in ("data_dir", "out_dir"))
+
+    def test_format_version_is_checked_on_parse(self):
+        # the file's own version line, not a config field: it is written,
+        # may be left out, and any other version is refused by name
+        assert parse_config("[meta]\nformat_version = 1\n") == ExperimentConfig()
+        with pytest.raises(ValueError, match="^unsupported config format_version 2$"):
+            parse_config("[meta]\nformat_version = 2\n")
+        with pytest.raises(ValueError, match="^key 'format_version' belongs in \\[meta\\]$"):
+            parse_config("[trainer]\nformat_version = 1\n")
 
     def test_a_changed_manifest_moves_the_hash(self):
         cfg = ExperimentConfig()
@@ -178,7 +182,7 @@ class TestConfigRoundtrip:
         parser = configparser.ConfigParser()
         parser.read_string(serialize_config(ExperimentConfig()))
         keys = [key for section in parser.sections() for key in parser[section]]
-        expected = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        expected = ["format_version", *(f.name for f in dataclasses.fields(ExperimentConfig))]
         assert sorted(keys) == sorted(expected)
 
     def test_default_text_is_pinned(self):
@@ -252,6 +256,19 @@ class TestGenDataCommand:
                        "--mode", "label", "--rate", "0.25", "--seed", "9") == 0
         manifest = json.loads((dst / "manifest.json").read_text())
         assert manifest["corruptions"][0]["mode"] == "label"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--nm", "-2"), "condition_groups['NM'] must be >= 0, got -2"),
+        (("--bg", "-1"), "condition_groups['BG'] must be >= 0, got -1"),
+        (("--cl", "-1"), "condition_groups['CL'] must be >= 0, got -1"),
+        (("--d-in", "0"), "d_in must be >= 1, got 0"),
+    ])
+    def test_bad_generator_sizes_are_refused(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "data"
+        capsys.readouterr()
+        assert run_cli("gen-data", "--out", str(out), *TINY_GEN, *flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
 
 class TestTrainEvalPipeline:
@@ -743,6 +760,7 @@ class TestAblateCommand:
         (lambda m: m["generator"].update(n_views="2"), "'n_views'"),
         (lambda m: m["generator"].update(d_in=True), "'d_in'"),
         (lambda m: m["generator"]["condition_groups"].update(CL=1.0), "'condition_groups'"),
+        (lambda m: m["generator"]["condition_groups"].update(BG=-1), "condition_groups['BG']"),
         (lambda m: m["corruptions"].append({"mode": "label", "rate": "0.2", "seed": 7}),
          "'rate'"),
         (lambda m: m["corruptions"].append({"mode": "split", "fraction": 0.5, "seed": "7"}),
@@ -755,10 +773,15 @@ class TestAblateCommand:
         # the appearance corruption that format 2 once listed
         (lambda m: m["corruptions"].append({"mode": "augmentation", "rate": 0.2, "seed": 7}),
          "'augmentation'"),
+        # the mode is checked before its amount key is looked up
+        (lambda m: m["corruptions"].append({"mode": "bogus", "seed": 7}), "'bogus'"),
+        (lambda m: m["corruptions"].append({"mode": "split", "rate": 0.5, "seed": 7}),
+         "lacks key 'fraction'"),
     ], ids=["unknown-generator-key", "missing-n_train_ids", "unknown-geometry-key",
             "generator-value-list", "n_views-str", "d_in-bool", "condition_groups-float",
-            "rate-str", "seed-str", "generator-list", "corruption-str", "corruptions-object",
-            "corruption-mode-list", "corruption-mode-augmentation"])
+            "condition_groups-negative", "rate-str", "seed-str", "generator-list",
+            "corruption-str", "corruptions-object", "corruption-mode-list",
+            "corruption-mode-augmentation", "corruption-mode-unknown", "split-amount-missing"])
     def test_manifest_that_cannot_regenerate_is_refused(self, tmp_path, capsys, monkeypatch,
                                                         edit, key):
         data, out = tmp_path / "data", tmp_path / "ablation"

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cyclegait.gaitgen import (
-    AugmentationSpec,
     DatasetBundle,
     FLAG_CLEAN,
     FLAG_LABEL,
@@ -30,13 +29,21 @@ from reference import geometry_of, nearest_prototype_ids
 
 MASK64 = 2**64 - 1
 
-# the augmentations the tests run: one that changes nothing, the training
-# default, and one that drops more frames and jitters harder
+# the augmentations the tests run, as gaitgen's (AUG_DROP_PROB, AUG_JITTER):
+# one that changes nothing, the training default, and one that drops more
+# frames and jitters harder
 SPECS = {
-    "none": AugmentationSpec(drop_prob=0.0, jitter_sigma=0.0),
-    "default": AugmentationSpec(),
-    "strong": AugmentationSpec(drop_prob=0.3, jitter_sigma=0.1),
+    "none": (0.0, 0.0),
+    "default": (gaitgen.AUG_DROP_PROB, gaitgen.AUG_JITTER),
+    "strong": (0.3, 0.1),
 }
+
+
+def use_augmentation(monkeypatch, drop_prob, jitter):
+    """Set gaitgen's augmentation constants; monkeypatch restores them after
+    the test."""
+    monkeypatch.setattr(gaitgen, "AUG_DROP_PROB", drop_prob)
+    monkeypatch.setattr(gaitgen, "AUG_JITTER", jitter)
 
 
 def small_dataset(n_ids=6, seed=3, **kwargs):
@@ -196,12 +203,16 @@ class TestCleanGeneration:
             make_clean_dataset(1, 2, {"NM": 1}, 5, 16, seed=1)
         with pytest.raises(ValueError):
             make_clean_dataset(4, 0, {"NM": 1}, 5, 16, seed=1)
+        with pytest.raises(ValueError, match=r"^condition_groups\['BG'\] must be >= 0, got -1$"):
+            make_clean_dataset(4, 2, {"NM": 1, "BG": -1}, 5, 16, seed=1)
+        with pytest.raises(ValueError, match="^d_in must be >= 1, got 0$"):
+            make_clean_dataset(4, 2, {"NM": 1}, 5, 0, seed=1)
 
 
 class TestLabelNoise:
     def test_rate_zero_is_noop(self):
         samples, _ = small_dataset()
-        out, _ = inject_random_label_noise(samples, 0.0, seed=1)
+        out = inject_random_label_noise(samples, 0.0, seed=1)
         assert frames_equal(samples, out)
 
     def test_exact_count_and_no_self_relabel(self):
@@ -209,7 +220,7 @@ class TestLabelNoise:
             10, 4, {"NM": 13, "BG": 6, "CL": 6}, 4, 16, seed=2
         )
         assert len(samples) == 1000
-        out, _ = inject_random_label_noise(samples, 0.2, seed=11)
+        out = inject_random_label_noise(samples, 0.2, seed=11)
         flagged = [s for s in out if s.noise_flag == FLAG_LABEL]
         assert len(flagged) == 200
         for s in flagged:
@@ -219,10 +230,10 @@ class TestLabelNoise:
 
     def test_deterministic_in_seed(self):
         samples, _ = small_dataset()
-        a, _ = inject_random_label_noise(samples, 0.3, seed=4)
-        b, _ = inject_random_label_noise(samples, 0.3, seed=4)
+        a = inject_random_label_noise(samples, 0.3, seed=4)
+        b = inject_random_label_noise(samples, 0.3, seed=4)
         assert frames_equal(a, b)
-        c, _ = inject_random_label_noise(samples, 0.3, seed=5)
+        c = inject_random_label_noise(samples, 0.3, seed=5)
         assert not frames_equal(a, c)
 
     def test_rate_one_rejected(self):
@@ -241,9 +252,9 @@ class TestLabelNoise:
         before = [dict(vars(s)) for s in samples]
         victim_ids = set()
         for seed in range(8):
-            out, descriptor = inject_random_label_noise(samples, rate, seed)
-            want, want_descriptor = reference.per_victim_label_noise(samples, rate, seed)
-            assert frame_bytes_equal(out, want) and descriptor == want_descriptor
+            out = inject_random_label_noise(samples, rate, seed)
+            want = reference.per_victim_label_noise(samples, rate, seed)
+            assert frame_bytes_equal(out, want)
             for s, new in zip(samples, out):
                 # an unchanged sample is shared, a relabelled one a copy
                 assert (new is s) == (new.noise_flag == FLAG_CLEAN)
@@ -258,12 +269,12 @@ class TestLabelNoise:
 class TestIdentitySplit:
     def test_fraction_zero_is_noop(self):
         samples, _ = small_dataset()
-        out, _ = inject_identity_split(samples, 0.0)
+        out = inject_identity_split(samples, 0.0)
         assert frames_equal(samples, out)
 
     def test_full_split_moves_every_cl_sequence(self):
         samples, _ = small_dataset(n_ids=5)
-        out, _ = inject_identity_split(samples, 1.0)
+        out = inject_identity_split(samples, 1.0)
         assert not any(s.condition == "CL" for s in out)
         new_ids = {s.identity for s in out if s.noise_flag == FLAG_SPLIT}
         assert new_ids == set(range(5, 10))  # one new id per original with CL
@@ -272,14 +283,14 @@ class TestIdentitySplit:
         samples, _ = make_clean_dataset(
             74, 1, {"NM": 1, "CL": 1}, 3, 16, seed=4
         )
-        out, _ = inject_identity_split(samples, 0.6)
+        out = inject_identity_split(samples, 0.6)
         affected = {s.clean_identity for s in out if s.noise_flag == FLAG_SPLIT}
         assert affected == set(range(44))  # floor(0.6 * 74) = 44 first ids
 
     def test_only_relabelled_sequences_are_copied(self):
         samples, _ = small_dataset(n_ids=4)
         before = [dict(vars(s)) for s in samples]
-        out, _ = inject_identity_split(samples, 0.5)
+        out = inject_identity_split(samples, 0.5)
         for s, new in zip(samples, out):
             assert (new is s) == (new.noise_flag == FLAG_CLEAN)
             assert new.frames is s.frames
@@ -288,7 +299,7 @@ class TestIdentitySplit:
 
     def test_condition_rewritten_and_clean_id_kept(self):
         samples, _ = small_dataset(n_ids=4)
-        out, _ = inject_identity_split(samples, 0.5)
+        out = inject_identity_split(samples, 0.5)
         moved = [s for s in out if s.noise_flag == FLAG_SPLIT]
         assert moved
         for s in moved:
@@ -443,35 +454,39 @@ class TestBundleAndManifest:
 
 
 class TestTrainingAugmentation:
-    def test_null_spec_is_identity(self, rng):
+    def test_null_spec_is_identity(self, rng, monkeypatch):
+        use_augmentation(monkeypatch, *SPECS["none"])
         frame_sets = [rng.normal(size=(t, 4)) for t in (9, 3, 12)]
-        out, _ = augment_frame_sets(frame_sets, SPECS["none"], RngStream(1))
+        out, _ = augment_frame_sets(frame_sets, RngStream(1))
         assert all(np.array_equal(a, f) for a, f in zip(out, frame_sets))
 
-    def test_min_frames_clamp(self, rng):
+    def test_min_frames_clamp(self, rng, monkeypatch):
         frame_sets = [rng.normal(size=(t, 4)) for t in (10, 6, 5, 4, 3)]
-        for spec in (AugmentationSpec(), AugmentationSpec(drop_prob=0.9, jitter_sigma=0.0)):
+        min_frames = gaitgen.AUG_MIN_FRAMES
+        for spec in (SPECS["default"], (0.9, 0.0)):
+            use_augmentation(monkeypatch, *spec)
             stream = RngStream(2)
             rescued = 0
             for _ in range(200):
-                out, stream = augment_frame_sets(frame_sets, spec, stream)
+                out, stream = augment_frame_sets(frame_sets, stream)
                 for aug, frames in zip(out, frame_sets):
                     t = frames.shape[0]
-                    assert aug.shape[0] >= min(t, spec.min_frames)
-                    if t <= spec.min_frames:
+                    assert aug.shape[0] >= min(t, min_frames)
+                    if t <= min_frames:
                         assert aug.shape[0] == t  # too short to drop from
-                    rescued += aug.shape[0] == spec.min_frames < t
-                    if spec.jitter_sigma == 0.0:
+                    rescued += aug.shape[0] == min_frames < t
+                    if gaitgen.AUG_JITTER == 0.0:
                         # kept frames are original rows, in their original order
                         rows = [np.flatnonzero((frames == f).all(axis=1))[0] for f in aug]
                         assert rows == sorted(set(rows))
             assert rescued > 0
 
     @pytest.mark.parametrize("name", ["none", "default", "strong"])
-    def test_matches_per_sample_loop(self, rng, name):
+    def test_matches_per_sample_loop(self, rng, monkeypatch, name):
         # oracle: the per-sample loop on the same draws. Lengths 3 and 4 are
         # too short to drop from; 5 and 6 often need the min_frames fallback.
-        spec = SPECS[name]
+        use_augmentation(monkeypatch, *SPECS[name])
+        drop_prob, min_frames = gaitgen.AUG_DROP_PROB, gaitgen.AUG_MIN_FRAMES
         frame_sets = [rng.normal(size=(t, 16)) for t in (3, 4, 5, 6, 30, 17, 5, 30)]
         t_max = max(f.shape[0] for f in frame_sets)
         stream = ref_stream = RngStream(11, 4)
@@ -479,23 +494,24 @@ class TestTrainingAugmentation:
         for _ in range(300):
             u, _ = stream.uniform(len(frame_sets) * t_max)
             u = u.reshape(len(frame_sets), t_max)
-            out, stream = augment_frame_sets(frame_sets, spec, stream)
-            expected, ref_stream = reference.augment_frame_sets(frame_sets, spec, ref_stream)
+            out, stream = augment_frame_sets(frame_sets, stream)
+            expected, ref_stream = reference.augment_frame_sets(frame_sets, ref_stream)
             assert stream == ref_stream
             assert len(out) == len(expected)
             for got, want in zip(out, expected):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             for i, frames in enumerate(frame_sets):
                 t = frames.shape[0]
-                if spec.drop_prob > 0.0 and t > spec.min_frames:
-                    rescued += (u[i, :t] >= spec.drop_prob).sum() < spec.min_frames
+                if drop_prob > 0.0 and t > min_frames:
+                    rescued += (u[i, :t] >= drop_prob).sum() < min_frames
         if name != "none":
             assert rescued > 0
 
-    def test_same_state_same_transform(self, rng):
+    def test_same_state_same_transform(self, rng, monkeypatch):
         frame_sets = [rng.normal(size=(t, 4)) for t in (12, 7, 5)]
         for name in ("default", "strong"):
-            out1, after1 = augment_frame_sets(frame_sets, SPECS[name], RngStream(5, 7))
-            out2, after2 = augment_frame_sets(frame_sets, SPECS[name], RngStream(5, 7))
+            use_augmentation(monkeypatch, *SPECS[name])
+            out1, after1 = augment_frame_sets(frame_sets, RngStream(5, 7))
+            out2, after2 = augment_frame_sets(frame_sets, RngStream(5, 7))
             assert after1 == after2
             assert all(np.array_equal(a, b) for a, b in zip(out1, out2))

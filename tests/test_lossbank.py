@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_close
 from cyclegait.lossbank import (
-    BatchStructureError,
     batch_ce,
     batch_coteach,
     batch_mil_loss,
-    has_valid_triplet,
     per_sample_ce,
     triplet_loss,
 )
@@ -168,28 +166,21 @@ class TestTripletLoss:
         loss, grad = triplet_loss(e, [0, 0, 1, 1])
         assert math.isnan(loss) and np.isnan(grad).any()
 
-    def test_no_valid_triplet_rejected(self):
-        with pytest.raises(BatchStructureError):
-            triplet_loss(np.zeros((3, 2)), [0, 1, 2])
-        with pytest.raises(BatchStructureError):
-            triplet_loss(np.zeros((3, 2)), [1, 1, 1])
-
     @pytest.mark.parametrize("labels", [[], [4], [7, 7, 7, 7], [0, 1, 2, 3],
                                         [2**40, 5, -3], [-1, -1]])
     def test_invalid_batches(self, labels):
         """Empty, one sample, a single class, all singletons (also with large
-        and negative ids), and a lone pair: no triplet can form."""
-        assert not has_valid_triplet(labels)
-        assert not has_valid_triplet(np.array(labels, dtype=np.int64))
-        with pytest.raises(BatchStructureError):
-            triplet_loss(np.zeros((len(labels), 2)), labels)
+        and negative ids), and a lone pair: no triplet can form, even with
+        every row at the same point, where each hinge is the margin."""
+        for ids in (labels, np.array(labels, dtype=np.int64)):
+            loss, grad = triplet_loss(np.zeros((len(labels), 2)), ids)
+            assert loss == 0.0 and grad.shape == (len(labels), 2) and not grad.any()
 
     @pytest.mark.parametrize("labels", [[0, 0, 1], [9, 3, 9], [2**40, 2**40, 1],
                                         [-7, 2**62, -7, 5]])
     def test_valid_batches_with_sparse_ids(self, labels):
         """Only equality of ids counts: large and negative ids give the loss
         of the same batch relabelled 0, 1, 2, ... bit for bit."""
-        assert has_valid_triplet(labels)
         e = np.random.default_rng(3).normal(size=(len(labels), 3))
         dense = np.unique(labels, return_inverse=True)[1]
         loss, grad = triplet_loss(e, labels, margin=5.0)
@@ -235,10 +226,6 @@ class TestTripletMatchesCubeOracle:
         for _ in range(n_dup):  # zero-distance duplicates, in or across classes
             src, dst = rng.integers(len(labels), size=2)
             e[dst] = e[src]
-        if not has_valid_triplet(labels):
-            with pytest.raises(BatchStructureError):
-                triplet_loss(e, labels, margin)
-            return
         self.assert_matches(e, labels, margin)
 
     def test_all_rows_equal(self):
@@ -308,28 +295,50 @@ class TestMilLoss:
             assert_grad_close(a, n)
 
     def test_zero_positives_rejected(self):
-        with pytest.raises(BatchStructureError):
+        with pytest.raises(ValueError):
             mil_loss([1.0, 0.0], [], [[0.0, 1.0]])
 
     def test_batch_mil_grads_match_fd(self, rng):
+        # the gradient is taken wrt the raw rows, through the normalization
         e = rng.normal(size=(6, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
-        _, grad, n_q = batch_mil_loss(e, labels)
-        assert n_q == 6
-
-        def loss_at(flat):
-            l, _, _ = batch_mil_loss(flat.reshape(6, 3), labels)
-            return l
-
-        fd = fd_vector(loss_at, e.ravel()).reshape(6, 3)
+        _, grad = batch_mil_loss(e, labels)
+        fd = fd_vector(lambda flat: batch_mil_loss(flat.reshape(6, 3), labels)[0],
+                       e.ravel()).reshape(6, 3)
         for a, n in zip(grad.ravel(), fd.ravel()):
             assert_grad_close(a, n)
 
     def test_batch_mil_skips_positive_free_queries(self, rng):
         e = rng.normal(size=(3, 2))
-        labels = np.array([0, 0, 1])  # the lone '1' cannot be a query
-        _, _, n_q = batch_mil_loss(e, labels)
-        assert n_q == 2
+        labels = np.array([0, 0, 1])  # the lone '1' cannot be a query, only a key
+        loss, _ = batch_mil_loss(e, labels, 0.5)
+        en = e / np.linalg.norm(e, axis=1, keepdims=True)
+        per_query = [mil_loss(en[0], [en[1]], [en[2]], 0.5)[0],
+                     mil_loss(en[1], [en[0]], [en[2]], 0.5)[0]]
+        assert abs(loss - np.mean(per_query)) < 1e-12
+
+
+# rows that cannot form a label loss. CE forms on any row, so only on none;
+# contrastive forms on one class, where every key is a positive, to exactly 0.0
+UNFORMABLE = {
+    "ce-no-rows": ("ce", []),
+    "triplet-one-row": ("triplet", [5]),
+    "triplet-one-class": ("triplet", [2, 2, 2]),
+    "triplet-all-singletons": ("triplet", [0, 1, 2]),
+    "contrastive-one-row": ("contrastive", [5]),
+    "contrastive-one-class": ("contrastive", [2, 2, 2]),
+    "contrastive-all-singletons": ("contrastive", [0, 1, 2]),
+}
+LABEL_LOSSES = {"ce": batch_ce, "triplet": triplet_loss, "contrastive": batch_mil_loss}
+
+
+@pytest.mark.parametrize("loss, labels", list(UNFORMABLE.values()), ids=list(UNFORMABLE))
+def test_unformable_rows_give_zero(rng, loss, labels):
+    """lossbank, not its caller, decides whether the rows can form a loss:
+    one they cannot form reads 0.0 with an all-zero gradient."""
+    rows = rng.normal(size=(len(labels), 4))
+    value, grad = LABEL_LOSSES[loss](rows, np.array(labels, dtype=int))
+    assert value == 0.0 and grad.shape == rows.shape and not grad.any()
 
 
 class TestBatchHelpersAgreeWithScalarOps:

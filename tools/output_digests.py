@@ -22,11 +22,12 @@ import subprocess
 import sys
 
 # config file -> text: the cyclic run's P x K = 4 x 2 batch, whose sieve
-# opens after 5 iterations, and a learning rate that diverges within 60
-# iterations, before any milestone
+# opens after 5 iterations, a learning rate that diverges within 60
+# iterations, before any milestone, and a file that states its format version
 CONFIGS = {
     "cyclic.cfg": "[trainer]\np_ids = 4\nk_seqs = 2\nsieve_warmup = 5\n",
     "diverge.cfg": "[optimizer]\nlr = 1000000.0\nmilestones =\n",
+    "meta.cfg": "[meta]\nformat_version = 1\n",
 }
 
 # (step, command, expected exit code)
@@ -38,12 +39,17 @@ COMMANDS = (
     ("gen-split", ["gen-data", "--out", "data/split", "--corrupt", "split"], 0),
     ("corrupt-label", ["corrupt", "--data", "data/clean", "--out", "data/relabel",
                        "--mode", "label"], 0),
+    ("corrupt-split", ["corrupt", "--data", "data/label", "--out", "data/label-split",
+                       "--mode", "split"], 0),
     ("train-cyclic", ["train", "--config", "cyclic.cfg", "--data", "data/split",
                       "--out", "runs/cyclic", "--mode", "cyclic", "--and", "--trace",
                       "--iterations", "300"], 0),
     ("train-supervised", ["train", "--data", "data/label", "--out", "runs/supervised",
                           "--mode", "supervised", "--iterations", "200",
                           "--snapshot-every", "50"], 0),
+    ("train-clean", ["train", "--config", "meta.cfg", "--data", "data/clean",
+                     "--out", "runs/clean", "--mode", "supervised", "--schedule", "clean",
+                     "--iterations", "100"], 0),
     ("train-selfsup", ["train", "--data", "data/clean", "--out", "runs/selfsup",
                        "--mode", "selfsup", "--trace", "--iterations", "100"], 0),
     ("train-coteach", ["train", "--data", "data/relabel", "--out", "runs/coteach",
@@ -63,6 +69,8 @@ COMMANDS = (
                        "--iterations", "60"], 1),
     ("ablate", ["ablate", "--data", "data/split", "--out", "ablation", "--seeds", "1",
                 "--iterations", "20"], 0),
+    ("ablate-label-split", ["ablate", "--data", "data/label-split", "--out",
+                            "ablation-label-split", "--seeds", "1", "--iterations", "20"], 0),
 )
 
 
