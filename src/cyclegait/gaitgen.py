@@ -286,6 +286,8 @@ def inject_identity_split(samples, fraction: float, seed: int = 0):
 
 
 class Corruption(NamedTuple):
+    """A corruption mode's row of CORRUPTIONS."""
+
     inject: Callable  # (samples, amount, seed) -> new samples
     amount_key: str  # the key of the amount in the manifest's corruption descriptor
 
