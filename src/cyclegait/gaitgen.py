@@ -365,18 +365,6 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
             raise ValueError("manifest block 'corruptions' must be a list of objects, "
                              f"got {corruptions!r}")
         sizes = {key: gen[key] for key in GENERATOR_DEFAULTS}
-        unknown = sorted(gen.keys() - GENERATOR_DEFAULTS.keys())
-        if unknown:
-            raise ValueError(f"unknown generator key {unknown[0]!r}")
-        for key, value in sizes.items():  # a bool is not an int
-            default = GENERATOR_DEFAULTS[key]
-            if isinstance(default, Mapping):
-                if type(value) is not dict or any(type(v) is not int for v in value.values()):
-                    raise ValueError(f"generator key {key!r} must map condition names to "
-                                     f"ints, got {value!r}")
-            elif type(value) is not type(default):
-                raise ValueError(f"generator key {key!r} must be of type "
-                                 f"{type(default).__name__}, got {value!r}")
         steps = []
         for d in corruptions:
             mode = d["mode"]
@@ -384,17 +372,28 @@ def regenerate_from_manifest(manifest: dict) -> DatasetBundle:
                 raise ValueError(f"corruption key 'mode' must be one of "
                                  f"{sorted(CORRUPTIONS)}, got {mode!r}")
             amount_key = CORRUPTIONS[mode].amount_key
-            amount, seed = d[amount_key], d["seed"]
-            if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-                raise ValueError(f"corruption key {amount_key!r} must be a number, "
-                                 f"got {amount!r}")
-            if type(seed) is not int:
-                raise ValueError(f"corruption key 'seed' must be of type int, got {seed!r}")
-            steps.append((mode, amount, seed))
+            steps.append((mode, amount_key, d[amount_key], d["seed"]))
     except KeyError as err:
         raise ValueError(f"dataset manifest lacks key {err.args[0]!r}") from None
+    unknown = sorted(gen.keys() - GENERATOR_DEFAULTS.keys())
+    if unknown:
+        raise ValueError(f"unknown generator key {unknown[0]!r}")
+    for key, value in sizes.items():  # a bool is not an int
+        default = GENERATOR_DEFAULTS[key]
+        if isinstance(default, Mapping):
+            if type(value) is not dict or any(type(v) is not int for v in value.values()):
+                raise ValueError(f"generator key {key!r} must map condition names to ints, "
+                                 f"got {value!r}")
+        elif type(value) is not type(default):
+            raise ValueError(f"generator key {key!r} must be of type "
+                             f"{type(default).__name__}, got {value!r}")
+    for _, amount_key, amount, seed in steps:
+        if isinstance(amount, bool) or not isinstance(amount, (int, float)):
+            raise ValueError(f"corruption key {amount_key!r} must be a number, got {amount!r}")
+        if type(seed) is not int:
+            raise ValueError(f"corruption key 'seed' must be of type int, got {seed!r}")
     bundle = make_benchmark(**sizes)
-    for mode, amount, seed in steps:
+    for mode, _, amount, seed in steps:
         bundle = corrupt_bundle(bundle, mode, amount, seed)
     return bundle
 
