@@ -55,8 +55,6 @@ from .setnet import load_checkpoint, save_checkpoint
 
 CONFIG_FORMAT_VERSION = 1
 
-OUT_ROOT_ENV = "CYCLEGAIT_OUT_ROOT"
-
 # largest relative deviation from the EMA closed form that verify-closed-form passes
 CLOSED_FORM_TOLERANCE = 1e-8
 
@@ -179,13 +177,6 @@ def config_hash(cfg: ExperimentConfig, manifest: dict, n_seeds: int | None = Non
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _resolve_out(path: str) -> str:
-    root = os.environ.get(OUT_ROOT_ENV, "")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # dataset plumbing
 
@@ -221,7 +212,8 @@ def _write_csv(path: str, text: str, digest: str):
 
 def run_experiment(cfg: ExperimentConfig):
     """Train per config on the dataset in cfg.data_dir, reading only its
-    train split's frames; persist the run directory, return (result, outdir).
+    train split's frames; persist the run directory cfg.out_dir and return
+    the TrainingResult.
 
     No dataset directory, or a dataset that cannot fill the batch shape,
     raises ValueError before anything is written.
@@ -230,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig):
         raise ValueError("train needs a dataset directory: pass --data or set data_dir")
     bundle = gaitgen.load_bundle(cfg.data_dir, frames=("train",))
     train_groups(bundle, cfg)
-    outdir = _resolve_out(cfg.out_dir)
+    outdir = cfg.out_dir
     os.makedirs(outdir, exist_ok=True)
     digest = config_hash(cfg, bundle.manifest)
     with open(os.path.join(outdir, "config.snapshot"), "w", encoding="utf-8") as fh:
@@ -261,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig):
             noisy_txt = "" if noisy_acc is None else f"{noisy_acc:.6f}"
             rows.append(f"{it},{clean_acc:.6f},{noisy_txt}")
         _write_csv(os.path.join(outdir, "memorization.csv"), "\n".join(rows) + "\n", digest)
-    return result, outdir
+    return result
 
 
 def evaluate_to_dir(params, test_samples, outdir: str, digest: str):
@@ -391,8 +383,7 @@ def _config_fields(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    outdir = _resolve_out(args.out)
-    _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
+    _refuse_existing(os.path.join(args.out, "manifest.json"), args.force, "dataset")
     bundle = gaitgen.make_benchmark(
         n_ids=args.n_ids,
         n_train_ids=args.n_train_ids,
@@ -404,9 +395,9 @@ def cmd_gen_data(args) -> int:
     )
     if args.corrupt != "none":
         bundle = _corrupt(bundle, args.corrupt, args)
-    gaitgen.save_bundle(bundle, outdir)
+    gaitgen.save_bundle(bundle, args.out)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
-    print(f"wrote {outdir}: {len(bundle.train)} train / {len(bundle.test)} test sequences")
+    print(f"wrote {args.out}: {len(bundle.train)} train / {len(bundle.test)} test sequences")
     print(f"train identities: {len(set(s.identity for s in bundle.train))}, "
           f"flagged noisy: {n_flagged}")
     return 0
@@ -414,28 +405,26 @@ def cmd_gen_data(args) -> int:
 
 def cmd_corrupt(args) -> int:
     bundle = gaitgen.load_bundle(args.data)
-    outdir = _resolve_out(args.out)
-    _refuse_existing(os.path.join(outdir, "manifest.json"), args.force, "dataset")
+    _refuse_existing(os.path.join(args.out, "manifest.json"), args.force, "dataset")
     bundle = _corrupt(bundle, args.mode, args)
-    gaitgen.save_bundle(bundle, outdir)
+    gaitgen.save_bundle(bundle, args.out)
     n_flagged = sum(1 for s in bundle.train if s.noise_flag != FLAG_CLEAN)
-    print(f"wrote {outdir}: {n_flagged} train sequences flagged {args.mode}")
+    print(f"wrote {args.out}: {n_flagged} train sequences flagged {args.mode}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config) if args.config else ExperimentConfig()
     cfg = dataclasses.replace(cfg, **_config_fields(args))
-    outdir = _resolve_out(cfg.out_dir)
-    _refuse_existing(os.path.join(outdir, "model_f.ckpt"), args.force, "run")
+    _refuse_existing(os.path.join(cfg.out_dir, "model_f.ckpt"), args.force, "run")
     try:
-        result, outdir = run_experiment(cfg)
+        result = run_experiment(cfg)
     except NonFiniteLossError as err:
         print(f"aborted: {err} (diagnostics written)", file=sys.stderr)
         return 1
     last = result.metrics[-1] if result.metrics else {}
     print(f"trained {cfg.mode} for {cfg.iterations} iterations "
-          f"({result.forward_count} forwards) -> {outdir}")
+          f"({result.forward_count} forwards) -> {cfg.out_dir}")
     if last:
         print(f"final losses: combined={last['l_crc']:.4f} ce={last['l_ce']:.4f} "
               f"kept={last['kept_fraction']:.3f}")
@@ -446,7 +435,7 @@ def cmd_eval(args) -> int:
     params, header = load_checkpoint(args.checkpoint)
     bundle = gaitgen.load_bundle(args.data, frames=("test",))
     digest = header.get("config_hash", "unknown")
-    outdir = _resolve_out(args.out) if args.out else os.path.join(
+    outdir = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.checkpoint)), "eval"
     )
     report = evaluate_to_dir(params, bundle.test, outdir, digest)
@@ -464,8 +453,7 @@ def cmd_ablate(args) -> int:
     bundle = gaitgen.load_bundle(args.data, frames=())
     base = ExperimentConfig(iterations=args.iterations, seed=args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
-    outdir = _resolve_out(args.out)
-    csv_path = os.path.join(outdir, "ablation.csv")
+    csv_path = os.path.join(args.out, "ablation.csv")
     # every check that can fail runs before --out is made and before the grid
     # trains its first cell
     _refuse_existing(csv_path, args.force, "ablation")
@@ -474,7 +462,7 @@ def cmd_ablate(args) -> int:
     except ValueError as err:
         raise ValueError(f"{os.path.join(args.data, 'manifest.json')}: {err}") from None
     _check_grid(base, data, seeds)
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     table = run_ablation(base, data, seeds)
     _write_csv(csv_path, ablation_csv(table),
                config_hash(base, bundle.manifest, n_seeds=args.seeds))

@@ -59,10 +59,9 @@ from .sieve import SieveState, adapt_mask, detection_stats, score_arrays
 
 TRACE_FORMAT_VERSION = 1
 
-# fixed parts of the recipe: the temperature of the contrastive (MIL) label
-# term, and the momentum SGD of both networks, whose lr decays by LR_DECAY at
-# each milestone (gaitgen fixes the training-time augmentation)
-MIL_TEMPERATURE = 0.2
+# fixed parts of the recipe: the momentum SGD of both networks, whose lr
+# decays by LR_DECAY at each milestone (gaitgen fixes the training-time
+# augmentation, lossbank the triplet margin and the contrastive temperature)
 SGD_MOMENTUM = 0.9
 LR_DECAY = 0.1
 SCHEDULE_PROFILES = ("noisy", "clean")  # see TrainerConfig.sigmas_at
@@ -86,8 +85,8 @@ class TrainerConfig:
     and_enabled: bool = False
     seed: int = 1
     schedule_profile: str = "noisy"  # one of SCHEDULE_PROFILES
-    d_hidden: int = EncoderShape.d_hidden
-    d_emb: int = EncoderShape.d_emb
+    d_hidden: int = 64  # encoder widths; d_in and n_classes come from the data
+    d_emb: int = 32
     record_trace: bool = False
     snapshot_every: int = 0
     coteach_noise_rate: float = 0.2  # prior required by the baseline only
@@ -352,7 +351,7 @@ def _label_terms(z, p, labels, sigmas):
         l_tri, g = triplet_loss(z, labels)
         d_z += s2 * g
     if s3 != 0.0:
-        l_mil, g = batch_mil_loss(z, labels, MIL_TEMPERATURE)
+        l_mil, g = batch_mil_loss(z, labels)
         d_z += s3 * g
     return l_ce, l_tri, l_mil, d_z, d_p
 
@@ -677,7 +676,7 @@ def run_training(dataset, configs, trace_path=None):
                 for run in runs:
                     step, metrics = train_iteration(step_inputs, run, run.config.sigmas_at(k), k)
                     run.metrics.append(metrics)
-                    if writer is not None and step.delta_m is not None:
+                    if writer is not None:
                         writer.write(k, step.delta_f, step.delta_m)
                     every = run.config.snapshot_every
                     if every > 0 and (k % every == 0 or k == run.config.iterations):

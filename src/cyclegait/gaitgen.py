@@ -84,7 +84,6 @@ class Geometry:
     prototypes: np.ndarray  # (n_ids, d_in), unit rows
     rotations: np.ndarray  # (n_views, d_in, d_in)
     bg_dir: np.ndarray
-    cl_common_dir: np.ndarray
     cl_offsets: np.ndarray  # (n_ids, d_in), the full c_CL per identity
 
 
@@ -135,7 +134,7 @@ def build_geometry(n_ids: int, n_views: int, d_in: int, seed: int) -> Geometry:
     rotations = np.stack(
         [_rotation_matrix(d_in, ROTATED_PLANES, v * VIEW_ANGLE) for v in range(n_views)]
     )
-    return Geometry(prototypes, rotations, bg_dir, cl_common_dir, cl_offsets)
+    return Geometry(prototypes, rotations, bg_dir, cl_offsets)
 
 
 def _condition_offset(geom: Geometry, identity: int, condition: str) -> np.ndarray:
@@ -155,8 +154,8 @@ def make_clean_dataset(
     frames_per_seq: int,
     d_in: int,
     seed: int,
-):
-    """Generate the clean dataset; returns (samples, manifest).
+) -> list:
+    """Generate the clean dataset's samples.
 
     condition_groups maps condition name to the number of sequence groups per
     identity; every group is recorded once per view, so each identity yields
@@ -207,20 +206,7 @@ def make_clean_dataset(
         block = np.matmul((base + seq_offs)[:, None, :] + block, rotations_t)
         samples.extend(SequenceSample(frames, identity, condition, view, identity)
                        for frames, (condition, view) in zip(block, tags))
-
-    manifest = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "generator": {
-            "n_ids": n_ids,
-            "n_views": n_views,
-            "condition_groups": dict(condition_groups),
-            "frames_per_seq": frames_per_seq,
-            "d_in": d_in,
-            "seed": seed,
-        },
-        "corruptions": [],
-    }
-    return samples, manifest
+    return samples
 
 
 def dataset_ids(samples) -> list:
@@ -317,13 +303,16 @@ def make_benchmark(
     seed: int = 1,
 ) -> DatasetBundle:
     """Clean benchmark: first n_train_ids identities train, the rest test.
-    The defaults are the desk-scale benchmark that gen-data writes."""
+    The defaults are the desk-scale benchmark that gen-data writes; the
+    manifest's generator block records every argument, and nothing else."""
     if not 2 <= n_train_ids < n_ids:
         raise ValueError("need 2 <= n_train_ids < n_ids")
-    samples, manifest = make_clean_dataset(
-        n_ids, n_views, condition_groups, frames_per_seq, d_in, seed
-    )
-    manifest["generator"]["n_train_ids"] = n_train_ids
+    samples = make_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq, d_in, seed)
+    generator = {"n_ids": n_ids, "n_train_ids": n_train_ids, "n_views": n_views,
+                 "condition_groups": dict(condition_groups),
+                 "frames_per_seq": frames_per_seq, "d_in": d_in, "seed": seed}
+    manifest = {"format_version": DATASET_FORMAT_VERSION, "generator": generator,
+                "corruptions": []}
     train = [s for s in samples if s.identity < n_train_ids]
     test = [s for s in samples if s.identity >= n_train_ids]
     return DatasetBundle(train, test, manifest)
@@ -463,15 +452,20 @@ def _write_split(path, samples, config_hash: str):
             fh.write(np.concatenate([s.frames for s in samples]).astype("<f8", copy=False))
 
 
-def _read_split(path, with_frames: bool = True):
+def _read_split(path, config_hash, with_frames: bool = True):
     """Samples of one split file; their frames are views of one payload array.
 
     The header and the payload size are checked either way; with_frames False
-    then returns None without reading the frames."""
+    then returns None without reading the frames. A header stamped with a
+    config_hash other than the manifest's belongs to another dataset and is
+    refused."""
     with open(path, "rb") as fh:
         header = read_header(fh, path, "dataset split", SPLIT_FORMAT_VERSION,
                              {"n_sequences": int, "d_in": int, "lengths": list,
-                              **dict.fromkeys(_SPLIT_COLUMNS, list)})
+                              **dict.fromkeys(_SPLIT_COLUMNS, list), "config_hash": str})
+        if header["config_hash"] != config_hash:
+            raise ValueError(f"{path}: header config_hash {header['config_hash']} is not the "
+                             f"manifest's {config_hash}; the file belongs to another dataset")
         n, d_in, lengths = header["n_sequences"], header["d_in"], header["lengths"]
         for col in ("lengths", *_SPLIT_COLUMNS):
             if len(header[col]) != n:
@@ -520,15 +514,17 @@ def save_bundle(bundle: DatasetBundle, outdir):
 def load_bundle(datadir, frames=("train", "test")) -> DatasetBundle:
     """The dataset saved in datadir, with the frames of the splits named in
     frames. A manifest of another format_version is refused. Both split files
-    are checked (header and payload size); a split not named is not read
-    further, and its bundle field is None."""
+    are checked (header, the manifest's config_hash stamp and payload size);
+    a split not named is not read further, and its bundle field is None."""
     with open(os.path.join(datadir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(f"{datadir} holds a dataset manifest in format {version}, not "
                          f"{DATASET_FORMAT_VERSION}; rebuild the dataset with gen-data")
-    return DatasetBundle(_read_split(os.path.join(datadir, "train.bin"),
-                                     with_frames="train" in frames),
-                         _read_split(os.path.join(datadir, "test.bin"),
-                                     with_frames="test" in frames), manifest)
+    stamp = manifest.get("config_hash")
+    if type(stamp) is not str:
+        raise ValueError(f"{datadir}: dataset manifest lacks its config_hash stamp")
+    train, test = (_read_split(os.path.join(datadir, f"{split}.bin"), stamp,
+                               with_frames=split in frames) for split in ("train", "test"))
+    return DatasetBundle(train, test, manifest)

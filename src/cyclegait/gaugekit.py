@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cyclic
 from .gaitgen import CONDITIONS, FLAG_CLEAN
 from .setnet import ModelParams, forward_batch
 
@@ -264,13 +265,13 @@ def closed_form_theta_m(theta0_f, theta0_m, records, m: float):
     return theta0_f + (m**n) * (theta0_m - theta0_f) + total
 
 
-def verify_ema_closed_form(theta0_f, theta0_m, records, m: float,
-                           floor: float = 1e-12) -> float:
+def verify_ema_closed_form(theta0_f, theta0_m, records, m: float) -> float:
     """Max elementwise relative deviation between replay and closed form,
-    each one pass over the (delta_f, delta_m) pairs of records."""
+    each one pass over the (delta_f, delta_m) pairs of records; a replayed
+    entry below 1e-12 in magnitude is divided by 1e-12."""
     _, replayed = replay_recurrence(theta0_f, theta0_m, records, m)
     direct = closed_form_theta_m(theta0_f, theta0_m, records, m)
-    denom = np.maximum(np.abs(replayed), floor)
+    denom = np.maximum(np.abs(replayed), 1e-12)
     return float(np.max(np.abs(replayed - direct) / denom))
 
 
@@ -286,11 +287,7 @@ def verify_trace_file(trace_path, theta0_f: ModelParams, theta0_m: ModelParams,
     and the closed form), so memory stays at about one read chunk plus a
     few parameter vectors, whatever the trace's length.
     """
-    # looked up at call time: perfbench/tracing.py wraps cyclic.read_trace, and a
-    # module-level import would bind the function as it was before the wrap
-    from .cyclic import read_trace
-
-    header, records = read_trace(trace_path)
+    header, records = cyclic.read_trace(trace_path)
     m = float(header["momentum"])
     n_params = int(header["n_params"])
     for name, params in (("initial F", theta0_f), ("initial M", theta0_m),

@@ -119,7 +119,10 @@ def triplet_loss(embeddings, labels, margin: float = 0.2):
     return loss, e * (w.sum(axis=1) + w.sum(axis=0))[:, None] - (w + w.T) @ e
 
 
-def batch_mil_loss(embeddings, labels, temperature: float = 1.0):
+MIL_TEMPERATURE = 0.2  # the contrastive loss's temperature in every training mode
+
+
+def batch_mil_loss(embeddings, labels, temperature: float = MIL_TEMPERATURE):
     """Mean contrastive loss over every sample that has an in-batch positive,
     on the row-normalized embeddings (a row of norm below 1e-12 reads zero).
 

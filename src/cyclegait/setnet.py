@@ -41,10 +41,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 class EncoderShape:
     """Layer size descriptor; fixes the parameter layout."""
 
-    d_in: int = 16
-    d_hidden: int = 64
-    d_emb: int = 32
-    n_classes: int = 40
+    d_in: int
+    d_hidden: int
+    d_emb: int
+    n_classes: int
 
     @property
     def d_pooled(self) -> int:

@@ -40,7 +40,6 @@ from cyclegait.cyclic import run_training
 from cyclegait import gaitgen
 from cyclegait.gaitgen import (
     CONDITIONS,
-    DATASET_FORMAT_VERSION,
     SequenceSample,
     _condition_offset,
     build_geometry,
@@ -455,19 +454,7 @@ def per_sequence_clean_dataset(n_ids, n_views, condition_groups, frames_per_seq,
                     samples.append(
                         SequenceSample(frames, identity, condition, view, identity)
                     )
-    manifest = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "generator": {
-            "n_ids": n_ids,
-            "n_views": n_views,
-            "condition_groups": dict(condition_groups),
-            "frames_per_seq": frames_per_seq,
-            "d_in": d_in,
-            "seed": seed,
-        },
-        "corruptions": [],
-    }
-    return samples, manifest
+    return samples
 
 
 def per_victim_label_noise(samples, rate, seed):
@@ -641,12 +628,6 @@ def first_reach_iteration(iterations, values, target: float):
         if v >= target:
             return it
     return None
-
-
-def geometry_of(manifest: dict):
-    """Latent geometry of a dataset, regenerated from its manifest."""
-    gen = manifest["generator"]
-    return build_geometry(gen["n_ids"], gen["n_views"], gen["d_in"], gen["seed"])
 
 
 def format_1_manifest(manifest: dict) -> dict:

@@ -212,13 +212,13 @@ def test_c04_cost_model_and_live_counters():
 
 
 def test_c05_corruption_audits():
-    samples, _ = make_clean_dataset(10, 4, {"NM": 13, "BG": 6, "CL": 6}, 4, 16, seed=2)
+    samples = make_clean_dataset(10, 4, {"NM": 13, "BG": 6, "CL": 6}, 4, 16, seed=2)
     assert len(samples) == 1000
     noised = inject_random_label_noise(samples, 0.2, seed=11)
     flagged = [s for s in noised if s.noise_flag == FLAG_LABEL]
     ok1 = len(flagged) == 200 and all(s.identity != s.clean_identity for s in flagged)
 
-    samples74, _ = make_clean_dataset(74, 1, {"NM": 1, "CL": 1}, 3, 16, seed=4)
+    samples74 = make_clean_dataset(74, 1, {"NM": 1, "CL": 1}, 3, 16, seed=4)
     split74 = inject_identity_split(samples74, 0.6)
     affected = {s.clean_identity for s in split74 if s.noise_flag == FLAG_SPLIT}
     ok2 = affected == set(range(44))

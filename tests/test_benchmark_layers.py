@@ -46,7 +46,6 @@ def run(tracer, *argv):
 
 def test_every_pinned_layer_is_reached(perfbench, tmp_path, monkeypatch):
     tracing, workloads = perfbench
-    monkeypatch.delenv(bench_cli.OUT_ROOT_ENV, raising=False)
     data, runs = str(tmp_path / "data"), tmp_path / "runs"
     train = ("train", "--data", data, "--iterations", str(ITERATIONS), "--seed", "2")
     with tracing.Tracer() as tracer:

@@ -281,7 +281,8 @@ class TestTrainEvalPipeline:
     def test_run_experiment_outputs(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", record_trace=True,
                                 snapshot_every=2)
-        result, outdir = run_experiment(cfg)
+        result = run_experiment(cfg)
+        outdir = cfg.out_dir
         for name in ("config.snapshot", "model_f_init.ckpt", "model_m_init.ckpt",
                      "model_f.ckpt", "model_m.ckpt", "trace.bin", "metrics.jsonl",
                      "memorization.csv"):
@@ -444,9 +445,9 @@ class TestTrainEvalPipeline:
     def test_train_reads_no_test_frames(self, data_dir, tmp_path, monkeypatch):
         reads, read_split = [], gaitgen._read_split
 
-        def spied(path, with_frames=True):
+        def spied(path, config_hash, with_frames=True):
             reads.append((os.path.basename(path), with_frames))
-            return read_split(path, with_frames)
+            return read_split(path, config_hash, with_frames)
 
         config = tmp_path / "exp.cfg"
         config.write_text(serialize_config(tiny_train_config(data_dir, tmp_path / "run")))
@@ -456,9 +457,9 @@ class TestTrainEvalPipeline:
 
     def test_supervised_mode_emits_no_teacher_checkpoint(self, data_dir, tmp_path):
         cfg = tiny_train_config(data_dir, tmp_path / "run", mode="supervised")
-        _, outdir = run_experiment(cfg)
-        assert os.path.exists(os.path.join(outdir, "model_f.ckpt"))
-        assert not os.path.exists(os.path.join(outdir, "model_m.ckpt"))
+        run_experiment(cfg)
+        assert os.path.exists(os.path.join(cfg.out_dir, "model_f.ckpt"))
+        assert not os.path.exists(os.path.join(cfg.out_dir, "model_m.ckpt"))
 
     def test_train_then_verify_closed_form(self, data_dir, tmp_path, capsys):
         run = tmp_path / "run"
@@ -573,8 +574,7 @@ class TestTrainEvalPipeline:
         steps = {step: (command, code) for step, command, code in tool.COMMANDS}
         for name, text in tool.CONFIGS.items():
             (tmp_path / name).write_text(text)
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("PYTHONWARNINGS", bench_cli.OUT_ROOT_ENV)}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = str(ROOT / "src")
         for step in ("gen-split", "train-diverge"):
             command, code = steps[step]
@@ -705,9 +705,9 @@ class TestAblateCommand:
         run_cli("gen-data", "--out", str(data), *WIDE_GEN)
         reads, read_split = [], gaitgen._read_split
 
-        def spied(path, with_frames=True):
+        def spied(path, config_hash, with_frames=True):
             reads.append((os.path.basename(path), with_frames))
-            return read_split(path, with_frames)
+            return read_split(path, config_hash, with_frames)
 
         monkeypatch.setattr(gaitgen, "_read_split", spied)
         grid = ("--seeds", "1", "--iterations", "2")
@@ -981,6 +981,30 @@ class TestProvenance:
         assert len(hashes) == len(tables)
         assert tables[("1", "1")][1:] != tables[("2", "5")][1:]
 
+    @pytest.mark.parametrize("split, commands", [
+        ("train", [("train", "--data", "b", "--out", "out", "--iterations", "2")]),
+        ("test", [("eval", "--checkpoint", "r/model_f.ckpt", "--data", "b", "--out", "out"),
+                  ("ablate", "--data", "b", "--out", "out", "--seeds", "1",
+                   "--iterations", "2")]),
+    ])
+    def test_split_file_of_another_dataset_is_refused(self, tmp_path, monkeypatch, capsys,
+                                                      split, commands):
+        # two datasets of one shape, and b holds a's copy of one split file,
+        # which carries a's config_hash stamp, not b's
+        monkeypatch.chdir(tmp_path)
+        for data, seed in (("a", "1"), ("b", "2")):
+            assert run_cli("gen-data", "--out", data, *TINY_GEN, "--ids", "12",
+                           "--train-ids", "9", "--seed", seed) == 0
+        assert run_cli("train", "--data", "a", "--out", "r", "--iterations", "2") == 0
+        shutil.copyfile(f"a/{split}.bin", f"b/{split}.bin")
+        for argv in commands:
+            capsys.readouterr()
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert os.path.join("b", f"{split}.bin") in err[0] and "another dataset" in err[0]
+            assert sorted(os.listdir(tmp_path)) == ["a", "b", "r"]
+
 
 class TestCostCommand:
     def test_reference_values(self, capsys):
@@ -997,8 +1021,18 @@ class TestCostCommand:
         assert "300%" in out  # 4x over the without-augmentation variant
 
 
-class TestEnvOverrides:
-    def test_out_root_prefixes_relative_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CYCLEGAIT_OUT_ROOT", str(tmp_path))
-        run_cli("gen-data", "--out", "nested/data", *TINY_GEN)
-        assert (tmp_path / "nested" / "data" / "manifest.json").exists()
+class TestEnvironment:
+    def test_out_root_variable_moves_no_output(self, tmp_path, monkeypatch):
+        # an output-root variable in the environment changes nothing: every
+        # command writes under its own relative --out
+        root, work = tmp_path / "root", tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("CYCLEGAIT_OUT_ROOT", str(root))
+        assert run_cli("gen-data", "--out", "data", *WIDE_GEN) == 0
+        assert run_cli("train", "--data", "data", "--out", "run", "--iterations", "2") == 0
+        assert run_cli("ablate", "--data", "data", "--out", "grid", "--seeds", "1",
+                       "--iterations", "2") == 0
+        assert not root.exists()
+        for path in ("data/manifest.json", "run/model_f.ckpt", "grid/ablation.csv"):
+            assert (work / path).is_file(), path

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cyclegait.gaitgen import (
+    GENERATOR_DEFAULTS,
     DatasetBundle,
     FLAG_CLEAN,
     FLAG_LABEL,
     FLAG_SPLIT,
     SequenceSample,
     augment_frame_sets,
+    build_geometry,
     corrupt_bundle,
     dataset_hash,
     inject_identity_split,
@@ -25,7 +27,7 @@ from cyclegait import gaitgen
 from cyclegait import numkit
 from cyclegait.numkit import _DRAW_BLOCK, RngStream
 import reference
-from reference import geometry_of, nearest_prototype_ids
+from reference import nearest_prototype_ids
 
 MASK64 = 2**64 - 1
 
@@ -110,12 +112,11 @@ class TestBlockGeneratorMatchesLoopOracle:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_frames_tags_and_draws(self, n_views, d_in, frames_per_seq, seed, draw_addresses):
         args = (5, n_views, {"NM": 2, "BG": 0, "CL": 1}, frames_per_seq, d_in, seed)
-        samples, manifest = make_clean_dataset(*args)
+        samples = make_clean_dataset(*args)
         n_block = len(draw_addresses)
-        oracle, oracle_manifest = reference.per_sequence_clean_dataset(*args)
+        oracle = reference.per_sequence_clean_dataset(*args)
         assert len(samples) == 5 * 3 * n_views
         assert frame_bytes_equal(samples, oracle)
-        assert manifest == oracle_manifest
         assert draw_addresses[:n_block] == draw_addresses[n_block:]
 
     @pytest.mark.parametrize("mode, amount", [("label", 0.3), ("split", 0.5)])
@@ -137,7 +138,7 @@ class TestBlockGeneratorMatchesLoopOracle:
             assert fast.manifest == slow.manifest
 
     def test_frames_are_views_of_one_block_per_identity(self):
-        samples, _ = small_dataset()
+        samples = small_dataset()
         blocks = {}
         for s in samples:
             assert s.frames.base is blocks.setdefault(s.identity, s.frames.base)
@@ -146,12 +147,12 @@ class TestBlockGeneratorMatchesLoopOracle:
 
 class TestCleanGeneration:
     def test_deterministic(self):
-        a, _ = small_dataset()
-        b, _ = small_dataset()
+        a = small_dataset()
+        b = small_dataset()
         assert frames_equal(a, b)
 
     def test_counts_and_tags(self):
-        samples, manifest = small_dataset()
+        samples = small_dataset()
         assert len(samples) == 6 * (2 + 1 + 1) * 2
         for s in samples:
             assert s.identity == s.clean_identity
@@ -162,15 +163,15 @@ class TestCleanGeneration:
     def test_zero_jitter_nearest_prototype_perfect(self, monkeypatch):
         monkeypatch.setattr(gaitgen, "FRAME_JITTER", 0.0)
         monkeypatch.setattr(gaitgen, "SEQ_JITTER", 0.0)
-        samples, manifest = make_clean_dataset(2, 1, {"NM": 1}, 5, 16, seed=9)
-        geom = geometry_of(manifest)
+        samples = make_clean_dataset(2, 1, {"NM": 1}, 5, 16, seed=9)
+        geom = build_geometry(2, 1, 16, seed=9)
         preds = nearest_prototype_ids(samples, geom)
         assert np.array_equal(preds, [s.clean_identity for s in samples])
 
     def test_cl_frames_farther_than_nm_within_identity(self):
         # Monte-Carlo audit of the clothing-offset calibration
-        samples, manifest = small_dataset(n_ids=10, seed=5)
-        geom = geometry_of(manifest)
+        samples = small_dataset(n_ids=10, seed=5)
+        geom = build_geometry(10, 2, 16, seed=5)
         rng = np.random.default_rng(0)
         nm = [s for s in samples if s.condition == "NM"]
         cl = [s for s in samples if s.condition == "CL"]
@@ -211,12 +212,12 @@ class TestCleanGeneration:
 
 class TestLabelNoise:
     def test_rate_zero_is_noop(self):
-        samples, _ = small_dataset()
+        samples = small_dataset()
         out = inject_random_label_noise(samples, 0.0, seed=1)
         assert frames_equal(samples, out)
 
     def test_exact_count_and_no_self_relabel(self):
-        samples, _ = make_clean_dataset(
+        samples = make_clean_dataset(
             10, 4, {"NM": 13, "BG": 6, "CL": 6}, 4, 16, seed=2
         )
         assert len(samples) == 1000
@@ -229,7 +230,7 @@ class TestLabelNoise:
         assert all(s.identity == s.clean_identity for s in untouched)
 
     def test_deterministic_in_seed(self):
-        samples, _ = small_dataset()
+        samples = small_dataset()
         a = inject_random_label_noise(samples, 0.3, seed=4)
         b = inject_random_label_noise(samples, 0.3, seed=4)
         assert frames_equal(a, b)
@@ -237,7 +238,7 @@ class TestLabelNoise:
         assert not frames_equal(a, c)
 
     def test_rate_one_rejected(self):
-        samples, _ = small_dataset()
+        samples = small_dataset()
         with pytest.raises(ValueError):
             inject_random_label_noise(samples, 1.0, seed=1)
 
@@ -268,19 +269,19 @@ class TestLabelNoise:
 
 class TestIdentitySplit:
     def test_fraction_zero_is_noop(self):
-        samples, _ = small_dataset()
+        samples = small_dataset()
         out = inject_identity_split(samples, 0.0)
         assert frames_equal(samples, out)
 
     def test_full_split_moves_every_cl_sequence(self):
-        samples, _ = small_dataset(n_ids=5)
+        samples = small_dataset(n_ids=5)
         out = inject_identity_split(samples, 1.0)
         assert not any(s.condition == "CL" for s in out)
         new_ids = {s.identity for s in out if s.noise_flag == FLAG_SPLIT}
         assert new_ids == set(range(5, 10))  # one new id per original with CL
 
     def test_paper_operating_point_74_ids(self):
-        samples, _ = make_clean_dataset(
+        samples = make_clean_dataset(
             74, 1, {"NM": 1, "CL": 1}, 3, 16, seed=4
         )
         out = inject_identity_split(samples, 0.6)
@@ -288,7 +289,7 @@ class TestIdentitySplit:
         assert affected == set(range(44))  # floor(0.6 * 74) = 44 first ids
 
     def test_only_relabelled_sequences_are_copied(self):
-        samples, _ = small_dataset(n_ids=4)
+        samples = small_dataset(n_ids=4)
         before = [dict(vars(s)) for s in samples]
         out = inject_identity_split(samples, 0.5)
         for s, new in zip(samples, out):
@@ -298,7 +299,7 @@ class TestIdentitySplit:
         assert all(vars(s) == b for s, b in zip(samples, before))
 
     def test_condition_rewritten_and_clean_id_kept(self):
-        samples, _ = small_dataset(n_ids=4)
+        samples = small_dataset(n_ids=4)
         out = inject_identity_split(samples, 0.5)
         moved = [s for s in out if s.noise_flag == FLAG_SPLIT]
         assert moved
@@ -316,6 +317,17 @@ class TestBundleAndManifest:
         assert {s.identity for s in bundle.train} == set(range(5))
         assert {s.identity for s in bundle.test} == {5, 6, 7}
         assert reference.n_train_classes(bundle) == 5
+
+    def test_generator_block_records_every_argument(self):
+        # every value differs from its default, so a value taken from the
+        # defaults, not from the call, shows
+        args = {"n_ids": 7, "n_train_ids": 3, "n_views": 3,
+                "condition_groups": {"NM": 1, "BG": 0, "CL": 2}, "frames_per_seq": 5,
+                "d_in": 6, "seed": 9}
+        assert all(args[key] != default for key, default in GENERATOR_DEFAULTS.items())
+        manifest = make_benchmark(**args).manifest
+        assert manifest == {"format_version": gaitgen.DATASET_FORMAT_VERSION,
+                            "generator": args, "corruptions": []}
 
     def test_manifest_roundtrip_bytes(self):
         bundle = make_benchmark(n_ids=6, n_train_ids=4, n_views=2,
@@ -401,6 +413,16 @@ class TestBundleAndManifest:
             path.write_bytes(blob)
             with pytest.raises(ValueError, match="train.bin"):
                 load_bundle(tmp_path)
+
+    def test_manifest_without_its_stamp_is_refused(self, tmp_path):
+        save_bundle(make_benchmark(n_ids=5, n_train_ids=3, n_views=1, frames_per_seq=4),
+                    tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["config_hash"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="lacks its config_hash stamp") as err:
+            load_bundle(tmp_path, frames=())
+        assert str(tmp_path) in str(err.value)
 
     def test_manifest_of_another_format_is_refused(self, tmp_path):
         bundle = make_benchmark(n_ids=5, n_train_ids=3, n_views=1,

@@ -386,10 +386,10 @@ class TestClosedForm:
         assert verify_ema_closed_form(t0f, t0m, records, m) == deviation
 
     def test_trace_verification_holds_one_payload(self, tmp_path):
-        # at the default encoder shape, the traced peak of a verification
+        # at the default benchmark run's encoder shape, the traced peak of a verification
         # with both endpoints is the same at 100 and at 400 records, and
         # stays within one read chunk plus a few parameter vectors
-        shape = EncoderShape()
+        shape = EncoderShape(d_in=16, d_hidden=64, d_emb=32, n_classes=40)
         p = shape.n_params
         init_f, _ = init_params(shape, RngStream(1).child(1))
         init_m, _ = init_params(shape, RngStream(1).child(2))

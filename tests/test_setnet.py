@@ -377,7 +377,8 @@ class TestBlasW1MatchesEinsumOracle:
         assert_w1_matches_einsum_oracle(frames, params, d_z, d_p)
 
     def test_default_shape_training_batch(self, rng):
-        params, _ = init_params(EncoderShape(), RngStream(6).child(1))
+        params, _ = init_params(EncoderShape(d_in=16, d_hidden=64, d_emb=32, n_classes=40),
+                                RngStream(6).child(1))
         frames = ragged_batch(rng, rng.integers(20, 32, size=32), 16, duplicate=True)
         d_z, d_p = rng.normal(size=(32, 32)), rng.normal(size=(32, 40))
         assert_w1_matches_einsum_oracle(frames, params, d_z, d_p)

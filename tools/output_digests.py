@@ -3,16 +3,16 @@ the sha256 of every file they write, for byte-identity checks between trees.
 
     python tools/output_digests.py --src TREE/src --out DIR
 
-Each command runs in its own process with PYTHONPATH=TREE/src, working
-directory DIR and CYCLEGAIT_OUT_ROOT unset. Every --data and --out path is
-relative, because config.snapshot records data_dir and out_dir as given:
-only relative paths make two trees' snapshots equal. Each command's stdout
-is kept as stdout/<step>.txt and hashed with the rest. The output is one
-"sha256  path" line per file under DIR, sorted by path; run it once per
-tree into two new directories and compare the two listings. Each command
-has an expected exit code: train-diverge must abort with 1, after writing
-its diagnostics.json, and every other command must succeed. The exit code
-is non-zero if a command exits otherwise, and the set stops there.
+Each command runs in its own process with PYTHONPATH=TREE/src and working
+directory DIR. Every --data and --out path, and every data_dir and out_dir
+of a config file, is relative, because config.snapshot records them as
+given: only relative paths make two trees' snapshots equal. Each command's
+stdout is kept as stdout/<step>.txt and hashed with the rest. The output
+is one "sha256  path" line per file under DIR, sorted by path; run it once
+per tree into two new directories and compare the two listings. Each
+command has an expected exit code: train-diverge must abort with 1, after
+writing its diagnostics.json, and every other command must succeed. The
+exit code is non-zero if a command exits otherwise, and the set stops there.
 """
 
 import argparse
@@ -23,11 +23,14 @@ import sys
 
 # config file -> text: the cyclic run's P x K = 4 x 2 batch, whose sieve
 # opens after 5 iterations, a learning rate that diverges within 60
-# iterations, before any milestone, and a file that states its format version
+# iterations, before any milestone, a file that states its format version,
+# and a run whose dataset and output directories only its file names
 CONFIGS = {
     "cyclic.cfg": "[trainer]\np_ids = 4\nk_seqs = 2\nsieve_warmup = 5\n",
     "diverge.cfg": "[optimizer]\nlr = 1000000.0\nmilestones =\n",
     "meta.cfg": "[meta]\nformat_version = 1\n",
+    "paths.cfg": ("[dataset]\ndata_dir = data/label-split\n[trainer]\niterations = 50\n"
+                  "[output]\nout_dir = runs/from-config\n"),
 }
 
 # (step, command, expected exit code)
@@ -52,6 +55,7 @@ COMMANDS = (
                      "--iterations", "100"], 0),
     ("train-selfsup", ["train", "--data", "data/clean", "--out", "runs/selfsup",
                        "--mode", "selfsup", "--trace", "--iterations", "100"], 0),
+    ("train-from-config", ["train", "--config", "paths.cfg"], 0),
     ("train-coteach", ["train", "--data", "data/relabel", "--out", "runs/coteach",
                        "--mode", "coteach-baseline", "--iterations", "100"], 0),
     ("eval-cyclic", ["eval", "--checkpoint", "runs/cyclic/model_f.ckpt",
@@ -105,7 +109,6 @@ def main(argv=None) -> int:
             fh.write(text)
 
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("CYCLEGAIT_OUT_ROOT", None)
     for step, command, expected in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "cyclegait.bench_cli", *command],
                               cwd=args.out, env=env, capture_output=True, text=True)
